@@ -16,8 +16,9 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import polynomial as npoly
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .errors import ValidationError
+from .errors import NonConvergenceError, ValidationError
 from .mesh import BasisSpec, Mesh
 
 MAX_POLY_DEGREE = 8
@@ -144,6 +145,13 @@ class SparseSymMatrix:
     """Symmetric sparse matrix in CSR form with sorted column indices.
 
     Immutable by convention. ``s`` is the maximum number of nonzeros per row.
+
+    Linear algebra stays sparse. The first call to ``solve``, ``is_spd`` or
+    ``extremes`` factors the matrix once with a symmetric-mode sparse LU
+    (symmetric fill-reducing ordering, diagonal pivots only) and caches it.
+    With diagonal pivots the factorisation is P M P^T = L D L^T with D =
+    diag(U), so by Sylvester's law of inertia M is positive definite exactly
+    when no off-diagonal pivot was needed and every pivot is > 0.
     """
 
     def __init__(self, matrix):
@@ -159,6 +167,9 @@ class SparseSymMatrix:
         self.n = csr.shape[0]
         counts = np.diff(csr.indptr)
         self.s = int(counts.max()) if len(counts) else 0
+        self._lu = None
+        self._spd = None
+        self._extremes = None
 
     @classmethod
     def from_upper_coo(cls, n, rows, cols, vals):
@@ -212,6 +223,68 @@ class SparseSymMatrix:
 
     def to_dense(self):
         return self._csr.toarray()
+
+    def _factor(self):
+        if self._lu is None:
+            try:
+                lu = splu(
+                    sp.csc_array(self._csr),
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise ValidationError("matrix is singular") from exc
+            # SuperLU still swaps rows at an exactly zero diagonal pivot
+            self._spd = bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0))
+            self._lu = lu
+        return self._lu
+
+    def solve(self, b) -> np.ndarray:
+        """M^{-1} b from the cached sparse factorisation."""
+        x = self._factor().solve(np.asarray(b, dtype=float))
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("matrix is singular")
+        return x
+
+    def is_spd(self) -> bool:
+        """Positive definiteness from the pivot signs of the cached
+        factorisation; a singular matrix is not SPD."""
+        try:
+            self._factor()
+        except ValidationError:
+            return False
+        return self._spd
+
+    def extremes(self) -> tuple[float, float]:
+        """(lambda_min, lambda_max) of an SPD matrix, cached.
+
+        Both come from shift-invert Lanczos (ARPACK) with a fixed start
+        vector, so repeated calls and equal matrices give bit-identical
+        values: lambda_min at shift 0 through the cached factorisation,
+        lambda_max at a shift just above the Gershgorin bound. Raises
+        ValidationError when the matrix is singular or indefinite and
+        NonConvergenceError when ARPACK does not converge.
+        """
+        if self._extremes is None:
+            if not self.is_spd():
+                raise ValidationError("matrix is singular or indefinite")
+            if self.n == 1:
+                lam = self.entry(0, 0)
+                self._extremes = (lam, lam)
+                return self._extremes
+            lu = self._factor()
+            csc = sp.csc_array(self._csr)
+            v0 = np.random.default_rng(0).standard_normal(self.n)
+            inv = LinearOperator(csc.shape, matvec=lu.solve, dtype=float)
+            shift = 1.01 * float(abs(self._csr).sum(axis=1).max())
+            try:
+                lo = eigsh(csc, k=1, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False)
+                hi = eigsh(csc, k=1, sigma=shift, v0=v0, return_eigenvectors=False)
+            except ArpackNoConvergence as exc:
+                raise NonConvergenceError("Lanczos eigenvalue iteration did not converge") from exc
+            self._extremes = (float(lo[0]), float(hi[0]))
+        return self._extremes
 
     def max_abs(self) -> float:
         return float(abs(self._csr.data).max()) if self.nnz else 0.0

@@ -128,7 +128,7 @@ def _solve_direct(problem: ProblemSpec, n: int):
     form = BilinearForm(problem.diffusion, problem.reaction)
     M = assemble_stiffness(mesh, spec, form)
     b = -assemble_load(mesh, spec, problem.f_array()).values
-    coeffs = np.linalg.solve(M.to_dense(), b)
+    coeffs = M.solve(b)
     return mesh, spec, coeffs
 
 
@@ -206,7 +206,7 @@ def plan_report(problem: ProblemSpec) -> dict:
         form = BilinearForm(problem.diffusion, problem.reaction)
         M = assemble_stiffness(mesh, spec, form)
         b = -assemble_load(mesh, spec, problem.f_array()).values
-        u = np.linalg.solve(M.to_dense(), b)
+        u = M.solve(b)
         r_load = assemble_load(mesh, spec, problem.r_array())
         alpha = r_load.norm()
         budget = split_budget(problem.eps, sob, alpha, float(np.linalg.norm(u)), poly_l2_norm(problem.r_array(), problem.d))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.signal import convolve2d
 
 from .errors import UnsupportedConfigurationError, ValidationError
 from .resources import SobolevData
@@ -141,12 +140,9 @@ def poly_l2_norm_sq(coeffs, d: int) -> float:
     if d == 1:
         sq = np.convolve(c, c)
         return float(sum(sq[i] / (i + 1) for i in range(len(sq))))
-    sq = convolve2d(c, c)
-    total = 0.0
-    for i in range(sq.shape[0]):
-        for j in range(sq.shape[1]):
-            total += sq[i, j] / ((i + 1) * (j + 1))
-    return float(total)
+    # int x^(i+k) y^(j+l) = 1/((i+k+1)(j+l+1)): Hilbert matrices on each side
+    hx, hy = (1.0 / (np.arange(m)[:, None] + np.arange(m)[None, :] + 1.0) for m in c.shape)
+    return float((c * (hx @ c @ hy)).sum())
 
 
 def poly_l2_norm(coeffs, d: int) -> float:

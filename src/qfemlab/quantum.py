@@ -1,12 +1,15 @@
 """Desk-scale statevector simulation of the sampling pipeline.
 
 State preparation follows the prefix-weight (Grover-Rudolph) scheme; the
-linear-equation subroutine is a behavioral stand-in (exact dense solve plus
-a seeded perturbation of calibrated l2 size) whose analytic oracle cost is
-recorded in a resource ledger. All estimators are plain Monte Carlo at the
-exact event probabilities: empirical sampling uses 1/eps^2 shots while the
-ledger charges the amplitude-estimation count of 1/eps, and the gap is
-annotated in the ledger entries.
+linear-equation subroutine is a behavioral stand-in (exact sparse direct
+solve plus a seeded perturbation of calibrated l2 size) whose analytic
+oracle cost is recorded in a resource ledger. Solves, lambda_max and the
+condition number all come from the stiffness matrix's cached sparse
+factorisation and eigenvalue extremes (``SparseSymMatrix.solve`` and
+``SparseSymMatrix.extremes``); no dense matrix is formed. All estimators
+are plain Monte Carlo at the exact event probabilities: empirical sampling
+uses 1/eps^2 shots while the ledger charges the amplitude-estimation count
+of 1/eps, and the gap is annotated in the ledger entries.
 
 All states are real; dimensions are padded to the next power of two with
 zero amplitudes, so inner products over the full vectors equal those over
@@ -22,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .assembly import LoadVector, SparseSymMatrix, assemble_load, assemble_stiffness, BilinearForm
+from .assembly import SparseSymMatrix, assemble_load, assemble_stiffness, BilinearForm
 from .errors import (
     BudgetExceededError,
     SimulationFloorError,
@@ -337,13 +340,11 @@ def darboux_load_entry(spec: BasisSpec, f_antiderivatives, i: int) -> float:
     fs = [np.asarray(c, dtype=float) for c in f_antiderivatives[: k + 1]]
     for m in range(len(fs) - 1):
         der = npoly.polyder(fs[m + 1])
-        lo = min(len(der), len(fs[m]))
         pad_a = np.pad(der, (0, max(0, len(fs[m]) - len(der))))
         pad_b = np.pad(fs[m], (0, max(0, len(der) - len(fs[m]))))
         scale = max(1.0, np.abs(pad_b).max())
         if np.abs(pad_a - pad_b).max() > 1e-9 * scale:
             raise ValidationError(f"antiderivative chain broken between orders {m + 1} and {m + 2}")
-        del lo
 
     if not 0 <= i < spec.n_dofs:
         raise ValidationError(f"dof index {i} out of range")
@@ -369,11 +370,9 @@ def darboux_load_entry(spec: BasisSpec, f_antiderivatives, i: int) -> float:
 # ---------------------------------------------------------------------------
 # linear-solver stand-in and error propagation
 
-def _dense_kappa(M: SparseSymMatrix) -> float:
-    ev = np.linalg.eigvalsh(M.to_dense())
-    if ev[0] <= 0:
-        raise ValidationError("matrix is singular or indefinite")
-    return float(ev[-1] / ev[0])
+def _kappa(M: SparseSymMatrix) -> float:
+    lam_min, lam_max = M.extremes()
+    return lam_max / lam_min
 
 
 def _theorem_cost(s: int, kappa: float, eps: float) -> float:
@@ -384,18 +383,16 @@ def _theorem_cost(s: int, kappa: float, eps: float) -> float:
 def simulated_qle(M: SparseSymMatrix, b: Statevector, eps_l: float, rng_seed: int, ledger=None) -> Statevector:
     """Behavioral stand-in for the linear-equation subroutine.
 
-    Returns the exact normalized solution of M x = b perturbed by a seeded
-    random unit vector in its orthogonal complement, scaled so the l2
-    distance to the exact state is exactly ``eps_l``. The analytic oracle
-    cost of one subroutine call is appended to ``ledger`` when given.
+    Returns the exact normalized solution of M x = b (sparse direct solve)
+    perturbed by a seeded random unit vector in its orthogonal complement,
+    scaled so the l2 distance to the exact state is exactly ``eps_l``. The
+    analytic oracle cost of one subroutine call, with kappa from the cached
+    ``M.extremes()``, is appended to ``ledger`` when given.
     """
     if not 0.0 <= eps_l < 1.0:
         raise ValidationError(f"eps_l must be in [0, 1), got {eps_l}")
     n = M.n
-    try:
-        x = np.linalg.solve(M.to_dense(), b.amplitudes[:n])
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError("matrix is singular") from exc
+    x = M.solve(b.amplitudes[:n])
     nx = np.linalg.norm(x)
     if nx == 0:
         raise ValidationError("zero solution state")
@@ -419,7 +416,7 @@ def simulated_qle(M: SparseSymMatrix, b: Statevector, eps_l: float, rng_seed: in
         out[:block] = math.cos(theta) * base + math.sin(theta) * (w / nw)
 
     if ledger is not None:
-        kappa = _dense_kappa(M)
+        kappa = _kappa(M)
         cost = _theorem_cost(M.s, kappa, eps_l)
         ledger.append(
             ResourceEstimate(
@@ -439,9 +436,8 @@ def input_error_propagation(M: SparseSymMatrix, b, e) -> float:
     evec = np.asarray(e, dtype=float)
     if np.linalg.norm(evec) >= 1.0:
         raise ValidationError("perturbation must have norm < 1")
-    dense = M.to_dense()
-    x = np.linalg.solve(dense, bvec)
-    y = np.linalg.solve(dense, bvec + evec)
+    x = M.solve(bvec)
+    y = M.solve(bvec + evec)
     if np.linalg.norm(e) == 0:
         return 0.0
     return float(np.linalg.norm(x / np.linalg.norm(x) - y / np.linalg.norm(y)))
@@ -555,13 +551,9 @@ def estimate_norm(M: SparseSymMatrix, b: Statevector, eps_n_rel: float, budget: 
     """
     if eps_n_rel <= 0:
         raise ValidationError("eps_n_rel must be positive")
-    dense = M.to_dense()
-    ev = np.linalg.eigvalsh(dense)
-    if ev[0] <= 0:
-        raise ValidationError("matrix is singular or indefinite")
-    lam_max = float(ev[-1])
-    kap = float(kappa) if kappa is not None else float(ev[-1] / ev[0])
-    x = lam_max * np.linalg.solve(dense, b.amplitudes[: M.n])
+    lam_min, lam_max = M.extremes()
+    kap = float(kappa) if kappa is not None else lam_max / lam_min
+    x = lam_max * M.solve(b.amplitudes[: M.n])
     p = min(float(x @ x) / kap**2, 1.0)
     if p < ACCEPTANCE_FLOOR:
         raise SimulationFloorError(
@@ -619,12 +611,6 @@ class FunctionalEstimate:
         }
 
 
-def _assemble_problem(problem: ProblemSpec):
-    if not problem.assembled:
-        raise UnsupportedConfigurationError(f"d={problem.d} is resource-model only")
-    return None
-
-
 def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, exact_mode: bool = False) -> FunctionalEstimate:
     """Estimate R = int r u with additive error <= eps ||r|| (probability
     >= 2/3) by the three-step pipeline: estimate the solution norm, estimate
@@ -633,7 +619,8 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
     ``exact_mode`` zeroes the solver, norm and measurement errors so only
     the discretisation term remains.
     """
-    _assemble_problem(problem)
+    if not problem.assembled:
+        raise UnsupportedConfigurationError(f"d={problem.d} is resource-model only")
     sob = derive_sobolev(problem, max_order=problem.k + 1)
 
     # mesh from the discretisation share of the budget
@@ -656,7 +643,7 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
     r_state, alpha = build_r_state(mesh, spec, problem.r_array())
     r_norm = poly_l2_norm(problem.r_array(), problem.d)
 
-    u_tilde = np.linalg.solve(M.to_dense(), b_raw)
+    u_tilde = M.solve(b_raw)
     u_norm = float(np.linalg.norm(u_tilde))
     split = split_budget(eps, sob, alpha, u_norm, r_norm)
     split.h = h
@@ -678,7 +665,7 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
         u_state = Statevector.from_vector(u_tilde)
         eps_l_eff = min(split.eps_l, 0.9)
         source = StateSource(u_state, eps_l_eff, budget.rng)
-        qle_cost = _theorem_cost(M.s, _dense_kappa(M), max(eps_l_eff, 1e-16))
+        qle_cost = _theorem_cost(M.s, _kappa(M), max(eps_l_eff, 1e-16))
         r_tilde = hadamard_test_estimate(source, r_state, split.eps_out, budget)
         ledger.append(
             ResourceEstimate(

@@ -5,8 +5,11 @@ CG only observes residuals, so the energy-norm target ||x - x*||_M <=
 tol * ||x*||_M is certified through the bound ||x - x*||_M <= ||r|| /
 sqrt(lambda_min) together with ||x_j||_M = sqrt(b.x_j), which increases
 monotonically to ||x*||_M when starting from zero. lambda_min comes from
-the Ritz values of the solver's own Lanczos tridiagonal (plain CG) or from
-a short standalone Lanczos pass (preconditioned runs).
+the Ritz values of the solver's own Lanczos tridiagonal (plain CG) or, for
+preconditioned runs, is the exact smallest eigenvalue of M from its cached
+sparse factorisation (``SparseSymMatrix.extremes``): the smallest Ritz
+value of a short Lanczos run overestimates lambda_min, which would make the
+certified bound too small.
 """
 from __future__ import annotations
 
@@ -47,40 +50,6 @@ def _as_vector(b) -> np.ndarray:
     return np.asarray(b, dtype=float)
 
 
-def _is_spd(P: SparseSymMatrix) -> bool:
-    try:
-        np.linalg.cholesky(P.to_dense())
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-def _lanczos_extremes(matvec, n, steps, seed=0):
-    """Ritz approximations of (lambda_min, lambda_max) from a short Lanczos
-    run with full reorthogonalization (n is small at desk scale)."""
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    Q = [q]
-    alphas, betas = [], []
-    for j in range(min(steps, n)):
-        w = matvec(Q[-1])
-        a = float(Q[-1] @ w)
-        alphas.append(a)
-        w = w - a * Q[-1] - (betas[-1] * Q[-2] if betas else 0.0)
-        for qi in Q:  # reorthogonalize
-            w -= (qi @ w) * qi
-        bnorm = float(np.linalg.norm(w))
-        if bnorm < 1e-14:
-            break
-        betas.append(bnorm)
-        Q.append(w / bnorm)
-    if len(alphas) == 1:
-        return alphas[0], alphas[0]
-    ev = eigh_tridiagonal(np.array(alphas), np.array(betas[: len(alphas) - 1]), eigvals_only=True)
-    return float(ev[0]), float(ev[-1])
-
-
 def conjugate_gradient(
     M: SparseSymMatrix,
     b,
@@ -94,7 +63,8 @@ def conjugate_gradient(
     ``tol``, returning an explicit non-convergence report when the iteration
     cap is reached.
 
-    ``precond`` is applied as z = P r when P is symmetric positive definite;
+    ``precond`` is applied as z = P r when P is symmetric positive definite
+    (``P.is_spd()``, a pivot-sign test on its sparse factorisation);
     otherwise the preconditioned system is solved through its normal
     equations (with the documented quadratic condition-number penalty).
     """
@@ -105,7 +75,7 @@ def conjugate_gradient(
     if bvec.shape != (n,):
         raise ValidationError(f"rhs has shape {bvec.shape}, expected ({n},)")
 
-    if precond is not None and not _is_spd(precond):
+    if precond is not None and not precond.is_spd():
         return _cg_normal_equations(M, bvec, precond, tol, cap, collect_iterates)
 
     apply_p = (lambda r: precond @ r) if precond is not None else (lambda r: r)
@@ -113,7 +83,7 @@ def conjugate_gradient(
     # lambda_min(M) estimate for the energy certificate
     lam_fixed = lambda_min
     if lam_fixed is None and precond is not None:
-        lam_fixed, _ = _lanczos_extremes(M.matvec, n, steps=min(n, 120))
+        lam_fixed = M.extremes()[0]
 
     x = np.zeros(n)
     r = bvec.copy()
