@@ -327,51 +327,28 @@ def _check_pair(mesh: Mesh, spec: BasisSpec):
 
 
 def _assemble_bilinear(mesh: Mesh, spec: BasisSpec, diffusion: float, reaction: float) -> SparseSymMatrix:
-    rows, cols, vals = [], [], []
+    """All element matrices in one broadcast, then one COO build of the upper
+    triangle in element order (so duplicates sum in a fixed order)."""
+    gids = spec.node_dofs[spec.element_nodes]  # (n_elements, m), -1 if constrained
+    m = gids.shape[1]
     if mesh.dimension == 1:
         kref, mref = _reference_matrices(spec.k)
         h = mesh.h
-        local = diffusion * kref / h + reaction * mref * h
-        for e in range(mesh.n_elements):
-            gids = spec.node_dofs[spec.element_nodes[e]]
-            for a in range(spec.k + 1):
-                ia = gids[a]
-                if ia < 0:
-                    continue
-                for b in range(a, spec.k + 1):
-                    ib = gids[b]
-                    if ib < 0:
-                        continue
-                    i, j = (ia, ib) if ia <= ib else (ib, ia)
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(local[a, b])
+        local = (diffusion * kref / h + reaction * mref * h)[None]
     else:
         area = 0.5 / (mesh.n * mesh.n)
-        for e in range(mesh.n_elements):
-            tri = spec.element_nodes[e]
-            pts = mesh.vertices[tri]
-            # gradients of the barycentric functions
-            g = np.empty((3, 2))
-            for a in range(3):
-                pb, pc = pts[(a + 1) % 3], pts[(a + 2) % 3]
-                g[a] = np.array([pb[1] - pc[1], pc[0] - pb[0]]) / (2.0 * area)
-            gids = spec.node_dofs[tri]
-            for a in range(3):
-                ia = gids[a]
-                if ia < 0:
-                    continue
-                for b in range(a, 3):
-                    ib = gids[b]
-                    if ib < 0:
-                        continue
-                    val = diffusion * float(g[a] @ g[b]) * area
-                    val += reaction * area / 12.0 * (2.0 if a == b else 1.0)
-                    i, j = (ia, ib) if ia <= ib else (ib, ia)
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(val)
-    return SparseSymMatrix.from_upper_coo(spec.n_dofs, rows, cols, vals)
+        pts = mesh.vertices[spec.element_nodes]  # (n_elements, 3, 2)
+        # gradients of the barycentric functions
+        pb, pc = np.roll(pts, -1, axis=1), np.roll(pts, -2, axis=1)
+        g = np.stack([pb[..., 1] - pc[..., 1], pc[..., 0] - pb[..., 0]], axis=-1) / (2.0 * area)
+        gg = g @ g.transpose(0, 2, 1)
+        local = diffusion * gg * area + reaction * area / 12.0 * (1.0 + np.eye(3))
+    a, b = np.triu_indices(m)
+    ia, ib = gids[:, a], gids[:, b]
+    vals = np.broadcast_to(local[:, a, b], ia.shape)
+    keep = (ia >= 0) & (ib >= 0)
+    ia, ib, vals = ia[keep], ib[keep], vals[keep]
+    return SparseSymMatrix.from_upper_coo(spec.n_dofs, np.minimum(ia, ib), np.maximum(ia, ib), vals)
 
 
 def assemble_stiffness(mesh: Mesh, spec: BasisSpec, form: BilinearForm) -> SparseSymMatrix:

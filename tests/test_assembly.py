@@ -193,6 +193,17 @@ def test_bruteforce_equivalence_2d():
     assert np.abs(M - dense).max() < 1e-10
 
 
+@pytest.mark.parametrize("builder,n,k", [(build_interval_mesh, 7, 1), (build_interval_mesh, 5, 3), (build_square_triangulation, 5, 1)])
+def test_unconstrained_basis_partition_of_unity(builder, n, k):
+    # with every node active the basis sums to 1: constants lie in the
+    # kernel of the diffusion matrix and 1^T W 1 is the domain's measure
+    mesh = builder(n)
+    spec = build_basis(mesh, k, constrain_dirichlet=False)
+    ones = np.ones(spec.n_dofs)
+    assert np.abs(assemble_stiffness(mesh, spec, BilinearForm(1.7, 0.0)) @ ones).max() < 1e-10 * n
+    assert ones @ (assemble_gram(mesh, spec) @ ones) == pytest.approx(1.0, abs=1e-13)
+
+
 @pytest.mark.parametrize("builder,n,k", [(build_interval_mesh, 16, 1), (build_interval_mesh, 10, 3), (build_square_triangulation, 4, 1)])
 def test_symmetry_and_psd(builder, n, k):
     mesh = builder(n)
