@@ -46,7 +46,6 @@ from .quantum import (
     FunctionalEstimate,
     SampleBudget,
     Statevector,
-    StateSource,
     WeightOracle,
     apply_sparse_nonunitary,
     build_r_state,

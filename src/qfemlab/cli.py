@@ -71,7 +71,7 @@ def solve_report(problem: ProblemSpec) -> dict:
         raise NonConvergenceError("conjugate gradient hit its cap", partial=report.to_dict())
     r_load = assemble_load(mesh, spec, problem.r_array()).values
     functional = float(r_load @ report.solution)
-    kappa = estimate_condition_number(M, tol=0.02, rng_seed=problem.seed)
+    kappa = estimate_condition_number(M)
     return {
         "meta": _meta(problem, problem.seed),
         "n_elements": mesh.n_elements,

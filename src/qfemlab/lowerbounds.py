@@ -23,16 +23,35 @@ from .quantum import Statevector
 # hybrid-argument distinguishability
 
 def orthonormal_completions(psi: np.ndarray, phi: np.ndarray):
-    """The unit vectors phi' and psi' orthonormal to psi and phi inside
-    span{psi, phi}: phi' = (phi - <psi|phi> psi) / sqrt(1 - <psi|phi>^2),
-    and symmetrically."""
+    """The unit vectors phi' and psi' inside span{psi, phi} with phi' _|_ psi
+    and psi' _|_ phi: phi' ~ phi - <psi|phi> psi and psi' ~ <psi|phi> phi -
+    psi, each normalised by its own norm. The sign of psi' makes the map
+    (psi, phi') -> (phi, psi') a rotation of the plane by the angle between
+    psi and phi."""
     ov = float(psi @ phi)
-    denom = 1.0 - ov * ov
-    if denom <= 1e-26:
+    phi_p = phi - ov * psi
+    psi_p = ov * phi - psi
+    n_phi, n_psi = np.linalg.norm(phi_p), np.linalg.norm(psi_p)
+    if min(n_phi, n_psi) <= 1e-13:
         raise ValidationError("states are (anti)parallel; completion undefined")
-    phi_p = (phi - ov * psi) / math.sqrt(denom)
-    psi_p = (psi - ov * phi) / math.sqrt(denom)
-    return phi_p, psi_p
+    return phi_p / n_phi, psi_p / n_psi
+
+
+def completion_operators(psi: np.ndarray, phi: np.ndarray):
+    """Orthogonal A_psi = (psi, phi', shared) and A_phi = (phi, psi',
+    shared), so A_psi e_0 = psi, A_phi e_0 = phi and A_phi A_psi^T is the
+    rotation taking psi to phi; hence ||A_psi - A_phi||_2 = ||psi - phi||.
+    The shared columns complete span{psi, phi} to an orthonormal basis."""
+    dim = len(psi)
+    phi_p, psi_p = orthonormal_completions(psi, phi)
+    q, _ = np.linalg.qr(np.column_stack([psi, phi_p, np.eye(dim)]))
+    shared = q[:, 2:]
+    a_psi = np.column_stack([psi, phi_p, shared])
+    a_phi = np.column_stack([phi, psi_p, shared])
+    for name, op in (("A_psi", a_psi), ("A_phi", a_phi)):
+        if np.abs(op @ op.T - np.eye(dim)).max() > 1e-12:
+            raise ValidationError(f"{name} completion is not orthogonal to 1e-12")
+    return a_psi, a_phi
 
 
 @dataclass
@@ -79,11 +98,6 @@ def make_blackbox_pair(dim: int, eps_sep: float, T: int, rng_seed: int) -> Black
     return BlackBoxPair(Statevector(a), Statevector(b / np.linalg.norm(b)), T, us)
 
 
-def _completion_operator(first: np.ndarray, second: np.ndarray, shared: np.ndarray) -> np.ndarray:
-    """Orthogonal operator with columns (first, second, shared...)."""
-    return np.column_stack([first, second, shared])
-
-
 @dataclass
 class HybridResult:
     exact_probability: float
@@ -99,7 +113,8 @@ def hybrid_experiment(pair: BlackBoxPair, trials: int, rng_seed: int) -> HybridR
 
     The exact optimal probability comes from the trace distance of the two
     final pure states; the empirical one applies the corresponding optimal
-    two-outcome measurement over ``trials`` samples with a uniform prior.
+    two-outcome measurement over ``trials`` samples with a uniform prior,
+    and is NaN when ``trials`` is 0.
     """
     dim = pair.psi.dim
     if dim > 2**10:
@@ -113,26 +128,7 @@ def hybrid_experiment(pair: BlackBoxPair, trials: int, rng_seed: int) -> HybridR
     if pair.eps_sep < 1e-13:
         return HybridResult(0.5, 0.5, bound, pair.eps_sep, pair.T)
 
-    phi_p, psi_p = orthonormal_completions(psi, phi)
-    # shared completion of span{psi, phi}
-    basis = [psi, phi_p]
-    shared = []
-    for k in range(dim):
-        v = np.zeros(dim)
-        v[k] = 1.0
-        for u in basis + shared:
-            v -= (u @ v) * u
-        nv = np.linalg.norm(v)
-        if nv > 1e-10:
-            shared.append(v / nv)
-        if len(shared) == dim - 2:
-            break
-    shared = np.column_stack(shared) if shared else np.zeros((dim, 0))
-    a_psi = _completion_operator(psi, phi_p, shared)
-    a_phi = _completion_operator(phi, psi_p, shared)
-    for name, op in (("A_psi", a_psi), ("A_phi", a_phi)):
-        if np.abs(op @ op.T - np.eye(dim)).max() > 1e-12:
-            raise ValidationError(f"{name} completion is not orthogonal to 1e-12")
+    a_psi, a_phi = completion_operators(psi, phi)
 
     def evolve(a_op):
         state = np.zeros(dim)
@@ -145,6 +141,9 @@ def hybrid_experiment(pair: BlackBoxPair, trials: int, rng_seed: int) -> HybridR
     eta_phi = evolve(a_phi)
     ov = float(np.clip(eta_psi @ eta_phi, -1.0, 1.0))
     exact_p = 0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - ov * ov))
+
+    if trials == 0:
+        return HybridResult(exact_p, math.nan, bound, pair.eps_sep, pair.T)
 
     # optimal (Helstrom) two-outcome measurement inside span{eta_psi, eta_phi}
     rng = np.random.default_rng(rng_seed)

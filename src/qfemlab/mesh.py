@@ -53,14 +53,8 @@ class Mesh:
         return len(self.elements)
 
     def to_json(self) -> str:
-        payload = {
-            "dimension": self.dimension,
-            "n": self.n,
-            "vertices": self.vertices.tolist(),
-            "elements": self.elements.tolist(),
-            "boundary_flags": self.boundary_flags.tolist(),
-        }
-        return json.dumps(payload, sort_keys=True)
+        """The uniform mesh is fixed by its dimension and subdivision n."""
+        return json.dumps({"dimension": self.dimension, "n": self.n}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Mesh":

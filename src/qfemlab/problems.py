@@ -87,6 +87,8 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ProblemSpec":
+        if not isinstance(payload, dict):
+            raise ValidationError(f"problem spec must be a JSON object, got {type(payload).__name__}")
         try:
             pde = payload.get("pde", {})
             sob = payload.get("sobolev")
@@ -101,8 +103,12 @@ class ProblemSpec:
                 seed=int(payload.get("seed", 0)),
                 sobolev=SobolevData(tuple(float(s) for s in sob)) if sob else None,
             )
+        except ValidationError:
+            raise
         except KeyError as exc:
             raise ValidationError(f"problem spec missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationError(f"problem spec field of the wrong type or shape: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "ProblemSpec":

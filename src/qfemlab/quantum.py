@@ -35,6 +35,7 @@ from .errors import (
 from .mesh import BasisSpec, Mesh, build_basis, build_interval_mesh, build_square_triangulation
 from .problems import ProblemSpec, derive_sobolev, poly_l2_norm
 from .resources import ErrorBudget, ResourceEstimate, choose_mesh_size, norm_estimation_cost, split_budget
+from .solver import estimate_condition_number
 
 MAX_SIM_QUBITS = 14
 ACCEPTANCE_FLOOR = 1e-9
@@ -370,11 +371,6 @@ def darboux_load_entry(spec: BasisSpec, f_antiderivatives, i: int) -> float:
 # ---------------------------------------------------------------------------
 # linear-solver stand-in and error propagation
 
-def _kappa(M: SparseSymMatrix) -> float:
-    lam_min, lam_max = M.extremes()
-    return lam_max / lam_min
-
-
 def _theorem_cost(s: int, kappa: float, eps: float) -> float:
     eps = max(eps, 1e-16)
     return s * kappa * (1.0 + math.log(max(s * kappa / eps, 1.0))) ** 2
@@ -416,7 +412,7 @@ def simulated_qle(M: SparseSymMatrix, b: Statevector, eps_l: float, rng_seed: in
         out[:block] = math.cos(theta) * base + math.sin(theta) * (w / nw)
 
     if ledger is not None:
-        kappa = _kappa(M)
+        kappa = estimate_condition_number(M)
         cost = _theorem_cost(M.s, kappa, eps_l)
         ledger.append(
             ResourceEstimate(
@@ -475,57 +471,34 @@ def build_r_state(mesh: Mesh, spec: BasisSpec, r_coeffs):
     return Statevector.from_vector(load.values), float(alpha)
 
 
-class StateSource:
-    """Callable source of solver-output states: each draw perturbs the exact
-    state by a fresh random direction at fixed l2 distance eps_l."""
-
-    def __init__(self, state: Statevector, eps_l: float, rng):
-        if not 0.0 <= eps_l < 1.0:
-            raise ValidationError("eps_l must be in [0, 1)")
-        self.state = state
-        self.eps_l = float(eps_l)
-        self.rng = rng
-        self.uses = 0
-
-    def draw(self, count: int) -> np.ndarray:
-        self.uses += int(count)
-        base = self.state.amplitudes
-        if self.eps_l == 0.0:
-            return np.tile(base, (count, 1))
-        block = self.state.n_active if self.state.n_active >= 2 else self.state.dim
-        sub = base[:block]
-        g = self.rng.standard_normal((count, block))
-        g -= np.outer(g @ sub, sub)
-        norms = np.linalg.norm(g, axis=1)
-        bad = norms < 1e-12
-        if np.any(bad):
-            g[bad] = np.roll(sub, 1) - (np.roll(sub, 1) @ sub) * sub
-            norms = np.linalg.norm(g, axis=1)
-        theta = 2.0 * math.asin(self.eps_l / 2.0)
-        out = np.tile(base, (count, 1))
-        out[:, :block] = math.cos(theta) * sub + math.sin(theta) * (g / norms[:, None])
-        return out
-
-
-def hadamard_test_estimate(prep_u, r_state: Statevector, eps_out: float, budget: SampleBudget, medians: int = 1) -> float:
+def hadamard_test_estimate(
+    u_state: Statevector,
+    r_state: Statevector,
+    eps_out: float,
+    budget: SampleBudget,
+    medians: int = 1,
+    eps_l: float = 0.0,
+) -> float:
     """Estimate <u~|r> from +-1 samples whose expectation is the overlap.
 
-    Uses 2*ceil(1/eps_out^2) shots per mean (Hoeffding sizing for the 2/3
-    success target); ``medians`` > 1 switches on median-of-means
-    amplification. Every shot consumes one use of the state source.
+    Each shot measures a solver-output state cos(theta) u + sin(theta) w at
+    l2 distance ``eps_l`` from ``u_state`` (theta = 2 asin(eps_l / 2)), with
+    w uniform on the unit sphere orthogonal to u. Since w and -w are equally
+    likely, the outcomes are iid with P(+1) = (1 + cos(theta) <u|r>) / 2, so
+    each mean is drawn as one binomial over 2*ceil(1/eps_out^2) shots
+    (Hoeffding sizing for the 2/3 success target); ``medians`` > 1 switches
+    on median-of-means amplification. Every shot consumes one use of the
+    state preparation.
     """
     if eps_out <= 0:
         raise ValidationError("eps_out must be positive")
+    if not 0.0 <= eps_l < 1.0:
+        raise ValidationError("eps_l must be in [0, 1)")
     shots = 2 * math.ceil(1.0 / eps_out**2)
-    total = shots * medians
-    budget.consume(total)
-    if isinstance(prep_u, Statevector):
-        overlaps = np.full(total, prep_u.inner(r_state))
-    else:
-        overlaps = prep_u.draw(total) @ r_state.amplitudes
-    probs = 0.5 * (1.0 + np.clip(overlaps, -1.0, 1.0))
-    outcomes = np.where(budget.rng.random(total) < probs, 1.0, -1.0)
-    means = outcomes.reshape(medians, shots).mean(axis=1)
+    budget.consume(shots * medians)
+    theta = 2.0 * math.asin(eps_l / 2.0)
+    p = 0.5 * (1.0 + float(np.clip(math.cos(theta) * u_state.inner(r_state), -1.0, 1.0)))
+    means = 2.0 * budget.rng.binomial(shots, p, size=medians) / shots - 1.0
     return float(np.median(means))
 
 
@@ -541,7 +514,7 @@ def swap_test_estimate(psi: Statevector, phi: Statevector, shots: int, rng_seed:
     return float(2.0 * k / shots - 1.0)
 
 
-def estimate_norm(M: SparseSymMatrix, b: Statevector, eps_n_rel: float, budget: SampleBudget, kappa: float | None = None, ledger=None) -> float:
+def estimate_norm(M: SparseSymMatrix, b: Statevector, eps_n_rel: float, budget: SampleBudget, ledger=None) -> float:
     """Estimate ||M^{-1} b|| by sampling the acceptance event of the
     norm-estimation subroutine at its exact probability p = ||A^{-1}b||^2 /
     kappa^2 (A = M / lambda_max) and inverting kappa * sqrt(p).
@@ -552,7 +525,7 @@ def estimate_norm(M: SparseSymMatrix, b: Statevector, eps_n_rel: float, budget: 
     if eps_n_rel <= 0:
         raise ValidationError("eps_n_rel must be positive")
     lam_min, lam_max = M.extremes()
-    kap = float(kappa) if kappa is not None else lam_max / lam_min
+    kap = lam_max / lam_min
     x = lam_max * M.solve(b.amplitudes[: M.n])
     p = min(float(x @ x) / kap**2, 1.0)
     if p < ACCEPTANCE_FLOOR:
@@ -664,17 +637,18 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
         n_tilde = b_norm * estimate_norm(M, b_state, eps_n_rel, budget, ledger=ledger)
         u_state = Statevector.from_vector(u_tilde)
         eps_l_eff = min(split.eps_l, 0.9)
-        source = StateSource(u_state, eps_l_eff, budget.rng)
-        qle_cost = _theorem_cost(M.s, _kappa(M), max(eps_l_eff, 1e-16))
-        r_tilde = hadamard_test_estimate(source, r_state, split.eps_out, budget)
+        qle_cost = _theorem_cost(M.s, estimate_condition_number(M), max(eps_l_eff, 1e-16))
+        uses_before = budget.uses_of_state_prep
+        r_tilde = hadamard_test_estimate(u_state, r_state, split.eps_out, budget, eps_l=eps_l_eff)
+        uses = budget.uses_of_state_prep - uses_before
         ledger.append(
             ResourceEstimate(
                 pipeline="quantum",
-                oracle_calls={"P_M": qle_cost * source.uses, "P_b": qle_cost * source.uses},
-                runtime_model=qle_cost * source.uses,
+                oracle_calls={"P_M": qle_cost * uses, "P_b": qle_cost * uses},
+                runtime_model=qle_cost * uses,
                 notes={
                     "call": "overlap_estimation",
-                    "state_prep_uses": source.uses,
+                    "state_prep_uses": uses,
                     "model_uses_per_estimate": 1.0 / split.eps_out,
                     "input_state_assumption": "exact |f~> preparation",
                 },

@@ -49,9 +49,6 @@ class SobolevData:
             raise ValidationError(f"seminorm of order {m} not available")
         return self.seminorms[m]
 
-    def sobolev_norm(self, m: int) -> float:
-        return float(sum(self.seminorms[: m + 1]))
-
 
 @dataclass
 class ErrorBudget:

@@ -1,5 +1,5 @@
-"""Conjugate gradient with an energy-norm stopping certificate, and
-power-iteration condition number estimation.
+"""Conjugate gradient with an energy-norm stopping certificate, and the
+condition number from the cached sparse eigenvalue extremes.
 
 CG only observes residuals, so the energy-norm target ||x - x*||_M <=
 tol * ||x*||_M is certified through the bound ||x - x*||_M <= ||r|| /
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .assembly import LoadVector, SparseSymMatrix
-from .errors import NonConvergenceError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass
@@ -194,82 +194,11 @@ def _cg_normal_equations(M, bvec, P, tol, cap, collect_iterates):
     return CGReport(x, cap_eff, np.inf, matvecs, False, 0.0, np.sqrt(rr), iterates)
 
 
-def _cg_residual(M, b, rtol=1e-12, cap=None):
-    """Plain CG stopping on the relative residual; used for inner solves."""
-    n = M.n
-    bvec = _as_vector(b)
-    x = np.zeros(n)
-    r = bvec.copy()
-    p = r.copy()
-    rr = float(r @ r)
-    bn = np.sqrt(rr)
-    if bn == 0:
-        return x
-    cap_eff = cap if cap is not None else 20 * n + 200
-    for _ in range(cap_eff):
-        Ap = M @ p
-        alpha = rr / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rr_new = float(r @ r)
-        if np.sqrt(rr_new) <= rtol * bn:
-            break
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    return x
+def estimate_condition_number(M: SparseSymMatrix) -> float:
+    """kappa = lambda_max / lambda_min from the cached eigenvalue extremes
+    of M's sparse factorisation (``SparseSymMatrix.extremes``).
 
-
-def estimate_condition_number(
-    M: SparseSymMatrix,
-    tol: float = 0.01,
-    rng_seed: int = 0,
-    max_iters: int = 300_000,
-) -> float:
-    """kappa = lambda_max / lambda_min via power iteration and inverse power
-    iteration (inner solves by CG), to relative accuracy ``tol``.
-
-    Convergence is declared on the eigenvalue residual ||Mv - lambda v|| <=
-    tol * lambda, which certifies an eigenvalue within tol*lambda of the
-    estimate.
+    Raises ValidationError when M is singular or indefinite.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    n = M.n
-    rng = np.random.default_rng(rng_seed)
-
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam_max = None
-    for _ in range(max_iters):
-        u = M @ v
-        lam = float(v @ u)
-        if np.linalg.norm(u - lam * v) <= tol * abs(lam):
-            lam_max = lam
-            break
-        nu = np.linalg.norm(u)
-        if nu == 0:
-            raise ValidationError("matrix maps the start vector to zero")
-        v = u / nu
-    if lam_max is None:
-        raise NonConvergenceError("power iteration did not converge", partial={"lambda_max": lam})
-
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam_min = None
-    for _ in range(max_iters):
-        w = _cg_residual(M, v, rtol=min(1e-10, tol * 1e-3))
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            raise NonConvergenceError("inverse iteration stalled", partial={"lambda_max": lam_max})
-        v = w / nw
-        Mv = M @ v
-        mu = float(v @ Mv)
-        if np.linalg.norm(Mv - mu * v) <= tol * abs(mu):
-            lam_min = mu
-            break
-    if lam_min is None or lam_min <= 0:
-        raise NonConvergenceError(
-            "inverse power iteration did not converge",
-            partial={"lambda_max": lam_max, "lambda_min": lam_min},
-        )
+    lam_min, lam_max = M.extremes()
     return lam_max / lam_min

@@ -31,7 +31,6 @@ from qfemlab import (
     simulated_qle,
     swap_test_estimate,
 )
-from qfemlab.quantum import StateSource
 
 
 def poisson(n, f=(-1.0,), k=1):
@@ -576,11 +575,50 @@ def test_rescaling_identity():
     assert lhs == pytest.approx(float(r_load @ u), abs=1e-12)
 
 
-def test_state_source_draw_distance():
+def _per_shot_overlap_means(u, r, eps_l, shots, runs, rng):
+    """Reference sampler: every shot measures its own state at l2 distance
+    eps_l from u, perturbed along a uniform direction orthogonal to u."""
+    w = rng.standard_normal((runs, shots, len(u)))
+    w -= (w @ u)[..., None] * u
+    w /= np.linalg.norm(w, axis=-1, keepdims=True)
+    theta = 2.0 * np.arcsin(eps_l / 2.0)
+    states = np.cos(theta) * u + np.sin(theta) * w
+    assert np.allclose(np.linalg.norm(states - u, axis=-1), eps_l, atol=1e-12)
+    p = 0.5 * (1.0 + states @ r)
+    outcomes = np.where(rng.random((runs, shots)) < p, 1.0, -1.0)
+    return outcomes.mean(axis=1)
+
+
+def test_hadamard_binomial_matches_per_shot_states():
+    u = Statevector.from_vector([1.0, 2.0, 3.0, 4.0, 0.5, -1.0])
+    r = Statevector.from_vector([2.0, -1.0, 1.0, 3.0, 1.0, 0.0])
+    eps_l, eps_out, runs = 0.6, 0.25, 2500
+    shots = 2 * int(np.ceil(1.0 / eps_out**2))
+    binomial = np.array(
+        [hadamard_test_estimate(u, r, eps_out, SampleBudget(rng_seed=seed), eps_l=eps_l) for seed in range(runs)]
+    )
+    per_shot = _per_shot_overlap_means(u.amplitudes, r.amplitudes, eps_l, shots, runs, np.random.default_rng(7))
+
+    theta = 2.0 * np.arcsin(eps_l / 2.0)
+    p = 0.5 * (1.0 + np.cos(theta) * u.inner(r))
+    sd = np.sqrt(4.0 * p * (1.0 - p) / shots)
+    se_mean = sd / np.sqrt(runs)
+    se_sd = sd / np.sqrt(2.0 * (runs - 1))
+    for means in (binomial, per_shot):
+        assert abs(0.5 * (1.0 + means.mean()) - p) <= 4.0 * se_mean / 2.0
+        assert abs(means.std(ddof=1) - sd) <= 4.0 * se_sd
+    assert abs(binomial.mean() - per_shot.mean()) <= 4.0 * np.sqrt(2.0) * se_mean
+    assert abs(binomial.std(ddof=1) - per_shot.std(ddof=1)) <= 4.0 * np.sqrt(2.0) * se_sd
+
+
+def test_hadamard_charges_every_shot_and_median():
     s = Statevector.from_vector([1.0, 2.0, 3.0, 4.0])
-    src = StateSource(s, 0.2, np.random.default_rng(0))
-    mat = src.draw(50)
-    dists = np.linalg.norm(mat - s.amplitudes, axis=1)
-    assert np.allclose(dists, 0.2, atol=1e-12)
-    assert np.allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-12)
-    assert src.uses == 50
+    budget = SampleBudget(rng_seed=0)
+    hadamard_test_estimate(s, s, 0.1, budget, medians=3, eps_l=0.2)
+    assert budget.uses_of_state_prep == 3 * 2 * 100
+
+
+def test_hadamard_rejects_bad_eps_l():
+    s = Statevector.from_vector([1.0, 2.0])
+    with pytest.raises(ValidationError):
+        hadamard_test_estimate(s, s, 0.1, SampleBudget(rng_seed=0), eps_l=1.0)
