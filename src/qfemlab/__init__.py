@@ -41,7 +41,15 @@ from .mesh import (
     evaluate_discrete,
     neighbors,
 )
-from .problems import ProblemSpec, analytic_solution_1d, derive_sobolev, exact_functional_1d, poly_l2_norm
+from .problems import (
+    ProblemSpec,
+    analytic_solution_1d,
+    derive_sobolev,
+    discretize,
+    exact_functional_1d,
+    mesh_size,
+    poly_l2_norm,
+)
 from .quantum import (
     FunctionalEstimate,
     SampleBudget,
@@ -66,7 +74,6 @@ from .resources import (
     choose_mesh_size,
     classical_cost,
     exponent_table,
-    measure_sobolev,
     norm_estimation_cost,
     quantum_cost,
     split_budget,

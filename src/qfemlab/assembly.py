@@ -99,20 +99,6 @@ def _reference_values_at(k: int, p: int):
 
 
 @lru_cache(maxsize=None)
-def _reference_deriv_values_at(k: int, order: int, p: int):
-    """order-th reference derivative of the nodal basis at Gauss points."""
-    xs, _ = _gauss01(p)
-    polys = _reference_lagrange(k)
-    vals = np.empty((k + 1, p))
-    for j, poly in enumerate(polys):
-        q = poly
-        for _ in range(order):
-            q = _frac_polyder(q)
-        vals[j] = npoly.polyval(xs, [float(c) for c in q])
-    return vals
-
-
-@lru_cache(maxsize=None)
 def _duffy_rule(p: int):
     """Quadrature on the reference triangle (0,0),(1,0),(0,1) via the square
     collapse x=u(1-v), y=uv; exact for total degree <= 2p-2 polynomials."""

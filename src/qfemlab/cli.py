@@ -3,9 +3,11 @@ machine-readable result emission.
 
 Subcommands: solve, convergence, simulate, resources, lowerbound, plan.
 Exit codes: 0 success, 2 validation error, 3 non-convergence, 4 budget or
-cap exceeded. Every artifact embeds the spec hash, the seed and the package
-version; identical inputs reproduce outputs bit-identically in exact modes
-and distribution-identically (same seed, same values) in sampling modes.
+cap exceeded (a shot budget, the mesh cell cap, the simulable acceptance
+floor, or memory running out). Every artifact embeds the spec hash, the
+seed and the package version; identical inputs reproduce outputs
+bit-identically in exact modes and distribution-identically (same seed,
+same values) in sampling modes.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import __version__
-from .assembly import BilinearForm, assemble_load, assemble_stiffness
+from .assembly import _gauss01, assemble_load
 from .errors import (
     BudgetExceededError,
     CapExceededError,
@@ -27,13 +29,11 @@ from .errors import (
     ValidationError,
 )
 from .lowerbounds import BumpOracle, hybrid_experiment, make_blackbox_pair, oracle_search_demo
-from .mesh import build_basis, build_interval_mesh, build_square_triangulation
-from .problems import ProblemSpec, analytic_solution_1d, derive_sobolev, poly_l2_norm
-from .quantum import SampleBudget, estimate_functional
-from .resources import choose_mesh_size, classical_cost, exponent_table, quantum_cost, split_budget
-from .solver import conjugate_gradient, estimate_condition_number
 from .mesh import evaluate_discrete
-from .assembly import _gauss01
+from .problems import ProblemSpec, analytic_solution_1d, derive_sobolev, discretize, mesh_size
+from .quantum import SampleBudget, estimate_functional
+from .resources import SobolevData, classical_cost, exponent_table, quantum_cost
+from .solver import conjugate_gradient, estimate_condition_number
 
 
 def _meta(problem: ProblemSpec | None, seed: int) -> dict:
@@ -44,28 +44,10 @@ def _meta(problem: ProblemSpec | None, seed: int) -> dict:
     }
 
 
-def _build_mesh(problem: ProblemSpec, n: int):
-    return build_interval_mesh(n) if problem.d == 1 else build_square_triangulation(n)
-
-
-def _mesh_n_for(problem: ProblemSpec, eps: float) -> int:
-    sob = derive_sobolev(problem, max_order=problem.k + 1)
-    h = choose_mesh_size(eps, sob.seminorm(problem.k + 1), problem.k)
-    scale = 1.0 if problem.d == 1 else np.sqrt(2.0)
-    return max(1, int(np.ceil(scale / h)))
-
-
 def solve_report(problem: ProblemSpec) -> dict:
     """Mesh, assemble and CG-solve; emit the functional sum_i u_i <phi_i, r>
     plus iteration and conditioning diagnostics."""
-    if not problem.assembled:
-        raise ValidationError(f"d={problem.d} cannot be assembled (resource model only)")
-    n = _mesh_n_for(problem, problem.eps)
-    mesh = _build_mesh(problem, n)
-    spec = build_basis(mesh, problem.k)
-    form = BilinearForm(problem.diffusion, problem.reaction)
-    M = assemble_stiffness(mesh, spec, form)
-    b = -assemble_load(mesh, spec, problem.f_array()).values
+    mesh, spec, M, b = discretize(problem, mesh_size(problem, problem.eps)[0])
     report = conjugate_gradient(M, b, tol=problem.eps / 2.0)
     if not report.converged:
         raise NonConvergenceError("conjugate gradient hit its cap", partial=report.to_dict())
@@ -84,16 +66,15 @@ def solve_report(problem: ProblemSpec) -> dict:
     }
 
 
-def _l2_error_1d(mesh, spec, coeffs, u_poly) -> float:
-    p = max(10, 2 * (len(u_poly) + spec.k))
+def _l2_norm_1d(mesh, p: int, diff) -> float:
+    """sqrt(int_0^1 diff(x)^2 dx) with a p-point Gauss rule on each element
+    of a 1D mesh; ``diff`` maps an element's quadrature points to values."""
     xs, ws = _gauss01(p)
     total = 0.0
     h = mesh.h
     for e in range(mesh.n_elements):
-        x0 = mesh.vertices[mesh.elements[e, 0], 0]
-        xq = x0 + h * xs
-        diff = npoly.polyval(xq, u_poly) - evaluate_discrete(mesh, spec, coeffs, xq)
-        total += h * float(ws @ diff**2)
+        xq = mesh.vertices[mesh.elements[e, 0], 0] + h * xs
+        total += h * float(ws @ diff(xq) ** 2)
     return float(np.sqrt(total))
 
 
@@ -102,16 +83,9 @@ def _l2_error_against_fine(mesh_c, spec_c, coeffs_c, mesh_f, spec_f, coeffs_f) -
     on the fine mesh (exact: both are piecewise linear on fine triangles
     when the fine subdivision is a multiple of the coarse)."""
     if mesh_c.dimension == 1:
-        p = 4
-        xs, ws = _gauss01(p)
-        total = 0.0
-        h = mesh_f.h
-        for e in range(mesh_f.n_elements):
-            x0 = mesh_f.vertices[mesh_f.elements[e, 0], 0]
-            xq = x0 + h * xs
-            diff = evaluate_discrete(mesh_f, spec_f, coeffs_f, xq) - evaluate_discrete(mesh_c, spec_c, coeffs_c, xq)
-            total += h * float(ws @ diff**2)
-        return float(np.sqrt(total))
+        return _l2_norm_1d(
+            mesh_f, 4, lambda xq: evaluate_discrete(mesh_f, spec_f, coeffs_f, xq) - evaluate_discrete(mesh_c, spec_c, coeffs_c, xq)
+        )
     # 2D: edge-midpoint rule per fine triangle (exact for quadratics)
     tri_pts = mesh_f.vertices[mesh_f.elements]  # (ne, 3, 2)
     mids = 0.5 * (tri_pts + np.roll(tri_pts, -1, axis=1))  # (ne, 3, 2)
@@ -122,16 +96,6 @@ def _l2_error_against_fine(mesh_c, spec_c, coeffs_c, mesh_f, spec_f, coeffs_f) -
     return float(np.sqrt(total))
 
 
-def _solve_direct(problem: ProblemSpec, n: int):
-    mesh = _build_mesh(problem, n)
-    spec = build_basis(mesh, problem.k)
-    form = BilinearForm(problem.diffusion, problem.reaction)
-    M = assemble_stiffness(mesh, spec, form)
-    b = -assemble_load(mesh, spec, problem.f_array()).values
-    coeffs = M.solve(b)
-    return mesh, spec, coeffs
-
-
 def convergence_report(problem: ProblemSpec, levels: int, n0: int = 4) -> dict:
     """L2 errors across mesh refinements and the fitted log-log slope.
 
@@ -140,24 +104,24 @@ def convergence_report(problem: ProblemSpec, levels: int, n0: int = 4) -> dict:
     """
     if levels < 3:
         raise ValidationError("need at least 3 refinement levels")
-    if not problem.assembled:
-        raise ValidationError(f"d={problem.d} cannot be assembled")
     ns = [n0 * 2**i for i in range(levels)]
     analytic = problem.d == 1 and problem.reaction == 0.0
-    rows = []
     if analytic:
         u_poly = analytic_solution_1d(problem.f_array(), problem.diffusion)
-        for n in ns:
-            mesh, spec, coeffs = _solve_direct(problem, n)
-            rows.append({"n": n, "h": mesh.h, "error": _l2_error_1d(mesh, spec, coeffs, u_poly)})
     else:
-        n_ref = 4 * ns[-1]
-        mesh_f, spec_f, coeffs_f = _solve_direct(problem, n_ref)
-        for n in ns:
-            mesh, spec, coeffs = _solve_direct(problem, n)
-            rows.append(
-                {"n": n, "h": mesh.h, "error": _l2_error_against_fine(mesh, spec, coeffs, mesh_f, spec_f, coeffs_f)}
-            )
+        mesh_f, spec_f, M_f, b_f = discretize(problem, 4 * ns[-1])
+        coeffs_f = M_f.solve(b_f)
+        del M_f, b_f  # free the reference factorisation before the coarse levels
+    rows = []
+    for n in ns:
+        mesh, spec, M, b = discretize(problem, n)
+        coeffs = M.solve(b)
+        if analytic:
+            p = max(10, 2 * (len(u_poly) + spec.k))
+            error = _l2_norm_1d(mesh, p, lambda xq: npoly.polyval(xq, u_poly) - evaluate_discrete(mesh, spec, coeffs, xq))
+        else:
+            error = _l2_error_against_fine(mesh, spec, coeffs, mesh_f, spec_f, coeffs_f)
+        rows.append({"n": n, "h": mesh.h, "error": error})
     hs = np.array([row["h"] for row in rows])
     errs = np.array([row["error"] for row in rows])
     if np.any(errs <= 0) or np.any(errs < 1e-14):
@@ -183,15 +147,15 @@ def simulate_report(problem: ProblemSpec, exact: bool = False, shots_cap: int = 
 
 
 def plan_report(problem: ProblemSpec) -> dict:
-    """Mesh size, budget split (when assemblable) and model costs."""
+    """Mesh size, model costs and, when assemblable, the budget split that
+    ``simulate`` runs with."""
     sob = derive_sobolev(problem, max_order=problem.k + 1)
     sem = sob.seminorm(problem.k + 1)
-    h = choose_mesh_size(problem.eps, sem, problem.k)
     n_model = (sem / problem.eps) ** (problem.d / (problem.k + 1))
     kappa_model = (sem / problem.eps) ** (2.0 / (problem.k + 1))
     out = {
         "meta": _meta(problem, problem.seed),
-        "h": h,
+        "h": mesh_size(problem, problem.eps)[1],
         "n_model": n_model,
         "kappa_model": kappa_model,
         "classical": classical_cost(max(1, int(n_model)), 3, kappa_model, problem.eps / 2.0, d=problem.d, k=problem.k).to_dict(),
@@ -199,27 +163,13 @@ def plan_report(problem: ProblemSpec) -> dict:
         "quantum_precond": quantum_cost(problem.d, problem.k, problem.eps, sob, 3, preconditioned=True).to_dict(),
     }
     if problem.assembled:
-        scale = 1.0 if problem.d == 1 else np.sqrt(2.0)
-        n = max(1, int(np.ceil(scale / h)))
-        mesh = _build_mesh(problem, n)
-        spec = build_basis(mesh, problem.k)
-        form = BilinearForm(problem.diffusion, problem.reaction)
-        M = assemble_stiffness(mesh, spec, form)
-        b = -assemble_load(mesh, spec, problem.f_array()).values
-        u = M.solve(b)
-        r_load = assemble_load(mesh, spec, problem.r_array())
-        alpha = r_load.norm()
-        budget = split_budget(problem.eps, sob, alpha, float(np.linalg.norm(u)), poly_l2_norm(problem.r_array(), problem.d))
-        budget.h = mesh.h
-        budget.n_dofs = spec.n_dofs
-        out["budget"] = budget.to_dict()
+        est = estimate_functional(problem, problem.eps, SampleBudget(rng_seed=problem.seed), exact_mode=True)
+        out["budget"] = est.budget_split.to_dict()
     return out
 
 
 def resources_table(dims, degrees, eps_list, sobolev=None) -> list[dict]:
     """Model exponents and values for every pipeline over a (d, k, eps) grid."""
-    from .resources import SobolevData
-
     sob = sobolev or SobolevData((1.0, 1.0, 1.0, 1.0, 1.0))
     rows = []
     for d in dims:
@@ -323,7 +273,7 @@ def _emit(payload, args, default_name: str):
         path.write_text(text)
         print(str(path))
     else:
-        print(text)
+        print(text.rstrip("\n"))
 
 
 def _load_problem(args) -> ProblemSpec:
@@ -415,6 +365,9 @@ def main(argv=None) -> int:
         return 3
     except (BudgetExceededError, CapExceededError, SimulationFloorError) as exc:
         print(f"budget/cap exceeded: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 4
     return 0
 

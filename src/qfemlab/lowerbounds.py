@@ -147,12 +147,10 @@ def hybrid_experiment(pair: BlackBoxPair, trials: int, rng_seed: int) -> HybridR
 
     # optimal (Helstrom) two-outcome measurement inside span{eta_psi, eta_phi}
     rng = np.random.default_rng(rng_seed)
-    comp = eta_phi - ov * eta_psi
-    nc = np.linalg.norm(comp)
+    nc = np.linalg.norm(eta_phi - ov * eta_psi)
     if nc < 1e-14:
         emp = 0.5
     else:
-        comp /= nc
         rho_diff = np.array([[1.0 - ov * ov, -ov * nc], [-ov * nc, -(nc * nc)]])
         evals, evecs = np.linalg.eigh(rho_diff)
         plus = evecs[:, evals > 0]

@@ -8,6 +8,12 @@ on [0,1] (u(0) = u'(1) = 0) or [0,1]^2 (u = 0 on the boundary). The
 assembled system is M u~ = b with M from the positive bilinear form and
 b = -(load of f), which keeps M positive semidefinite while matching the
 sign convention of the model problem (f = -1 gives u = x - x^2/2 in 1D).
+
+Every report discretises through ``mesh_size`` and ``discretize``. The one
+mesh-size rule: h = (eps / (2 |u|_{k+1}))^(1/(k+1)) (``choose_mesh_size``)
+and n = ceil(sqrt(d) / h) subdivisions per side, sqrt(d) being the unit
+cube's diameter, so no cell is wider than h. ``discretize`` refuses meshes
+of more than ``MAX_CELLS`` cells before it allocates anything.
 """
 from __future__ import annotations
 
@@ -18,8 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import UnsupportedConfigurationError, ValidationError
-from .resources import SobolevData
+from .assembly import BilinearForm, SparseSymMatrix, assemble_load, assemble_stiffness
+from .errors import CapExceededError, UnsupportedConfigurationError, ValidationError
+from .mesh import BasisSpec, Mesh, build_basis, build_interval_mesh, build_square_triangulation
+from .resources import SobolevData, choose_mesh_size
+
+# largest mesh discretize builds, in cells of the n^d grid
+MAX_CELLS = 200_000
 
 
 @dataclass(frozen=True)
@@ -193,3 +204,30 @@ def derive_sobolev(problem: ProblemSpec, max_order: int | None = None) -> Sobole
         "solution seminorms are required: supply the 'sobolev' field for "
         "problems without an analytic polynomial solution"
     )
+
+
+# ---------------------------------------------------------------------------
+# discretisation
+
+def mesh_size(problem: ProblemSpec, eps: float) -> tuple[int, float]:
+    """Subdivisions per side n and mesh size h for target accuracy ``eps``,
+    by the size rule in the module docstring."""
+    sob = derive_sobolev(problem, max_order=problem.k + 1)
+    h = choose_mesh_size(eps, sob.seminorm(problem.k + 1), problem.k)
+    return max(1, int(np.ceil(np.sqrt(problem.d) / h))), h
+
+
+def discretize(problem: ProblemSpec, n: int) -> tuple[Mesh, BasisSpec, SparseSymMatrix, np.ndarray]:
+    """Mesh of n subdivisions per side, degree-k basis, stiffness matrix M
+    and right-hand side b = -(load of f). Raises ValidationError for
+    resource-model-only dimensions and CapExceededError for over-cap meshes."""
+    if not problem.assembled:
+        raise ValidationError(f"d={problem.d} cannot be assembled (resource model only)")
+    cells = n**problem.d
+    if cells > MAX_CELLS:
+        raise CapExceededError(f"mesh would need {cells} cells (cap {MAX_CELLS})", required=cells)
+    mesh = build_interval_mesh(n) if problem.d == 1 else build_square_triangulation(n)
+    spec = build_basis(mesh, problem.k)
+    M = assemble_stiffness(mesh, spec, BilinearForm(problem.diffusion, problem.reaction))
+    b = -assemble_load(mesh, spec, problem.f_array()).values
+    return mesh, spec, M, b

@@ -25,16 +25,16 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .assembly import SparseSymMatrix, assemble_load, assemble_stiffness, BilinearForm
+from .assembly import SparseSymMatrix, assemble_load
 from .errors import (
     BudgetExceededError,
     SimulationFloorError,
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .mesh import BasisSpec, Mesh, build_basis, build_interval_mesh, build_square_triangulation
-from .problems import ProblemSpec, derive_sobolev, poly_l2_norm
-from .resources import ErrorBudget, ResourceEstimate, choose_mesh_size, norm_estimation_cost, split_budget
+from .mesh import BasisSpec, Mesh
+from .problems import ProblemSpec, derive_sobolev, discretize, mesh_size, poly_l2_norm
+from .resources import ErrorBudget, ResourceEstimate, norm_estimation_cost, split_budget
 from .solver import estimate_condition_number
 
 MAX_SIM_QUBITS = 14
@@ -592,27 +592,14 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
     ``exact_mode`` zeroes the solver, norm and measurement errors so only
     the discretisation term remains.
     """
-    if not problem.assembled:
-        raise UnsupportedConfigurationError(f"d={problem.d} is resource-model only")
     sob = derive_sobolev(problem, max_order=problem.k + 1)
-
-    # mesh from the discretisation share of the budget
-    c = eps / (3.0 * sob.l2_norm) if eps <= sob.l2_norm else None
-    if c is None:
+    if eps > sob.l2_norm:
         raise UnsupportedConfigurationError(f"assumes eps <= ||u|| (eps={eps}, ||u||={sob.l2_norm})")
+    # mesh from the discretisation share of the budget (split_budget's eps_d)
+    c = eps / (3.0 * sob.l2_norm)
     eps_d = eps * (1.0 - c) / (3.0 * (1.0 + c))
-    h = choose_mesh_size(2.0 * eps_d, sob.seminorm(problem.k + 1), problem.k)
-    n = max(1, int(np.ceil(1.0 / h)) if problem.d == 1 else int(np.ceil(np.sqrt(2.0) / h)))
-
-    if problem.d == 1:
-        mesh = build_interval_mesh(n)
-    else:
-        mesh = build_square_triangulation(n)
-    spec = build_basis(mesh, problem.k)
-    form = BilinearForm(diffusion=problem.diffusion, reaction=problem.reaction)
-    M = assemble_stiffness(mesh, spec, form)
-    f_load = assemble_load(mesh, spec, problem.f_array())
-    b_raw = -f_load.values  # sign convention: diffusion * Lap(u) - reaction * u = f
+    n, h = mesh_size(problem, 2.0 * eps_d)
+    mesh, spec, M, b_raw = discretize(problem, n)
     r_state, alpha = build_r_state(mesh, spec, problem.r_array())
     r_norm = poly_l2_norm(problem.r_array(), problem.d)
 

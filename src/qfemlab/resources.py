@@ -11,13 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .assembly import _gauss01, _reference_deriv_values_at, assemble_gram
-from .errors import CapExceededError, UnsupportedConfigurationError, ValidationError
-from .mesh import BasisSpec, Mesh
-
-DEFAULT_N_CAP = 200_000
+from .errors import UnsupportedConfigurationError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -106,29 +100,17 @@ def _polylog(arg: float) -> float:
     return (1.0 + math.log(max(arg, 1.0))) ** 2
 
 
-def choose_mesh_size(
-    eps: float,
-    seminorm_k1: float,
-    k: int,
-    calibration_c: float = 1.0,
-    n_cap: int = DEFAULT_N_CAP,
-) -> float:
-    """Mesh size h = C * (eps / (2 |u|_{k+1}))^(1/(k+1)).
+def choose_mesh_size(eps: float, seminorm_k1: float, k: int) -> float:
+    """Mesh size h = (eps / (2 |u|_{k+1}))^(1/(k+1)).
 
-    The factor 2 reserves half the target for the solver; C is a calibration
-    constant (the true discretisation constant is mesh-family dependent and
-    not modeled). Raises CapExceededError if the implied subdivision count
-    exceeds ``n_cap``.
+    The factor 2 reserves half the target for the solver; the true
+    discretisation constant is mesh-family dependent and taken as 1.
+    ``problems.mesh_size`` turns h into a subdivision count, and
+    ``problems.discretize`` caps the mesh.
     """
     if eps <= 0 or seminorm_k1 <= 0:
         raise ValidationError("eps and the seminorm must be positive")
-    h = calibration_c * (eps / (2.0 * seminorm_k1)) ** (1.0 / (k + 1))
-    required = int(np.ceil(1.0 / h))
-    if required > n_cap:
-        raise CapExceededError(
-            f"mesh would need {required} subdivisions (cap {n_cap})", required=required
-        )
-    return h
+    return (eps / (2.0 * seminorm_k1)) ** (1.0 / (k + 1))
 
 
 def split_budget(
@@ -245,47 +227,3 @@ def exponent_table(d: int, k: int) -> dict:
         "quantum": (Fraction(k + 5, k + 1), Fraction(k + 3, k + 1)),
         "quantum_precond": (Fraction(1),),
     }
-
-
-def measure_sobolev(mesh: Mesh, spec: BasisSpec, coeffs, order: int) -> float:
-    """Sobolev seminorm of the discrete function sum_i coeffs_i phi_i.
-
-    Discrete functions have elementwise derivatives only up to the basis
-    degree, so ``order`` must be <= k. Order 0 equals sqrt(c^T W c) with W
-    the Gram matrix of the same basis.
-    """
-    if order < 0 or order > spec.k:
-        raise ValidationError(f"order must be in [0, {spec.k}], got {order}")
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (spec.n_dofs,):
-        raise ValidationError(f"expected {spec.n_dofs} coefficients")
-
-    if order == 0:
-        W = assemble_gram(mesh, spec)
-        return float(np.sqrt(max(coeffs @ (W @ coeffs), 0.0)))
-
-    nodal = np.zeros(spec.n_nodes)
-    nodal[spec.dof_nodes] = coeffs
-    total = 0.0
-    if mesh.dimension == 1:
-        p = spec.k + 1
-        _, ws = _gauss01(p)
-        dvals = _reference_deriv_values_at(spec.k, order, p)  # (k+1, p)
-        h = mesh.h
-        scale = h ** (1 - 2 * order)
-        for e in range(mesh.n_elements):
-            local = nodal[spec.element_nodes[e]]
-            vq = local @ dvals
-            total += scale * float(ws @ vq**2)
-    else:
-        # order == 1, piecewise-linear: the gradient is constant per triangle
-        area = 0.5 / (mesh.n * mesh.n)
-        for e in range(mesh.n_elements):
-            tri = spec.element_nodes[e]
-            pts = mesh.vertices[tri]
-            g = np.zeros(2)
-            for a in range(3):
-                pb, pc = pts[(a + 1) % 3], pts[(a + 2) % 3]
-                g += nodal[tri[a]] * np.array([pb[1] - pc[1], pc[0] - pb[0]]) / (2.0 * area)
-            total += area * float(g @ g)
-    return float(np.sqrt(total))

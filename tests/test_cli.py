@@ -1,7 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
+from qfemlab import cli
 from qfemlab.cli import main
 
 TINY_1D = {"d": 1, "k": 1, "pde": {"diffusion": 1, "reaction": 0}, "f": [-1], "r": [1], "eps": 1e-2}
@@ -47,9 +50,10 @@ def test_solve_plan_simulate_exit_zero(capsys, spec_file, spec):
     solved = run_json(capsys, "solve", "--spec", path)
     assert solved["cg"]["converged"]
     assert solved["kappa_estimate"] >= 1.0
-    assert "budget" in run_json(capsys, "plan", "--spec", path)
+    plan = run_json(capsys, "plan", "--spec", path)
     sim = run_json(capsys, "simulate", "--spec", path)
     assert sim["uses_of_state_prep"] > 0
+    assert plan["budget"] == sim["budget"]
     exact = run_json(capsys, "simulate", "--spec", path, "--exact")
     assert exact["uses_of_state_prep"] == 0
     assert exact["value"] == pytest.approx(exact["exact_value_discrete"], rel=1e-12)
@@ -76,6 +80,7 @@ def test_resources_json_and_csv(capsys):
     assert len(rows) == 2 * 2 * 4
     code, out, _ = run(capsys, "resources", "--dims", "1", "--degrees", "1,2", "--format", "csv")
     assert code == 0
+    assert out.endswith("\n") and not out.endswith("\n\n")
     lines = out.strip().splitlines()
     assert lines[0].startswith("pipeline,")
     assert len(lines) == 1 + 2 * 4
@@ -86,6 +91,17 @@ def test_lowerbound_hybrid_defaults_exit_zero(capsys, extra):
     rows = run_json(capsys, "lowerbound", "--mode", "hybrid", *extra)
     assert len(rows) == 12
     assert all(row["violations"] == 0 for row in rows)
+
+
+def test_memory_error_exit_four(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 128. GiB")
+
+    monkeypatch.setattr(cli, "lowerbound_hybrid_table", exhausted)
+    code, out, err = run(capsys, "lowerbound", "--mode", "hybrid", "--dim", "131072")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("out of memory") and "Traceback" not in err
 
 
 def test_lowerbound_bump_exit_zero(capsys):
@@ -147,3 +163,39 @@ def test_fixed_seed_rerun_byte_identical(capsys, spec_file, tmp_path):
     assert outputs[0] == outputs[1]
     other_seed = run_json(capsys, "simulate", "--spec", path, "--seed", "8")
     assert other_seed["meta"]["seed"] == 8
+
+
+# Artifacts checked in under tests/golden/: any change to them shows up in review.
+# Rewrite them from the current program with `PYTHONPATH=src python tests/test_cli.py`.
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_SPECS = {"tiny_1d": TINY_1D, "tiny_1d_k2": TINY_1D_K2, "tiny_2d": TINY_2D}
+GOLDEN_RUNS = {
+    "solve": ("solve",),
+    "convergence": ("convergence", "--levels", "3"),
+    "simulate_seed7": ("simulate", "--seed", "7"),
+    "simulate_exact": ("simulate", "--exact"),
+}
+
+
+def golden_artifact(spec_name: str, run_name: str, tmp_dir: Path) -> bytes:
+    path = tmp_dir / "spec.json"
+    path.write_text(json.dumps(GOLDEN_SPECS[spec_name]))
+    command, *extra = GOLDEN_RUNS[run_name]
+    assert main([command, "--spec", str(path), *extra, "--out", str(tmp_dir / "out")]) == 0
+    return (tmp_dir / "out" / f"{command}.json").read_bytes()
+
+
+@pytest.mark.parametrize("run_name", GOLDEN_RUNS)
+@pytest.mark.parametrize("spec_name", GOLDEN_SPECS)
+def test_artifacts_match_golden(capsys, tmp_path, spec_name, run_name):
+    expected = (GOLDEN_DIR / f"{spec_name}_{run_name}.json").read_bytes()
+    assert golden_artifact(spec_name, run_name, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for spec_name in GOLDEN_SPECS:
+        for run_name in GOLDEN_RUNS:
+            with tempfile.TemporaryDirectory() as tmp:
+                artifact = golden_artifact(spec_name, run_name, Path(tmp))
+            (GOLDEN_DIR / f"{spec_name}_{run_name}.json").write_bytes(artifact)
