@@ -6,6 +6,11 @@ once per degree, so interior stiffness entries come out bit-exact (2/h on
 the diagonal, -1/h off it, for the k=1 pure-diffusion case). Loads use
 Gauss-Legendre quadrature with enough points to be exact for polynomial
 data up to degree 8.
+
+Every kernel is batched over elements: the element matrices, or the load
+contributions at all quadrature points of all elements, are formed in one
+broadcast, then scattered to the dofs in element order (a COO build for
+matrices, one ``np.bincount`` for loads), so duplicates sum in a fixed order.
 """
 from __future__ import annotations
 
@@ -378,49 +383,45 @@ def _as_evaluator(mesh: Mesh, f):
     return (lambda x, y: npoly.polyval2d(x, y, c)), 0
 
 
+def element_quadrature_1d(mesh: Mesh, p: int):
+    """p-point Gauss-Legendre rule on every element of a 1D mesh: points
+    (n_elements, p) in element order and the weights (p,) of [0, 1]."""
+    xs, ws = _gauss01(p)
+    return mesh.vertices[mesh.elements[:, 0]] + mesh.h * xs, ws
+
+
 def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> LoadVector:
     """Load vector with entries int f phi_i over the active dofs.
 
     ``f`` is given as polynomial coefficients (1D: flat list, low order
     first; 2D: coefficient matrix c[i][j] of x^i y^j, total degree <= 8) or
-    as a callable sampled by quadrature.
+    as a callable sampled by quadrature. A callable is evaluated once on
+    (n_elements, q) arrays of quadrature points (one ``x`` array in 1D, ``x``
+    and ``y`` in 2D), so it must be numpy-vectorised.
     """
     _check_pair(mesh, spec)
     ev, extra = _as_evaluator(mesh, f)
-    out = np.zeros(spec.n_dofs)
+    deg = extra if extra else poly_degree(f)
     if mesh.dimension == 1:
-        deg = extra if extra else poly_degree(f)
-        p = max(spec.k + 1, (spec.k + deg) // 2 + 2)
-        xs, ws = _gauss01(p)
-        basis_vals = _reference_values_at(spec.k, p)
-        h = mesh.h
-        for e in range(mesh.n_elements):
-            x0 = mesh.vertices[mesh.elements[e, 0], 0]
-            fq = ev(x0 + h * xs)
-            gids = spec.node_dofs[spec.element_nodes[e]]
-            contrib = h * basis_vals @ (ws * fq)
-            for a, ia in enumerate(gids):
-                if ia >= 0:
-                    out[ia] += contrib[a]
+        xq, ws = element_quadrature_1d(mesh, max(spec.k + 1, (spec.k + deg) // 2 + 2))
+        basis_vals = _reference_values_at(spec.k, len(ws))  # (k+1, p)
+        # (h * B) @ v and h * (B @ v) round differently; artifacts pin the first
+        contrib = ((mesh.h * basis_vals)[None] @ (ws * ev(xq))[..., None])[..., 0]
     else:
-        deg = extra if extra else poly_degree(f)
-        p = max(2, (deg + 1) // 2 + 2)
-        ref_pts, ref_w = _duffy_rule(p)
+        ref_pts, ref_w = _duffy_rule(max(2, (deg + 1) // 2 + 2))
+        corners = mesh.vertices[spec.element_nodes]  # (n_elements, 3, 2)
+        origin = corners[:, :1]
+        # affine map from the reference triangle: (n_elements, q, 2)
+        xq = origin + ref_pts[:, :1] * (corners[:, 1:2] - origin) + ref_pts[:, 1:] * (corners[:, 2:] - origin)
+        lam = np.column_stack([1.0 - ref_pts[:, 0] - ref_pts[:, 1], ref_pts[:, 0], ref_pts[:, 1]])
         area = 0.5 / (mesh.n * mesh.n)
-        for e in range(mesh.n_elements):
-            tri = spec.element_nodes[e]
-            pts = mesh.vertices[tri]
-            # affine map from the reference triangle
-            xq = pts[0, 0] + ref_pts[:, 0] * (pts[1, 0] - pts[0, 0]) + ref_pts[:, 1] * (pts[2, 0] - pts[0, 0])
-            yq = pts[0, 1] + ref_pts[:, 0] * (pts[1, 1] - pts[0, 1]) + ref_pts[:, 1] * (pts[2, 1] - pts[0, 1])
-            fq = ev(xq, yq)
-            lam = np.column_stack([1.0 - ref_pts[:, 0] - ref_pts[:, 1], ref_pts[:, 0], ref_pts[:, 1]])
-            gids = spec.node_dofs[tri]
-            contrib = 2.0 * area * (lam * (ref_w * fq)[:, None]).sum(axis=0)
-            for a, ia in enumerate(gids):
-                if ia >= 0:
-                    out[ia] += contrib[a]
-    return LoadVector(spec.n_dofs, out)
+        contrib = 2.0 * area * (lam * (ref_w * ev(xq[..., 0], xq[..., 1]))[..., None]).sum(axis=1)
+    gids = spec.node_dofs[spec.element_nodes]  # (n_elements, m), -1 if constrained
+    keep = gids >= 0
+    # bincount adds in element order, as the bilinear COO build does; it
+    # returns integer zeros when there are no dofs
+    out = np.bincount(gids[keep], weights=contrib[keep], minlength=spec.n_dofs)
+    return LoadVector(spec.n_dofs, out.astype(float, copy=False))
 
 
 def row_oracle(matrix: SparseSymMatrix, r: int, i: int):

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import __version__
-from .assembly import _gauss01, assemble_load
+from .assembly import assemble_load, element_quadrature_1d
 from .errors import (
     BudgetExceededError,
     CapExceededError,
@@ -68,14 +68,12 @@ def solve_report(problem: ProblemSpec) -> dict:
 
 def _l2_norm_1d(mesh, p: int, diff) -> float:
     """sqrt(int_0^1 diff(x)^2 dx) with a p-point Gauss rule on each element
-    of a 1D mesh; ``diff`` maps an element's quadrature points to values."""
-    xs, ws = _gauss01(p)
-    total = 0.0
-    h = mesh.h
-    for e in range(mesh.n_elements):
-        xq = mesh.vertices[mesh.elements[e, 0], 0] + h * xs
-        total += h * float(ws @ diff(xq) ** 2)
-    return float(np.sqrt(total))
+    of a 1D mesh; ``diff`` maps a flat array of quadrature points to values."""
+    xq, ws = element_quadrature_1d(mesh, p)
+    sq = diff(xq.ravel()).reshape(xq.shape) ** 2
+    # one dot product per element and a running sum in element order, as an
+    # element loop adds them (sq @ ws and a pairwise .sum() round differently)
+    return float(np.sqrt(np.cumsum(mesh.h * (sq[:, None] @ ws[:, None])[:, 0, 0])[-1]))
 
 
 def _l2_error_against_fine(mesh_c, spec_c, coeffs_c, mesh_f, spec_f, coeffs_f) -> float:

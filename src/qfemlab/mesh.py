@@ -94,17 +94,13 @@ def build_square_triangulation(n_per_side: int) -> Mesh:
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    elements = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            elements.append((v00, v10, v11))  # lower: eta <= xi
-            elements.append((v00, v11, v01))  # upper: eta >= xi
-    elements = np.asarray(elements)
+    # cell (i, j), row by row: lower-left vertex j(n+1) + i
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01 = v00 + 1, v00 + n + 1
+    v11 = v01 + 1
+    lower = np.column_stack([v00, v10, v11])  # eta <= xi
+    upper = np.column_stack([v00, v11, v01])  # eta >= xi
+    elements = np.stack([lower, upper], axis=1).reshape(-1, 3)
 
     ii = np.tile(np.arange(n + 1), n + 1)
     jj = np.repeat(np.arange(n + 1), n + 1)
@@ -153,9 +149,7 @@ def build_basis(mesh: Mesh, k: int, constrain_dirichlet: bool = True) -> BasisSp
         n = mesh.n
         n_nodes = n * k + 1
         coords = (np.arange(n_nodes, dtype=float) / (n * k)).reshape(-1, 1)
-        element_nodes = np.array(
-            [[e * k + j for j in range(k + 1)] for e in range(n)]
-        )
+        element_nodes = np.arange(n)[:, None] * k + np.arange(k + 1)
         constrained_nodes = np.zeros(n_nodes, dtype=bool)
         if constrain_dirichlet:
             constrained_nodes[0] = mesh.boundary_flags[0] == DIRICHLET
@@ -195,8 +189,20 @@ def _check_point(mesh: Mesh, x) -> np.ndarray:
     return pt
 
 
-def _locate_1d(mesh: Mesh, x: float) -> int:
-    return min(int(x * mesh.n), mesh.n - 1)
+def _locate(mesh: Mesh, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Element holding each of the (m, d) points, and the points' (m, d)
+    coordinates in their cell, scaled to [0, 1]^d.
+
+    Cell (i, j) of the square holds elements 2(jn + i) (lower, eta <= xi)
+    and 2(jn + i) + 1 (upper).
+    """
+    n = mesh.n
+    cell = np.minimum((pts * n).astype(int), n - 1)
+    local = pts * n - cell
+    if mesh.dimension == 1:
+        return cell[:, 0], local
+    upper = local[:, 1] > local[:, 0]
+    return 2 * (cell[:, 1] * n + cell[:, 0]) + upper, local
 
 
 def _lagrange_value(ts: np.ndarray, j: int, x: float) -> float:
@@ -225,60 +231,34 @@ def _lagrange_deriv(ts: np.ndarray, j: int, x: float) -> float:
 # lower (v00, v10, v11): 1-xi, xi-eta, eta ; upper (v00, v11, v01): 1-eta, xi, eta-xi
 
 
-def _eval_nodal(mesh: Mesh, spec: BasisSpec, node: int, pt: np.ndarray) -> float:
-    if mesh.dimension == 1:
-        x = float(pt[0])
-        e = _locate_1d(mesh, x)
-        locals_ = spec.element_nodes[e]
-        hits = np.nonzero(locals_ == node)[0]
-        if len(hits) == 0:
-            return 0.0
-        ts = spec.nodes[locals_, 0]
-        return _lagrange_value(ts, int(hits[0]), x)
+def _node_at(mesh: Mesh, spec: BasisSpec, node: int, pt: np.ndarray):
+    """(element holding pt, local index of node there or None, cell-local
+    coordinates of pt)."""
+    e, local = _locate(mesh, pt[None])
+    e = int(e[0])
+    hits = np.nonzero(spec.element_nodes[e] == node)[0]
+    return e, (int(hits[0]) if len(hits) else None), local[0]
 
-    x, y = float(pt[0]), float(pt[1])
-    n = mesh.n
-    ci = min(int(x * n), n - 1)
-    cj = min(int(y * n), n - 1)
-    xi, eta = x * n - ci, y * n - cj
-    lower = eta <= xi
-    e = 2 * (cj * n + ci) + (0 if lower else 1)
-    tri = spec.element_nodes[e]
-    hits = np.nonzero(tri == node)[0]
-    if len(hits) == 0:
+
+def _eval_nodal(mesh: Mesh, spec: BasisSpec, node: int, pt: np.ndarray) -> float:
+    e, a, local = _node_at(mesh, spec, node, pt)
+    if a is None:
         return 0.0
-    a = int(hits[0])
-    if lower:
-        vals = (1.0 - xi, xi - eta, eta)
-    else:
-        vals = (1.0 - eta, xi, eta - xi)
+    if mesh.dimension == 1:
+        return _lagrange_value(spec.nodes[spec.element_nodes[e], 0], a, float(pt[0]))
+    xi, eta = local
+    vals = (1.0 - xi, xi - eta, eta) if e % 2 == 0 else (1.0 - eta, xi, eta - xi)
     return float(vals[a])
 
 
 def _eval_nodal_grad(mesh: Mesh, spec: BasisSpec, node: int, pt: np.ndarray) -> np.ndarray:
+    e, a, _ = _node_at(mesh, spec, node, pt)
+    if a is None:
+        return np.zeros(mesh.dimension)
     if mesh.dimension == 1:
-        x = float(pt[0])
-        e = _locate_1d(mesh, x)
-        locals_ = spec.element_nodes[e]
-        hits = np.nonzero(locals_ == node)[0]
-        if len(hits) == 0:
-            return np.zeros(1)
-        ts = spec.nodes[locals_, 0]
-        return np.array([_lagrange_deriv(ts, int(hits[0]), x)])
-
-    x, y = float(pt[0]), float(pt[1])
+        return np.array([_lagrange_deriv(spec.nodes[spec.element_nodes[e], 0], a, float(pt[0]))])
     n = mesh.n
-    ci = min(int(x * n), n - 1)
-    cj = min(int(y * n), n - 1)
-    xi, eta = x * n - ci, y * n - cj
-    lower = eta <= xi
-    e = 2 * (cj * n + ci) + (0 if lower else 1)
-    tri = spec.element_nodes[e]
-    hits = np.nonzero(tri == node)[0]
-    if len(hits) == 0:
-        return np.zeros(2)
-    a = int(hits[0])
-    if lower:
+    if e % 2 == 0:
         grads = ((-n, 0.0), (n, -n), (0.0, n))
     else:
         grads = ((0.0, -n), (n, 0.0), (-n, n))
@@ -305,12 +285,9 @@ def neighbors(mesh: Mesh, element: int) -> list[int]:
     """Elements sharing at least one vertex with the given one, sorted."""
     if not 0 <= element < mesh.n_elements:
         raise ValidationError(f"element {element} out of range [0, {mesh.n_elements})")
-    mine = set(int(v) for v in mesh.elements[element])
-    out = []
-    for e, verts in enumerate(mesh.elements):
-        if e != element and mine.intersection(int(v) for v in verts):
-            out.append(e)
-    return out
+    shared = np.isin(mesh.elements, mesh.elements[element]).any(axis=1)
+    shared[element] = False
+    return np.flatnonzero(shared).tolist()
 
 
 def evaluate_discrete(mesh: Mesh, spec: BasisSpec, coeffs, points) -> np.ndarray:
@@ -324,11 +301,11 @@ def evaluate_discrete(mesh: Mesh, spec: BasisSpec, coeffs, points) -> np.ndarray
     nodal = np.zeros(spec.n_nodes)
     nodal[spec.dof_nodes] = coeffs
 
-    pts = np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float).reshape(-1, mesh.dimension)
+    e, local = _locate(mesh, pts)
+    locals_ = spec.element_nodes[e]                          # (m, nodes per element)
     if mesh.dimension == 1:
-        xs = pts.reshape(-1)
-        e = np.minimum((xs * mesh.n).astype(int), mesh.n - 1)
-        locals_ = spec.element_nodes[e]                      # (m, k+1)
+        xs = pts[:, 0]
         ts = spec.nodes[locals_, 0]                          # (m, k+1)
         vals = np.zeros(len(xs))
         kk = spec.k + 1
@@ -340,21 +317,10 @@ def evaluate_discrete(mesh: Mesh, spec: BasisSpec, coeffs, points) -> np.ndarray
             vals += nodal[locals_[:, j]] * lj
         return vals
 
-    xy = pts.reshape(-1, 2)
-    n = mesh.n
-    ci = np.minimum((xy[:, 0] * n).astype(int), n - 1)
-    cj = np.minimum((xy[:, 1] * n).astype(int), n - 1)
-    xi = xy[:, 0] * n - ci
-    eta = xy[:, 1] * n - cj
-    lower = eta <= xi
-    e = 2 * (cj * n + ci) + np.where(lower, 0, 1)
-    tri = spec.element_nodes[e]                              # (m, 3)
-    lam = np.empty((len(xy), 3))
-    lam[lower, 0] = 1.0 - xi[lower]
-    lam[lower, 1] = xi[lower] - eta[lower]
-    lam[lower, 2] = eta[lower]
-    up = ~lower
-    lam[up, 0] = 1.0 - eta[up]
-    lam[up, 1] = xi[up]
-    lam[up, 2] = eta[up] - xi[up]
-    return np.sum(nodal[tri] * lam, axis=1)
+    xi, eta = local[:, 0], local[:, 1]
+    lam = np.where(
+        (e % 2 == 0)[:, None],
+        np.column_stack([1.0 - xi, xi - eta, eta]),
+        np.column_stack([1.0 - eta, xi, eta - xi]),
+    )
+    return np.sum(nodal[locals_] * lam, axis=1)

@@ -56,7 +56,6 @@ def conjugate_gradient(
     tol: float = 1e-8,
     precond: SparseSymMatrix | None = None,
     cap: int | None = None,
-    lambda_min: float | None = None,
     collect_iterates: bool = False,
 ) -> CGReport:
     """Solve M x = b by (preconditioned) CG to relative energy-norm accuracy
@@ -80,10 +79,8 @@ def conjugate_gradient(
 
     apply_p = (lambda r: precond @ r) if precond is not None else (lambda r: r)
 
-    # lambda_min(M) estimate for the energy certificate
-    lam_fixed = lambda_min
-    if lam_fixed is None and precond is not None:
-        lam_fixed = M.extremes()[0]
+    # lambda_min(M) for the energy certificate of preconditioned runs
+    lam_fixed = M.extremes()[0] if precond is not None else None
 
     x = np.zeros(n)
     r = bvec.copy()
@@ -115,7 +112,7 @@ def conjugate_gradient(
             iterates.append(x.copy())
 
         # Lanczos tridiagonal from the CG coefficients (plain CG only)
-        if precond is None and lam_fixed is None:
+        if precond is None:
             if prev_alpha is None:
                 alphas.append(1.0 / alpha)
             else:
