@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ValidationError
 from .quantum import Statevector
@@ -187,13 +187,14 @@ def bump_f0(n: int, x) -> float:
     return float(val) if np.isscalar(x) or xv.ndim == 0 else val
 
 
+@lru_cache(maxsize=None)
 def _bump_sq_mass() -> float:
+    """int_{-1}^{1} B(y)^2 dy; one cell holds half of it. Imports
+    scipy.integrate on first use, so ``import qfemlab`` does not."""
+    from scipy.integrate import quad
+
     val, _ = quad(lambda y: _bump(y) ** 2, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)
     return val
-
-
-# mass of the squared bump over one cell: (1/2) int_{-1}^{1} B(y)^2 dy
-BUMP_CELL_MASS = 0.5 * _bump_sq_mass()
 
 
 @dataclass
@@ -244,13 +245,14 @@ def oracle_search_demo(oracle: BumpOracle, strategy: str = "deterministic_scan",
     if strategy == "random_scan":
         np.random.default_rng(rng_seed).shuffle(cells)
     width = 1.0 / n
+    half_cell_mass = 0.5 * _bump_sq_mass() / 2.0
     integral = 0.0
     start_queries = oracle.queries
     for cell in cells:
         vals = np.array([oracle.f(cell * width + t * width) for t in xs])
         cell_mass = width * float(ws @ vals**2)
         integral += cell_mass
-        if strategy == "random_scan" and integral > BUMP_CELL_MASS / 2.0:
+        if strategy == "random_scan" and integral > half_cell_mass:
             break
-    answer = integral > BUMP_CELL_MASS / 2.0
+    answer = integral > half_cell_mass
     return SearchResult(answer, oracle.queries - start_queries, integral)

@@ -220,7 +220,8 @@ def mesh_size(problem: ProblemSpec, eps: float) -> tuple[int, float]:
 def discretize(problem: ProblemSpec, n: int) -> tuple[Mesh, BasisSpec, SparseSymMatrix, np.ndarray]:
     """Mesh of n subdivisions per side, degree-k basis, stiffness matrix M
     and right-hand side b = -(load of f). Raises ValidationError for
-    resource-model-only dimensions and CapExceededError for over-cap meshes."""
+    resource-model-only dimensions and for meshes without free dofs, and
+    CapExceededError for over-cap meshes."""
     if not problem.assembled:
         raise ValidationError(f"d={problem.d} cannot be assembled (resource model only)")
     cells = n**problem.d
@@ -228,6 +229,8 @@ def discretize(problem: ProblemSpec, n: int) -> tuple[Mesh, BasisSpec, SparseSym
         raise CapExceededError(f"mesh would need {cells} cells (cap {MAX_CELLS})", required=cells)
     mesh = build_interval_mesh(n) if problem.d == 1 else build_square_triangulation(n)
     spec = build_basis(mesh, problem.k)
+    if spec.n_dofs == 0:
+        raise ValidationError(f"{n} subdivision(s) per side leave no free dofs (every node is on the Dirichlet boundary)")
     M = assemble_stiffness(mesh, spec, BilinearForm(problem.diffusion, problem.reaction))
     b = -assemble_load(mesh, spec, problem.f_array()).values
     return mesh, spec, M, b

@@ -4,19 +4,23 @@ condition number from the cached sparse eigenvalue extremes.
 CG only observes residuals, so the energy-norm target ||x - x*||_M <=
 tol * ||x*||_M is certified through the bound ||x - x*||_M <= ||r|| /
 sqrt(lambda_min) together with ||x_j||_M = sqrt(b.x_j), which increases
-monotonically to ||x*||_M when starting from zero. lambda_min comes from
-the Ritz values of the solver's own Lanczos tridiagonal (plain CG) or, for
-preconditioned runs, is the exact smallest eigenvalue of M from its cached
-sparse factorisation (``SparseSymMatrix.extremes``): the smallest Ritz
-value of a short Lanczos run overestimates lambda_min, which would make the
-certified bound too small.
+monotonically to ||x*||_M when starting from zero. Plain and preconditioned
+CG take lambda_min from one source, the exact smallest eigenvalue of M from
+its cached sparse factorisation (``SparseSymMatrix.extremes``); a Ritz value
+of CG's own Lanczos tridiagonal would bound lambda_min from above and so
+make the certified bound too small. r is the recursively updated residual,
+which can fall below the true b - M x once both near rounding level.
+
+The same extremes give kappa = lambda_max / lambda_min, which sets the
+default iteration cap max(50, ceil(10 sqrt(kappa) log(1/tol))), sized for
+unpreconditioned CG's O(sqrt(kappa) log(1/tol)) steps, and is what
+``estimate_condition_number`` returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .assembly import LoadVector, SparseSymMatrix
 from .errors import ValidationError
@@ -73,34 +77,27 @@ def conjugate_gradient(
     n = M.n
     if bvec.shape != (n,):
         raise ValidationError(f"rhs has shape {bvec.shape}, expected ({n},)")
+    if np.linalg.norm(bvec) == 0.0:
+        return CGReport(np.zeros(n), 0, 0.0, 0, True, 0.0, 0.0)
 
     if precond is not None and not precond.is_spd():
         return _cg_normal_equations(M, bvec, precond, tol, cap, collect_iterates)
 
     apply_p = (lambda r: precond @ r) if precond is not None else (lambda r: r)
-
-    # lambda_min(M) for the energy certificate of preconditioned runs
-    lam_fixed = M.extremes()[0] if precond is not None else None
+    lam_min, lam_max = M.extremes()
+    sqrt_lam = np.sqrt(lam_min)
+    if cap is None:
+        cap = max(50, int(np.ceil(10.0 * np.sqrt(lam_max / lam_min) * np.log(1.0 / tol))))
 
     x = np.zeros(n)
     r = bvec.copy()
     z = apply_p(r)
     p = z.copy()
     rz = float(r @ z)
-    matvecs = 0
-    alphas, offs = [], []
-    prev_alpha = prev_beta = None
-    lam_lo = lam_hi = None
     iterates = []
-    bnorm = float(np.linalg.norm(bvec))
-    if bnorm == 0.0:
-        return CGReport(x, 0, 0.0, 0, True, lam_fixed or 0.0, 0.0)
-
     j = 0
-    err_bound = np.inf
     while True:
         Ap = M @ p
-        matvecs += 1
         pAp = float(p @ Ap)
         if pAp <= 0:
             raise ValidationError("matrix is not positive definite on the active dofs")
@@ -111,51 +108,19 @@ def conjugate_gradient(
         if collect_iterates:
             iterates.append(x.copy())
 
-        # Lanczos tridiagonal from the CG coefficients (plain CG only)
-        if precond is None:
-            if prev_alpha is None:
-                alphas.append(1.0 / alpha)
-            else:
-                alphas.append(1.0 / alpha + prev_beta / prev_alpha)
-            if j > 1:
-                offs.append(np.sqrt(prev_beta) / prev_alpha)
+        rnorm = float(np.linalg.norm(r))
+        energy_of_x = float(bvec @ x)
+        err_bound = rnorm / sqrt_lam
+        if energy_of_x > 0 and err_bound <= tol * np.sqrt(energy_of_x):
+            return CGReport(x, j, err_bound / np.sqrt(energy_of_x), j, True, lam_min, rnorm, iterates)
+        if j >= cap:
+            rel = err_bound / np.sqrt(energy_of_x) if energy_of_x > 0 else np.inf
+            return CGReport(x, j, rel, j, False, lam_min, rnorm, iterates)
 
         z = apply_p(r)
         rz_new = float(r @ z)
-        beta = rz_new / rz if rz != 0 else 0.0
-        prev_alpha, prev_beta = alpha, beta
+        p = z + (rz_new / rz if rz != 0 else 0.0) * p
         rz = rz_new
-        p = z + beta * p
-
-        if lam_fixed is not None:
-            lam_lo = lam_fixed
-        elif len(alphas) >= 1:
-            if len(alphas) == 1:
-                lam_lo = lam_hi = alphas[0]
-            elif j <= 400 or j % 5 == 0:
-                ev = eigh_tridiagonal(np.array(alphas), np.array(offs), eigvals_only=True)
-                lam_lo, lam_hi = float(ev[0]), float(ev[-1])
-
-        rnorm = float(np.linalg.norm(r))
-        energy_of_x = float(bvec @ x)
-        if lam_lo is not None and lam_lo > 0 and energy_of_x > 0:
-            err_bound = rnorm / np.sqrt(lam_lo)
-            if err_bound <= tol * np.sqrt(energy_of_x):
-                return CGReport(
-                    x, j, err_bound / np.sqrt(energy_of_x), matvecs, True,
-                    lam_lo, rnorm, iterates,
-                )
-
-        if cap is not None:
-            cap_eff = cap
-        elif lam_lo and lam_hi and lam_lo > 0:
-            kappa_hat = lam_hi / lam_lo
-            cap_eff = max(50, int(np.ceil(10.0 * np.sqrt(kappa_hat) * np.log(1.0 / tol))))
-        else:
-            cap_eff = max(50, 20 * n)
-        if j >= cap_eff:
-            rel = err_bound / np.sqrt(energy_of_x) if energy_of_x > 0 else np.inf
-            return CGReport(x, j, rel, matvecs, False, lam_lo or 0.0, rnorm, iterates)
 
 
 def _cg_normal_equations(M, bvec, P, tol, cap, collect_iterates):

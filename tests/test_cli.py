@@ -6,6 +6,7 @@ import pytest
 
 from qfemlab import cli
 from qfemlab.cli import main
+from qfemlab.problems import ProblemSpec, discretize, mesh_size
 
 TINY_1D = {"d": 1, "k": 1, "pde": {"diffusion": 1, "reaction": 0}, "f": [-1], "r": [1], "eps": 1e-2}
 TINY_1D_K2 = {"d": 1, "k": 2, "pde": {"diffusion": 1, "reaction": 0}, "f": [0, 0, -12], "r": [1, 1], "eps": 1e-2}
@@ -57,6 +58,27 @@ def test_solve_plan_simulate_exit_zero(capsys, spec_file, spec):
     exact = run_json(capsys, "simulate", "--spec", path, "--exact")
     assert exact["uses_of_state_prep"] == 0
     assert exact["value"] == pytest.approx(exact["exact_value_discrete"], rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [TINY_1D, TINY_1D_K2, TINY_2D])
+def test_solve_lambda_min_and_kappa_share_one_source(capsys, spec_file, spec):
+    art = run_json(capsys, "solve", "--spec", spec_file(spec))
+    problem = ProblemSpec.from_dict(spec)
+    M = discretize(problem, mesh_size(problem, problem.eps)[0])[2]
+    lam_max = M.extremes()[1]
+    assert art["kappa_estimate"] * art["cg"]["lambda_min_estimate"] == pytest.approx(lam_max, rel=1e-12)
+
+
+def test_solve_without_free_dofs_exit_two(capsys, spec_file):
+    # the size rule gives one cell per side, so all four vertices are Dirichlet nodes
+    spec = {
+        "d": 2, "k": 1, "pde": {"diffusion": 1.0, "reaction": 0.0}, "f": [[1.0]], "r": [[1.0]],
+        "eps": 4.0, "seed": 1, "sobolev": [1, 1, 1],
+    }
+    code, out, err = run(capsys, "solve", "--spec", spec_file(spec))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation error") and "no free dofs" in err
 
 
 @pytest.mark.parametrize("spec", [TINY_1D, TINY_2D])

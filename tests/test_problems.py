@@ -71,6 +71,13 @@ def test_discretize_rejects_model_only_dimension():
         discretize(spec, 2)
 
 
+def test_discretize_rejects_mesh_without_free_dofs():
+    spec = ProblemSpec.from_dict({"d": 2, "k": 1, "f": [[-1]], "r": [[1]], "eps": 0.1})
+    with pytest.raises(ValidationError, match="no free dofs"):
+        discretize(spec, 1)  # the four vertices are all on the Dirichlet boundary
+    assert discretize(spec, 2)[1].n_dofs == 1  # the centre vertex
+
+
 class Built(Exception):
     pass
 

@@ -9,17 +9,18 @@ from qfemlab import (
     assemble_stiffness,
     build_basis,
     build_interval_mesh,
+    build_square_triangulation,
     conjugate_gradient,
     estimate_condition_number,
     spai_preconditioner,
 )
 
 
-def poisson_system(n, k=1, f=(-1.0,)):
-    mesh = build_interval_mesh(n)
+def poisson_system(n, k=1, f=(-1.0,), d=1):
+    mesh = build_interval_mesh(n) if d == 1 else build_square_triangulation(n)
     spec = build_basis(mesh, k)
     M = assemble_stiffness(mesh, spec, BilinearForm())
-    b = -assemble_load(mesh, spec, list(f)).values
+    b = -assemble_load(mesh, spec, list(f) if d == 1 else [list(f)]).values
     return M, b
 
 
@@ -61,6 +62,40 @@ def test_energy_error_monotone_against_dense_oracle():
     exact = np.linalg.solve(M.to_dense(), b)
     errs = [np.sqrt((x - exact) @ (M @ (x - exact))) for x in rep.iterates]
     assert all(errs[i + 1] <= errs[i] * (1 + 1e-12) for i in range(len(errs) - 1))
+
+
+@pytest.mark.parametrize("preconditioned", [False, True], ids=["plain", "spai"])
+@pytest.mark.parametrize("d, n, k", [(1, 64, 1), (1, 64, 2), (1, 64, 3), (2, 32, 1)])
+def test_certificate_is_sound(d, n, k, preconditioned):
+    """The reported lambda_min never exceeds the true one, so the reported
+    relative certificate bounds the true relative energy error at every
+    stop; a Ritz value (1.0007 lambda_min on 2D n = 32 at tol 1e-1)
+    breaks the first assertion.
+
+    The bound holds up to rounding: plain CG on 1D P1 reaches the exact
+    solution at step n, where the recursively updated residual falls below
+    b - M x (certificate 5.5e-16 against a true 1.3e-14 at n = 64). The
+    1e-12 allowance covers that floor and is far below every tol here."""
+    M, b = poisson_system(n, k=k, d=d)
+    dense = M.to_dense()
+    lam_min = np.linalg.eigvalsh(dense)[0]
+    exact = np.linalg.solve(dense, b)
+    precond = spai_preconditioner(M) if preconditioned else None
+    for tol in (1e-1, 1e-2, 1e-4):
+        rep = conjugate_gradient(M, b, tol=tol, precond=precond)
+        assert rep.converged
+        assert rep.lambda_min_estimate <= lam_min * (1 + 1e-10), tol
+        diff = rep.solution - exact
+        true_rel = np.sqrt(diff @ (M @ diff)) / np.sqrt(exact @ (M @ exact))
+        assert true_rel <= rep.final_energy_error_estimate + 1e-12, tol
+        assert rep.final_energy_error_estimate <= tol, tol
+
+
+def test_zero_rhs_returns_before_factorising():
+    singular = SparseSymMatrix.from_dense(np.zeros((3, 3)))
+    rep = conjugate_gradient(singular, np.zeros(3), precond=singular)
+    assert rep.converged and rep.iterations == 0
+    assert np.array_equal(rep.solution, np.zeros(3))
 
 
 @pytest.mark.parametrize("n", [64, 256])

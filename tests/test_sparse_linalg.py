@@ -192,3 +192,10 @@ def test_import_leaves_scipy_signal_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(qfemlab.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    code = "import sys, qfemlab; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(qfemlab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "False"
