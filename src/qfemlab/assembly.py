@@ -438,7 +438,10 @@ def spai_preconditioner(M: SparseSymMatrix, pattern=None) -> SparseSymMatrix:
     fixed sparsity pattern (default: the pattern of M), then symmetrize.
 
     Rows whose local least-squares problem is rank deficient fall back to
-    the Jacobi entry 1/M_ii.
+    the Jacobi entry 1/M_ii. When the symmetrised result is not positive
+    definite (``is_spd()``; it can be indefinite on coarse meshes, e.g. 1D
+    P1 with n = 3), the whole matrix falls back to Jacobi, diag(1/M_ii), so
+    the returned preconditioner of an SPD M is always SPD, as CG requires.
     """
     A = M.csr
     if pattern is None:
@@ -460,16 +463,19 @@ def spai_preconditioner(M: SparseSymMatrix, pattern=None) -> SparseSymMatrix:
         e = (I == i).astype(float)
         sol, _, rank, _ = np.linalg.lstsq(Asub, e, rcond=None)
         if rank < len(J) or not np.all(np.isfinite(sol)):
-            mii = M.entry(i, i)
-            if mii == 0.0:
-                raise ValidationError(f"cannot precondition: zero diagonal at row {i}")
-            rows.append(i)
-            cols.append(i)
-            vals.append(1.0 / mii)
-            continue
-        for j, v in zip(J, sol):
-            rows.append(i)
-            cols.append(int(j))
-            vals.append(float(v))
+            J, sol = [i], [_jacobi_entry(M, i)]
+        rows.extend([i] * len(J))
+        cols.extend(J)
+        vals.extend(sol)
     P = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return SparseSymMatrix((P + P.T) * 0.5)
+    P = SparseSymMatrix((P + P.T) * 0.5)
+    if P.is_spd():
+        return P
+    return SparseSymMatrix(sp.diags_array([_jacobi_entry(M, i) for i in range(n)]))
+
+
+def _jacobi_entry(M: SparseSymMatrix, i: int) -> float:
+    mii = M.entry(i, i)
+    if mii == 0.0:
+        raise ValidationError(f"cannot precondition: zero diagonal at row {i}")
+    return 1.0 / mii

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .mesh import BasisSpec, Mesh
 from .problems import ProblemSpec, derive_sobolev, discretize, mesh_size, poly_l2_norm
-from .resources import ErrorBudget, ResourceEstimate, norm_estimation_cost, split_budget
+from .resources import ErrorBudget, ResourceEstimate, discretisation_share, norm_estimation_cost, split_budget
 from .solver import estimate_condition_number
 
 MAX_SIM_QUBITS = 14
@@ -175,12 +175,18 @@ class SampleBudget:
     def __post_init__(self):
         self.rng = np.random.default_rng(self.rng_seed)
 
-    def consume(self, count: int):
+    def binomial(self, shots: int, p: float, size: int = 1) -> np.ndarray:
+        """``size`` binomial counts of ``shots`` trials each, charging all
+        shots * size of them to the budget before drawing."""
+        if shots < 1 or size < 1:
+            raise ValidationError("shots and size must be >= 1")
+        count = shots * size
         if self.uses_of_state_prep + count > self.shots:
             raise BudgetExceededError(
                 f"budget of {self.shots} shots exhausted (would need {self.uses_of_state_prep + count})"
             )
-        self.uses_of_state_prep += int(count)
+        self.uses_of_state_prep += count
+        return self.rng.binomial(shots, p, size=size)
 
 
 def grover_rudolph_prepare(oracle: WeightOracle, n_qubits: int, trunc_const: float = 1.0) -> Statevector:
@@ -486,19 +492,18 @@ def hadamard_test_estimate(
     w uniform on the unit sphere orthogonal to u. Since w and -w are equally
     likely, the outcomes are iid with P(+1) = (1 + cos(theta) <u|r>) / 2, so
     each mean is drawn as one binomial over 2*ceil(1/eps_out^2) shots
-    (Hoeffding sizing for the 2/3 success target); ``medians`` > 1 switches
-    on median-of-means amplification. Every shot consumes one use of the
-    state preparation.
+    (Hoeffding sizing for the 2/3 success target); ``medians`` must be >= 1,
+    and above 1 switches on median-of-means amplification. Every shot
+    consumes one use of the state preparation.
     """
     if eps_out <= 0:
         raise ValidationError("eps_out must be positive")
     if not 0.0 <= eps_l < 1.0:
         raise ValidationError("eps_l must be in [0, 1)")
     shots = 2 * math.ceil(1.0 / eps_out**2)
-    budget.consume(shots * medians)
     theta = 2.0 * math.asin(eps_l / 2.0)
     p = 0.5 * (1.0 + float(np.clip(math.cos(theta) * u_state.inner(r_state), -1.0, 1.0)))
-    means = 2.0 * budget.rng.binomial(shots, p, size=medians) / shots - 1.0
+    means = 2.0 * budget.binomial(shots, p, size=medians) / shots - 1.0
     return float(np.median(means))
 
 
@@ -533,9 +538,7 @@ def estimate_norm(M: SparseSymMatrix, b: Statevector, eps_n_rel: float, budget: 
             f"acceptance probability {p:.3e} below the simulable floor; consider preconditioning"
         )
     shots = max(8, math.ceil(2.0 * (1.0 - p) / (p * eps_n_rel**2)))
-    budget.consume(shots)
-    k = budget.rng.binomial(shots, p)
-    p_hat = k / shots
+    p_hat = int(budget.binomial(shots, p)[0]) / shots
     if ledger is not None:
         entry = norm_estimation_cost(M.s, kap, eps_n_rel)
         entry.notes.update(
@@ -595,10 +598,7 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
     sob = derive_sobolev(problem, max_order=problem.k + 1)
     if eps > sob.l2_norm:
         raise UnsupportedConfigurationError(f"assumes eps <= ||u|| (eps={eps}, ||u||={sob.l2_norm})")
-    # mesh from the discretisation share of the budget (split_budget's eps_d)
-    c = eps / (3.0 * sob.l2_norm)
-    eps_d = eps * (1.0 - c) / (3.0 * (1.0 + c))
-    n, h = mesh_size(problem, 2.0 * eps_d)
+    n, h = mesh_size(problem, 2.0 * discretisation_share(eps, sob.l2_norm))
     mesh, spec, M, b_raw = discretize(problem, n)
     r_state, alpha = build_r_state(mesh, spec, problem.r_array())
     r_norm = poly_l2_norm(problem.r_array(), problem.d)

@@ -113,6 +113,13 @@ def choose_mesh_size(eps: float, seminorm_k1: float, k: int) -> float:
     return (eps / (2.0 * seminorm_k1)) ** (1.0 / (k + 1))
 
 
+def discretisation_share(eps: float, u_norm: float) -> float:
+    """eps_d = eps (1 - c) / (3 (1 + c)) with c = eps / (3 ||u||): the share
+    of eps that ``split_budget`` leaves to the discretisation error."""
+    c = eps / (3.0 * u_norm)
+    return eps * (1.0 - c) / (3.0 * (1.0 + c))
+
+
 def split_budget(
     eps: float,
     sobolev: SobolevData,
@@ -140,10 +147,9 @@ def split_budget(
         )
     if alpha <= 0 or u_tilde_norm <= 0 or r_norm <= 0:
         raise ValidationError("alpha, ||u~|| and ||r|| must be positive")
-    c = eps / (3.0 * u_norm)
     eps_n = eps * u_tilde_norm / (3.0 * u_norm)
     eps_l = eps_out = eps * r_norm / (6.0 * alpha * u_tilde_norm)
-    eps_d = eps * (1.0 - c) / (3.0 * (1.0 + c))
+    eps_d = discretisation_share(eps, u_norm)
 
     total = (
         eps_d * r_norm * (1.0 + eps_n / u_tilde_norm)

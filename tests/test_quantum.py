@@ -618,6 +618,31 @@ def test_hadamard_charges_every_shot_and_median():
     assert budget.uses_of_state_prep == 3 * 2 * 100
 
 
+@pytest.mark.parametrize("medians", [0, -2])
+def test_hadamard_rejects_medians_below_one_without_charging(medians):
+    s = Statevector.from_vector([1.0, 2.0])
+    budget = SampleBudget(rng_seed=0)
+    with pytest.raises(ValidationError):
+        hadamard_test_estimate(s, s, 0.1, budget, medians=medians)
+    assert budget.uses_of_state_prep == 0
+
+
+@pytest.mark.parametrize("shots, size", [(0, 1), (-1, 1), (10, 0), (10, -2)])
+def test_sample_budget_binomial_rejects_empty_draws(shots, size):
+    budget = SampleBudget(rng_seed=0)
+    with pytest.raises(ValidationError):
+        budget.binomial(shots, 0.5, size=size)
+    assert budget.uses_of_state_prep == 0
+
+
+def test_sample_budget_binomial_charges_and_matches_rng_stream():
+    budget = SampleBudget(rng_seed=5)
+    rng = np.random.default_rng(5)
+    assert budget.binomial(328, 0.3)[0] == rng.binomial(328, 0.3)
+    assert np.array_equal(budget.binomial(35, 0.9, size=4), rng.binomial(35, 0.9, size=4))
+    assert budget.uses_of_state_prep == 328 + 35 * 4
+
+
 def test_hadamard_rejects_bad_eps_l():
     s = Statevector.from_vector([1.0, 2.0])
     with pytest.raises(ValidationError):
