@@ -143,6 +143,8 @@ class SparseSymMatrix:
     With diagonal pivots the factorisation is P M P^T = L D L^T with D =
     diag(U), so by Sylvester's law of inertia M is positive definite exactly
     when no off-diagonal pivot was needed and every pivot is > 0.
+    ``extremes`` also factors sI - M, for a shift s just above lambda_max,
+    the same way; that factorisation is used once and not kept.
     """
 
     def __init__(self, matrix):
@@ -250,10 +252,15 @@ class SparseSymMatrix:
     def extremes(self) -> tuple[float, float]:
         """(lambda_min, lambda_max) of an SPD matrix, cached.
 
-        Both come from shift-invert Lanczos (ARPACK) with a fixed start
-        vector, so repeated calls and equal matrices give bit-identical
-        values: lambda_min at shift 0 through the cached factorisation,
-        lambda_max at a shift just above the Gershgorin bound. Raises
+        Both ends come from the one shift-invert body ``_lowest`` (ARPACK
+        Lanczos at shift 0 through a symmetric-mode factorisation, fixed
+        start vector), so repeated calls and equal matrices give
+        bit-identical values. lambda_min is the lowest eigenvalue of M.
+        lambda_max is s - lambda_min(sI - M), where s is a Collatz-Wielandt
+        bound on the spectral radius of |M|, raised by a relative margin
+        until the pivot signs of sI - M certify s > lambda_max. On stiffness
+        matrices s lands within about 1e-5 of lambda_max, far closer than
+        the Gershgorin bound, so both ends take a few dozen solves. Raises
         ValidationError when the matrix is singular or indefinite and
         NonConvergenceError when ARPACK does not converge.
         """
@@ -264,18 +271,39 @@ class SparseSymMatrix:
                 lam = self.entry(0, 0)
                 self._extremes = (lam, lam)
                 return self._extremes
-            lu = self._factor()
-            csc = sp.csc_array(self._csr)
-            v0 = np.random.default_rng(0).standard_normal(self.n)
-            inv = LinearOperator(csc.shape, matvec=lu.solve, dtype=float)
-            shift = 1.01 * float(abs(self._csr).sum(axis=1).max())
-            try:
-                lo = eigsh(csc, k=1, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False)
-                hi = eigsh(csc, k=1, sigma=shift, v0=v0, return_eigenvectors=False)
-            except ArpackNoConvergence as exc:
-                raise NonConvergenceError("Lanczos eigenvalue iteration did not converge") from exc
-            self._extremes = (float(lo[0]), float(hi[0]))
+            # max_i (|M|w)_i / w_i >= rho(|M|) >= lambda_max for every w > 0
+            # (Collatz-Wielandt); w stays positive because M's diagonal is
+            absm, w = abs(self._csr), np.ones(self.n)
+            for _ in range(8):
+                y = absm @ w
+                bound = float((y / w).max())
+                w = y / y.max()
+            # sI - M: the negated entries with s added on the stored diagonal,
+            # which an SPD matrix has in every row
+            csr = self._csr
+            diag = np.flatnonzero(csr.indices == np.repeat(np.arange(self.n), np.diff(csr.indptr)))
+            data = -csr.data
+            margin = 1e-12
+            while True:
+                shift = bound * (1.0 + margin)
+                data[diag] = shift - csr.data[diag]
+                shifted = SparseSymMatrix(sp.csr_array((data, csr.indices, csr.indptr), shape=csr.shape))
+                if shifted.is_spd():
+                    break
+                margin *= 100.0
+            self._extremes = (self._lowest(), shift - shifted._lowest())
         return self._extremes
+
+    def _lowest(self) -> float:
+        """Lowest eigenvalue by shift-invert Lanczos at 0 through the cached
+        factorisation."""
+        inv = LinearOperator(self._csr.shape, matvec=self._factor().solve, dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(self.n)
+        try:
+            lam = eigsh(self._csr, k=1, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False)
+        except ArpackNoConvergence as exc:
+            raise NonConvergenceError("Lanczos eigenvalue iteration did not converge") from exc
+        return float(lam[0])
 
     def max_abs(self) -> float:
         return float(abs(self._csr.data).max()) if self.nnz else 0.0

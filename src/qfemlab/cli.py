@@ -12,6 +12,7 @@ same values) in sampling modes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -297,7 +298,9 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing never changes it."""
     parser = argparse.ArgumentParser(prog="qfemlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -53,6 +53,12 @@ class ProblemSpec:
     sobolev: SobolevData | None = None
 
     def __post_init__(self):
+        numbers = {"eps": self.eps, "diffusion": self.diffusion, "reaction": self.reaction, "f": self.f, "r": self.r}
+        if self.sobolev is not None:
+            numbers["sobolev"] = self.sobolev.seminorms
+        for name, value in numbers.items():
+            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ValidationError(f"{name} must be finite")
         if self.d not in range(1, 9):
             raise ValidationError(f"d must be in 1..8, got {self.d}")
         if self.eps <= 0:

@@ -3,13 +3,14 @@
 State preparation follows the prefix-weight (Grover-Rudolph) scheme; the
 linear-equation subroutine is a behavioral stand-in (exact sparse direct
 solve plus a seeded perturbation of calibrated l2 size) whose analytic
-oracle cost is recorded in a resource ledger. Solves, lambda_max and the
-condition number all come from the stiffness matrix's cached sparse
-factorisation and eigenvalue extremes (``SparseSymMatrix.solve`` and
-``SparseSymMatrix.extremes``); no dense matrix is formed. All estimators
-are plain Monte Carlo at the exact event probabilities: empirical sampling
-uses 1/eps^2 shots while the ledger charges the amplitude-estimation count
-of 1/eps, and the gap is annotated in the ledger entries.
+oracle cost is recorded in a resource ledger. Solves come from the
+stiffness matrix's cached sparse factorisation (``SparseSymMatrix.solve``),
+and lambda_max and the condition number from its cached eigenvalue extremes
+(``SparseSymMatrix.extremes``, shift-invert Lanczos at both ends of the
+spectrum); no dense matrix is formed. All estimators are plain Monte Carlo
+at the exact event probabilities: empirical sampling uses 1/eps^2 shots
+while the ledger charges the amplitude-estimation count of 1/eps, and the
+gap is annotated in the ledger entries.
 
 All states are real; dimensions are padded to the next power of two with
 zero amplitudes, so inner products over the full vectors equal those over

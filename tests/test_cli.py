@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -151,6 +154,40 @@ def test_malformed_spec_exit_two(capsys, spec_file, text):
         assert code == 2
         assert out == ""
         assert err.startswith("validation error")
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "field",
+    [
+        lambda bad: {"eps": bad},
+        lambda bad: {"pde": {"diffusion": bad, "reaction": 0}},
+        lambda bad: {"pde": {"diffusion": 1, "reaction": bad}},
+        lambda bad: {"f": [bad]},
+        lambda bad: {"r": [1, bad]},
+        lambda bad: {"sobolev": [0.1, bad, 1.0]},
+    ],
+    ids=["eps", "diffusion", "reaction", "f", "r", "sobolev"],
+)
+def test_non_finite_spec_number_exit_two(capsys, spec_file, field, bad):
+    # json.dumps writes NaN, Infinity and -Infinity, which json.loads accepts
+    path = spec_file(json.dumps({**TINY_1D, **field(bad)}))
+    for command in ("solve", "simulate", "plan"):
+        code, out, err = run(capsys, command, "--spec", path)
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("validation error")
+
+
+def test_parser_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+    code = "import qfemlab.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "0"
 
 
 def test_missing_spec_and_bad_levels_exit_two(capsys, spec_file, tmp_path):

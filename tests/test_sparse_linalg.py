@@ -9,6 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator
 
 import qfemlab
 from qfemlab import (
@@ -65,6 +68,55 @@ def test_solve_and_extremes_match_dense(d, n, k, reaction):
     assert lam_min == pytest.approx(ev[0], rel=REL)
     assert lam_max == pytest.approx(ev[-1], rel=REL)
     assert M.is_spd()
+
+
+@pytest.mark.parametrize(
+    "a",
+    [3.0 * np.eye(5), np.array([[2.0, 1.0], [1.0, 2.0]]), np.diag([1.0, 5.0, 2.0, 5.0, 5.0])],
+    ids=["3I", "2x2", "tied-diagonal"],
+)
+def test_lambda_max_where_collatz_wielandt_bound_is_tight(a):
+    # the bound equals lambda_max here, so sI - M is singular without a margin
+    lam_min, lam_max = SparseSymMatrix.from_dense(a).extremes()
+    ev = np.linalg.eigvalsh(a)
+    assert lam_max == pytest.approx(ev[-1], rel=1e-12)
+    assert lam_min == pytest.approx(ev[0], rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.floats(0.05, 0.6), st.floats(1e-3, 10.0), st.integers(0, 2**32 - 1))
+def test_extremes_match_dense_on_random_sparse_spd(n, density, gap, seed):
+    rng = np.random.default_rng(seed)
+    entries = np.triu(rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < density), 1)
+    b = entries + entries.T
+    a = b + (gap - np.linalg.eigvalsh(b)[0]) * np.eye(n)  # lambda_min(a) = gap
+    ev = np.linalg.eigvalsh(a)
+    lam_min, lam_max = SparseSymMatrix.from_dense(a).extremes()
+    assert lam_min == pytest.approx(ev[0], rel=1e-10)
+    assert lam_max == pytest.approx(ev[-1], rel=1e-10)
+
+
+def test_both_extremes_go_through_one_symmetric_factorisation(monkeypatch):
+    calls = []
+    eigsh = qfemlab.assembly.eigsh
+
+    def counting_eigsh(A, *args, OPinv=None, **kwargs):
+        calls.append(0)
+        if OPinv is None:
+            return eigsh(A, *args, **kwargs)
+
+        def solve(x):
+            calls[-1] += 1
+            return OPinv.matvec(x)
+
+        return eigsh(A, *args, OPinv=LinearOperator(OPinv.shape, matvec=solve, dtype=float), **kwargs)
+
+    monkeypatch.setattr(qfemlab.assembly, "eigsh", counting_eigsh)
+    M = system(1, 300, k=3)[0]
+    M.extremes()
+    # SciPy factors A - sigma I itself (general pivoting) when OPinv is missing
+    assert calls and all(calls), calls
+    assert sum(calls) <= 42, calls
 
 
 def _random_symmetric(rng, n, spd):
