@@ -11,8 +11,6 @@ from .assembly import (
     assemble_gram,
     assemble_load,
     assemble_stiffness,
-    row_oracle,
-    spai_preconditioner,
 )
 from .errors import (
     BudgetExceededError,
@@ -39,7 +37,6 @@ from .mesh import (
     eval_basis,
     eval_basis_grad,
     evaluate_discrete,
-    neighbors,
 )
 from .problems import (
     ProblemSpec,
@@ -54,18 +51,10 @@ from .quantum import (
     FunctionalEstimate,
     SampleBudget,
     Statevector,
-    WeightOracle,
-    apply_sparse_nonunitary,
     build_r_state,
-    darboux_load_entry,
     estimate_functional,
     estimate_norm,
-    exact_weight_S,
-    grover_rudolph_prepare,
     hadamard_test_estimate,
-    input_error_propagation,
-    simulated_qle,
-    swap_test_estimate,
 )
 from .resources import (
     ErrorBudget,

@@ -1,4 +1,4 @@
-"""Assembly of stiffness, mass and load terms, sparse row access, and SPAI.
+"""Assembly of stiffness, mass and load terms into sparse symmetric matrices.
 
 The bilinear form is a(u, v) = diffusion * int grad(u).grad(v) + reaction *
 int u v. 1D element matrices are integrated exactly in rational arithmetic
@@ -202,18 +202,6 @@ class SparseSymMatrix:
     def __matmul__(self, x):
         return self.matvec(x)
 
-    def row_nonzeros(self, r: int):
-        """(columns, values) of row r, sorted by column."""
-        if not 0 <= r < self.n:
-            raise ValidationError(f"row {r} out of range [0, {self.n})")
-        lo, hi = self._csr.indptr[r], self._csr.indptr[r + 1]
-        return self._csr.indices[lo:hi], self._csr.data[lo:hi]
-
-    def entry(self, i: int, j: int) -> float:
-        cols, vals = self.row_nonzeros(i)
-        hit = np.nonzero(cols == j)[0]
-        return float(vals[hit[0]]) if len(hit) else 0.0
-
     def to_dense(self):
         return self._csr.toarray()
 
@@ -268,7 +256,7 @@ class SparseSymMatrix:
             if not self.is_spd():
                 raise ValidationError("matrix is singular or indefinite")
             if self.n == 1:
-                lam = self.entry(0, 0)
+                lam = float(self._csr.data[0])
                 self._extremes = (lam, lam)
                 return self._extremes
             # max_i (|M|w)_i / w_i >= rho(|M|) >= lambda_max for every w > 0
@@ -305,19 +293,6 @@ class SparseSymMatrix:
             raise NonConvergenceError("Lanczos eigenvalue iteration did not converge") from exc
         return float(lam[0])
 
-    def max_abs(self) -> float:
-        return float(abs(self._csr.data).max()) if self.nnz else 0.0
-
-    def pattern(self):
-        out = self._csr.copy()
-        out.data = np.ones_like(out.data)
-        return out
-
-    def to_matrix_market(self, path):
-        from scipy.io import mmwrite
-
-        mmwrite(path, sp.coo_array(self._csr), symmetry="symmetric")
-
 
 @dataclass(frozen=True)
 class LoadVector:
@@ -328,12 +303,6 @@ class LoadVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
-
-    def to_csv(self, path):
-        with open(path, "w") as f:
-            f.write("index,value\n")
-            for i, v in enumerate(self.values):
-                f.write(f"{i},{v!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -450,60 +419,3 @@ def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> LoadVector:
     # returns integer zeros when there are no dofs
     out = np.bincount(gids[keep], weights=contrib[keep], minlength=spec.n_dofs)
     return LoadVector(spec.n_dofs, out.astype(float, copy=False))
-
-
-def row_oracle(matrix: SparseSymMatrix, r: int, i: int):
-    """(column, value) of the i-th nonzero of row r (i is 1-based, column
-    order); None beyond the row's nonzero count."""
-    cols, vals = matrix.row_nonzeros(r)
-    if i < 1 or i > len(cols):
-        return None
-    return int(cols[i - 1]), float(vals[i - 1])
-
-
-def spai_preconditioner(M: SparseSymMatrix, pattern=None) -> SparseSymMatrix:
-    """Sparse approximate inverse: minimize ||PM - I||_F row by row over a
-    fixed sparsity pattern (default: the pattern of M), then symmetrize.
-
-    Rows whose local least-squares problem is rank deficient fall back to
-    the Jacobi entry 1/M_ii. When the symmetrised result is not positive
-    definite (``is_spd()``; it can be indefinite on coarse meshes, e.g. 1D
-    P1 with n = 3), the whole matrix falls back to Jacobi, diag(1/M_ii), so
-    the returned preconditioner of an SPD M is always SPD, as CG requires.
-    """
-    A = M.csr
-    if pattern is None:
-        pat = M.pattern()
-    elif isinstance(pattern, SparseSymMatrix):
-        pat = pattern.pattern()
-    else:
-        pat = sp.csr_array(pattern)
-    n = M.n
-    rows, cols, vals = [], [], []
-    indptr, indices = A.indptr, A.indices
-    for i in range(n):
-        J = pat.indices[pat.indptr[i]:pat.indptr[i + 1]]
-        if len(J) == 0:
-            J = np.array([i])
-        # by symmetry, column support of A[:, j] equals row support of A[j, :]
-        I = np.unique(np.concatenate([indices[indptr[j]:indptr[j + 1]] for j in J]))
-        Asub = A[I][:, J].toarray()
-        e = (I == i).astype(float)
-        sol, _, rank, _ = np.linalg.lstsq(Asub, e, rcond=None)
-        if rank < len(J) or not np.all(np.isfinite(sol)):
-            J, sol = [i], [_jacobi_entry(M, i)]
-        rows.extend([i] * len(J))
-        cols.extend(J)
-        vals.extend(sol)
-    P = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
-    P = SparseSymMatrix((P + P.T) * 0.5)
-    if P.is_spd():
-        return P
-    return SparseSymMatrix(sp.diags_array([_jacobi_entry(M, i) for i in range(n)]))
-
-
-def _jacobi_entry(M: SparseSymMatrix, i: int) -> float:
-    mii = M.entry(i, i)
-    if mii == 0.0:
-        raise ValidationError(f"cannot precondition: zero diagonal at row {i}")
-    return 1.0 / mii

@@ -169,6 +169,8 @@ def plan_report(problem: ProblemSpec) -> dict:
 
 def resources_table(dims, degrees, eps_list, sobolev=None) -> list[dict]:
     """Model exponents and values for every pipeline over a (d, k, eps) grid."""
+    if not all(np.isfinite(eps) and eps > 0 for eps in eps_list):
+        raise ValidationError(f"every --eps must be finite and > 0, got {eps_list}")
     sob = sobolev or SobolevData((1.0, 1.0, 1.0, 1.0, 1.0))
     rows = []
     for d in dims:
@@ -204,6 +206,8 @@ def resources_table(dims, degrees, eps_list, sobolev=None) -> list[dict]:
 
 
 def lowerbound_hybrid_table(t_list, eps_list, draws, dim=16, trials=2000, seed=0, exact: bool = False) -> list[dict]:
+    if seed < 0 or draws < 1 or any(T < 0 for T in t_list):
+        raise ValidationError(f"need --seed >= 0, --draws >= 1 and every --T >= 0, got {seed}, {draws}, {t_list}")
     rows = []
     for T in t_list:
         for eps in eps_list:
@@ -226,13 +230,15 @@ def lowerbound_hybrid_table(t_list, eps_list, draws, dim=16, trials=2000, seed=0
 
 
 def lowerbound_bump_table(n_list, per_n=8, seed=0) -> list[dict]:
+    if seed < 0 or per_n < 1 or any(n < 2 for n in n_list):
+        raise ValidationError(f"need --seed >= 0, --per-n >= 1 and every --N >= 2, got {seed}, {per_n}, {n_list}")
     rows = []
     rng = np.random.default_rng(seed)
     for n in n_list:
         for _ in range(per_n):
             y0 = int(rng.integers(0, n))
             oracle = BumpOracle(n, y0)
-            res = oracle_search_demo(oracle, strategy="deterministic_scan")
+            res = oracle_search_demo(oracle)
             rows.append(
                 {
                     "N": n,

@@ -229,30 +229,24 @@ class SearchResult:
     integral: float
 
 
-def oracle_search_demo(oracle: BumpOracle, strategy: str = "deterministic_scan", rng_seed: int = 0, points_per_cell: int = 8) -> SearchResult:
+def oracle_search_demo(oracle: BumpOracle) -> SearchResult:
     """Decide whether the marked index lies in the lower half by evaluating
-    int_0^{1/2} u(x)^2 dx with per-cell Gauss quadrature; every quadrature
-    point costs one oracle query. Classical query cost is linear in N."""
+    int_0^{1/2} u(x)^2 dx with an 8-point Gauss rule on each cell, scanned
+    in order; every quadrature point costs one oracle query. Classical query
+    cost is linear in N."""
     if oracle.n < 2:
         raise ValidationError("N must be >= 2")
-    if strategy not in ("deterministic_scan", "random_scan"):
-        raise ValidationError(f"unknown strategy {strategy!r}")
     n = oracle.n
-    xs, ws = np.polynomial.legendre.leggauss(points_per_cell)
+    xs, ws = np.polynomial.legendre.leggauss(8)
     xs = (xs + 1.0) / 2.0
     ws = ws / 2.0
-    cells = list(range(n // 2))
-    if strategy == "random_scan":
-        np.random.default_rng(rng_seed).shuffle(cells)
     width = 1.0 / n
     half_cell_mass = 0.5 * _bump_sq_mass() / 2.0
     integral = 0.0
     start_queries = oracle.queries
-    for cell in cells:
+    for cell in range(n // 2):
         vals = np.array([oracle.f(cell * width + t * width) for t in xs])
         cell_mass = width * float(ws @ vals**2)
         integral += cell_mass
-        if strategy == "random_scan" and integral > half_cell_mass:
-            break
     answer = integral > half_cell_mass
     return SearchResult(answer, oracle.queries - start_queries, integral)

@@ -1,8 +1,8 @@
 """Uniform interval meshes and unit-square triangulations with nodal bases.
 
 Only uniform subdivisions of [0, 1] and [0, 1]^2 are supported: the
-eigenvalue scaling studies and the closed-form sparse row access both rely
-on regular spacing. Vertex coordinates are computed as i/n (never
+eigenvalue scaling studies and the index-arithmetic point location both
+rely on regular spacing. Vertex coordinates are computed as i/n (never
 accumulated), so refining a mesh halves h exactly in floating point.
 
 Boundary conditions are fixed: in 1D the left endpoint is Dirichlet and the
@@ -11,7 +11,6 @@ square are homogeneous Dirichlet.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,17 +50,6 @@ class Mesh:
     @property
     def n_elements(self) -> int:
         return len(self.elements)
-
-    def to_json(self) -> str:
-        """The uniform mesh is fixed by its dimension and subdivision n."""
-        return json.dumps({"dimension": self.dimension, "n": self.n}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Mesh":
-        payload = json.loads(text)
-        if payload["dimension"] == 1:
-            return build_interval_mesh(payload["n"])
-        return build_square_triangulation(payload["n"])
 
 
 def build_interval_mesh(n_elements: int) -> Mesh:
@@ -129,16 +117,6 @@ class BasisSpec:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    def node_support(self, node: int) -> tuple[int, ...]:
-        rows = np.nonzero((self.element_nodes == node).any(axis=1))[0]
-        return tuple(int(e) for e in rows)
-
-    def support_map(self, i: int) -> tuple[int, ...]:
-        """Element indices where basis function i is nonzero."""
-        if not 0 <= i < self.n_dofs:
-            raise ValidationError(f"dof index {i} out of range [0, {self.n_dofs})")
-        return self.node_support(int(self.dof_nodes[i]))
 
 
 def build_basis(mesh: Mesh, k: int, constrain_dirichlet: bool = True) -> BasisSpec:
@@ -279,15 +257,6 @@ def eval_basis_grad(mesh: Mesh, spec: BasisSpec, i: int, x) -> np.ndarray:
     if not 0 <= i < spec.n_dofs:
         raise ValidationError(f"dof index {i} out of range [0, {spec.n_dofs})")
     return _eval_nodal_grad(mesh, spec, int(spec.dof_nodes[i]), pt)
-
-
-def neighbors(mesh: Mesh, element: int) -> list[int]:
-    """Elements sharing at least one vertex with the given one, sorted."""
-    if not 0 <= element < mesh.n_elements:
-        raise ValidationError(f"element {element} out of range [0, {mesh.n_elements})")
-    shared = np.isin(mesh.elements, mesh.elements[element]).any(axis=1)
-    shared[element] = False
-    return np.flatnonzero(shared).tolist()
 
 
 def evaluate_discrete(mesh: Mesh, spec: BasisSpec, coeffs, points) -> np.ndarray:

@@ -63,6 +63,8 @@ class ProblemSpec:
             raise ValidationError(f"d must be in 1..8, got {self.d}")
         if self.eps <= 0:
             raise ValidationError("eps must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.diffusion <= 0 or self.reaction < 0:
             raise ValidationError("need diffusion > 0 and reaction >= 0")
         if self.d == 1 and self.k not in (1, 2, 3):

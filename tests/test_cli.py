@@ -129,6 +129,38 @@ def test_memory_error_exit_four(capsys, monkeypatch):
     assert err.startswith("out of memory") and "Traceback" not in err
 
 
+# Out-of-range arguments: each must exit 2 with a validation error, not a
+# traceback (eps <= 0 or NaN divides or powers badly, a negative seed reaches
+# numpy's seeding) and not an exit 0 with empty or meaningless rows.
+BAD_ARGV = [
+    ("resources", "--eps", "0"),
+    ("resources", "--eps", "-1"),
+    ("resources", "--eps", "nan"),
+    ("simulate", "--spec", "{seed_minus_one}"),
+    ("simulate", "--spec", "{tiny_1d}", "--seed", "-1"),
+    ("lowerbound", "--mode", "hybrid", "--seed", "-3"),
+    ("lowerbound", "--mode", "hybrid", "--T", "-1"),
+    ("lowerbound", "--mode", "hybrid", "--draws", "0"),
+    ("lowerbound", "--mode", "hybrid", "--draws", "-1"),
+    ("lowerbound", "--mode", "bump", "--seed", "-3"),
+    ("lowerbound", "--mode", "bump", "--N", "0"),
+    ("lowerbound", "--mode", "bump", "--per-n", "0"),
+    ("lowerbound", "--mode", "bump", "--per-n", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
+def test_invalid_arguments_exit_two(capsys, spec_file, argv):
+    specs = {
+        "{tiny_1d}": spec_file(TINY_1D),
+        "{seed_minus_one}": spec_file({**TINY_1D, "seed": -1}, name="seed.json"),
+    }
+    code, out, err = run(capsys, *(specs.get(arg, arg) for arg in argv))
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("validation error") and "Traceback" not in err
+
+
 def test_lowerbound_bump_exit_zero(capsys):
     rows = run_json(capsys, "lowerbound", "--mode", "bump", "--N", "8,16", "--per-n", "3")
     assert len(rows) == 6

@@ -12,24 +12,15 @@ from qfemlab import (
     Statevector,
     UnsupportedConfigurationError,
     ValidationError,
-    WeightOracle,
-    apply_sparse_nonunitary,
     assemble_gram,
     assemble_load,
     assemble_stiffness,
     build_basis,
     build_interval_mesh,
     build_r_state,
-    build_square_triangulation,
-    darboux_load_entry,
     estimate_functional,
     estimate_norm,
-    exact_weight_S,
-    grover_rudolph_prepare,
     hadamard_test_estimate,
-    input_error_propagation,
-    simulated_qle,
-    swap_test_estimate,
 )
 
 
@@ -52,290 +43,6 @@ def test_statevector_padding_and_norm():
         Statevector(np.array([0.5, 0.5]))  # not normalized
     with pytest.raises(ValidationError):
         Statevector.from_vector(np.zeros(4))
-
-
-def test_statevector_csv(tmp_path):
-    s = Statevector.from_vector([1.0, 1.0])
-    path = tmp_path / "state.csv"
-    s.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,amplitude"
-    assert len(lines) == 3
-
-
-# ---------------------------------------------------------------------------
-# prefix-weight state preparation
-
-def test_uniform_weights_give_uniform_state():
-    n = 4
-    oracle = WeightOracle(n, lambda p: 2.0 ** (-len(p)), lambda i: 1.0)
-    state = grover_rudolph_prepare(oracle, n)
-    assert np.allclose(state.amplitudes, 2.0 ** (-n / 2), atol=1e-14)
-
-
-def test_single_path_weights_give_basis_state():
-    n, target = 5, 19
-
-    def w(prefix):
-        bits = tuple((target >> (n - 1 - i)) & 1 for i in range(len(prefix)))
-        return 1.0 if prefix == bits else 0.0
-
-    state = grover_rudolph_prepare(WeightOracle(n, w, lambda i: 1.0), n)
-    expected = np.zeros(2**n)
-    expected[target] = 1.0
-    assert np.array_equal(state.amplitudes, expected)
-
-
-def test_exact_oracles_reach_machine_fidelity():
-    rng = np.random.default_rng(123)
-    for _ in range(20):
-        n = int(rng.integers(2, 11))
-        target = rng.standard_normal(2**n)
-        target /= np.linalg.norm(target)
-        oracle = WeightOracle.exact_for_state(target)
-        state = grover_rudolph_prepare(oracle, n)
-        assert abs(state.amplitudes @ target) >= 1.0 - 1e-12
-
-
-def test_oracle_subadditivity_holds_on_exact_oracles():
-    rng = np.random.default_rng(5)
-    target = rng.standard_normal(2**6)
-    oracle = WeightOracle.exact_for_state(target)
-    for k in range(6):
-        for v in range(2**k):
-            prefix = tuple((v >> (k - 1 - i)) & 1 for i in range(k))
-            w = oracle.weight(prefix)
-            w0 = oracle.weight(prefix + (0,))
-            w1 = oracle.weight(prefix + (1,))
-            assert w == pytest.approx(w0 + w1, abs=1e-12)
-
-
-def test_inconsistent_oracle_rejected():
-    oracle = WeightOracle(3, lambda p: 1.0, lambda i: 1.0)  # children do not split the parent
-    with pytest.raises(ValidationError):
-        grover_rudolph_prepare(oracle, 3)
-
-
-def test_negative_weight_rejected():
-    oracle = WeightOracle(3, lambda p: 1.0 if not p else (-1.0 if p[0] else 2.0), lambda i: 1.0)
-    with pytest.raises(ValidationError):
-        grover_rudolph_prepare(oracle, 3)
-
-
-def test_qubit_cap():
-    oracle = WeightOracle(15, lambda p: 2.0 ** (-len(p)), lambda i: 1.0)
-    with pytest.raises(ValidationError):
-        grover_rudolph_prepare(oracle, 15)
-
-
-def test_noisy_oracle_error_scales_with_accuracy():
-    rng = np.random.default_rng(2)
-    for eps in (1e-2, 1e-3):
-        for trial in range(5):
-            n = int(rng.integers(3, 11))
-            target = rng.standard_normal(2**n)
-            target /= np.linalg.norm(target)
-            noisy = WeightOracle.exact_for_state(target).with_noise(eps**2 / 2**n, seed=trial)
-            state = grover_rudolph_prepare(noisy, n)
-            assert np.linalg.norm(state.amplitudes - target) <= 10 * eps
-
-
-def test_prepared_load_state_matches_direct_normalization():
-    mesh, spec, _, _ = poisson(16)
-    f = [0.5, -1.0, 2.0]
-    load = assemble_load(mesh, spec, f).values
-    padded = np.zeros(16)
-    padded[: len(load)] = load
-    oracle = WeightOracle.exact_for_state(padded)
-    state = grover_rudolph_prepare(oracle, 4)
-    assert np.linalg.norm(state.amplitudes - padded / np.linalg.norm(padded)) <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# closed-form weights and endpoint-sum loads
-
-def test_weight_sum_constant_f():
-    mesh, spec, _, _ = poisson(16)
-    h = mesh.h
-    # interior dofs all carry load h
-    assert exact_weight_S(mesh, spec, [1.0], 2, 9) == pytest.approx(8 * h * h, abs=1e-15)
-
-
-def test_weight_sum_empty_range():
-    mesh, spec, _, _ = poisson(16)
-    assert exact_weight_S(mesh, spec, [1.0], 7, 3) == 0.0
-
-
-@pytest.mark.parametrize("f", [[1.0], [0.0, 1.0], [0.5, -1.0, 2.0, 0.0, 1.0], [0.0] * 8 + [1.0]])
-def test_weight_sum_full_range_is_load_norm(f):
-    mesh, spec, _, _ = poisson(16)
-    load = assemble_load(mesh, spec, f)
-    assert exact_weight_S(mesh, spec, f, 0, spec.n_dofs - 1) == pytest.approx(load.norm() ** 2, abs=1e-12)
-
-
-def test_weight_sum_split_additivity():
-    mesh, spec, _, _ = poisson(32)
-    f = [0.3, 1.0, -0.4]
-    full = exact_weight_S(mesh, spec, f, 0, spec.n_dofs - 1)
-    for m in (0, 5, 17, 30):
-        parts = exact_weight_S(mesh, spec, f, 0, m) + exact_weight_S(mesh, spec, f, m + 1, spec.n_dofs - 1)
-        assert parts == pytest.approx(full, abs=1e-15)
-
-
-def test_weight_sum_requires_uniform_tents():
-    mesh = build_interval_mesh(8)
-    spec = build_basis(mesh, 2)
-    with pytest.raises(UnsupportedConfigurationError):
-        exact_weight_S(mesh, spec, [1.0], 0, 3)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_darboux_matches_quadrature(k):
-    mesh = build_interval_mesh(8)
-    spec = build_basis(mesh, k)
-    f = [0.3, -1.0, 0.7, 0.2]
-    anti = [list(f)]
-    for _ in range(k + 1):
-        anti.append(list(npoly.polyint(anti[-1])))
-    anti = anti[1:]
-    load = assemble_load(mesh, spec, f).values
-    for i in range(spec.n_dofs):
-        assert darboux_load_entry(spec, anti, i) == pytest.approx(load[i], abs=1e-12)
-
-
-def test_darboux_simple_cases():
-    mesh = build_interval_mesh(4)
-    spec = build_basis(mesh, 1)
-    h = mesh.h
-    anti_one = [[0.0, 1.0], [0.0, 0.0, 0.5]]
-    assert darboux_load_entry(spec, anti_one, 0) == pytest.approx(h, abs=1e-14)
-    anti_zero = [[0.0], [0.0]]
-    assert darboux_load_entry(spec, anti_zero, 1) == 0.0
-    anti_x = [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0 / 6.0]]
-    assert darboux_load_entry(spec, anti_x, 0) == pytest.approx(h * 0.25, abs=1e-14)
-
-
-def test_darboux_requires_full_chain():
-    mesh = build_interval_mesh(4)
-    spec = build_basis(mesh, 2)
-    with pytest.raises(ValidationError):
-        darboux_load_entry(spec, [[0.0, 1.0]], 0)
-    # broken chain
-    with pytest.raises(ValidationError):
-        darboux_load_entry(spec, [[0.0, 1.0], [1.0, 2.0], [0.0, 0.0, 0.5]], 0)
-
-
-# ---------------------------------------------------------------------------
-# linear-solver stand-in
-
-def test_qle_identity_exact():
-    M = SparseSymMatrix.identity(8)
-    b = Statevector.from_vector(np.arange(1.0, 9.0))
-    out = simulated_qle(M, b, 0.0, 0)
-    assert np.allclose(out.amplitudes, b.amplitudes, atol=1e-14)
-
-
-def test_qle_exact_matches_dense():
-    _, _, M, b_raw = poisson(32)
-    b = Statevector.from_vector(b_raw)
-    out = simulated_qle(M, b, 0.0, 0)
-    exact = np.linalg.solve(M.to_dense(), b.amplitudes[: M.n])
-    exact /= np.linalg.norm(exact)
-    assert np.linalg.norm(out.amplitudes[: M.n] - exact) <= 1e-12
-
-
-@pytest.mark.parametrize("eps_l", [0.01, 0.1, 0.5])
-def test_qle_perturbation_distance_is_exact(eps_l):
-    _, _, M, b_raw = poisson(16)
-    b = Statevector.from_vector(b_raw)
-    exact = np.linalg.solve(M.to_dense(), b.amplitudes[: M.n])
-    exact /= np.linalg.norm(exact)
-    for seed in range(5):
-        out = simulated_qle(M, b, eps_l, seed)
-        dist = np.linalg.norm(out.amplitudes[: M.n] - exact)
-        assert dist == pytest.approx(eps_l, abs=1e-12)
-        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_qle_ledger_records_cost():
-    _, _, M, b_raw = poisson(8)
-    ledger = []
-    simulated_qle(M, Statevector.from_vector(b_raw), 0.1, 0, ledger=ledger)
-    assert len(ledger) == 1
-    assert ledger[0].oracle_calls["P_M"] > 0
-    assert ledger[0].notes["call"] == "qle"
-
-
-def test_qle_rejects_bad_eps():
-    _, _, M, b_raw = poisson(8)
-    with pytest.raises(ValidationError):
-        simulated_qle(M, Statevector.from_vector(b_raw), 1.0, 0)
-
-
-# ---------------------------------------------------------------------------
-# input error propagation
-
-def test_propagation_zero_perturbation():
-    _, _, M, b_raw = poisson(8)
-    assert input_error_propagation(M, b_raw, np.zeros(M.n)) == 0.0
-
-
-def test_propagation_identity_bounded_by_two_eps():
-    M = SparseSymMatrix.identity(8)
-    rng = np.random.default_rng(0)
-    b = rng.standard_normal(8)
-    b /= np.linalg.norm(b)
-    for _ in range(20):
-        e = rng.standard_normal(8)
-        e *= 1e-2 / np.linalg.norm(e)
-        assert input_error_propagation(M, b, e) <= 2e-2 + 1e-12
-
-
-def test_propagation_never_exceeds_bound_poisson():
-    _, _, M, b_raw = poisson(32)
-    ev = np.linalg.eigvalsh(M.to_dense())
-    kappa = ev[-1] / ev[0]
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        e = rng.standard_normal(M.n)
-        e *= 1e-3 / np.linalg.norm(e)
-        assert input_error_propagation(M, b_raw, e) <= 2 * 1e-3 * kappa
-
-
-def test_propagation_rejects_large_perturbation():
-    _, _, M, b_raw = poisson(8)
-    with pytest.raises(ValidationError):
-        input_error_propagation(M, b_raw, np.ones(M.n))
-
-
-# ---------------------------------------------------------------------------
-# probabilistic operator application
-
-def test_nonunitary_identity_always_succeeds():
-    eye = SparseSymMatrix.identity(4)
-    psi = Statevector.from_vector([1.0, 2.0, -1.0, 0.5])
-    out, ok = apply_sparse_nonunitary(eye, psi, 0)
-    assert ok
-    assert np.allclose(out.amplitudes, psi.amplitudes, atol=1e-14)
-
-
-def test_nonunitary_annihilated_state_always_fails():
-    P = SparseSymMatrix.from_dense(np.diag([1.0, 0.0]))
-    psi = Statevector(np.array([0.0, 1.0]))
-    out, ok = apply_sparse_nonunitary(P, psi, 0)
-    assert not ok
-    assert out is psi
-
-
-def test_nonunitary_success_frequency_within_3_sigma():
-    P = SparseSymMatrix.from_dense(np.array([[0.6, 0.2], [0.2, 0.3]]))
-    psi = Statevector(np.array([1.0, 0.0]))
-    y = P.to_dense() @ psi.amplitudes
-    p = np.linalg.norm(y) ** 2 / (P.s**2 * P.max_abs() ** 2)
-    trials = 10_000
-    wins = sum(apply_sparse_nonunitary(P, psi, seed)[1] for seed in range(trials))
-    sigma = np.sqrt(p * (1 - p) * trials)
-    assert abs(wins - p * trials) <= 3 * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -429,29 +136,6 @@ def test_hadamard_median_of_means():
     budget = SampleBudget(rng_seed=3)
     est = hadamard_test_estimate(a, b, 0.1, budget, medians=5)
     assert est == pytest.approx(0.6, abs=0.1)
-
-
-def test_swap_test_identical():
-    s = Statevector.from_vector([1.0, -1.0])
-    assert swap_test_estimate(s, s, 2000, 0) == pytest.approx(1.0, abs=0.05)
-
-
-def test_swap_test_orthogonal():
-    a = Statevector(np.array([1.0, 0.0]))
-    b = Statevector(np.array([0.0, 1.0]))
-    est = swap_test_estimate(a, b, 10_000, 0)
-    # same-frequency ~ 1/2 means the squared-overlap estimate is ~0
-    assert abs(est) <= 3 * 2.0 / np.sqrt(10_000)
-
-
-def test_swap_test_quarter_overlap():
-    a = Statevector(np.array([1.0, 0.0]))
-    b = Statevector(np.array([0.5, np.sqrt(0.75)]))
-    shots = 20_000
-    p = 0.5 + 0.5 * 0.25
-    sigma = np.sqrt(p * (1 - p) / shots)
-    est = swap_test_estimate(a, b, shots, 1)
-    assert abs(est - 0.25) <= 3 * 2 * sigma
 
 
 def test_norm_estimation_identity():
