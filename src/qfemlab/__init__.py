@@ -11,6 +11,7 @@ from .assembly import (
     assemble_gram,
     assemble_load,
     assemble_stiffness,
+    spai_preconditioner,
 )
 from .errors import (
     BudgetExceededError,
@@ -37,6 +38,7 @@ from .mesh import (
     eval_basis,
     eval_basis_grad,
     evaluate_discrete,
+    neighbors,
 )
 from .problems import (
     ProblemSpec,
@@ -55,6 +57,9 @@ from .quantum import (
     estimate_functional,
     estimate_norm,
     hadamard_test_estimate,
+    input_error_propagation,
+    simulated_qle,
+    swap_test_estimate,
 )
 from .resources import (
     ErrorBudget,

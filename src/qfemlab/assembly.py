@@ -1,4 +1,4 @@
-"""Assembly of stiffness, mass and load terms into sparse symmetric matrices.
+"""Assembly of stiffness, mass and load terms, and the SPAI preconditioner.
 
 The bilinear form is a(u, v) = diffusion * int grad(u).grad(v) + reaction *
 int u v. 1D element matrices are integrated exactly in rational arithmetic
@@ -293,6 +293,11 @@ class SparseSymMatrix:
             raise NonConvergenceError("Lanczos eigenvalue iteration did not converge") from exc
         return float(lam[0])
 
+    def to_matrix_market(self, path):
+        from scipy.io import mmwrite
+
+        mmwrite(path, sp.coo_array(self._csr), symmetry="symmetric")
+
 
 @dataclass(frozen=True)
 class LoadVector:
@@ -303,6 +308,12 @@ class LoadVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
+
+    def to_csv(self, path):
+        with open(path, "w") as f:
+            f.write("index,value\n")
+            for i, v in enumerate(self.values):
+                f.write(f"{i},{v!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -419,3 +430,44 @@ def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> LoadVector:
     # returns integer zeros when there are no dofs
     out = np.bincount(gids[keep], weights=contrib[keep], minlength=spec.n_dofs)
     return LoadVector(spec.n_dofs, out.astype(float, copy=False))
+
+
+def spai_preconditioner(M: SparseSymMatrix) -> SparseSymMatrix:
+    """Sparse approximate inverse: minimize ||PM - I||_F row by row over the
+    sparsity pattern of M, then symmetrize.
+
+    Rows whose local least-squares problem is rank deficient fall back to
+    the Jacobi entry 1/M_ii. When the symmetrised result is not positive
+    definite (``is_spd()``; it can be indefinite on coarse meshes, e.g. 1D
+    P1 with n = 3), the whole matrix falls back to Jacobi, diag(1/M_ii), so
+    the returned preconditioner of an SPD M is always SPD, as CG requires.
+    """
+    A = M.csr
+    n = M.n
+    indptr, indices, diag = A.indptr, A.indices, A.diagonal()
+
+    def jacobi(i):
+        if diag[i] == 0.0:
+            raise ValidationError(f"cannot precondition: zero diagonal at row {i}")
+        return 1.0 / diag[i]
+
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        J = indices[indptr[i]:indptr[i + 1]]
+        if len(J) == 0:
+            J = np.array([i])
+        # by symmetry, column support of A[:, j] equals row support of A[j, :]
+        I = np.unique(np.concatenate([indices[indptr[j]:indptr[j + 1]] for j in J]))
+        Asub = A[I][:, J].toarray()
+        e = (I == i).astype(float)
+        sol, _, rank, _ = np.linalg.lstsq(Asub, e, rcond=None)
+        if rank < len(J) or not np.all(np.isfinite(sol)):
+            J, sol = [i], [jacobi(i)]
+        rows.extend([i] * len(J))
+        cols.extend(J)
+        vals.extend(sol)
+    P = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    P = SparseSymMatrix((P + P.T) * 0.5)
+    if P.is_spd():
+        return P
+    return SparseSymMatrix(sp.diags_array([jacobi(i) for i in range(n)]))

@@ -85,6 +85,12 @@ class Statevector:
             raise ValidationError("dimension mismatch")
         return float(self.amplitudes @ other.amplitudes)
 
+    def to_csv(self, path):
+        with open(path, "w") as f:
+            f.write("index,amplitude\n")
+            for i, a in enumerate(self.amplitudes):
+                f.write(f"{i},{a!r}\n")
+
 
 @dataclass
 class SampleBudget:
@@ -112,11 +118,74 @@ class SampleBudget:
 
 
 # ---------------------------------------------------------------------------
-# linear-solver cost model and the estimators
+# linear-solver stand-in, error propagation and the estimators
 
 def _theorem_cost(s: int, kappa: float, eps: float) -> float:
     eps = max(eps, 1e-16)
     return s * kappa * (1.0 + math.log(max(s * kappa / eps, 1.0))) ** 2
+
+
+def simulated_qle(M: SparseSymMatrix, b: Statevector, eps_l: float, rng_seed: int, ledger=None) -> Statevector:
+    """Behavioral stand-in for the linear-equation subroutine.
+
+    Returns the exact normalized solution of M x = b (sparse direct solve)
+    perturbed by a seeded random unit vector in its orthogonal complement,
+    scaled so the l2 distance to the exact state is exactly ``eps_l``. The
+    analytic oracle cost of one subroutine call, with kappa from the cached
+    ``M.extremes()``, is appended to ``ledger`` when given.
+    """
+    if not 0.0 <= eps_l < 1.0:
+        raise ValidationError(f"eps_l must be in [0, 1), got {eps_l}")
+    n = M.n
+    x = M.solve(b.amplitudes[:n])
+    nx = np.linalg.norm(x)
+    if nx == 0:
+        raise ValidationError("zero solution state")
+    out = np.zeros(b.dim)
+    out[:n] = x / nx
+
+    if eps_l > 0.0:
+        block = n if n >= 2 else b.dim
+        if block < 2:
+            raise ValidationError("cannot perturb a one-dimensional state")
+        rng = np.random.default_rng(rng_seed)
+        base = out[:block]
+        w = rng.standard_normal(block)
+        w -= (w @ base) * base
+        nw = np.linalg.norm(w)
+        while nw < 1e-12:
+            w = rng.standard_normal(block)
+            w -= (w @ base) * base
+            nw = np.linalg.norm(w)
+        theta = 2.0 * math.asin(eps_l / 2.0)
+        out[:block] = math.cos(theta) * base + math.sin(theta) * (w / nw)
+
+    if ledger is not None:
+        kappa = estimate_condition_number(M)
+        cost = _theorem_cost(M.s, kappa, eps_l)
+        ledger.append(
+            ResourceEstimate(
+                pipeline="quantum",
+                oracle_calls={"P_M": cost, "P_b": cost},
+                runtime_model=cost,
+                notes={"call": "qle", "eps_l": eps_l, "kappa": kappa},
+            )
+        )
+    return Statevector(out, n_active=n)
+
+
+def input_error_propagation(M: SparseSymMatrix, b, e) -> float:
+    """Exact l2 distance between the normalized solutions for right-hand
+    sides b and b + e. Callers compare it against the bound 2 ||e|| kappa."""
+    bvec = b.amplitudes[: M.n] if isinstance(b, Statevector) else np.asarray(b, dtype=float)
+    evec = np.asarray(e, dtype=float)
+    if np.linalg.norm(evec) >= 1.0:
+        raise ValidationError("perturbation must have norm < 1")
+    x = M.solve(bvec)
+    y = M.solve(bvec + evec)
+    if np.linalg.norm(e) == 0:
+        return 0.0
+    return float(np.linalg.norm(x / np.linalg.norm(x) - y / np.linalg.norm(y)))
 
 
 def build_r_state(mesh: Mesh, spec: BasisSpec, r_coeffs):
@@ -157,6 +226,18 @@ def hadamard_test_estimate(
     p = 0.5 * (1.0 + float(np.clip(math.cos(theta) * u_state.inner(r_state), -1.0, 1.0)))
     means = 2.0 * budget.binomial(shots, p, size=medians) / shots - 1.0
     return float(np.median(means))
+
+
+def swap_test_estimate(psi: Statevector, phi: Statevector, shots: int, rng_seed: int) -> float:
+    """Estimate |<psi|phi>|^2 from Bernoulli samples of the swap test, whose
+    'same' probability is 1/2 + |<psi|phi>|^2 / 2."""
+    if psi.dim != phi.dim:
+        raise ValidationError("dimension mismatch")
+    if shots < 1:
+        raise ValidationError("shots must be >= 1")
+    p_same = 0.5 + 0.5 * psi.inner(phi) ** 2
+    k = np.random.default_rng(rng_seed).binomial(shots, p_same)
+    return float(2.0 * k / shots - 1.0)
 
 
 def estimate_norm(M: SparseSymMatrix, b: Statevector, eps_n_rel: float, budget: SampleBudget, ledger=None) -> float:

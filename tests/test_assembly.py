@@ -13,6 +13,7 @@ from qfemlab import (
     build_square_triangulation,
     eval_basis,
     eval_basis_grad,
+    spai_preconditioner,
 )
 
 DIFFUSION = BilinearForm(1.0, 0.0)
@@ -209,6 +210,51 @@ def test_symmetry_and_psd(builder, n, k):
     dense = M.to_dense()
     assert np.array_equal(dense, dense.T)
     assert np.linalg.eigvalsh(dense).min() >= -1e-12
+
+
+def test_spai_identity():
+    eye = SparseSymMatrix.identity(6)
+    P = spai_preconditioner(eye)
+    assert np.allclose(P.to_dense(), np.eye(6), atol=1e-12)
+
+
+def test_spai_diagonal_exact_inverse():
+    D = SparseSymMatrix.from_dense(np.diag([1.0, 2.0, 4.0, 0.5]))
+    P = spai_preconditioner(D)
+    assert np.allclose(P.to_dense(), np.diag([1.0, 0.5, 0.25, 2.0]), atol=1e-12)
+
+
+def test_spai_reduces_condition_number():
+    _, _, M = poisson_1d(16)
+    P = spai_preconditioner(M)
+    dense_m = M.to_dense()
+    dense_pm = P.to_dense() @ dense_m
+    ev_m = np.linalg.eigvalsh(dense_m)
+    ev_pm = np.sort(np.linalg.eigvals(dense_pm).real)
+    kappa_m = ev_m[-1] / ev_m[0]
+    kappa_pm = ev_pm[-1] / ev_pm[0]
+    assert kappa_pm < kappa_m
+
+
+def test_matrix_market_roundtrip(tmp_path):
+    _, _, M = poisson_1d(6)
+    path = tmp_path / "m.mtx"
+    M.to_matrix_market(path)
+    from scipy.io import mmread
+
+    back = mmread(path).toarray()
+    assert np.allclose(back, M.to_dense(), atol=1e-12)
+
+
+def test_load_vector_csv(tmp_path):
+    mesh = build_interval_mesh(4)
+    spec = build_basis(mesh, 1)
+    f = assemble_load(mesh, spec, [1.0])
+    path = tmp_path / "load.csv"
+    f.to_csv(path)
+    rows = path.read_text().strip().splitlines()
+    assert rows[0] == "index,value"
+    assert len(rows) == spec.n_dofs + 1
 
 
 def test_sparse_matrix_rejects_asymmetry():

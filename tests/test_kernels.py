@@ -17,6 +17,7 @@ from qfemlab import (
     build_interval_mesh,
     build_square_triangulation,
     evaluate_discrete,
+    spai_preconditioner,
 )
 from qfemlab.assembly import _CALLABLE_QUAD_POINTS, _duffy_rule, _gauss01, _reference_values_at, poly_degree
 from qfemlab.cli import _l2_norm_1d
@@ -138,3 +139,20 @@ def test_stiffness_and_gram_symmetric_psd(d, n, k, diffusion, reaction, constrai
         assert eig[0] >= -1e-12 * eig[-1]
         if constrained:
             assert matrix.is_spd()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    st.integers(2, 30),
+    st.integers(1, 3),
+    st.floats(1e-3, 1e3),
+    st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+)
+# the symmetrised least-squares fit is indefinite here (eigenvalue -5.9e-4)
+@example(1, 3, 1, 1.0, 0.0)
+def test_spai_preconditioner_is_spd(d, n, k, diffusion, reaction):
+    mesh = build_interval_mesh(n) if d == 1 else build_square_triangulation(min(n, 10))
+    spec = build_basis(mesh, k if d == 1 else 1)
+    M = assemble_stiffness(mesh, spec, BilinearForm(diffusion, reaction))
+    assert spai_preconditioner(M).is_spd()

@@ -8,6 +8,7 @@ from qfemlab import (
     build_square_triangulation,
     eval_basis,
     evaluate_discrete,
+    neighbors,
 )
 from qfemlab.mesh import DIRICHLET, INTERIOR, NEUMANN, _eval_nodal
 
@@ -139,6 +140,25 @@ def test_lagrange_nodal_property():
         for i in range(spec.n_dofs):
             xi = spec.nodes[spec.dof_nodes[i], 0]
             assert eval_basis(m, spec, i, xi) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_neighbors_interval():
+    m = build_interval_mesh(4)
+    assert neighbors(m, 1) == [0, 2]
+    assert neighbors(m, 0) == [1]
+    with pytest.raises(ValidationError):
+        neighbors(m, 9)
+
+
+def test_neighbors_2d_matches_bruteforce():
+    m = build_square_triangulation(2)
+    for e in range(m.n_elements):
+        expected = sorted(
+            other
+            for other in range(m.n_elements)
+            if other != e and set(m.elements[other]) & set(m.elements[e])
+        )
+        assert neighbors(m, e) == expected
 
 
 def test_evaluate_discrete_matches_pointwise():

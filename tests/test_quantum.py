@@ -21,6 +21,9 @@ from qfemlab import (
     estimate_functional,
     estimate_norm,
     hadamard_test_estimate,
+    input_error_propagation,
+    simulated_qle,
+    swap_test_estimate,
 )
 
 
@@ -43,6 +46,98 @@ def test_statevector_padding_and_norm():
         Statevector(np.array([0.5, 0.5]))  # not normalized
     with pytest.raises(ValidationError):
         Statevector.from_vector(np.zeros(4))
+
+
+def test_statevector_csv(tmp_path):
+    s = Statevector.from_vector([1.0, 1.0])
+    path = tmp_path / "state.csv"
+    s.to_csv(path)
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "index,amplitude"
+    assert len(lines) == 3
+
+
+# ---------------------------------------------------------------------------
+# linear-solver stand-in
+
+def test_qle_identity_exact():
+    M = SparseSymMatrix.identity(8)
+    b = Statevector.from_vector(np.arange(1.0, 9.0))
+    out = simulated_qle(M, b, 0.0, 0)
+    assert np.allclose(out.amplitudes, b.amplitudes, atol=1e-14)
+
+
+def test_qle_exact_matches_dense():
+    _, _, M, b_raw = poisson(32)
+    b = Statevector.from_vector(b_raw)
+    out = simulated_qle(M, b, 0.0, 0)
+    exact = np.linalg.solve(M.to_dense(), b.amplitudes[: M.n])
+    exact /= np.linalg.norm(exact)
+    assert np.linalg.norm(out.amplitudes[: M.n] - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("eps_l", [0.01, 0.1, 0.5])
+def test_qle_perturbation_distance_is_exact(eps_l):
+    _, _, M, b_raw = poisson(16)
+    b = Statevector.from_vector(b_raw)
+    exact = np.linalg.solve(M.to_dense(), b.amplitudes[: M.n])
+    exact /= np.linalg.norm(exact)
+    for seed in range(5):
+        out = simulated_qle(M, b, eps_l, seed)
+        dist = np.linalg.norm(out.amplitudes[: M.n] - exact)
+        assert dist == pytest.approx(eps_l, abs=1e-12)
+        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_qle_ledger_records_cost():
+    _, _, M, b_raw = poisson(8)
+    ledger = []
+    simulated_qle(M, Statevector.from_vector(b_raw), 0.1, 0, ledger=ledger)
+    assert len(ledger) == 1
+    assert ledger[0].oracle_calls["P_M"] > 0
+    assert ledger[0].notes["call"] == "qle"
+
+
+def test_qle_rejects_bad_eps():
+    _, _, M, b_raw = poisson(8)
+    with pytest.raises(ValidationError):
+        simulated_qle(M, Statevector.from_vector(b_raw), 1.0, 0)
+
+
+# ---------------------------------------------------------------------------
+# input error propagation
+
+def test_propagation_zero_perturbation():
+    _, _, M, b_raw = poisson(8)
+    assert input_error_propagation(M, b_raw, np.zeros(M.n)) == 0.0
+
+
+def test_propagation_identity_bounded_by_two_eps():
+    M = SparseSymMatrix.identity(8)
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal(8)
+    b /= np.linalg.norm(b)
+    for _ in range(20):
+        e = rng.standard_normal(8)
+        e *= 1e-2 / np.linalg.norm(e)
+        assert input_error_propagation(M, b, e) <= 2e-2 + 1e-12
+
+
+def test_propagation_never_exceeds_bound_poisson():
+    _, _, M, b_raw = poisson(32)
+    ev = np.linalg.eigvalsh(M.to_dense())
+    kappa = ev[-1] / ev[0]
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        e = rng.standard_normal(M.n)
+        e *= 1e-3 / np.linalg.norm(e)
+        assert input_error_propagation(M, b_raw, e) <= 2 * 1e-3 * kappa
+
+
+def test_propagation_rejects_large_perturbation():
+    _, _, M, b_raw = poisson(8)
+    with pytest.raises(ValidationError):
+        input_error_propagation(M, b_raw, np.ones(M.n))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +231,29 @@ def test_hadamard_median_of_means():
     budget = SampleBudget(rng_seed=3)
     est = hadamard_test_estimate(a, b, 0.1, budget, medians=5)
     assert est == pytest.approx(0.6, abs=0.1)
+
+
+def test_swap_test_identical():
+    s = Statevector.from_vector([1.0, -1.0])
+    assert swap_test_estimate(s, s, 2000, 0) == pytest.approx(1.0, abs=0.05)
+
+
+def test_swap_test_orthogonal():
+    a = Statevector(np.array([1.0, 0.0]))
+    b = Statevector(np.array([0.0, 1.0]))
+    est = swap_test_estimate(a, b, 10_000, 0)
+    # same-frequency ~ 1/2 means the squared-overlap estimate is ~0
+    assert abs(est) <= 3 * 2.0 / np.sqrt(10_000)
+
+
+def test_swap_test_quarter_overlap():
+    a = Statevector(np.array([1.0, 0.0]))
+    b = Statevector(np.array([0.5, np.sqrt(0.75)]))
+    shots = 20_000
+    p = 0.5 + 0.5 * 0.25
+    sigma = np.sqrt(p * (1 - p) / shots)
+    est = swap_test_estimate(a, b, shots, 1)
+    assert abs(est - 0.25) <= 3 * 2 * sigma
 
 
 def test_norm_estimation_identity():

@@ -12,6 +12,7 @@ from qfemlab import (
     build_square_triangulation,
     conjugate_gradient,
     estimate_condition_number,
+    spai_preconditioner,
 )
 
 
@@ -64,14 +65,19 @@ def test_energy_error_monotone_against_dense_oracle():
     assert all(errs[i + 1] <= errs[i] * (1 + 1e-12) for i in range(len(errs) - 1))
 
 
+@pytest.mark.parametrize("preconditioned", [False, True], ids=["plain", "spai"])
 @pytest.mark.parametrize(
     "d, n, k", [(1, 64, 1), (1, 64, 2), (1, 64, 3), (2, 32, 1), (1, 3, 1), (1, 2, 2), (1, 2, 3)]
 )
-def test_certificate_is_sound(d, n, k):
+def test_certificate_is_sound(d, n, k, preconditioned):
     """The reported lambda_min never exceeds the true one, so the reported
     relative certificate bounds the true relative energy error at every
     stop; a Ritz value (1.0007 lambda_min on 2D n = 32 at tol 1e-1)
     breaks the first assertion.
+
+    The coarse 1D meshes are where the symmetrised least-squares SPAI is
+    indefinite; CG with that P reported convergence at true relative
+    energy errors of 1.02-1.19 at tol 1e-1 and 1e-2.
 
     The bound holds up to rounding: plain CG on 1D P1 reaches the exact
     solution at step n, where the recursively updated residual falls below
@@ -81,8 +87,9 @@ def test_certificate_is_sound(d, n, k):
     dense = M.to_dense()
     lam_min = np.linalg.eigvalsh(dense)[0]
     exact = np.linalg.solve(dense, b)
+    precond = spai_preconditioner(M) if preconditioned else None
     for tol in (1e-1, 1e-2, 1e-4):
-        rep = conjugate_gradient(M, b, tol=tol)
+        rep = conjugate_gradient(M, b, tol=tol, precond=precond)
         assert rep.converged
         assert rep.lambda_min_estimate <= lam_min * (1 + 1e-10), tol
         diff = rep.solution - exact
@@ -93,9 +100,22 @@ def test_certificate_is_sound(d, n, k):
 
 def test_zero_rhs_returns_before_factorising():
     singular = SparseSymMatrix.from_dense(np.zeros((3, 3)))
-    rep = conjugate_gradient(singular, np.zeros(3))
+    rep = conjugate_gradient(singular, np.zeros(3), precond=singular)
     assert rep.converged and rep.iterations == 0
     assert np.array_equal(rep.solution, np.zeros(3))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_spai_strictly_reduces_iterations(n):
+    M, b = poisson_system(n)
+    plain = conjugate_gradient(M, b, tol=1e-8)
+    pre = conjugate_gradient(M, b, tol=1e-8, precond=spai_preconditioner(M))
+    assert pre.converged
+    assert pre.iterations < plain.iterations
+    exact = np.linalg.solve(M.to_dense(), b)
+    diff = pre.solution - exact
+    energy = np.sqrt(diff @ (M @ diff)) / np.sqrt(exact @ (M @ exact))
+    assert energy <= 1e-7
 
 
 def test_deterministic_reruns_bit_identical():
@@ -119,6 +139,14 @@ def test_matvec_count_tracks_iterations():
     M, b = poisson_system(32)
     rep = conjugate_gradient(M, b, tol=1e-10)
     assert rep.matvec_count == rep.iterations
+
+
+def test_non_spd_preconditioner_rejected():
+    M, b = poisson_system(16)
+    # an indefinite (but symmetric) preconditioner
+    bad = np.diag(np.concatenate([np.ones(8), -np.ones(8)]))
+    with pytest.raises(ValidationError, match="positive definite"):
+        conjugate_gradient(M, b, tol=1e-10, precond=SparseSymMatrix.from_dense(bad))
 
 
 @pytest.mark.parametrize("cap", [0, -3])

@@ -29,6 +29,7 @@ from qfemlab import (
     cli,
     conjugate_gradient,
     estimate_norm,
+    spai_preconditioner,
 )
 from qfemlab.assembly import _gauss01
 
@@ -177,6 +178,18 @@ def test_extremes_bit_identical_on_equal_matrices():
     second_matrix = system(2, 30, reaction=1.0)[0]
     assert second_matrix.extremes() == first
     assert second_matrix.extremes() == first  # cached
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_preconditioned_cg_certificate_is_sound(n):
+    M, b = system(1, n)
+    tol = 1e-6
+    rep = conjugate_gradient(M, b, tol=tol, precond=spai_preconditioner(M))
+    assert rep.converged
+    assert rep.lambda_min_estimate == M.extremes()[0]
+    x_ref = np.linalg.solve(M.to_dense(), b)
+    err = x_ref - rep.solution
+    assert np.sqrt(err @ (M @ err)) <= tol * np.sqrt(b @ x_ref)
 
 
 # ---------------------------------------------------------------------------
