@@ -133,9 +133,13 @@ class BilinearForm:
 
 
 class SparseSymMatrix:
-    """Symmetric sparse matrix in CSR form with sorted column indices.
+    """Symmetric sparse matrix in canonical CSR form (sorted column indices,
+    no duplicates).
 
     Immutable by convention. ``s`` is the maximum number of nonzeros per row.
+    The constructor checks symmetry (to a relative 1e-14, in O(nnz));
+    ``from_upper_coo`` and the shifted sI - M in ``extremes`` are symmetric
+    bit for bit by construction and skip the check.
 
     Linear algebra stays sparse. The first call to ``solve``, ``is_spd`` or
     ``extremes`` factors the matrix once with a symmetric-mode sparse LU
@@ -144,40 +148,52 @@ class SparseSymMatrix:
     diag(U), so by Sylvester's law of inertia M is positive definite exactly
     when no off-diagonal pivot was needed and every pivot is > 0.
     ``extremes`` also factors sI - M, for a shift s just above lambda_max,
-    the same way; that factorisation is used once and not kept.
+    the same way; that factorisation is used once and not kept. SuperLU reads
+    the CSR arrays as CSC, i.e. M^T: M itself, up to that tolerance.
     """
 
     def __init__(self, matrix):
         csr = sp.csr_array(matrix)
-        csr.sort_indices()
+        csr.sum_duplicates()
         if csr.shape[0] != csr.shape[1]:
             raise ValidationError(f"matrix must be square, got {csr.shape}")
         scale = max(1.0, abs(csr.data).max() if csr.nnz else 0.0)
         asym = abs((csr - csr.T)).max() if csr.nnz else 0.0
         if asym > 1e-14 * scale:
             raise ValidationError(f"matrix is not symmetric (asymmetry {asym:.3e})")
+        self._adopt(csr)
+
+    @classmethod
+    def _symmetric(cls, csr):
+        """Wrap a canonical CSR matrix, symmetric by construction, unchecked."""
+        self = cls.__new__(cls)
+        self._adopt(csr)
+        return self
+
+    def _adopt(self, csr):
         self._csr = csr
         self.n = csr.shape[0]
-        counts = np.diff(csr.indptr)
-        self.s = int(counts.max()) if len(counts) else 0
-        self._lu = None
-        self._spd = None
-        self._extremes = None
+        self.s = int(np.diff(csr.indptr).max()) if self.n else 0
+        self._lu = self._spd = self._extremes = None
 
     @classmethod
     def from_upper_coo(cls, n, rows, cols, vals):
-        """Build from upper-triangle COO entries (i <= j), mirroring the
-        strict upper part so (i,j) and (j,i) are bit-identical."""
+        """Build from upper-triangle COO entries (i <= j), unchecked: duplicates
+        sum in input order, zero sums are dropped and the strict upper part is
+        mirrored, so (i,j) and (j,i) are bit-identical."""
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)
         vals = np.asarray(vals, dtype=float)
         if np.any(rows > cols):
             raise ValidationError("from_upper_coo expects entries with i <= j")
         upper = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
-        upper.sum_duplicates()
-        strict = sp.triu(upper, k=1)
-        full = upper + strict.T
-        return cls(full)
+        upper.eliminate_zeros()
+        upper = upper.tocoo()
+        r, c, v, low = upper.row, upper.col, upper.data, upper.row < upper.col
+        # COO -> CSR keeps input order within a row: the mirrored entries come
+        # first, ascending as the upper rows run, so every row comes out sorted
+        full = sp.coo_array((np.concatenate([v[low], v]), (np.concatenate([c[low], r]), np.concatenate([r[low], c]))), shape=(n, n))
+        return cls._symmetric(full.tocsr())
 
     @classmethod
     def from_dense(cls, a):
@@ -208,8 +224,9 @@ class SparseSymMatrix:
     def _factor(self):
         if self._lu is None:
             try:
+                csr = self._csr  # canonical, so splu rewrites nothing in these shared arrays
                 lu = splu(
-                    sp.csc_array(self._csr),
+                    sp.csc_array((csr.data, csr.indices, csr.indptr), shape=csr.shape),
                     permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True},
@@ -275,7 +292,7 @@ class SparseSymMatrix:
             while True:
                 shift = bound * (1.0 + margin)
                 data[diag] = shift - csr.data[diag]
-                shifted = SparseSymMatrix(sp.csr_array((data, csr.indices, csr.indptr), shape=csr.shape))
+                shifted = SparseSymMatrix._symmetric(sp.csr_array((data, csr.indices, csr.indptr), shape=csr.shape))
                 if shifted.is_spd():
                     break
                 margin *= 100.0
@@ -326,25 +343,25 @@ def _check_pair(mesh: Mesh, spec: BasisSpec):
 
 
 def _assemble_bilinear(mesh: Mesh, spec: BasisSpec, diffusion: float, reaction: float) -> SparseSymMatrix:
-    """All element matrices in one broadcast, then one COO build of the upper
-    triangle in element order (so duplicates sum in a fixed order)."""
+    """The upper triangles of all element matrices in one broadcast, then one
+    COO build in element order (so duplicates sum in a fixed order)."""
     gids = spec.node_dofs[spec.element_nodes]  # (n_elements, m), -1 if constrained
-    m = gids.shape[1]
+    a, b = np.triu_indices(gids.shape[1])
     if mesh.dimension == 1:
         kref, mref = _reference_matrices(spec.k)
         h = mesh.h
-        local = (diffusion * kref / h + reaction * mref * h)[None]
+        local = (diffusion * kref / h + reaction * mref * h)[a, b]
     else:
         area = 0.5 / (mesh.n * mesh.n)
-        pts = mesh.vertices[spec.element_nodes]  # (n_elements, 3, 2)
-        # gradients of the barycentric functions
-        pb, pc = np.roll(pts, -1, axis=1), np.roll(pts, -2, axis=1)
-        g = np.stack([pb[..., 1] - pc[..., 1], pc[..., 0] - pb[..., 0]], axis=-1) / (2.0 * area)
-        gg = g @ g.transpose(0, 2, 1)
-        local = diffusion * gg * area + reaction * area / 12.0 * (1.0 + np.eye(3))
-    a, b = np.triu_indices(m)
+        vx, vy = mesh.vertices.T
+        # gradient of barycentric function a from the nodes b, c that follow it
+        nb, nc = spec.element_nodes[:, [1, 2, 0]], spec.element_nodes[:, [2, 0, 1]]
+        g = np.stack([vy[nb] - vy[nc], vx[nc] - vx[nb]], axis=-1) / (2.0 * area)  # (n_elements, 3, 2)
+        # a matrix product, not explicit products g_a . g_b, which round differently
+        gg = (g @ g.transpose(0, 2, 1))[:, a, b]
+        local = diffusion * gg * area + (reaction * area / 12.0 * (1.0 + np.eye(3)))[a, b]
     ia, ib = gids[:, a], gids[:, b]
-    vals = np.broadcast_to(local[:, a, b], ia.shape)
+    vals = np.broadcast_to(local, ia.shape)
     keep = (ia >= 0) & (ib >= 0)
     ia, ib, vals = ia[keep], ib[keep], vals[keep]
     return SparseSymMatrix.from_upper_coo(spec.n_dofs, np.minimum(ia, ib), np.maximum(ia, ib), vals)
@@ -405,7 +422,10 @@ def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> LoadVector:
     first; 2D: coefficient matrix c[i][j] of x^i y^j, total degree <= 8) or
     as a callable sampled by quadrature. A callable is evaluated once on
     (n_elements, q) arrays of quadrature points (one ``x`` array in 1D, ``x``
-    and ``y`` in 2D), so it must be numpy-vectorised.
+    and ``y`` in 2D), so it must be numpy-vectorised. In 2D the points are
+    kept one coordinate at a time and the quadrature terms are added in q
+    order to (n_elements, 3) contributions; no (n_elements, q, 3) array is
+    formed.
     """
     _check_pair(mesh, spec)
     ev, extra = _as_evaluator(mesh, f)
@@ -417,13 +437,18 @@ def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> LoadVector:
         contrib = ((mesh.h * basis_vals)[None] @ (ws * ev(xq))[..., None])[..., 0]
     else:
         ref_pts, ref_w = _duffy_rule(max(2, (deg + 1) // 2 + 2))
-        corners = mesh.vertices[spec.element_nodes]  # (n_elements, 3, 2)
-        origin = corners[:, :1]
-        # affine map from the reference triangle: (n_elements, q, 2)
-        xq = origin + ref_pts[:, :1] * (corners[:, 1:2] - origin) + ref_pts[:, 1:] * (corners[:, 2:] - origin)
-        lam = np.column_stack([1.0 - ref_pts[:, 0] - ref_pts[:, 1], ref_pts[:, 0], ref_pts[:, 1]])
+        u, v = ref_pts.T
+        vx, vy = mesh.vertices.T
+        corners = spec.element_nodes
+        # affine map from the reference triangle, one coordinate at a time
+        xq, yq = (c[:, :1] + u * (c[:, 1:2] - c[:, :1]) + v * (c[:, 2:] - c[:, :1]) for c in (vx[corners], vy[corners]))
+        fw = ref_w * ev(xq, yq)  # (n_elements, q)
+        lam = np.column_stack([1.0 - u - v, u, v])  # (q, 3)
+        contrib = fw[:, :1] * lam[0]
+        for i in range(1, len(ref_w)):
+            contrib += fw[:, i:i + 1] * lam[i]
         area = 0.5 / (mesh.n * mesh.n)
-        contrib = 2.0 * area * (lam * (ref_w * ev(xq[..., 0], xq[..., 1]))[..., None]).sum(axis=1)
+        contrib = 2.0 * area * contrib
     gids = spec.node_dofs[spec.element_nodes]  # (n_elements, m), -1 if constrained
     keep = gids >= 0
     # bincount adds in element order, as the bilinear COO build does; it

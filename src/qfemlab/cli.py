@@ -77,22 +77,21 @@ def _l2_norm_1d(mesh, p: int, diff) -> float:
     return float(np.sqrt(np.cumsum(mesh.h * (sq[:, None] @ ws[:, None])[:, 0, 0])[-1]))
 
 
-def _l2_error_against_fine(mesh_c, spec_c, coeffs_c, mesh_f, spec_f, coeffs_f) -> float:
-    """L2 distance between a coarse and fine discrete solution, integrated
-    on the fine mesh (exact: both are piecewise linear on fine triangles
-    when the fine subdivision is a multiple of the coarse)."""
-    if mesh_c.dimension == 1:
-        return _l2_norm_1d(
-            mesh_f, 4, lambda xq: evaluate_discrete(mesh_f, spec_f, coeffs_f, xq) - evaluate_discrete(mesh_c, spec_c, coeffs_c, xq)
-        )
+def _error_against_fine(mesh_f, spec_f, coeffs_f):
+    """Function of a coarse discrete solution that returns its L2 distance
+    from the fine one, integrated on the fine mesh (exact: both are
+    piecewise polynomial on the fine elements when the fine subdivision is
+    a multiple of the coarse). The fine quadrature points and the fine
+    solution's values there are computed once, here."""
+    if mesh_f.dimension == 1:
+        fine = evaluate_discrete(mesh_f, spec_f, coeffs_f, element_quadrature_1d(mesh_f, 4)[0].ravel())
+        return lambda mesh, spec, coeffs: _l2_norm_1d(mesh_f, 4, lambda xq: fine - evaluate_discrete(mesh, spec, coeffs, xq))
     # 2D: edge-midpoint rule per fine triangle (exact for quadratics)
     tri_pts = mesh_f.vertices[mesh_f.elements]  # (ne, 3, 2)
-    mids = 0.5 * (tri_pts + np.roll(tri_pts, -1, axis=1))  # (ne, 3, 2)
-    pts = mids.reshape(-1, 2)
-    diff = evaluate_discrete(mesh_f, spec_f, coeffs_f, pts) - evaluate_discrete(mesh_c, spec_c, coeffs_c, pts)
+    pts = (0.5 * (tri_pts + np.roll(tri_pts, -1, axis=1))).reshape(-1, 2)
+    fine = evaluate_discrete(mesh_f, spec_f, coeffs_f, pts)
     area = 0.5 / (mesh_f.n * mesh_f.n)
-    total = area / 3.0 * float((diff**2).sum())
-    return float(np.sqrt(total))
+    return lambda mesh, spec, coeffs: float(np.sqrt(area / 3.0 * float(((fine - evaluate_discrete(mesh, spec, coeffs, pts)) ** 2).sum())))
 
 
 def convergence_report(problem: ProblemSpec, levels: int, n0: int = 4) -> dict:
@@ -107,20 +106,19 @@ def convergence_report(problem: ProblemSpec, levels: int, n0: int = 4) -> dict:
     analytic = problem.d == 1 and problem.reaction == 0.0
     if analytic:
         u_poly = analytic_solution_1d(problem.f_array(), problem.diffusion)
+
+        def error(mesh, spec, coeffs):
+            p = max(10, 2 * (len(u_poly) + spec.k))
+            return _l2_norm_1d(mesh, p, lambda xq: npoly.polyval(xq, u_poly) - evaluate_discrete(mesh, spec, coeffs, xq))
     else:
         mesh_f, spec_f, M_f, b_f = discretize(problem, 4 * ns[-1])
         coeffs_f = M_f.solve(b_f)
-        del M_f, b_f  # free the reference factorisation before the coarse levels
+        del M_f, b_f  # free the reference factorisation before anything else runs
+        error = _error_against_fine(mesh_f, spec_f, coeffs_f)
     rows = []
     for n in ns:
         mesh, spec, M, b = discretize(problem, n)
-        coeffs = M.solve(b)
-        if analytic:
-            p = max(10, 2 * (len(u_poly) + spec.k))
-            error = _l2_norm_1d(mesh, p, lambda xq: npoly.polyval(xq, u_poly) - evaluate_discrete(mesh, spec, coeffs, xq))
-        else:
-            error = _l2_error_against_fine(mesh, spec, coeffs, mesh_f, spec_f, coeffs_f)
-        rows.append({"n": n, "h": mesh.h, "error": error})
+        rows.append({"n": n, "h": mesh.h, "error": error(mesh, spec, M.solve(b))})
     hs = np.array([row["h"] for row in rows])
     errs = np.array([row["error"] for row in rows])
     if np.any(errs <= 0) or np.any(errs < 1e-14):

@@ -175,8 +175,9 @@ def _locate(mesh: Mesh, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and 2(jn + i) + 1 (upper).
     """
     n = mesh.n
-    cell = np.minimum((pts * n).astype(int), n - 1)
-    local = pts * n - cell
+    scaled = pts * n
+    cell = np.minimum(scaled.astype(int), n - 1)
+    local = scaled - cell
     if mesh.dimension == 1:
         return cell[:, 0], local
     upper = local[:, 1] > local[:, 0]
@@ -295,10 +296,9 @@ def evaluate_discrete(mesh: Mesh, spec: BasisSpec, coeffs, points) -> np.ndarray
             vals += nodal[locals_[:, j]] * lj
         return vals
 
-    xi, eta = local[:, 0], local[:, 1]
-    lam = np.where(
-        (e % 2 == 0)[:, None],
-        np.column_stack([1.0 - xi, xi - eta, eta]),
-        np.column_stack([1.0 - eta, xi, eta - xi]),
-    )
-    return np.sum(nodal[locals_] * lam, axis=1)
+    # barycentric weights (1 - xi, xi - eta, eta) on lower elements (eta <= xi)
+    # and (1 - eta, xi, eta - xi) on upper ones, added in local node order
+    xi, eta = local.T
+    upper = e % 2 == 1
+    first = nodal[locals_[:, 0]] * (1.0 - np.maximum(xi, eta))
+    return (first + nodal[locals_[:, 1]] * np.where(upper, xi, xi - eta)) + nodal[locals_[:, 2]] * np.where(upper, eta - xi, eta)

@@ -112,14 +112,14 @@ class ProblemSpec:
             pde = payload.get("pde", {})
             sob = payload.get("sobolev")
             return cls(
-                d=int(payload["d"]),
-                k=int(payload["k"]),
+                d=_integer("d", payload["d"]),
+                k=_integer("k", payload["k"]),
                 diffusion=float(pde.get("diffusion", 1.0)),
                 reaction=float(pde.get("reaction", 0.0)),
                 f=_freeze(payload["f"]),
                 r=_freeze(payload["r"]),
                 eps=float(payload["eps"]),
-                seed=int(payload.get("seed", 0)),
+                seed=_integer("seed", payload.get("seed", 0)),
                 sobolev=SobolevData(tuple(float(s) for s in sob)) if sob else None,
             )
         except ValidationError:
@@ -132,6 +132,13 @@ class ProblemSpec:
     @classmethod
     def from_json(cls, text: str) -> "ProblemSpec":
         return cls.from_dict(json.loads(text))
+
+
+def _integer(name, value) -> int:
+    """int(value), refusing the booleans and fractions int() would accept."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _freeze(coeffs):

@@ -214,6 +214,43 @@ def test_non_finite_spec_number_exit_two(capsys, spec_file, field, bad):
         assert err.startswith("validation error")
 
 
+@pytest.mark.parametrize(
+    "field",
+    [{"seed": 7.9}, {"seed": True}, {"d": 1.9}, {"d": True}, {"k": 1.5}, {"k": True}],
+    ids=["seed-fraction", "seed-bool", "d-fraction", "d-bool", "k-fraction", "k-bool"],
+)
+def test_non_integral_spec_integer_exit_two(capsys, spec_file, field):
+    path = spec_file(json.dumps({**TINY_1D, **field}))
+    for command in ("solve", "simulate", "plan"):
+        code, out, err = run(capsys, command, "--spec", path)
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("validation error")
+
+
+def test_integral_float_spec_integers_accepted(capsys, spec_file):
+    as_ints = spec_file({**TINY_1D, "seed": 7}, name="ints.json")
+    as_floats = spec_file({**TINY_1D, "d": 1.0, "k": 1.0, "seed": 7.0}, name="floats.json")
+    for command in ("solve", "simulate", "plan"):
+        assert run_json(capsys, command, "--spec", as_floats) == run_json(capsys, command, "--spec", as_ints)
+
+
+@pytest.mark.parametrize("spec", [TINY_2D, {**TINY_1D, "pde": {"diffusion": 1, "reaction": 1}}], ids=["2d", "1d-reaction"])
+def test_convergence_evaluates_fine_solution_once(monkeypatch, spec):
+    problem = ProblemSpec.from_dict(spec)
+    fine_n = 4 * 4 * 2**2  # 4x the finest of the three levels
+    calls = []
+    evaluate = cli.evaluate_discrete
+
+    def counting_evaluate(mesh, *args):
+        calls.append(mesh.n)
+        return evaluate(mesh, *args)
+
+    monkeypatch.setattr(cli, "evaluate_discrete", counting_evaluate)
+    cli.convergence_report(problem, levels=3)
+    assert sorted(calls) == [4, 8, 16, fine_n], calls
+
+
 def test_parser_built_once_per_process():
     assert cli.build_parser() is cli.build_parser()
     code = "import qfemlab.cli as c; print(c.build_parser.cache_info().currsize)"

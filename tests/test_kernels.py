@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qfemlab import (
     BilinearForm,
+    SparseSymMatrix,
     assemble_gram,
     assemble_load,
     assemble_stiffness,
@@ -83,6 +84,91 @@ def test_batched_load_matches_element_loop(case):
     mesh = build_interval_mesh(n) if d == 1 else build_square_triangulation(n)
     spec = build_basis(mesh, k, constrain_dirichlet=constrained)
     assert np.array_equal(assemble_load(mesh, spec, f).values, reference_load(mesh, spec, f))
+
+
+def reference_bilinear_2d(mesh, spec, diffusion, reaction):
+    """Dense M from one element matrix at a time, each summed into the
+    upper triangle in element order and mirrored at the end."""
+    area = 0.5 / (mesh.n * mesh.n)
+    out = np.zeros((spec.n_dofs, spec.n_dofs))
+    for e in range(mesh.n_elements):
+        pts = mesh.vertices[spec.element_nodes[e]]
+        g = np.empty((3, 2))
+        for a in range(3):
+            pb, pc = pts[(a + 1) % 3], pts[(a + 2) % 3]
+            g[a] = (pb[1] - pc[1], pc[0] - pb[0])
+        g = g / (2.0 * area)
+        local = diffusion * (g @ g.T) * area + reaction * area / 12.0 * (1.0 + np.eye(3))
+        gids = spec.node_dofs[spec.element_nodes[e]]
+        for a in range(3):
+            for b in range(a, 3):
+                i, j = sorted((gids[a], gids[b]))
+                if i >= 0:
+                    out[i, j] += local[a, b]
+    upper = np.triu(out)
+    return upper + np.triu(out, 1).T
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.floats(1e-3, 1e3),
+    st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    st.booleans(),
+)
+# meshes where g @ g.T and the explicit products g_a . g_b round differently
+@example(5, 1.0, 1.0, True)
+@example(43, 1.0, 1.0, True)
+def test_batched_bilinear_2d_matches_element_loop(n, diffusion, reaction, constrained):
+    mesh = build_square_triangulation(n)
+    spec = build_basis(mesh, 1, constrain_dirichlet=constrained)
+    M = assemble_stiffness(mesh, spec, BilinearForm(diffusion, reaction))
+    assert np.array_equal(M.to_dense(), reference_bilinear_2d(mesh, spec, diffusion, reaction))
+
+
+def reference_evaluate_2d(mesh, spec, coeffs, pts):
+    """sum_i coeffs_i phi_i one point at a time: locate the cell by index
+    arithmetic, then add the three barycentric terms in local node order."""
+    nodal = np.zeros(spec.n_nodes)
+    nodal[spec.dof_nodes] = coeffs
+    n = mesh.n
+    out = np.empty(len(pts))
+    for m, (x, y) in enumerate(pts):
+        i, j = min(int(x * n), n - 1), min(int(y * n), n - 1)
+        xi, eta = x * n - i, y * n - j
+        upper = eta > xi
+        e = 2 * (j * n + i) + upper
+        lam = (1.0 - eta, xi, eta - xi) if upper else (1.0 - xi, xi - eta, eta)
+        terms = nodal[spec.element_nodes[e]] * np.array(lam)
+        out[m] = (terms[0] + terms[1]) + terms[2]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 20), st.booleans(), st.integers(0, 2**32 - 1))
+def test_batched_evaluate_2d_matches_point_loop(n, constrained, seed):
+    mesh = build_square_triangulation(n)
+    spec = build_basis(mesh, 1, constrain_dirichlet=constrained)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(spec.n_dofs)
+    # random points, plus grid points and edge midpoints, where xi == eta
+    # and cell boundaries are hit exactly
+    grid = np.arange(2 * n + 1) / (2 * n)
+    pts = np.vstack([rng.random((200, 2)), np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)])
+    assert np.array_equal(evaluate_discrete(mesh, spec, coeffs, pts), reference_evaluate_2d(mesh, spec, coeffs, pts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_from_upper_coo_mirrors_bit_identically(n, seed):
+    rng = np.random.default_rng(seed)
+    m = 4 * n
+    rows, cols = rng.integers(0, n, m), rng.integers(0, n, m)
+    # duplicates of mixed magnitude, so the summation order shows in the bits
+    vals = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 9, m)
+    M = SparseSymMatrix.from_upper_coo(n, np.minimum(rows, cols), np.maximum(rows, cols), vals)
+    dense = M.to_dense()
+    assert np.array_equal(dense.view(np.uint64), dense.T.view(np.uint64))
 
 
 @given(st.integers(1, 30))

@@ -1,16 +1,22 @@
-"""Smoke run of the benchmark harness against the package as it stands, so
-a renamed or deleted name that the harness calls fails here first."""
+"""Smoke runs of the benchmark harness against the package as it stands, so
+a renamed or deleted name that the harness calls fails here first. Each run
+also checks every artifact against the harness's own sparse-direct
+reference (``perfbench/checks.py``): sample1d covers the 1D kernels and the
+sampler, dense2d the 2D kernels and the convergence study."""
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_sample1d_smoke_run_is_correct():
+@pytest.mark.parametrize("workload", ["sample1d", "dense2d"])
+def test_smoke_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "sample1d", "--seed", "1", "--seconds", "0.5"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0.5"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
