@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .assembly import (
     BilinearForm,
-    LoadVector,
     SparseSymMatrix,
     assemble_gram,
     assemble_load,
@@ -38,7 +37,6 @@ from .mesh import (
     eval_basis,
     eval_basis_grad,
     evaluate_discrete,
-    neighbors,
 )
 from .problems import (
     ProblemSpec,
@@ -57,9 +55,6 @@ from .quantum import (
     estimate_functional,
     estimate_norm,
     hadamard_test_estimate,
-    input_error_propagation,
-    simulated_qle,
-    swap_test_estimate,
 )
 from .resources import (
     ErrorBudget,

@@ -153,7 +153,8 @@ class SparseSymMatrix:
     """
 
     def __init__(self, matrix):
-        csr = sp.csr_array(matrix)
+        # a copy: canonicalising sorts in place, and the caller keeps its arrays
+        csr = sp.csr_array(matrix, copy=True)
         csr.sum_duplicates()
         if csr.shape[0] != csr.shape[1]:
             raise ValidationError(f"matrix must be square, got {csr.shape}")
@@ -197,16 +198,11 @@ class SparseSymMatrix:
 
     @classmethod
     def from_dense(cls, a):
-        a = np.asarray(a, dtype=float)
-        return cls(sp.csr_array(a))
+        return cls(np.asarray(a, dtype=float))
 
     @classmethod
     def identity(cls, n):
         return cls(sp.identity(n, format="csr"))
-
-    @property
-    def nnz(self):
-        return self._csr.nnz
 
     @property
     def csr(self):
@@ -310,28 +306,6 @@ class SparseSymMatrix:
             raise NonConvergenceError("Lanczos eigenvalue iteration did not converge") from exc
         return float(lam[0])
 
-    def to_matrix_market(self, path):
-        from scipy.io import mmwrite
-
-        mmwrite(path, sp.coo_array(self._csr), symmetry="symmetric")
-
-
-@dataclass(frozen=True)
-class LoadVector:
-    """Dense load vector over the active dofs: entries int f phi_i."""
-
-    n: int
-    values: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    def to_csv(self, path):
-        with open(path, "w") as f:
-            f.write("index,value\n")
-            for i, v in enumerate(self.values):
-                f.write(f"{i},{v!r}\n")
-
 
 # ---------------------------------------------------------------------------
 # assembly
@@ -415,7 +389,7 @@ def element_quadrature_1d(mesh: Mesh, p: int):
     return mesh.vertices[mesh.elements[:, 0]] + mesh.h * xs, ws
 
 
-def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> LoadVector:
+def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> np.ndarray:
     """Load vector with entries int f phi_i over the active dofs.
 
     ``f`` is given as polynomial coefficients (1D: flat list, low order
@@ -454,7 +428,7 @@ def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> LoadVector:
     # bincount adds in element order, as the bilinear COO build does; it
     # returns integer zeros when there are no dofs
     out = np.bincount(gids[keep], weights=contrib[keep], minlength=spec.n_dofs)
-    return LoadVector(spec.n_dofs, out.astype(float, copy=False))
+    return out.astype(float, copy=False)
 
 
 def spai_preconditioner(M: SparseSymMatrix) -> SparseSymMatrix:

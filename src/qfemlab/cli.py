@@ -2,6 +2,12 @@
 machine-readable result emission.
 
 Subcommands: solve, convergence, simulate, resources, lowerbound, plan.
+Each takes ``--out DIR`` (default: stdout) and only the flags it reads;
+any other flag exits 2. solve, convergence, simulate and plan read
+``--spec`` and ``--seed``; convergence also reads ``--levels`` and simulate
+``--exact``. resources reads ``--format json|csv`` and its grid flags.
+lowerbound reads ``--mode``, ``--seed``, ``--exact`` (hybrid mode),
+``--format json|csv`` and the grid flags of its mode.
 Exit codes: 0 success, 2 validation error, 3 non-convergence, 4 budget or
 cap exceeded (a shot budget, the mesh cell cap, the simulable acceptance
 floor, or memory running out). Every artifact embeds the spec hash, the
@@ -12,6 +18,7 @@ same values) in sampling modes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -52,7 +59,7 @@ def solve_report(problem: ProblemSpec) -> dict:
     report = conjugate_gradient(M, b, tol=problem.eps / 2.0)
     if not report.converged:
         raise NonConvergenceError("conjugate gradient hit its cap", partial=report.to_dict())
-    r_load = assemble_load(mesh, spec, problem.r_array()).values
+    r_load = assemble_load(mesh, spec, problem.r_array())
     functional = float(r_load @ report.solution)
     kappa = estimate_condition_number(M)
     return {
@@ -94,15 +101,16 @@ def _error_against_fine(mesh_f, spec_f, coeffs_f):
     return lambda mesh, spec, coeffs: float(np.sqrt(area / 3.0 * float(((fine - evaluate_discrete(mesh, spec, coeffs, pts)) ** 2).sum())))
 
 
-def convergence_report(problem: ProblemSpec, levels: int, n0: int = 4) -> dict:
-    """L2 errors across mesh refinements and the fitted log-log slope.
+def convergence_report(problem: ProblemSpec, levels: int) -> dict:
+    """L2 errors across mesh refinements, from 4 subdivisions per side
+    doubling at each level, and the fitted log-log slope.
 
     Uses the analytic polynomial solution when available (1D, reaction = 0),
     otherwise a reference solve on a 4x finer mesh.
     """
     if levels < 3:
         raise ValidationError("need at least 3 refinement levels")
-    ns = [n0 * 2**i for i in range(levels)]
+    ns = [4 * 2**i for i in range(levels)]
     analytic = problem.d == 1 and problem.reaction == 0.0
     if analytic:
         u_poly = analytic_solution_1d(problem.f_array(), problem.diffusion)
@@ -134,8 +142,8 @@ def convergence_report(problem: ProblemSpec, levels: int, n0: int = 4) -> dict:
     }
 
 
-def simulate_report(problem: ProblemSpec, exact: bool = False, shots_cap: int = 10**12) -> dict:
-    budget = SampleBudget(shots=shots_cap, rng_seed=problem.seed)
+def simulate_report(problem: ProblemSpec, exact: bool = False) -> dict:
+    budget = SampleBudget(rng_seed=problem.seed)
     est = estimate_functional(problem, problem.eps, budget, exact_mode=exact)
     out = est.to_dict()
     out["meta"] = _meta(problem, problem.seed)
@@ -143,21 +151,39 @@ def simulate_report(problem: ProblemSpec, exact: bool = False, shots_cap: int = 
     return out
 
 
+def _model_costs(d: int, k: int, eps: float, sob: SobolevData):
+    """Model size N, condition number kappa and the cost of each of the four
+    pipelines, for ``plan`` and ``resources`` alike. N is rounded up."""
+    sem = sob.seminorm(k + 1)
+    n_model = (sem / eps) ** (d / (k + 1))
+    kappa_model = (sem / eps) ** (2.0 / (k + 1))
+    n_cg = max(1, int(np.ceil(n_model)))
+    # kappa = 1 after preconditioning, so only N carries a power of 1/eps
+    precond_terms = exponent_table(d, k)["classical_precond"]
+    costs = {
+        "classical": classical_cost(n_cg, 3, kappa_model, eps / 2.0, d=d, k=k),
+        "classical_precond": dataclasses.replace(
+            classical_cost(n_cg, 3, 1.0, eps / 2.0, d=d, k=k),
+            pipeline="classical_precond",
+            exponent_of_inv_eps=precond_terms[0],
+            exponent_terms=precond_terms,
+        ),
+        "quantum": quantum_cost(d, k, eps, sob, 3, preconditioned=False),
+        "quantum_precond": quantum_cost(d, k, eps, sob, 3, preconditioned=True),
+    }
+    return n_model, kappa_model, costs
+
+
 def plan_report(problem: ProblemSpec) -> dict:
     """Mesh size, model costs and, when assemblable, the budget split that
     ``simulate`` runs with."""
-    sob = derive_sobolev(problem, max_order=problem.k + 1)
-    sem = sob.seminorm(problem.k + 1)
-    n_model = (sem / problem.eps) ** (problem.d / (problem.k + 1))
-    kappa_model = (sem / problem.eps) ** (2.0 / (problem.k + 1))
+    n_model, kappa_model, costs = _model_costs(problem.d, problem.k, problem.eps, derive_sobolev(problem))
     out = {
         "meta": _meta(problem, problem.seed),
         "h": mesh_size(problem, problem.eps)[1],
         "n_model": n_model,
         "kappa_model": kappa_model,
-        "classical": classical_cost(max(1, int(n_model)), 3, kappa_model, problem.eps / 2.0, d=problem.d, k=problem.k).to_dict(),
-        "quantum": quantum_cost(problem.d, problem.k, problem.eps, sob, 3, preconditioned=False).to_dict(),
-        "quantum_precond": quantum_cost(problem.d, problem.k, problem.eps, sob, 3, preconditioned=True).to_dict(),
+        **{pipeline: est.to_dict() for pipeline, est in costs.items()},
     }
     if problem.assembled:
         est = estimate_functional(problem, problem.eps, SampleBudget(rng_seed=problem.seed), exact_mode=True)
@@ -165,35 +191,24 @@ def plan_report(problem: ProblemSpec) -> dict:
     return out
 
 
-def resources_table(dims, degrees, eps_list, sobolev=None) -> list[dict]:
-    """Model exponents and values for every pipeline over a (d, k, eps) grid."""
+def resources_table(dims, degrees, eps_list) -> list[dict]:
+    """Model exponents and values for every pipeline over a (d, k, eps) grid,
+    with every Sobolev seminorm of the solution taken as 1."""
     if not all(np.isfinite(eps) and eps > 0 for eps in eps_list):
         raise ValidationError(f"every --eps must be finite and > 0, got {eps_list}")
-    sob = sobolev or SobolevData((1.0, 1.0, 1.0, 1.0, 1.0))
+    sob = SobolevData((1.0, 1.0, 1.0, 1.0, 1.0))
     rows = []
     for d in dims:
         for k in degrees:
-            table = exponent_table(d, k)
             for eps in eps_list:
-                sem = sob.seminorm(k + 1)
-                kappa_model = (sem / eps) ** (2.0 / (k + 1))
-                n_model = (sem / eps) ** (d / (k + 1))
-                entries = {
-                    "classical": classical_cost(max(1, int(np.ceil(n_model))), 3, kappa_model, eps / 2.0, d=d, k=k),
-                    "classical_precond": classical_cost(max(1, int(np.ceil(n_model))), 3, 1.0, eps / 2.0, d=d, k=k),
-                    "quantum": quantum_cost(d, k, eps, sob, 3, preconditioned=False),
-                    "quantum_precond": quantum_cost(d, k, eps, sob, 3, preconditioned=True),
-                }
-                entries["classical_precond"].exponent_of_inv_eps = table["classical_precond"][0]
-                entries["classical_precond"].exponent_terms = table["classical_precond"]
-                for pipeline, est in entries.items():
+                for pipeline, est in _model_costs(d, k, eps, sob)[2].items():
                     rows.append(
                         {
                             "pipeline": pipeline,
                             "d": d,
                             "k": k,
                             "eps": eps,
-                            "exponent": "+".join(str(t) for t in table[pipeline]),
+                            "exponent": "+".join(str(t) for t in est.exponent_terms),
                             "model_value": est.runtime_model,
                             "oracle_counts": ";".join(
                                 f"{name}={val:.6e}" for name, val in sorted(est.oracle_calls.items())
@@ -203,7 +218,8 @@ def resources_table(dims, degrees, eps_list, sobolev=None) -> list[dict]:
     return rows
 
 
-def lowerbound_hybrid_table(t_list, eps_list, draws, dim=16, trials=2000, seed=0, exact: bool = False) -> list[dict]:
+def lowerbound_hybrid_table(t_list, eps_list, draws, dim=16, seed=0, exact: bool = False) -> list[dict]:
+    """Worst advantage over ``draws`` pairs per (T, eps), each from 2000 trials, or exact if ``exact``."""
     if seed < 0 or draws < 1 or any(T < 0 for T in t_list):
         raise ValidationError(f"need --seed >= 0, --draws >= 1 and every --T >= 0, got {seed}, {draws}, {t_list}")
     rows = []
@@ -213,7 +229,7 @@ def lowerbound_hybrid_table(t_list, eps_list, draws, dim=16, trials=2000, seed=0
             bound = 0.5 + T * eps / np.sqrt(2.0)
             for rep in range(draws):
                 pair = make_blackbox_pair(dim, eps, T, rng_seed=seed + 1000 * rep + 17 * T)
-                res = hybrid_experiment(pair, trials=0 if exact else trials, rng_seed=seed + rep)
+                res = hybrid_experiment(pair, trials=0 if exact else 2000, rng_seed=seed + rep)
                 worst = max(worst, res.exact_probability)
             rows.append(
                 {
@@ -308,29 +324,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qfemlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_spec=True):
-        if needs_spec:
+    def command(name, summary, spec=False, seed=False, exact=False, table=False):
+        p = sub.add_parser(name, help=summary)
+        if spec:
             p.add_argument("--spec", required=True, help="problem spec JSON file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--exact", action="store_true", help="exact-expectation mode for sampling estimators")
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
+        if exact:
+            p.add_argument("--exact", action="store_true", help="exact-expectation mode for sampling estimators")
         p.add_argument("--out", default=None, help="output directory (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        if table:
+            p.add_argument("--format", choices=["json", "csv"], default="json")
+        return p
 
-    common(sub.add_parser("solve", help="mesh, assemble, CG-solve"))
-    p_conv = sub.add_parser("convergence", help="refinement study with fitted slope")
-    common(p_conv)
-    p_conv.add_argument("--levels", type=int, default=4)
-    common(sub.add_parser("simulate", help="run the sampling pipeline end to end"))
-    common(sub.add_parser("plan", help="mesh size, budget split and model costs"))
+    command("solve", "mesh, assemble, CG-solve", spec=True, seed=True)
+    command("convergence", "refinement study with fitted slope", spec=True, seed=True).add_argument("--levels", type=int, default=4)
+    command("simulate", "run the sampling pipeline end to end", spec=True, seed=True, exact=True)
+    command("plan", "mesh size, budget split and model costs", spec=True, seed=True)
 
-    p_res = sub.add_parser("resources", help="runtime-model table over (d, k, eps)")
-    common(p_res, needs_spec=False)
+    p_res = command("resources", "runtime-model table over (d, k, eps)", table=True)
     p_res.add_argument("--dims", type=_int_list, default=[1, 2, 3, 4])
     p_res.add_argument("--degrees", type=_int_list, default=[1, 2, 3])
     p_res.add_argument("--eps", type=_float_list, default=[0.01])
 
-    p_lb = sub.add_parser("lowerbound", help="distinguishability / bump-search demos")
-    common(p_lb, needs_spec=False)
+    p_lb = command("lowerbound", "distinguishability / bump-search demos", seed=True, exact=True, table=True)
     p_lb.add_argument("--mode", choices=["hybrid", "bump"], required=True)
     p_lb.add_argument("--T", type=_int_list, default=[1, 2, 4, 8])
     p_lb.add_argument("--eps-sep", type=_float_list, default=[0.01, 0.05, 0.1])

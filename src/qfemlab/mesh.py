@@ -260,15 +260,6 @@ def eval_basis_grad(mesh: Mesh, spec: BasisSpec, i: int, x) -> np.ndarray:
     return _eval_nodal_grad(mesh, spec, int(spec.dof_nodes[i]), pt)
 
 
-def neighbors(mesh: Mesh, element: int) -> list[int]:
-    """Elements sharing at least one vertex with the given one, sorted."""
-    if not 0 <= element < mesh.n_elements:
-        raise ValidationError(f"element {element} out of range [0, {mesh.n_elements})")
-    shared = np.isin(mesh.elements, mesh.elements[element]).any(axis=1)
-    shared[element] = False
-    return np.flatnonzero(shared).tolist()
-
-
 def evaluate_discrete(mesh: Mesh, spec: BasisSpec, coeffs, points) -> np.ndarray:
     """Evaluate sum_i coeffs_i phi_i at many points (vectorized).
 

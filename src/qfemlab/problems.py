@@ -129,10 +129,6 @@ class ProblemSpec:
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValidationError(f"problem spec field of the wrong type or shape: {exc}") from exc
 
-    @classmethod
-    def from_json(cls, text: str) -> "ProblemSpec":
-        return cls.from_dict(json.loads(text))
-
 
 def _integer(name, value) -> int:
     """int(value), refusing the booleans and fractions int() would accept."""
@@ -207,14 +203,15 @@ def exact_functional_1d(u_coeffs, r_coeffs) -> float:
     return float(sum(prod[i] / (i + 1) for i in range(len(prod))))
 
 
-def derive_sobolev(problem: ProblemSpec, max_order: int | None = None) -> SobolevData:
+def derive_sobolev(problem: ProblemSpec) -> SobolevData:
     """Solution Sobolev data: the explicit override if present, else the
-    analytic polynomial solution (1D, reaction = 0)."""
+    seminorms of orders 0..k+1 of the analytic polynomial solution (1D,
+    reaction = 0)."""
     if problem.sobolev is not None:
         return problem.sobolev
     if problem.d == 1 and problem.reaction == 0.0:
         u = analytic_solution_1d(problem.f_array(), problem.diffusion)
-        return sobolev_from_poly(u, max_order if max_order is not None else problem.k + 1)
+        return sobolev_from_poly(u, problem.k + 1)
     raise UnsupportedConfigurationError(
         "solution seminorms are required: supply the 'sobolev' field for "
         "problems without an analytic polynomial solution"
@@ -227,7 +224,7 @@ def derive_sobolev(problem: ProblemSpec, max_order: int | None = None) -> Sobole
 def mesh_size(problem: ProblemSpec, eps: float) -> tuple[int, float]:
     """Subdivisions per side n and mesh size h for target accuracy ``eps``,
     by the size rule in the module docstring."""
-    sob = derive_sobolev(problem, max_order=problem.k + 1)
+    sob = derive_sobolev(problem)
     h = choose_mesh_size(eps, sob.seminorm(problem.k + 1), problem.k)
     return max(1, int(np.ceil(np.sqrt(problem.d) / h))), h
 
@@ -247,5 +244,5 @@ def discretize(problem: ProblemSpec, n: int) -> tuple[Mesh, BasisSpec, SparseSym
     if spec.n_dofs == 0:
         raise ValidationError(f"{n} subdivision(s) per side leave no free dofs (every node is on the Dirichlet boundary)")
     M = assemble_stiffness(mesh, spec, BilinearForm(problem.diffusion, problem.reaction))
-    b = -assemble_load(mesh, spec, problem.f_array()).values
+    b = -assemble_load(mesh, spec, problem.f_array())
     return mesh, spec, M, b

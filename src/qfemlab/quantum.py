@@ -1,10 +1,11 @@
 """Desk-scale statevector simulation of the sampling pipeline.
 
 The input state |f~> is prepared exactly, as the ledger records in its
-``input_state_assumption``. The linear-equation subroutine is a behavioral
-stand-in: its output is the exact solution state (sparse direct solve)
-perturbed to a calibrated l2 distance eps_l, and its analytic oracle cost
-is recorded in a resource ledger. Solves come from the
+``input_state_assumption``. The linear-equation subroutine is not run:
+the overlap estimator samples the outcome distribution of a solver output
+at l2 distance eps_l from the exact solution state (sparse direct solve),
+and the subroutine's analytic oracle cost is charged to a resource ledger
+once per use of the state preparation. Solves come from the
 stiffness matrix's cached sparse factorisation (``SparseSymMatrix.solve``),
 and lambda_max and the condition number from its cached eigenvalue extremes
 (``SparseSymMatrix.extremes``, shift-invert Lanczos at both ends of the
@@ -47,14 +48,12 @@ def _next_pow2(n: int) -> int:
 
 
 class Statevector:
-    """Normalized real amplitude vector over a power-of-two dimension.
+    """Normalized real amplitude vector over a power-of-two dimension; the
+    padding tail past the FEM block is identically zero."""
 
-    ``n_active`` marks the FEM block; the padding tail is identically zero.
-    """
+    __slots__ = ("amplitudes",)
 
-    __slots__ = ("amplitudes", "n_active")
-
-    def __init__(self, amplitudes, n_active=None):
+    def __init__(self, amplitudes):
         amps = np.asarray(amplitudes, dtype=float)
         dim = len(amps)
         if dim == 0 or dim & (dim - 1):
@@ -63,7 +62,6 @@ class Statevector:
         if abs(nrm - 1.0) > 1e-12:
             raise ValidationError(f"state norm {nrm} is not 1 within 1e-12")
         self.amplitudes = amps
-        self.n_active = dim if n_active is None else int(n_active)
 
     @classmethod
     def from_vector(cls, vec) -> "Statevector":
@@ -74,7 +72,7 @@ class Statevector:
         dim = _next_pow2(len(v))
         out = np.zeros(dim)
         out[: len(v)] = v / nrm
-        return cls(out, n_active=len(v))
+        return cls(out)
 
     @property
     def dim(self) -> int:
@@ -84,12 +82,6 @@ class Statevector:
         if self.dim != other.dim:
             raise ValidationError("dimension mismatch")
         return float(self.amplitudes @ other.amplitudes)
-
-    def to_csv(self, path):
-        with open(path, "w") as f:
-            f.write("index,amplitude\n")
-            for i, a in enumerate(self.amplitudes):
-                f.write(f"{i},{a!r}\n")
 
 
 @dataclass
@@ -103,99 +95,35 @@ class SampleBudget:
     def __post_init__(self):
         self.rng = np.random.default_rng(self.rng_seed)
 
-    def binomial(self, shots: int, p: float, size: int = 1) -> np.ndarray:
-        """``size`` binomial counts of ``shots`` trials each, charging all
-        shots * size of them to the budget before drawing."""
-        if shots < 1 or size < 1:
-            raise ValidationError("shots and size must be >= 1")
-        count = shots * size
-        if self.uses_of_state_prep + count > self.shots:
+    def binomial(self, shots: int, p: float) -> int:
+        """One binomial count of ``shots`` trials, charging all of them to
+        the budget before drawing."""
+        if shots < 1:
+            raise ValidationError("shots must be >= 1")
+        if self.uses_of_state_prep + shots > self.shots:
             raise BudgetExceededError(
-                f"budget of {self.shots} shots exhausted (would need {self.uses_of_state_prep + count})"
+                f"budget of {self.shots} shots exhausted (would need {self.uses_of_state_prep + shots})"
             )
-        self.uses_of_state_prep += count
-        return self.rng.binomial(shots, p, size=size)
+        self.uses_of_state_prep += shots
+        return int(self.rng.binomial(shots, p))
 
 
 # ---------------------------------------------------------------------------
-# linear-solver stand-in, error propagation and the estimators
+# linear-solver cost model and the estimators
 
 def _theorem_cost(s: int, kappa: float, eps: float) -> float:
     eps = max(eps, 1e-16)
     return s * kappa * (1.0 + math.log(max(s * kappa / eps, 1.0))) ** 2
 
 
-def simulated_qle(M: SparseSymMatrix, b: Statevector, eps_l: float, rng_seed: int, ledger=None) -> Statevector:
-    """Behavioral stand-in for the linear-equation subroutine.
-
-    Returns the exact normalized solution of M x = b (sparse direct solve)
-    perturbed by a seeded random unit vector in its orthogonal complement,
-    scaled so the l2 distance to the exact state is exactly ``eps_l``. The
-    analytic oracle cost of one subroutine call, with kappa from the cached
-    ``M.extremes()``, is appended to ``ledger`` when given.
-    """
-    if not 0.0 <= eps_l < 1.0:
-        raise ValidationError(f"eps_l must be in [0, 1), got {eps_l}")
-    n = M.n
-    x = M.solve(b.amplitudes[:n])
-    nx = np.linalg.norm(x)
-    if nx == 0:
-        raise ValidationError("zero solution state")
-    out = np.zeros(b.dim)
-    out[:n] = x / nx
-
-    if eps_l > 0.0:
-        block = n if n >= 2 else b.dim
-        if block < 2:
-            raise ValidationError("cannot perturb a one-dimensional state")
-        rng = np.random.default_rng(rng_seed)
-        base = out[:block]
-        w = rng.standard_normal(block)
-        w -= (w @ base) * base
-        nw = np.linalg.norm(w)
-        while nw < 1e-12:
-            w = rng.standard_normal(block)
-            w -= (w @ base) * base
-            nw = np.linalg.norm(w)
-        theta = 2.0 * math.asin(eps_l / 2.0)
-        out[:block] = math.cos(theta) * base + math.sin(theta) * (w / nw)
-
-    if ledger is not None:
-        kappa = estimate_condition_number(M)
-        cost = _theorem_cost(M.s, kappa, eps_l)
-        ledger.append(
-            ResourceEstimate(
-                pipeline="quantum",
-                oracle_calls={"P_M": cost, "P_b": cost},
-                runtime_model=cost,
-                notes={"call": "qle", "eps_l": eps_l, "kappa": kappa},
-            )
-        )
-    return Statevector(out, n_active=n)
-
-
-def input_error_propagation(M: SparseSymMatrix, b, e) -> float:
-    """Exact l2 distance between the normalized solutions for right-hand
-    sides b and b + e. Callers compare it against the bound 2 ||e|| kappa."""
-    bvec = b.amplitudes[: M.n] if isinstance(b, Statevector) else np.asarray(b, dtype=float)
-    evec = np.asarray(e, dtype=float)
-    if np.linalg.norm(evec) >= 1.0:
-        raise ValidationError("perturbation must have norm < 1")
-    x = M.solve(bvec)
-    y = M.solve(bvec + evec)
-    if np.linalg.norm(e) == 0:
-        return 0.0
-    return float(np.linalg.norm(x / np.linalg.norm(x) - y / np.linalg.norm(y)))
-
-
 def build_r_state(mesh: Mesh, spec: BasisSpec, r_coeffs):
     """Normalized state with amplitudes proportional to <phi_i, r>, plus the
     normalization alpha = (sum_i <phi_i, r>^2)^(1/2)."""
     load = assemble_load(mesh, spec, r_coeffs)
-    alpha = load.norm()
+    alpha = float(np.linalg.norm(load))
     if alpha < 1e-300:
         raise ValidationError("r is orthogonal to every basis function")
-    return Statevector.from_vector(load.values), float(alpha)
+    return Statevector.from_vector(load), alpha
 
 
 def hadamard_test_estimate(
@@ -203,7 +131,6 @@ def hadamard_test_estimate(
     r_state: Statevector,
     eps_out: float,
     budget: SampleBudget,
-    medians: int = 1,
     eps_l: float = 0.0,
 ) -> float:
     """Estimate <u~|r> from +-1 samples whose expectation is the overlap.
@@ -212,10 +139,9 @@ def hadamard_test_estimate(
     l2 distance ``eps_l`` from ``u_state`` (theta = 2 asin(eps_l / 2)), with
     w uniform on the unit sphere orthogonal to u. Since w and -w are equally
     likely, the outcomes are iid with P(+1) = (1 + cos(theta) <u|r>) / 2, so
-    each mean is drawn as one binomial over 2*ceil(1/eps_out^2) shots
-    (Hoeffding sizing for the 2/3 success target); ``medians`` must be >= 1,
-    and above 1 switches on median-of-means amplification. Every shot
-    consumes one use of the state preparation.
+    their mean is drawn as one binomial over 2*ceil(1/eps_out^2) shots
+    (Hoeffding sizing for the 2/3 success target). Every shot consumes one
+    use of the state preparation.
     """
     if eps_out <= 0:
         raise ValidationError("eps_out must be positive")
@@ -224,20 +150,7 @@ def hadamard_test_estimate(
     shots = 2 * math.ceil(1.0 / eps_out**2)
     theta = 2.0 * math.asin(eps_l / 2.0)
     p = 0.5 * (1.0 + float(np.clip(math.cos(theta) * u_state.inner(r_state), -1.0, 1.0)))
-    means = 2.0 * budget.binomial(shots, p, size=medians) / shots - 1.0
-    return float(np.median(means))
-
-
-def swap_test_estimate(psi: Statevector, phi: Statevector, shots: int, rng_seed: int) -> float:
-    """Estimate |<psi|phi>|^2 from Bernoulli samples of the swap test, whose
-    'same' probability is 1/2 + |<psi|phi>|^2 / 2."""
-    if psi.dim != phi.dim:
-        raise ValidationError("dimension mismatch")
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
-    p_same = 0.5 + 0.5 * psi.inner(phi) ** 2
-    k = np.random.default_rng(rng_seed).binomial(shots, p_same)
-    return float(2.0 * k / shots - 1.0)
+    return 2.0 * budget.binomial(shots, p) / shots - 1.0
 
 
 def estimate_norm(M: SparseSymMatrix, b: Statevector, eps_n_rel: float, budget: SampleBudget, ledger=None) -> float:
@@ -259,7 +172,7 @@ def estimate_norm(M: SparseSymMatrix, b: Statevector, eps_n_rel: float, budget: 
             f"acceptance probability {p:.3e} below the simulable floor; consider preconditioning"
         )
     shots = max(8, math.ceil(2.0 * (1.0 - p) / (p * eps_n_rel**2)))
-    p_hat = int(budget.binomial(shots, p)[0]) / shots
+    p_hat = budget.binomial(shots, p) / shots
     if ledger is not None:
         entry = norm_estimation_cost(M.s, kap, eps_n_rel)
         entry.notes.update(
@@ -316,7 +229,7 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
     ``exact_mode`` zeroes the solver, norm and measurement errors so only
     the discretisation term remains.
     """
-    sob = derive_sobolev(problem, max_order=problem.k + 1)
+    sob = derive_sobolev(problem)
     if eps > sob.l2_norm:
         raise UnsupportedConfigurationError(f"assumes eps <= ||u|| (eps={eps}, ||u||={sob.l2_norm})")
     n, h = mesh_size(problem, 2.0 * discretisation_share(eps, sob.l2_norm))

@@ -160,18 +160,18 @@ def split_budget(
     return ErrorBudget(eps=eps, eps_d=eps_d, eps_n=eps_n, eps_l=eps_l, eps_out=eps_out, eps_cg=eps / 2.0)
 
 
-def classical_cost(n: int, s: int, kappa: float, eps_cg: float, d: int | None = None, k: int | None = None) -> ResourceEstimate:
+def classical_cost(n: int, s: int, kappa: float, eps_cg: float, d: int, k: int) -> ResourceEstimate:
     """Conjugate-gradient runtime model N s sqrt(kappa) ln(1/eps_cg)."""
     if n <= 0 or s <= 0 or kappa <= 0 or eps_cg <= 0:
         raise ValidationError("all parameters must be positive")
     value = n * s * math.sqrt(kappa) * math.log(1.0 / eps_cg)
-    exponent = Fraction(d + 1, k + 1) if d is not None and k is not None else None
+    exponent = Fraction(d + 1, k + 1)
     return ResourceEstimate(
         pipeline="classical",
         oracle_calls={"matvec": float(n * s)},
         runtime_model=value,
         exponent_of_inv_eps=exponent,
-        exponent_terms=(exponent,) if exponent is not None else (),
+        exponent_terms=(exponent,),
     )
 
 

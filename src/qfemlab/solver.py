@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import LoadVector, SparseSymMatrix
+from .assembly import SparseSymMatrix
 from .errors import ValidationError
 
 
@@ -64,7 +64,7 @@ def conjugate_gradient(
         raise ValidationError("tol must be positive")
     if cap is not None and cap < 1:
         raise ValidationError("cap must be >= 1")
-    bvec = np.asarray(b.values if isinstance(b, LoadVector) else b, dtype=float)
+    bvec = np.asarray(b, dtype=float)
     n = M.n
     if bvec.shape != (n,):
         raise ValidationError(f"rhs has shape {bvec.shape}, expected ({n},)")

@@ -60,14 +60,14 @@ def test_load_constant():
     mesh = build_interval_mesh(8)
     spec = build_basis(mesh, 1)
     f = assemble_load(mesh, spec, [1.0])
-    assert np.allclose(f.values[:-1], mesh.h, atol=1e-14)
-    assert f.values[-1] == pytest.approx(mesh.h / 2, abs=1e-14)
+    assert np.allclose(f[:-1], mesh.h, atol=1e-14)
+    assert f[-1] == pytest.approx(mesh.h / 2, abs=1e-14)
 
 
 def test_load_zero():
     mesh = build_interval_mesh(4)
     spec = build_basis(mesh, 1)
-    assert np.all(assemble_load(mesh, spec, [0.0]).values == 0.0)
+    assert np.all(assemble_load(mesh, spec, [0.0]) == 0.0)
 
 
 def test_load_linear_interior():
@@ -75,8 +75,8 @@ def test_load_linear_interior():
     spec = build_basis(mesh, 1)
     f = assemble_load(mesh, spec, [0.0, 1.0])
     # interior entries are h * x_i; dof 0 sits at x = 0.25
-    assert f.values[0] == pytest.approx(0.0625, abs=1e-14)
-    assert f.values[1] == pytest.approx(mesh.h * 0.5, abs=1e-14)
+    assert f[0] == pytest.approx(0.0625, abs=1e-14)
+    assert f[1] == pytest.approx(mesh.h * 0.5, abs=1e-14)
 
 
 def test_load_rejects_high_degree():
@@ -90,8 +90,8 @@ def test_load_callable_matches_poly():
     mesh = build_interval_mesh(6)
     spec = build_basis(mesh, 2)
     coeffs = [0.3, -1.0, 2.0, 0.5]
-    a = assemble_load(mesh, spec, coeffs).values
-    b = assemble_load(mesh, spec, lambda x: 0.3 - x + 2 * x**2 + 0.5 * x**3).values
+    a = assemble_load(mesh, spec, coeffs)
+    b = assemble_load(mesh, spec, lambda x: 0.3 - x + 2 * x**2 + 0.5 * x**3)
     assert np.allclose(a, b, atol=1e-13)
 
 
@@ -234,27 +234,6 @@ def test_spai_reduces_condition_number():
     kappa_m = ev_m[-1] / ev_m[0]
     kappa_pm = ev_pm[-1] / ev_pm[0]
     assert kappa_pm < kappa_m
-
-
-def test_matrix_market_roundtrip(tmp_path):
-    _, _, M = poisson_1d(6)
-    path = tmp_path / "m.mtx"
-    M.to_matrix_market(path)
-    from scipy.io import mmread
-
-    back = mmread(path).toarray()
-    assert np.allclose(back, M.to_dense(), atol=1e-12)
-
-
-def test_load_vector_csv(tmp_path):
-    mesh = build_interval_mesh(4)
-    spec = build_basis(mesh, 1)
-    f = assemble_load(mesh, spec, [1.0])
-    path = tmp_path / "load.csv"
-    f.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "index,value"
-    assert len(rows) == spec.n_dofs + 1
 
 
 def test_sparse_matrix_rejects_asymmetry():

@@ -111,6 +111,48 @@ def test_resources_json_and_csv(capsys):
     assert len(lines) == 1 + 2 * 4
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {**TINY_1D, "eps": 0.03, "sobolev": [1, 1, 1, 1, 1]},
+        {**TINY_1D_K2, "eps": 0.03, "sobolev": [1, 1, 1, 1, 1]},
+        {**TINY_2D, "eps": 0.03, "sobolev": [1, 1, 1, 1, 1]},
+    ],
+    ids=["1d", "1d-k2", "2d"],
+)
+def test_plan_prices_every_pipeline_as_resources_does(capsys, spec_file, spec):
+    # resources takes every seminorm as 1, so the spec's sobolev field does too
+    plan = run_json(capsys, "plan", "--spec", spec_file(spec))
+    rows = run_json(capsys, "resources", "--dims", str(spec["d"]), "--degrees", str(spec["k"]), "--eps", "0.03")
+    assert [row["pipeline"] for row in rows] == ["classical", "classical_precond", "quantum", "quantum_precond"]
+    for row in rows:
+        est = plan[row["pipeline"]]
+        assert est["pipeline"] == row["pipeline"]
+        assert est["runtime_model"] == row["model_value"]
+        assert "+".join(est["exponent_terms"]) == row["exponent"]
+        assert ";".join(f"{name}={val:.6e}" for name, val in sorted(est["oracle_calls"].items())) == row["oracle_counts"]
+
+
+# each subcommand registers only the flags it reads
+UNREAD_FLAGS = [
+    ("solve", "--spec", "{tiny_1d}", "--exact"),
+    ("solve", "--spec", "{tiny_1d}", "--format", "csv"),
+    ("plan", "--spec", "{tiny_1d}", "--exact"),
+    ("resources", "--seed", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=" ".join)
+def test_unread_flags_are_rejected(capsys, spec_file, argv):
+    path = spec_file(TINY_1D)
+    with pytest.raises(SystemExit) as exc:
+        main([path if arg == "{tiny_1d}" else arg for arg in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("extra", [(), ("--exact",)])
 def test_lowerbound_hybrid_defaults_exit_zero(capsys, extra):
     rows = run_json(capsys, "lowerbound", "--mode", "hybrid", *extra)

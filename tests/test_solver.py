@@ -20,7 +20,7 @@ def poisson_system(n, k=1, f=(-1.0,), d=1):
     mesh = build_interval_mesh(n) if d == 1 else build_square_triangulation(n)
     spec = build_basis(mesh, k)
     M = assemble_stiffness(mesh, spec, BilinearForm())
-    b = -assemble_load(mesh, spec, list(f) if d == 1 else [list(f)]).values
+    b = -assemble_load(mesh, spec, list(f) if d == 1 else [list(f)])
     return M, b
 
 

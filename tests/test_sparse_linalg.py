@@ -41,7 +41,7 @@ def system(d, n, k=1, reaction=0.0):
     spec = build_basis(mesh, k)
     M = assemble_stiffness(mesh, spec, BilinearForm(diffusion=1.0, reaction=reaction))
     load = assemble_load(mesh, spec, [-1.0] if d == 1 else [[-1.0]])
-    return M, -load.values
+    return M, -load
 
 
 CASES = [
@@ -171,6 +171,18 @@ def test_singular_matrix_raises(a):
     b = Statevector.from_vector(np.ones(M.n) if M.n > 2 else [1.0, 0.0])
     with pytest.raises(ValidationError, match="singular"):
         estimate_norm(M, b, 0.1, SampleBudget(rng_seed=0))
+
+
+def test_constructor_leaves_the_callers_matrix_alone():
+    # unsorted column indices, which canonicalising sorts in place
+    a = sp.csr_array((np.array([1.0, 2.0, 2.0, 1.0]), np.array([1, 0, 1, 0]), np.array([0, 2, 4])), shape=(2, 2))
+    M = SparseSymMatrix(a)
+    assert np.array_equal(a.indices, [1, 0, 1, 0]) and np.array_equal(a.data, [1.0, 2.0, 2.0, 1.0])
+    assert not np.shares_memory(a.data, M.csr.data)
+    lam = M.extremes()
+    a.data[:] = 9.0  # a later write by the caller reaches neither M nor its cache
+    assert np.array_equal(M.to_dense(), [[2.0, 1.0], [1.0, 2.0]])
+    assert M.extremes() == lam == pytest.approx((1.0, 3.0), rel=1e-12)
 
 
 def test_extremes_bit_identical_on_equal_matrices():
