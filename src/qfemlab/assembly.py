@@ -1,16 +1,21 @@
 """Assembly of stiffness, mass and load terms, and the SPAI preconditioner.
 
 The bilinear form is a(u, v) = diffusion * int grad(u).grad(v) + reaction *
-int u v. 1D element matrices are integrated exactly in rational arithmetic
-once per degree, so interior stiffness entries come out bit-exact (2/h on
-the diagonal, -1/h off it, for the k=1 pure-diffusion case). Loads use
-Gauss-Legendre quadrature with enough points to be exact for polynomial
-data up to degree 8.
+int u v. Element matrices are exact: in 1D they are integrated in rational
+arithmetic once per degree, so interior stiffness entries come out
+bit-exact (2/h on the diagonal, -1/h off it, for the k=1 pure-diffusion
+case); in 2D the two right triangles of a cell have integer gradients, so
+pure diffusion gives the five-point stencil 4 * diffusion and -diffusion
+exactly. Loads use Gauss-Legendre quadrature with enough points to be exact
+for polynomial data up to degree 8.
 
-Every kernel is batched over elements: the element matrices, or the load
-contributions at all quadrature points of all elements, are formed in one
-broadcast, then scattered to the dofs in element order (a COO build for
-matrices, one ``np.bincount`` for loads), so duplicates sum in a fixed order.
+1D matrices and all loads are batched over elements: the element matrices,
+or the load contributions at all quadrature points of all elements, are
+formed in one broadcast, then scattered to the dofs in element order (a COO
+build for matrices, one ``np.bincount`` for loads), so duplicates sum in a
+fixed order. 2D matrices are a stencil on the uniform triangulation: the two
+element matrices are added onto the vertex grid by slices, one array per
+coupling direction, and written out as CSR rows directly.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import NonConvergenceError, ValidationError
-from .mesh import BasisSpec, Mesh
+from .mesh import TRIANGLE_GRADS, BasisSpec, Mesh
 
 MAX_POLY_DEGREE = 8
 _CALLABLE_QUAD_POINTS = 12
@@ -137,9 +142,10 @@ class SparseSymMatrix:
     no duplicates).
 
     Immutable by convention. ``s`` is the maximum number of nonzeros per row.
-    The constructor checks symmetry (to a relative 1e-14, in O(nnz));
-    ``from_upper_coo`` and the shifted sI - M in ``extremes`` are symmetric
-    bit for bit by construction and skip the check.
+    The constructor checks symmetry (to a relative 1e-14, in O(nnz)). Three
+    other constructions are symmetric bit for bit by design and skip the
+    check through ``_symmetric``: ``from_upper_coo`` (1D assembly), the 2D
+    stencil assembly and the shifted sI - M in ``extremes``.
 
     Linear algebra stays sparse. The first call to ``solve``, ``is_spd`` or
     ``extremes`` factors the matrix once with a symmetric-mode sparse LU
@@ -317,28 +323,71 @@ def _check_pair(mesh: Mesh, spec: BasisSpec):
 
 
 def _assemble_bilinear(mesh: Mesh, spec: BasisSpec, diffusion: float, reaction: float) -> SparseSymMatrix:
-    """The upper triangles of all element matrices in one broadcast, then one
-    COO build in element order (so duplicates sum in a fixed order)."""
+    """1D: the upper triangles of all element matrices in one broadcast, then
+    one COO build in element order (so duplicates sum in a fixed order).
+    2D: the stencil build of ``_assemble_stencil_2d``."""
+    if mesh.dimension == 2:
+        return _assemble_stencil_2d(mesh, spec, diffusion, reaction)
     gids = spec.node_dofs[spec.element_nodes]  # (n_elements, m), -1 if constrained
     a, b = np.triu_indices(gids.shape[1])
-    if mesh.dimension == 1:
-        kref, mref = _reference_matrices(spec.k)
-        h = mesh.h
-        local = (diffusion * kref / h + reaction * mref * h)[a, b]
-    else:
-        area = 0.5 / (mesh.n * mesh.n)
-        vx, vy = mesh.vertices.T
-        # gradient of barycentric function a from the nodes b, c that follow it
-        nb, nc = spec.element_nodes[:, [1, 2, 0]], spec.element_nodes[:, [2, 0, 1]]
-        g = np.stack([vy[nb] - vy[nc], vx[nc] - vx[nb]], axis=-1) / (2.0 * area)  # (n_elements, 3, 2)
-        # a matrix product, not explicit products g_a . g_b, which round differently
-        gg = (g @ g.transpose(0, 2, 1))[:, a, b]
-        local = diffusion * gg * area + (reaction * area / 12.0 * (1.0 + np.eye(3)))[a, b]
+    kref, mref = _reference_matrices(spec.k)
+    h = mesh.h
+    local = (diffusion * kref / h + reaction * mref * h)[a, b]
     ia, ib = gids[:, a], gids[:, b]
     vals = np.broadcast_to(local, ia.shape)
     keep = (ia >= 0) & (ib >= 0)
     ia, ib, vals = ia[keep], ib[keep], vals[keep]
     return SparseSymMatrix.from_upper_coo(spec.n_dofs, np.minimum(ia, ib), np.maximum(ia, ib), vals)
+
+
+def _assemble_stencil_2d(mesh: Mesh, spec: BasisSpec, diffusion: float, reaction: float) -> SparseSymMatrix:
+    """The uniform triangulation has two element shapes, so M is a stencil.
+
+    The two exact element matrices are added onto the (n+1)^2 vertex grid,
+    indexed [j, i], once per coupling: the vertex itself (C) and its east
+    (E), north (N) and north-east (NE) neighbours. The other neighbours'
+    entries are these read from the neighbour's side, so M_pq and M_qp are
+    bit-identical. Each row's seven entries come out in ascending column
+    order; exact zeros and constrained nodes are dropped, which leaves
+    canonical CSR.
+    """
+    n = mesh.n
+    area = 0.5 / (n * n)
+    mass = reaction * area / 12.0 * (1.0 + np.eye(3))
+    # the gradients are n g, so the element stiffness (n g)(n g)^T * area is
+    # g g^T / 2 whatever n is
+    lo, up = (diffusion * 0.5 * (g @ g.T) + mass for g in TRIANGLE_GRADS)
+    # vertex (i, j) sits at [j + 1, i + 1]; the border holds zeros and dof -1
+    C, E, N, NE = np.zeros((4, n + 3, n + 3))
+    dof = np.full((n + 3, n + 3), -1)
+    dof[1:n + 2, 1:n + 2] = spec.node_dofs.reshape(n + 1, n + 1)
+    cell, on = slice(1, n + 1), slice(2, n + 2)  # vertex (i, j) of each cell, and one further on
+    C[cell, cell] += lo[0, 0] + up[0, 0]  # v00 of cell (i, j) is vertex (i, j)
+    C[cell, on] += lo[1, 1]  # v10
+    C[on, on] += lo[2, 2] + up[1, 1]  # v11
+    C[on, cell] += up[2, 2]  # v01
+    E[cell, cell] += lo[0, 1]  # edge v00-v10 of the cell above
+    E[on, cell] += up[1, 2]  # edge v11-v01 of the cell below
+    N[cell, cell] += up[0, 2]  # edge v00-v01 of the cell to the east
+    N[cell, on] += lo[1, 2]  # edge v10-v11 of the cell to the west
+    NE[cell, cell] += lo[0, 2] + up[0, 1]
+
+    def shifted(grid, dj, di):
+        """grid at vertex (i + di, j + dj), for every vertex (i, j)"""
+        return grid[1 + dj:n + 2 + dj, 1 + di:n + 2 + di]
+
+    # row (i, j): SW, S, W, C, E, N, NE, where W is the E entry of (i - 1, j)
+    # and so on; dofs number the free nodes in node order, so every row's
+    # columns ascend
+    vals = np.stack(
+        [shifted(NE, -1, -1), shifted(N, -1, 0), shifted(E, 0, -1), shifted(C, 0, 0), shifted(E, 0, 0), shifted(N, 0, 0), shifted(NE, 0, 0)],
+        axis=-1,
+    ).reshape(-1, 7)
+    steps = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+    cols = np.stack([shifted(dof, dj, di) for dj, di in steps], axis=-1).reshape(-1, 7)
+    keep = (vals != 0.0) & (cols >= 0) & (spec.node_dofs >= 0)[:, None]
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1)[spec.dof_nodes])])
+    return SparseSymMatrix._symmetric(sp.csr_array((vals[keep], cols[keep], indptr), shape=(spec.n_dofs, spec.n_dofs)))
 
 
 def assemble_stiffness(mesh: Mesh, spec: BasisSpec, form: BilinearForm) -> SparseSymMatrix:

@@ -7,7 +7,8 @@ any other flag exits 2. solve, convergence, simulate and plan read
 ``--spec`` and ``--seed``; convergence also reads ``--levels`` and simulate
 ``--exact``. resources reads ``--format json|csv`` and its grid flags.
 lowerbound reads ``--mode``, ``--seed``, ``--exact`` (hybrid mode),
-``--format json|csv`` and the grid flags of its mode.
+``--format json|csv`` and the grid flags of its mode; a flag of the other
+mode exits 2.
 Exit codes: 0 success, 2 validation error, 3 non-convergence, 4 budget or
 cap exceeded (a shot budget, the mesh cell cap, the simulable acceptance
 floor, or memory running out). Every artifact embeds the spec hash, the
@@ -28,7 +29,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import __version__
-from .assembly import assemble_load, element_quadrature_1d
+from .assembly import assemble_gram, assemble_load, element_quadrature_1d
 from .errors import (
     BudgetExceededError,
     CapExceededError,
@@ -37,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .lowerbounds import BumpOracle, hybrid_experiment, make_blackbox_pair, oracle_search_demo
-from .mesh import evaluate_discrete
+from .mesh import evaluate_discrete, prolongation
 from .problems import ProblemSpec, analytic_solution_1d, derive_sobolev, discretize, mesh_size
 from .quantum import SampleBudget, estimate_functional
 from .resources import SobolevData, classical_cost, exponent_table, quantum_cost
@@ -84,29 +85,17 @@ def _l2_norm_1d(mesh, p: int, diff) -> float:
     return float(np.sqrt(np.cumsum(mesh.h * (sq[:, None] @ ws[:, None])[:, 0, 0])[-1]))
 
 
-def _error_against_fine(mesh_f, spec_f, coeffs_f):
-    """Function of a coarse discrete solution that returns its L2 distance
-    from the fine one, integrated on the fine mesh (exact: both are
-    piecewise polynomial on the fine elements when the fine subdivision is
-    a multiple of the coarse). The fine quadrature points and the fine
-    solution's values there are computed once, here."""
-    if mesh_f.dimension == 1:
-        fine = evaluate_discrete(mesh_f, spec_f, coeffs_f, element_quadrature_1d(mesh_f, 4)[0].ravel())
-        return lambda mesh, spec, coeffs: _l2_norm_1d(mesh_f, 4, lambda xq: fine - evaluate_discrete(mesh, spec, coeffs, xq))
-    # 2D: edge-midpoint rule per fine triangle (exact for quadratics)
-    tri_pts = mesh_f.vertices[mesh_f.elements]  # (ne, 3, 2)
-    pts = (0.5 * (tri_pts + np.roll(tri_pts, -1, axis=1))).reshape(-1, 2)
-    fine = evaluate_discrete(mesh_f, spec_f, coeffs_f, pts)
-    area = 0.5 / (mesh_f.n * mesh_f.n)
-    return lambda mesh, spec, coeffs: float(np.sqrt(area / 3.0 * float(((fine - evaluate_discrete(mesh, spec, coeffs, pts)) ** 2).sum())))
-
-
 def convergence_report(problem: ProblemSpec, levels: int) -> dict:
     """L2 errors across mesh refinements, from 4 subdivisions per side
     doubling at each level, and the fitted log-log slope.
 
     Uses the analytic polynomial solution when available (1D, reaction = 0),
-    otherwise a reference solve on a 4x finer mesh.
+    integrated by Gauss quadrature on each element. Otherwise the reference
+    is a solve u_f on a 4x finer mesh, in which every level is nested: with
+    the prolongation P of a level's solution u_c onto the fine basis and the
+    fine Gram matrix G_f, the error is sqrt(e^T G_f e) for e = u_f - P u_c,
+    the exact L2 distance of the two discrete solutions. No point evaluation
+    is needed.
     """
     if levels < 3:
         raise ValidationError("need at least 3 refinement levels")
@@ -122,7 +111,11 @@ def convergence_report(problem: ProblemSpec, levels: int) -> dict:
         mesh_f, spec_f, M_f, b_f = discretize(problem, 4 * ns[-1])
         coeffs_f = M_f.solve(b_f)
         del M_f, b_f  # free the reference factorisation before anything else runs
-        error = _error_against_fine(mesh_f, spec_f, coeffs_f)
+        gram_f = assemble_gram(mesh_f, spec_f)
+
+        def error(mesh, spec, coeffs):
+            e = coeffs_f - prolongation(mesh, spec, mesh_f, spec_f) @ coeffs
+            return float(np.sqrt(max(e @ (gram_f @ e), 0.0)))  # >= 0 up to rounding
     rows = []
     for n in ns:
         mesh, spec, M, b = discretize(problem, n)
@@ -218,8 +211,13 @@ def resources_table(dims, degrees, eps_list) -> list[dict]:
     return rows
 
 
-def lowerbound_hybrid_table(t_list, eps_list, draws, dim=16, seed=0, exact: bool = False) -> list[dict]:
-    """Worst advantage over ``draws`` pairs per (T, eps), each from 2000 trials, or exact if ``exact``."""
+def lowerbound_hybrid_table(t_list=None, eps_list=None, draws=None, dim=None, seed=0, exact: bool = False) -> list[dict]:
+    """Worst advantage over ``draws`` pairs per (T, eps), each from 2000 trials, or exact if ``exact``.
+    Arguments left None take the CLI defaults: T 1,2,4,8, eps 0.01,0.05,0.1, 50 draws, dim 16."""
+    t_list = [1, 2, 4, 8] if t_list is None else t_list
+    eps_list = [0.01, 0.05, 0.1] if eps_list is None else eps_list
+    draws = 50 if draws is None else draws
+    dim = 16 if dim is None else dim
     if seed < 0 or draws < 1 or any(T < 0 for T in t_list):
         raise ValidationError(f"need --seed >= 0, --draws >= 1 and every --T >= 0, got {seed}, {draws}, {t_list}")
     rows = []
@@ -243,7 +241,11 @@ def lowerbound_hybrid_table(t_list, eps_list, draws, dim=16, seed=0, exact: bool
     return rows
 
 
-def lowerbound_bump_table(n_list, per_n=8, seed=0) -> list[dict]:
+def lowerbound_bump_table(n_list=None, per_n=None, seed=0) -> list[dict]:
+    """Bump-search answers and query counts, ``per_n`` random bumps per N.
+    Arguments left None take the CLI defaults: N 16,64,256 and 8 per N."""
+    n_list = [16, 64, 256] if n_list is None else n_list
+    per_n = 8 if per_n is None else per_n
     if seed < 0 or per_n < 1 or any(n < 2 for n in n_list):
         raise ValidationError(f"need --seed >= 0, --per-n >= 1 and every --N >= 2, got {seed}, {per_n}, {n_list}")
     rows = []
@@ -349,13 +351,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lb = command("lowerbound", "distinguishability / bump-search demos", seed=True, exact=True, table=True)
     p_lb.add_argument("--mode", choices=["hybrid", "bump"], required=True)
-    p_lb.add_argument("--T", type=_int_list, default=[1, 2, 4, 8])
-    p_lb.add_argument("--eps-sep", type=_float_list, default=[0.01, 0.05, 0.1])
-    p_lb.add_argument("--draws", type=int, default=50)
-    p_lb.add_argument("--dim", type=int, default=16)
-    p_lb.add_argument("--N", type=_int_list, default=[16, 64, 256])
-    p_lb.add_argument("--per-n", type=int, default=8)
+    # every mode flag defaults to None, so main can tell a flag of the other
+    # mode from its absence; the table functions fill in the defaults
+    p_lb.set_defaults(exact=None)
+    p_lb.add_argument("--T", type=_int_list, help="hybrid mode (default 1,2,4,8)")
+    p_lb.add_argument("--eps-sep", type=_float_list, help="hybrid mode (default 0.01,0.05,0.1)")
+    p_lb.add_argument("--draws", type=int, help="hybrid mode (default 50)")
+    p_lb.add_argument("--dim", type=int, help="hybrid mode (default 16)")
+    p_lb.add_argument("--N", type=_int_list, help="bump mode (default 16,64,256)")
+    p_lb.add_argument("--per-n", type=int, help="bump mode (default 8)")
     return parser
+
+
+# for each lowerbound mode, the flags (by dest) that only the other mode reads
+_OTHER_MODE_FLAGS = {
+    "hybrid": {"N": "--N", "per_n": "--per-n"},
+    "bump": {"T": "--T", "eps_sep": "--eps-sep", "draws": "--draws", "dim": "--dim", "exact": "--exact"},
+}
 
 
 def main(argv=None) -> int:
@@ -373,9 +385,12 @@ def main(argv=None) -> int:
         elif args.command == "resources":
             _emit(resources_table(args.dims, args.degrees, args.eps), args, "resources")
         elif args.command == "lowerbound":
+            given = [flag for dest, flag in _OTHER_MODE_FLAGS[args.mode].items() if getattr(args, dest) is not None]
+            if given:
+                raise ValidationError(f"{', '.join(given)} not read by --mode {args.mode}")
             seed = args.seed if args.seed is not None else 0
             if args.mode == "hybrid":
-                rows = lowerbound_hybrid_table(args.T, args.eps_sep, args.draws, dim=args.dim, seed=seed, exact=args.exact)
+                rows = lowerbound_hybrid_table(args.T, args.eps_sep, args.draws, dim=args.dim, seed=seed, exact=bool(args.exact))
             else:
                 rows = lowerbound_bump_table(args.N, per_n=args.per_n, seed=seed)
             _emit(rows, args, f"lowerbound_{args.mode}")

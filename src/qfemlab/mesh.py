@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import UnsupportedConfigurationError, ValidationError
 
@@ -208,6 +209,8 @@ def _lagrange_deriv(ts: np.ndarray, j: int, x: float) -> float:
 # Barycentric coordinates on the two reference triangles of a cell, as
 # functions of local cell coordinates (xi, eta) in [0,1]^2.
 # lower (v00, v10, v11): 1-xi, xi-eta, eta ; upper (v00, v11, v01): 1-eta, xi, eta-xi
+# Their gradients, times n, in the same order:
+TRIANGLE_GRADS = (np.array([[-1, 0], [1, -1], [0, 1]]), np.array([[0, -1], [1, 0], [-1, 1]]))
 
 
 def _node_at(mesh: Mesh, spec: BasisSpec, node: int, pt: np.ndarray):
@@ -236,12 +239,7 @@ def _eval_nodal_grad(mesh: Mesh, spec: BasisSpec, node: int, pt: np.ndarray) -> 
         return np.zeros(mesh.dimension)
     if mesh.dimension == 1:
         return np.array([_lagrange_deriv(spec.nodes[spec.element_nodes[e], 0], a, float(pt[0]))])
-    n = mesh.n
-    if e % 2 == 0:
-        grads = ((-n, 0.0), (n, -n), (0.0, n))
-    else:
-        grads = ((0.0, -n), (n, 0.0), (-n, n))
-    return np.asarray(grads[a], dtype=float)
+    return (mesh.n * TRIANGLE_GRADS[e % 2][a]).astype(float)
 
 
 def eval_basis(mesh: Mesh, spec: BasisSpec, i: int, x) -> float:
@@ -293,3 +291,45 @@ def evaluate_discrete(mesh: Mesh, spec: BasisSpec, coeffs, points) -> np.ndarray
     upper = e % 2 == 1
     first = nodal[locals_[:, 0]] * (1.0 - np.maximum(xi, eta))
     return (first + nodal[locals_[:, 1]] * np.where(upper, xi, xi - eta)) + nodal[locals_[:, 2]] * np.where(upper, eta - xi, eta)
+
+
+def prolongation(coarse: Mesh, coarse_spec: BasisSpec, fine: Mesh, fine_spec: BasisSpec):
+    """Sparse P_{c->f} holding the coarse basis values at the fine nodes:
+    rows are fine dofs, columns coarse dofs, so P u_c is the coarse function
+    in the fine basis. The fine mesh must refine the coarse one (same
+    dimension and degree, n_f a multiple of n_c); the spaces are then
+    nested and P u_c is exact. Built by index arithmetic on integers, so
+    every value is a ratio of two integers rounded once. A constrained
+    node's value is zero in both spaces, so its row or column is left out.
+    """
+    r, rem = divmod(fine.n, coarse.n)
+    if fine.dimension != coarse.dimension or fine_spec.k != coarse_spec.k or rem:
+        raise ValidationError("the fine mesh and basis do not refine the coarse ones")
+    if fine.dimension == 1:
+        k = fine_spec.k
+        m = np.arange(fine.n * k + 1)  # fine node m sits at m / (n_f k)
+        e = np.minimum(m // (r * k), coarse.n - 1)
+        q = m - e * r * k  # k t = q / r, t the node's coordinate in coarse element e
+        nodes = e[:, None] * k + np.arange(k + 1)
+        # l_j(t) = prod_{l != j} (kt - l) / (j - l) = prod (q - l r) / ((j - l) r)
+        num, den = np.ones((len(m), k + 1), dtype=np.int64), np.ones(k + 1, dtype=np.int64)
+        for j in range(k + 1):
+            for l in range(k + 1):
+                if l != j:
+                    num[:, j] *= q - l * r
+                    den[j] *= (j - l) * r
+        vals = num / den
+    else:
+        # coarse cell (ci, cj) holds fine vertex (I, J) at (a, b) / r in the
+        # cell; barycentric weights as in evaluate_discrete, times r
+        nc = coarse.n
+        I, J = np.tile(np.arange(fine.n + 1), fine.n + 1), np.repeat(np.arange(fine.n + 1), fine.n + 1)
+        ci, cj = np.minimum(I // r, nc - 1), np.minimum(J // r, nc - 1)
+        a, b = I - ci * r, J - cj * r
+        nodes = (cj * (nc + 1) + ci)[:, None] + np.array([0, 1, nc + 1, nc + 2])  # v00, v10, v01, v11
+        vals = np.column_stack([r - np.maximum(a, b), np.maximum(a - b, 0), np.maximum(b - a, 0), np.minimum(a, b)]) / r
+    # dofs number the free nodes in node order, so each row's columns ascend
+    cols = coarse_spec.node_dofs[nodes]
+    keep = (vals != 0.0) & (cols >= 0) & (fine_spec.node_dofs >= 0)[:, None]
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1)[fine_spec.dof_nodes])])
+    return sp.csr_array((vals[keep], cols[keep], indptr), shape=(fine_spec.n_dofs, coarse_spec.n_dofs))

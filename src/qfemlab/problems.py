@@ -59,6 +59,9 @@ class ProblemSpec:
         for name, value in numbers.items():
             if not np.all(np.isfinite(np.asarray(value, dtype=float))):
                 raise ValidationError(f"{name} must be finite")
+        for name in ("f", "r"):
+            if np.asarray(getattr(self, name), dtype=float).size == 0:
+                raise ValidationError(f"{name} needs at least one coefficient")
         if self.d not in range(1, 9):
             raise ValidationError(f"d must be in 1..8, got {self.d}")
         if self.eps <= 0:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from qfemlab import cli
+import numpy as np
+
+from qfemlab import cli, evaluate_discrete
+from qfemlab.assembly import element_quadrature_1d
 from qfemlab.cli import main
 from qfemlab.problems import ProblemSpec, discretize, mesh_size
 
@@ -203,6 +208,33 @@ def test_invalid_arguments_exit_two(capsys, spec_file, argv):
     assert err.startswith("validation error") and "Traceback" not in err
 
 
+# each flag of the mode not chosen exits 2 instead of being ignored
+CROSS_MODE_ARGV = [
+    ("--mode", "bump", "--T", "3"),
+    ("--mode", "bump", "--eps-sep", "0.1"),
+    ("--mode", "bump", "--draws", "0"),
+    ("--mode", "bump", "--draws", "5"),
+    ("--mode", "bump", "--dim", "5"),
+    ("--mode", "bump", "--exact"),
+    ("--mode", "hybrid", "--N", "7"),
+    ("--mode", "hybrid", "--per-n", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", CROSS_MODE_ARGV, ids=" ".join)
+def test_lowerbound_flag_of_other_mode_exit_two(capsys, argv):
+    code, out, err = run(capsys, "lowerbound", *argv)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("validation error") and argv[2] in err
+
+
+def test_lowerbound_defaults_fill_in_for_absent_flags(capsys):
+    explicit = ("--T", "1,2,4,8", "--eps-sep", "0.01,0.05,0.1", "--draws", "3", "--dim", "16")
+    assert run_json(capsys, "lowerbound", "--mode", "hybrid", "--draws", "3") == run_json(capsys, "lowerbound", "--mode", "hybrid", *explicit)
+    assert run_json(capsys, "lowerbound", "--mode", "bump") == run_json(capsys, "lowerbound", "--mode", "bump", "--N", "16,64,256", "--per-n", "8")
+
+
 def test_lowerbound_bump_exit_zero(capsys):
     rows = run_json(capsys, "lowerbound", "--mode", "bump", "--N", "8,16", "--per-n", "3")
     assert len(rows) == 6
@@ -228,6 +260,21 @@ def test_malformed_spec_exit_two(capsys, spec_file, text):
         assert code == 2
         assert out == ""
         assert err.startswith("validation error")
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"f": []}, {"f": [[]]}, {"r": []}, {"r": [[]]}],
+    ids=["f-empty", "f-empty-row", "r-empty", "r-empty-row"],
+)
+@pytest.mark.parametrize("base", [TINY_1D, TINY_2D], ids=["1d", "2d"])
+def test_empty_coefficient_list_exit_two(capsys, spec_file, base, field):
+    path = spec_file({**base, **field})
+    for argv in (("solve",), ("simulate",), ("plan",), ("convergence", "--levels", "3")):
+        code, out, err = run(capsys, argv[0], "--spec", path, *argv[1:])
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("validation error") and "Traceback" not in err
 
 
 NON_FINITE = [float("nan"), float("inf"), -float("inf")]
@@ -278,9 +325,7 @@ def test_integral_float_spec_integers_accepted(capsys, spec_file):
 
 
 @pytest.mark.parametrize("spec", [TINY_2D, {**TINY_1D, "pde": {"diffusion": 1, "reaction": 1}}], ids=["2d", "1d-reaction"])
-def test_convergence_evaluates_fine_solution_once(monkeypatch, spec):
-    problem = ProblemSpec.from_dict(spec)
-    fine_n = 4 * 4 * 2**2  # 4x the finest of the three levels
+def test_convergence_against_fine_mesh_evaluates_no_points(monkeypatch, spec):
     calls = []
     evaluate = cli.evaluate_discrete
 
@@ -289,8 +334,54 @@ def test_convergence_evaluates_fine_solution_once(monkeypatch, spec):
         return evaluate(mesh, *args)
 
     monkeypatch.setattr(cli, "evaluate_discrete", counting_evaluate)
-    cli.convergence_report(problem, levels=3)
-    assert sorted(calls) == [4, 8, 16, fine_n], calls
+    art = cli.convergence_report(ProblemSpec.from_dict(spec), levels=3)
+    assert art["reference"] == "fine-mesh solve"
+    assert calls == []
+
+
+def pointwise_errors(problem, levels):
+    """The L2 distance of each level's solution from the fine reference,
+    by point evaluation on the fine mesh: the 4-point Gauss rule per element
+    in 1D, the edge-midpoint rule per triangle in 2D (exact for the
+    piecewise polynomial differences of degree <= 6 and 2)."""
+    ns = [4 * 2**i for i in range(levels)]
+    mesh_f, spec_f, M_f, b_f = discretize(problem, 4 * ns[-1])
+    coeffs_f = M_f.solve(b_f)
+    if problem.d == 1:
+        xq, ws = element_quadrature_1d(mesh_f, 4)
+        pts, weights = xq.ravel(), np.tile(ws * mesh_f.h, mesh_f.n_elements)
+    else:
+        tri = mesh_f.vertices[mesh_f.elements]
+        pts = (0.5 * (tri + np.roll(tri, -1, axis=1))).reshape(-1, 2)
+        weights = np.full(len(pts), 0.5 / mesh_f.n**2 / 3.0)
+    fine = evaluate_discrete(mesh_f, spec_f, coeffs_f, pts)
+    errors = []
+    for n in ns:
+        mesh, spec, M, b = discretize(problem, n)
+        errors.append(float(np.sqrt(weights @ (fine - evaluate_discrete(mesh, spec, M.solve(b), pts)) ** 2)))
+    return errors
+
+
+def reaction_1d(k, f):
+    return {"d": 1, "k": k, "pde": {"diffusion": 0.7, "reaction": 2.5}, "f": f, "r": [1], "eps": 1e-2}
+
+
+@pytest.mark.parametrize(
+    "spec, rel",
+    [
+        (TINY_2D, 1e-10),
+        ({**TINY_2D, "pde": {"diffusion": 0.3, "reaction": 0}}, 1e-10),
+        *((reaction_1d(k, f), 1e-10) for k in (1, 2) for f in ([-1], [0.3, -2, 1.5])),
+        # k = 3 errors reach 1.4e-8, where both measures carry about 1e-10 of
+        # rounding: against the exact rational L2 distance the pointwise
+        # measure is off by up to 6e-11 and the Gram form by up to 1.1e-10
+        *((reaction_1d(3, f), 1e-9) for f in ([-1], [0.3, -2, 1.5])),
+    ],
+)
+def test_convergence_errors_match_pointwise_measure(spec, rel):
+    problem = ProblemSpec.from_dict(spec)
+    levels = [row["error"] for row in cli.convergence_report(problem, levels=3)["levels"]]
+    assert levels == pytest.approx(pointwise_errors(problem, 3), rel=rel)
 
 
 def test_parser_built_once_per_process():
@@ -336,7 +427,9 @@ def test_fixed_seed_rerun_byte_identical(capsys, spec_file, tmp_path):
 
 
 # Artifacts checked in under tests/golden/: any change to them shows up in review.
-# Rewrite them from the current program with `PYTHONPATH=src python tests/test_cli.py`.
+# Rewrite them from the current program with `PYTHONPATH=src python tests/test_cli.py`,
+# which prints one line per file: whether it changed, the largest relative
+# change over its float leaves, and whether any other leaf changed.
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SPECS = {"tiny_1d": TINY_1D, "tiny_1d_k2": TINY_1D_K2, "tiny_2d": TINY_2D}
 GOLDEN_RUNS = {
@@ -362,10 +455,48 @@ def test_artifacts_match_golden(capsys, tmp_path, spec_name, run_name):
     assert golden_artifact(spec_name, run_name, tmp_path) == expected
 
 
+def golden_diff(old, new) -> tuple[float, bool]:
+    """Largest relative change over the float leaves of two JSON trees, and
+    whether any other leaf (integer, string, boolean, null) or the shape of
+    the tree changed."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        parts = [golden_diff(old[key], new[key]) for key in old]
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        parts = [golden_diff(a, b) for a, b in zip(old, new)]
+    elif type(old) is float and type(new) is float:
+        return (abs(new - old) / max(abs(old), abs(new)) if old != new else 0.0), False
+    else:
+        return 0.0, type(old) is not type(new) or old != new
+    return max((rel for rel, _ in parts), default=0.0), any(other for _, other in parts)
+
+
+def test_golden_diff_separates_floats_from_other_leaves():
+    assert golden_diff({"a": [1.0, 2, "x"]}, {"a": [1.0, 2, "x"]}) == (0.0, False)
+    assert golden_diff({"a": [1.0, 2]}, {"a": [1.5, 2]}) == (0.5 / 1.5, False)
+    assert golden_diff({"a": [1.0, 2]}, {"a": [1.0, 3]})[1]
+    assert golden_diff({"a": "x"}, {"a": "y"})[1]
+    assert golden_diff({"a": 1.0}, {"a": 1})[1]
+    assert golden_diff({"a": [1.0]}, {"a": [1.0, 2.0]})[1]
+    assert golden_diff({"a": 1.0}, {"b": 1.0})[1]
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for spec_name in GOLDEN_SPECS:
         for run_name in GOLDEN_RUNS:
-            with tempfile.TemporaryDirectory() as tmp:
+            # main prints the artifact's temporary path; keep it off the report
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
                 artifact = golden_artifact(spec_name, run_name, Path(tmp))
-            (GOLDEN_DIR / f"{spec_name}_{run_name}.json").write_bytes(artifact)
+            path = GOLDEN_DIR / f"{spec_name}_{run_name}.json"
+            old = path.read_bytes() if path.exists() else None
+            path.write_bytes(artifact)
+            if old is None:
+                print(f"{path.name}: new")
+            elif old == artifact:
+                print(f"{path.name}: unchanged")
+            else:
+                rel, other = golden_diff(json.loads(old), json.loads(artifact))
+                print(
+                    f"{path.name}: changed; largest relative float change {rel:.2e}; "
+                    f"integer, string or shape changes: {'yes' if other else 'none'}"
+                )

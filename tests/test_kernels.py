@@ -1,10 +1,15 @@
 """Batched element kernels against per-element reference loops.
 
 Each reference below is the element-by-element form the batched kernel
-replaced, so the comparisons are exact (``np.array_equal``), not approximate:
-the batched kernels must add the same terms in the same order.
+replaced. The load and evaluation kernels add the same terms in the same
+order, so those comparisons are exact (``np.array_equal``). The 2D stencil
+build uses the exact reference-triangle matrices, where the element loop
+takes gradients from vertex coordinates i/n that are rounded, so it is
+compared at 1e-14 relative, with the same sparsity pattern.
 """
 import numpy as np
+import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -87,26 +92,28 @@ def test_batched_load_matches_element_loop(case):
 
 
 def reference_bilinear_2d(mesh, spec, diffusion, reaction):
-    """Dense M from one element matrix at a time, each summed into the
-    upper triangle in element order and mirrored at the end."""
+    """M from one element matrix per element, its gradients taken from the
+    vertex coordinates, summed over elements by a COO build; exact zero
+    sums are dropped."""
     area = 0.5 / (mesh.n * mesh.n)
-    out = np.zeros((spec.n_dofs, spec.n_dofs))
-    for e in range(mesh.n_elements):
-        pts = mesh.vertices[spec.element_nodes[e]]
-        g = np.empty((3, 2))
-        for a in range(3):
-            pb, pc = pts[(a + 1) % 3], pts[(a + 2) % 3]
-            g[a] = (pb[1] - pc[1], pc[0] - pb[0])
-        g = g / (2.0 * area)
-        local = diffusion * (g @ g.T) * area + reaction * area / 12.0 * (1.0 + np.eye(3))
-        gids = spec.node_dofs[spec.element_nodes[e]]
-        for a in range(3):
-            for b in range(a, 3):
-                i, j = sorted((gids[a], gids[b]))
-                if i >= 0:
-                    out[i, j] += local[a, b]
-    upper = np.triu(out)
-    return upper + np.triu(out, 1).T
+    pts = mesh.vertices[spec.element_nodes]  # (n_elements, 3, 2)
+    # gradient of barycentric function a from the vertices b, c that follow it
+    pb, pc = np.roll(pts, -1, axis=1), np.roll(pts, -2, axis=1)
+    g = np.stack([pb[..., 1] - pc[..., 1], pc[..., 0] - pb[..., 0]], axis=-1) / (2.0 * area)
+    local = diffusion * np.einsum("eak,ebk->eab", g, g) * area + reaction * area / 12.0 * (1.0 + np.eye(3))
+    gids = spec.node_dofs[spec.element_nodes]
+    rows, cols = np.broadcast_to(gids[:, :, None], local.shape), np.broadcast_to(gids[:, None, :], local.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    out = sp.coo_array((local[keep], (rows[keep], cols[keep])), shape=(spec.n_dofs, spec.n_dofs)).tocsr()
+    out.eliminate_zeros()
+    return out
+
+
+def assert_matches_reference(M, ref):
+    """Same CSR pattern and row width, entries equal to 1e-14 relative."""
+    assert np.array_equal(M.csr.indptr, ref.indptr) and np.array_equal(M.csr.indices, ref.indices)
+    assert M.s == (int(np.diff(ref.indptr).max()) if M.n else 0)
+    np.testing.assert_allclose(M.csr.data, ref.data, rtol=1e-14, atol=1e-14 * abs(ref.data).max(initial=0.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -116,14 +123,38 @@ def reference_bilinear_2d(mesh, spec, diffusion, reaction):
     st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
     st.booleans(),
 )
-# meshes where g @ g.T and the explicit products g_a . g_b round differently
+# meshes whose vertex coordinates i/n are inexact, so the reference rounds
 @example(5, 1.0, 1.0, True)
 @example(43, 1.0, 1.0, True)
 def test_batched_bilinear_2d_matches_element_loop(n, diffusion, reaction, constrained):
     mesh = build_square_triangulation(n)
     spec = build_basis(mesh, 1, constrain_dirichlet=constrained)
     M = assemble_stiffness(mesh, spec, BilinearForm(diffusion, reaction))
-    assert np.array_equal(M.to_dense(), reference_bilinear_2d(mesh, spec, diffusion, reaction))
+    assert_matches_reference(M, reference_bilinear_2d(mesh, spec, diffusion, reaction))
+    if constrained and n > 1:
+        # pure diffusion gives the five-point stencil exactly on interior nodes
+        P = assemble_stiffness(mesh, spec, BilinearForm(diffusion, 0.0)).csr
+        rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+        assert np.all(P.data[P.indices == rows] == 4.0 * diffusion)
+        assert np.all(P.data[P.indices != rows] == -diffusion)
+
+
+@pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "unconstrained"])
+def test_stencil_matches_element_loop_on_every_size(constrained):
+    # the stiffness with and without reaction and the Gram matrix, n = 1..64
+    for n in range(1, 65):
+        mesh = build_square_triangulation(n)
+        spec = build_basis(mesh, 1, constrain_dirichlet=constrained)
+        if spec.n_dofs == 0:
+            continue
+        for diffusion, reaction in ((1.0, 0.0), (0.37, 2.5)):
+            M = assemble_stiffness(mesh, spec, BilinearForm(diffusion, reaction))
+            assert_matches_reference(M, reference_bilinear_2d(mesh, spec, diffusion, reaction))
+        G = assemble_gram(mesh, spec)
+        assert_matches_reference(G, reference_bilinear_2d(mesh, spec, 0.0, 1.0))
+        if not constrained:
+            # the basis sums to 1, so G 1 is the load of f = 1
+            np.testing.assert_allclose(G @ np.ones(spec.n_dofs), assemble_load(mesh, spec, [[1.0]]), rtol=1e-14, atol=0)
 
 
 def reference_evaluate_2d(mesh, spec, coeffs, pts):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfemlab import (
     ValidationError,
@@ -9,7 +11,7 @@ from qfemlab import (
     eval_basis,
     evaluate_discrete,
 )
-from qfemlab.mesh import DIRICHLET, INTERIOR, NEUMANN, _eval_nodal
+from qfemlab.mesh import DIRICHLET, INTERIOR, NEUMANN, _eval_nodal, prolongation
 
 
 def test_interval_mesh_uniform_partition():
@@ -163,3 +165,37 @@ def test_evaluate_discrete_2d_matches_pointwise():
     for pt, v in zip(pts, vals):
         direct = sum(coeffs[i] * eval_basis(m, spec, i, pt) for i in range(spec.n_dofs))
         assert v == pytest.approx(direct, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1)]),
+    st.integers(1, 12),
+    st.integers(1, 6),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_prolongation_matches_point_evaluation(dk, n, ratio, constrained, seed):
+    d, k = dk
+    build = build_interval_mesh if d == 1 else build_square_triangulation
+    coarse, fine = build(n), build(n * ratio)
+    spec_c, spec_f = build_basis(coarse, k, constrained), build_basis(fine, k, constrained)
+    coeffs = np.random.default_rng(seed).standard_normal(spec_c.n_dofs)
+    P = prolongation(coarse, spec_c, fine, spec_f)
+    assert P.shape == (spec_f.n_dofs, spec_c.n_dofs)
+    at_fine_dofs = evaluate_discrete(coarse, spec_c, coeffs, spec_f.nodes[spec_f.dof_nodes])
+    np.testing.assert_allclose(P @ coeffs, at_fine_dofs, rtol=0, atol=1e-14 * max(1.0, abs(coeffs).max(initial=0.0)))
+
+
+@pytest.mark.parametrize(
+    "coarse, fine",
+    [
+        (build_interval_mesh(4), build_interval_mesh(6)),
+        (build_interval_mesh(4), build_square_triangulation(8)),
+        (build_square_triangulation(3), build_square_triangulation(4)),
+    ],
+    ids=["not-a-multiple", "dimension", "2d-not-a-multiple"],
+)
+def test_prolongation_rejects_non_nested_meshes(coarse, fine):
+    with pytest.raises(ValidationError):
+        prolongation(coarse, build_basis(coarse, 1), fine, build_basis(fine, 1))

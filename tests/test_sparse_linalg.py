@@ -84,6 +84,34 @@ def test_lambda_max_where_collatz_wielandt_bound_is_tight(a):
     assert lam_min == pytest.approx(ev[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("diffusion", [1.0, 0.3])
+@pytest.mark.parametrize("n", [3, 5, 12, 45, 65])
+def test_extremes_match_closed_form_2d(n, diffusion):
+    # pure-diffusion P1 on the Dirichlet square is diffusion times the
+    # five-point Laplacian, with eigenvalues 4 sin^2(p pi / 2n) + 4 sin^2(q pi / 2n)
+    mesh = build_square_triangulation(n)
+    M = assemble_stiffness(mesh, build_basis(mesh, 1), BilinearForm(diffusion, 0.0))
+    lam_min, lam_max = M.extremes()
+    assert lam_min == pytest.approx(8.0 * diffusion * np.sin(np.pi / (2 * n)) ** 2, rel=1e-12)
+    assert lam_max == pytest.approx(8.0 * diffusion * np.cos(np.pi / (2 * n)) ** 2, rel=1e-12)
+
+
+# lambda_min of a matrix with condition number kappa is found to about
+# kappa * 1e-16 relative (3e-11 at n = 1000), so 1e-12 holds up to n of a few hundred
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 45, 100, 201])
+def test_extremes_match_closed_form_1d(n):
+    # P1 with u(0) = u'(1) = 0 is n tridiag(-1, 2, -1) with a last diagonal
+    # entry of 1: eigenvalues n (2 - 2 cos((2j - 1) pi / (2n + 1))), j = 1..n
+    mesh = build_interval_mesh(n)
+    lam_min, lam_max = assemble_stiffness(mesh, build_basis(mesh, 1), BilinearForm()).extremes()
+
+    def eigenvalue(j):
+        return n * (2.0 - 2.0 * np.cos((2 * j - 1) * np.pi / (2 * n + 1)))
+
+    assert lam_min == pytest.approx(eigenvalue(1), rel=1e-12)
+    assert lam_max == pytest.approx(eigenvalue(n), rel=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 40), st.floats(0.05, 0.6), st.floats(1e-3, 10.0), st.integers(0, 2**32 - 1))
 def test_extremes_match_dense_on_random_sparse_spd(n, density, gap, seed):
