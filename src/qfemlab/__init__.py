@@ -50,7 +50,6 @@ from .problems import (
 from .quantum import (
     FunctionalEstimate,
     SampleBudget,
-    Statevector,
     build_r_state,
     estimate_functional,
     estimate_norm,

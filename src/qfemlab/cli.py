@@ -6,9 +6,8 @@ Each takes ``--out DIR`` (default: stdout) and only the flags it reads;
 any other flag exits 2. solve, convergence, simulate and plan read
 ``--spec`` and ``--seed``; convergence also reads ``--levels`` and simulate
 ``--exact``. resources reads ``--format json|csv`` and its grid flags.
-lowerbound reads ``--mode``, ``--seed``, ``--exact`` (hybrid mode),
-``--format json|csv`` and the grid flags of its mode; a flag of the other
-mode exits 2.
+lowerbound reads ``--mode``, ``--seed``, ``--format json|csv`` and the grid
+flags of its mode; a flag of the other mode exits 2.
 Exit codes: 0 success, 2 validation error, 3 non-convergence, 4 budget or
 cap exceeded (a shot budget, the mesh cell cap, the simulable acceptance
 floor, or memory running out). Every artifact embeds the spec hash, the
@@ -37,7 +36,7 @@ from .errors import (
     SimulationFloorError,
     ValidationError,
 )
-from .lowerbounds import BumpOracle, hybrid_experiment, make_blackbox_pair, oracle_search_demo
+from .lowerbounds import BumpOracle, aligned_probability, hybrid_experiment, make_blackbox_pair, oracle_search_demo
 from .mesh import evaluate_discrete, prolongation
 from .problems import ProblemSpec, analytic_solution_1d, derive_sobolev, discretize, mesh_size
 from .quantum import SampleBudget, estimate_functional
@@ -211,8 +210,10 @@ def resources_table(dims, degrees, eps_list) -> list[dict]:
     return rows
 
 
-def lowerbound_hybrid_table(t_list=None, eps_list=None, draws=None, dim=None, seed=0, exact: bool = False) -> list[dict]:
-    """Worst advantage over ``draws`` pairs per (T, eps), each from 2000 trials, or exact if ``exact``.
+def lowerbound_hybrid_table(t_list=None, eps_list=None, draws=None, dim=None, seed=0) -> list[dict]:
+    """Exact worst advantage over ``draws`` random pairs per (T, eps), next
+    to the exact advantage of the aligned interleaving and the bound; a row
+    violates the bound if either advantage exceeds it.
     Arguments left None take the CLI defaults: T 1,2,4,8, eps 0.01,0.05,0.1, 50 draws, dim 16."""
     t_list = [1, 2, 4, 8] if t_list is None else t_list
     eps_list = [0.01, 0.05, 0.1] if eps_list is None else eps_list
@@ -227,15 +228,16 @@ def lowerbound_hybrid_table(t_list=None, eps_list=None, draws=None, dim=None, se
             bound = 0.5 + T * eps / np.sqrt(2.0)
             for rep in range(draws):
                 pair = make_blackbox_pair(dim, eps, T, rng_seed=seed + 1000 * rep + 17 * T)
-                res = hybrid_experiment(pair, trials=0 if exact else 2000, rng_seed=seed + rep)
-                worst = max(worst, res.exact_probability)
+                worst = max(worst, hybrid_experiment(pair).exact_probability)
+            aligned = aligned_probability(eps, T)
             rows.append(
                 {
                     "T": T,
                     "eps_sep": eps,
                     "exact_advantage": worst - 0.5,
+                    "aligned_advantage": aligned - 0.5,
                     "bound": bound,
-                    "violations": int(worst > bound),
+                    "violations": int(max(worst, aligned) > bound),
                 }
             )
     return rows
@@ -326,14 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qfemlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, spec=False, seed=False, exact=False, table=False):
+    def command(name, summary, spec=False, seed=False, table=False):
         p = sub.add_parser(name, help=summary)
         if spec:
             p.add_argument("--spec", required=True, help="problem spec JSON file")
         if seed:
             p.add_argument("--seed", type=int, default=None)
-        if exact:
-            p.add_argument("--exact", action="store_true", help="exact-expectation mode for sampling estimators")
         p.add_argument("--out", default=None, help="output directory (default: stdout)")
         if table:
             p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("solve", "mesh, assemble, CG-solve", spec=True, seed=True)
     command("convergence", "refinement study with fitted slope", spec=True, seed=True).add_argument("--levels", type=int, default=4)
-    command("simulate", "run the sampling pipeline end to end", spec=True, seed=True, exact=True)
+    p_sim = command("simulate", "run the sampling pipeline end to end", spec=True, seed=True)
+    p_sim.add_argument("--exact", action="store_true", help="exact-expectation mode for sampling estimators")
     command("plan", "mesh size, budget split and model costs", spec=True, seed=True)
 
     p_res = command("resources", "runtime-model table over (d, k, eps)", table=True)
@@ -349,11 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--degrees", type=_int_list, default=[1, 2, 3])
     p_res.add_argument("--eps", type=_float_list, default=[0.01])
 
-    p_lb = command("lowerbound", "distinguishability / bump-search demos", seed=True, exact=True, table=True)
+    p_lb = command("lowerbound", "distinguishability / bump-search demos", seed=True, table=True)
     p_lb.add_argument("--mode", choices=["hybrid", "bump"], required=True)
     # every mode flag defaults to None, so main can tell a flag of the other
     # mode from its absence; the table functions fill in the defaults
-    p_lb.set_defaults(exact=None)
     p_lb.add_argument("--T", type=_int_list, help="hybrid mode (default 1,2,4,8)")
     p_lb.add_argument("--eps-sep", type=_float_list, help="hybrid mode (default 0.01,0.05,0.1)")
     p_lb.add_argument("--draws", type=int, help="hybrid mode (default 50)")
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 # for each lowerbound mode, the flags (by dest) that only the other mode reads
 _OTHER_MODE_FLAGS = {
     "hybrid": {"N": "--N", "per_n": "--per-n"},
-    "bump": {"T": "--T", "eps_sep": "--eps-sep", "draws": "--draws", "dim": "--dim", "exact": "--exact"},
+    "bump": {"T": "--T", "eps_sep": "--eps-sep", "draws": "--draws", "dim": "--dim"},
 }
 
 
@@ -390,7 +390,7 @@ def main(argv=None) -> int:
                 raise ValidationError(f"{', '.join(given)} not read by --mode {args.mode}")
             seed = args.seed if args.seed is not None else 0
             if args.mode == "hybrid":
-                rows = lowerbound_hybrid_table(args.T, args.eps_sep, args.draws, dim=args.dim, seed=seed, exact=bool(args.exact))
+                rows = lowerbound_hybrid_table(args.T, args.eps_sep, args.draws, dim=args.dim, seed=seed)
             else:
                 rows = lowerbound_bump_table(args.N, per_n=args.per_n, seed=seed)
             _emit(rows, args, f"lowerbound_{args.mode}")

@@ -14,9 +14,7 @@ at the exact event probabilities: empirical sampling uses 1/eps^2 shots
 while the ledger charges the amplitude-estimation count of 1/eps, and the
 gap is annotated in the ledger entries.
 
-All states are real; dimensions are padded to the next power of two with
-zero amplitudes, so inner products over the full vectors equal those over
-the active block.
+All states are real unit vectors over the FEM dofs.
 """
 from __future__ import annotations
 
@@ -40,50 +38,6 @@ from .solver import estimate_condition_number
 ACCEPTANCE_FLOOR = 1e-9
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
-class Statevector:
-    """Normalized real amplitude vector over a power-of-two dimension; the
-    padding tail past the FEM block is identically zero."""
-
-    __slots__ = ("amplitudes",)
-
-    def __init__(self, amplitudes):
-        amps = np.asarray(amplitudes, dtype=float)
-        dim = len(amps)
-        if dim == 0 or dim & (dim - 1):
-            raise ValidationError(f"dimension {dim} is not a power of two")
-        nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValidationError(f"state norm {nrm} is not 1 within 1e-12")
-        self.amplitudes = amps
-
-    @classmethod
-    def from_vector(cls, vec) -> "Statevector":
-        v = np.asarray(vec, dtype=float)
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            raise ValidationError("cannot normalize a zero vector")
-        dim = _next_pow2(len(v))
-        out = np.zeros(dim)
-        out[: len(v)] = v / nrm
-        return cls(out)
-
-    @property
-    def dim(self) -> int:
-        return len(self.amplitudes)
-
-    def inner(self, other: "Statevector") -> float:
-        if self.dim != other.dim:
-            raise ValidationError("dimension mismatch")
-        return float(self.amplitudes @ other.amplitudes)
-
-
 @dataclass
 class SampleBudget:
     """Shot allowance plus the RNG shared by the sampling estimators."""
@@ -96,7 +50,7 @@ class SampleBudget:
         self.rng = np.random.default_rng(self.rng_seed)
 
     def binomial(self, shots: int, p: float) -> int:
-        """One binomial count of ``shots`` trials, charging all of them to
+        """One binomial count over ``shots`` draws, charging all of them to
         the budget before drawing."""
         if shots < 1:
             raise ValidationError("shots must be >= 1")
@@ -123,12 +77,12 @@ def build_r_state(mesh: Mesh, spec: BasisSpec, r_coeffs):
     alpha = float(np.linalg.norm(load))
     if alpha < 1e-300:
         raise ValidationError("r is orthogonal to every basis function")
-    return Statevector.from_vector(load), alpha
+    return load / alpha, alpha
 
 
 def hadamard_test_estimate(
-    u_state: Statevector,
-    r_state: Statevector,
+    u_state: np.ndarray,
+    r_state: np.ndarray,
     eps_out: float,
     budget: SampleBudget,
     eps_l: float = 0.0,
@@ -149,11 +103,11 @@ def hadamard_test_estimate(
         raise ValidationError("eps_l must be in [0, 1)")
     shots = 2 * math.ceil(1.0 / eps_out**2)
     theta = 2.0 * math.asin(eps_l / 2.0)
-    p = 0.5 * (1.0 + float(np.clip(math.cos(theta) * u_state.inner(r_state), -1.0, 1.0)))
+    p = 0.5 * (1.0 + float(np.clip(math.cos(theta) * float(u_state @ r_state), -1.0, 1.0)))
     return 2.0 * budget.binomial(shots, p) / shots - 1.0
 
 
-def estimate_norm(M: SparseSymMatrix, b: Statevector, eps_n_rel: float, budget: SampleBudget, ledger=None) -> float:
+def estimate_norm(M: SparseSymMatrix, b: np.ndarray, eps_n_rel: float, budget: SampleBudget, ledger=None) -> float:
     """Estimate ||M^{-1} b|| by sampling the acceptance event of the
     norm-estimation subroutine at its exact probability p = ||A^{-1}b||^2 /
     kappa^2 (A = M / lambda_max) and inverting kappa * sqrt(p).
@@ -165,7 +119,7 @@ def estimate_norm(M: SparseSymMatrix, b: Statevector, eps_n_rel: float, budget: 
         raise ValidationError("eps_n_rel must be positive")
     lam_min, lam_max = M.extremes()
     kap = lam_max / lam_min
-    x = lam_max * M.solve(b.amplitudes[: M.n])
+    x = lam_max * M.solve(b)
     p = min(float(x @ x) / kap**2, 1.0)
     if p < ACCEPTANCE_FLOOR:
         raise SimulationFloorError(
@@ -244,19 +198,19 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
     split.n_dofs = spec.n_dofs
 
     ledger: list = []
-    r_load_values = alpha * r_state.amplitudes[: spec.n_dofs]
+    r_load_values = alpha * r_state
     exact_discrete = float(r_load_values @ u_tilde)  # = <u~, r> in L2
 
     if exact_mode:
         n_tilde = u_norm
-        r_tilde = float((r_state.amplitudes[: spec.n_dofs] @ u_tilde) / u_norm)
+        r_tilde = float((r_state @ u_tilde) / u_norm)
         value = alpha * n_tilde * r_tilde
     else:
-        b_state = Statevector.from_vector(b_raw)
         b_norm = float(np.linalg.norm(b_raw))
+        b_state = b_raw / b_norm
         eps_n_rel = split.eps_n / u_norm
         n_tilde = b_norm * estimate_norm(M, b_state, eps_n_rel, budget, ledger=ledger)
-        u_state = Statevector.from_vector(u_tilde)
+        u_state = u_tilde / u_norm
         eps_l_eff = min(split.eps_l, 0.9)
         qle_cost = _theorem_cost(M.s, estimate_condition_number(M), max(eps_l_eff, 1e-16))
         uses_before = budget.uses_of_state_prep

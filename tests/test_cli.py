@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,8 @@ UNREAD_FLAGS = [
     ("solve", "--spec", "{tiny_1d}", "--format", "csv"),
     ("plan", "--spec", "{tiny_1d}", "--exact"),
     ("resources", "--seed", "3"),
+    ("lowerbound", "--mode", "hybrid", "--exact"),
+    ("lowerbound", "--mode", "bump", "--exact"),
 ]
 
 
@@ -158,11 +161,19 @@ def test_unread_flags_are_rejected(capsys, spec_file, argv):
     assert "unrecognized arguments" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("extra", [(), ("--exact",)])
-def test_lowerbound_hybrid_defaults_exit_zero(capsys, extra):
-    rows = run_json(capsys, "lowerbound", "--mode", "hybrid", *extra)
+def test_lowerbound_hybrid_defaults_exit_zero(capsys):
+    rows = run_json(capsys, "lowerbound", "--mode", "hybrid")
     assert len(rows) == 12
     assert all(row["violations"] == 0 for row in rows)
+
+
+def test_lowerbound_oversized_dim_exits_two_before_allocating(capsys):
+    # the 2^10 cap is checked before the T+1 = 9 maps of 32 MB each are built
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "lowerbound", "--mode", "hybrid", "--dim", "2048", "--T", "8")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2 and out == ""
+    assert err.startswith("validation error") and "cap" in err
 
 
 def test_memory_error_exit_four(capsys, monkeypatch):
@@ -215,7 +226,6 @@ CROSS_MODE_ARGV = [
     ("--mode", "bump", "--draws", "0"),
     ("--mode", "bump", "--draws", "5"),
     ("--mode", "bump", "--dim", "5"),
-    ("--mode", "bump", "--exact"),
     ("--mode", "hybrid", "--N", "7"),
     ("--mode", "hybrid", "--per-n", "2"),
 ]
@@ -438,21 +448,40 @@ GOLDEN_RUNS = {
     "simulate_seed7": ("simulate", "--seed", "7"),
     "simulate_exact": ("simulate", "--exact"),
 }
+# runs that read no spec; each is checked in as <name>.json
+GOLDEN_TABLES = {
+    "lowerbound_hybrid_draws3_seed7": ("lowerbound", "--mode", "hybrid", "--draws", "3", "--seed", "7"),
+    "lowerbound_bump": ("lowerbound", "--mode", "bump"),
+}
 
 
-def golden_artifact(spec_name: str, run_name: str, tmp_dir: Path) -> bytes:
-    path = tmp_dir / "spec.json"
-    path.write_text(json.dumps(GOLDEN_SPECS[spec_name]))
-    command, *extra = GOLDEN_RUNS[run_name]
-    assert main([command, "--spec", str(path), *extra, "--out", str(tmp_dir / "out")]) == 0
-    return (tmp_dir / "out" / f"{command}.json").read_bytes()
+def golden_path(spec_name: str | None, run_name: str) -> Path:
+    return GOLDEN_DIR / (f"{spec_name}_{run_name}.json" if spec_name else f"{run_name}.json")
+
+
+def golden_artifact(spec_name: str | None, run_name: str, tmp_dir: Path) -> bytes:
+    """The artifact of a spec's run, or of a table run when ``spec_name`` is None."""
+    if spec_name is None:
+        argv = list(GOLDEN_TABLES[run_name])
+    else:
+        path = tmp_dir / "spec.json"
+        path.write_text(json.dumps(GOLDEN_SPECS[spec_name]))
+        command, *extra = GOLDEN_RUNS[run_name]
+        argv = [command, "--spec", str(path), *extra]
+    assert main([*argv, "--out", str(tmp_dir / "out")]) == 0
+    (artifact,) = (tmp_dir / "out").iterdir()
+    return artifact.read_bytes()
 
 
 @pytest.mark.parametrize("run_name", GOLDEN_RUNS)
 @pytest.mark.parametrize("spec_name", GOLDEN_SPECS)
 def test_artifacts_match_golden(capsys, tmp_path, spec_name, run_name):
-    expected = (GOLDEN_DIR / f"{spec_name}_{run_name}.json").read_bytes()
-    assert golden_artifact(spec_name, run_name, tmp_path) == expected
+    assert golden_artifact(spec_name, run_name, tmp_path) == golden_path(spec_name, run_name).read_bytes()
+
+
+@pytest.mark.parametrize("run_name", GOLDEN_TABLES)
+def test_tables_match_golden(capsys, tmp_path, run_name):
+    assert golden_artifact(None, run_name, tmp_path) == golden_path(None, run_name).read_bytes()
 
 
 def golden_diff(old, new) -> tuple[float, bool]:
@@ -482,21 +511,21 @@ def test_golden_diff_separates_floats_from_other_leaves():
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for spec_name in GOLDEN_SPECS:
-        for run_name in GOLDEN_RUNS:
-            # main prints the artifact's temporary path; keep it off the report
-            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-                artifact = golden_artifact(spec_name, run_name, Path(tmp))
-            path = GOLDEN_DIR / f"{spec_name}_{run_name}.json"
-            old = path.read_bytes() if path.exists() else None
-            path.write_bytes(artifact)
-            if old is None:
-                print(f"{path.name}: new")
-            elif old == artifact:
-                print(f"{path.name}: unchanged")
-            else:
-                rel, other = golden_diff(json.loads(old), json.loads(artifact))
-                print(
-                    f"{path.name}: changed; largest relative float change {rel:.2e}; "
-                    f"integer, string or shape changes: {'yes' if other else 'none'}"
-                )
+    cases = [(spec_name, run_name) for spec_name in GOLDEN_SPECS for run_name in GOLDEN_RUNS]
+    for spec_name, run_name in cases + [(None, run_name) for run_name in GOLDEN_TABLES]:
+        # main prints the artifact's temporary path; keep it off the report
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            artifact = golden_artifact(spec_name, run_name, Path(tmp))
+        path = golden_path(spec_name, run_name)
+        old = path.read_bytes() if path.exists() else None
+        path.write_bytes(artifact)
+        if old is None:
+            print(f"{path.name}: new")
+        elif old == artifact:
+            print(f"{path.name}: unchanged")
+        else:
+            rel, other = golden_diff(json.loads(old), json.loads(artifact))
+            print(
+                f"{path.name}: changed; largest relative float change {rel:.2e}; "
+                f"integer, string or shape changes: {'yes' if other else 'none'}"
+            )

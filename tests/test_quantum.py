@@ -9,7 +9,6 @@ from qfemlab import (
     SampleBudget,
     SimulationFloorError,
     SparseSymMatrix,
-    Statevector,
     UnsupportedConfigurationError,
     ValidationError,
     assemble_gram,
@@ -32,17 +31,9 @@ def poisson(n, f=(-1.0,), k=1):
     return mesh, spec, M, b
 
 
-# ---------------------------------------------------------------------------
-# Statevector
-
-def test_statevector_padding_and_norm():
-    s = Statevector.from_vector([3.0, 4.0, 0.0])
-    assert s.dim == 4 and s.amplitudes[3] == 0.0
-    assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValidationError):
-        Statevector(np.array([0.5, 0.5]))  # not normalized
-    with pytest.raises(ValidationError):
-        Statevector.from_vector(np.zeros(4))
+def unit(vec):
+    v = np.asarray(vec, dtype=float)
+    return v / np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +42,9 @@ def test_statevector_padding_and_norm():
 def test_r_state_uniform_interior():
     mesh, spec, _, _ = poisson(16)
     state, alpha = build_r_state(mesh, spec, [1.0])
-    active = state.amplitudes[: spec.n_dofs]
-    assert np.allclose(active[:-1], active[0], atol=1e-14)
+    assert len(state) == spec.n_dofs
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(state[:-1], state[0], atol=1e-14)
     expected_alpha = np.sqrt((spec.n_dofs - 1) * mesh.h**2 + (mesh.h / 2) ** 2)
     assert alpha == pytest.approx(expected_alpha, abs=1e-14)
 
@@ -68,7 +60,7 @@ def test_r_state_single_tent_matches_gram_row():
 
     state, alpha = build_r_state(mesh, spec, tent)
     expected = W[j] / np.linalg.norm(W[j])
-    assert np.allclose(state.amplitudes[: spec.n_dofs], expected, atol=1e-12)
+    assert np.allclose(state, expected, atol=1e-12)
     assert alpha == pytest.approx(np.linalg.norm(W[j]), abs=1e-12)
 
 
@@ -94,14 +86,14 @@ def test_r_state_rejects_zero_function():
 # overlap and norm estimation
 
 def test_hadamard_identical_states():
-    s = Statevector.from_vector([1.0, 2.0, 3.0, 0.0])
+    s = unit([1.0, 2.0, 3.0, 0.0])
     budget = SampleBudget(rng_seed=0)
     assert hadamard_test_estimate(s, s, 0.05, budget) == pytest.approx(1.0, abs=0.05)
 
 
 def test_hadamard_orthogonal_states():
-    a = Statevector(np.array([1.0, 0.0]))
-    b = Statevector(np.array([0.0, 1.0]))
+    a = np.array([1.0, 0.0])
+    b = np.array([0.0, 1.0])
     budget = SampleBudget(rng_seed=1)
     assert abs(hadamard_test_estimate(a, b, 0.05, budget)) <= 0.05
 
@@ -110,8 +102,8 @@ def test_hadamard_known_overlap_coverage():
     # With 2*ceil(1/eps^2) = 800 shots and overlap 0.6 the per-seed success
     # probability is ~0.93 (binomial, +-1 outcomes), so demand >= 87/100:
     # three sigma below the expected 93.
-    a = Statevector(np.array([1.0, 0.0]))
-    b = Statevector(np.array([0.6, 0.8]))
+    a = np.array([1.0, 0.0])
+    b = np.array([0.6, 0.8])
     hits = 0
     for seed in range(100):
         budget = SampleBudget(rng_seed=seed)
@@ -121,7 +113,7 @@ def test_hadamard_known_overlap_coverage():
 
 
 def test_hadamard_consumes_budget_and_raises_when_exhausted():
-    s = Statevector.from_vector([1.0, 1.0])
+    s = unit([1.0, 1.0])
     budget = SampleBudget(shots=100, rng_seed=0)
     with pytest.raises(BudgetExceededError):
         hadamard_test_estimate(s, s, 0.01, budget)
@@ -132,22 +124,22 @@ def test_hadamard_consumes_budget_and_raises_when_exhausted():
 
 def test_norm_estimation_identity():
     M = SparseSymMatrix.identity(4)
-    b = Statevector.from_vector([1.0, 1.0, 1.0, 1.0])
+    b = unit([1.0, 1.0, 1.0, 1.0])
     budget = SampleBudget(rng_seed=0)
     assert estimate_norm(M, b, 0.05, budget) == pytest.approx(1.0, abs=0.05)
 
 
 def test_norm_estimation_scaled_diagonal():
     M = SparseSymMatrix.from_dense(np.diag([0.5, 0.5, 0.5, 0.5]))
-    b = Statevector.from_vector([1.0, 1.0, 1.0, 1.0])
+    b = unit([1.0, 1.0, 1.0, 1.0])
     budget = SampleBudget(rng_seed=0)
     assert estimate_norm(M, b, 0.05, budget) == pytest.approx(2.0, rel=0.1)
 
 
 def test_norm_estimation_poisson_coverage():
     _, _, M, b_raw = poisson(32)
-    b = Statevector.from_vector(b_raw)
-    truth = np.linalg.norm(np.linalg.solve(M.to_dense(), b.amplitudes[: M.n]))
+    b = unit(b_raw)
+    truth = np.linalg.norm(np.linalg.solve(M.to_dense(), b))
     hits = 0
     for seed in range(30):
         budget = SampleBudget(rng_seed=seed)
@@ -158,14 +150,14 @@ def test_norm_estimation_poisson_coverage():
 
 def test_norm_estimation_floor():
     M = SparseSymMatrix.from_dense(np.diag([1.0, 1e-8]))
-    b = Statevector(np.array([1.0, 0.0]))
+    b = np.array([1.0, 0.0])
     with pytest.raises(SimulationFloorError):
         estimate_norm(M, b, 0.1, budget=SampleBudget(rng_seed=0))
 
 
 def test_norm_estimation_empirical_shots_scale_inverse_eps_squared():
     _, _, M, b_raw = poisson(16)
-    b = Statevector.from_vector(b_raw)
+    b = unit(b_raw)
     shots = []
     eps_list = [0.1, 0.05, 0.02, 0.01]
     ledger = []
@@ -246,7 +238,7 @@ def test_rescaling_identity():
     mesh, spec, M, b_raw = poisson(16)
     u = np.linalg.solve(M.to_dense(), b_raw)
     r_state, alpha = build_r_state(mesh, spec, [1.0])
-    lhs = alpha * np.linalg.norm(u) * (r_state.amplitudes[: spec.n_dofs] @ (u / np.linalg.norm(u)))
+    lhs = alpha * np.linalg.norm(u) * (r_state @ (u / np.linalg.norm(u)))
     r_load = assemble_load(mesh, spec, [1.0])
     assert lhs == pytest.approx(float(r_load @ u), abs=1e-12)
 
@@ -266,17 +258,17 @@ def _per_shot_overlap_means(u, r, eps_l, shots, runs, rng):
 
 
 def test_hadamard_binomial_matches_per_shot_states():
-    u = Statevector.from_vector([1.0, 2.0, 3.0, 4.0, 0.5, -1.0])
-    r = Statevector.from_vector([2.0, -1.0, 1.0, 3.0, 1.0, 0.0])
+    u = unit([1.0, 2.0, 3.0, 4.0, 0.5, -1.0])
+    r = unit([2.0, -1.0, 1.0, 3.0, 1.0, 0.0])
     eps_l, eps_out, runs = 0.6, 0.25, 2500
     shots = 2 * int(np.ceil(1.0 / eps_out**2))
     binomial = np.array(
         [hadamard_test_estimate(u, r, eps_out, SampleBudget(rng_seed=seed), eps_l=eps_l) for seed in range(runs)]
     )
-    per_shot = _per_shot_overlap_means(u.amplitudes, r.amplitudes, eps_l, shots, runs, np.random.default_rng(7))
+    per_shot = _per_shot_overlap_means(u, r, eps_l, shots, runs, np.random.default_rng(7))
 
     theta = 2.0 * np.arcsin(eps_l / 2.0)
-    p = 0.5 * (1.0 + np.cos(theta) * u.inner(r))
+    p = 0.5 * (1.0 + np.cos(theta) * (u @ r))
     sd = np.sqrt(4.0 * p * (1.0 - p) / shots)
     se_mean = sd / np.sqrt(runs)
     se_sd = sd / np.sqrt(2.0 * (runs - 1))
@@ -288,7 +280,7 @@ def test_hadamard_binomial_matches_per_shot_states():
 
 
 def test_hadamard_charges_every_shot():
-    s = Statevector.from_vector([1.0, 2.0, 3.0, 4.0])
+    s = unit([1.0, 2.0, 3.0, 4.0])
     budget = SampleBudget(rng_seed=0)
     hadamard_test_estimate(s, s, 0.1, budget, eps_l=0.2)
     assert budget.uses_of_state_prep == 2 * 100
@@ -312,6 +304,6 @@ def test_sample_budget_binomial_charges_and_matches_rng_stream():
 
 
 def test_hadamard_rejects_bad_eps_l():
-    s = Statevector.from_vector([1.0, 2.0])
+    s = unit([1.0, 2.0])
     with pytest.raises(ValidationError):
         hadamard_test_estimate(s, s, 0.1, SampleBudget(rng_seed=0), eps_l=1.0)
