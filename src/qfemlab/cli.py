@@ -13,7 +13,9 @@ cap exceeded (a shot budget, the mesh cell cap, the simulable acceptance
 floor, or memory running out). Every artifact embeds the spec hash, the
 seed and the package version; identical inputs reproduce outputs
 bit-identically in exact modes and distribution-identically (same seed,
-same values) in sampling modes.
+same values) in sampling modes. solve's ``kappa_estimate`` and the ledger's
+modelled costs use an upper bound on the condition number: the exact
+lambda_min over a certified upper bound on lambda_max.
 """
 from __future__ import annotations
 

@@ -24,18 +24,20 @@ from .errors import ValidationError
 # hybrid-argument distinguishability
 
 def orthonormal_completions(psi: np.ndarray, phi: np.ndarray):
-    """The unit vectors phi' and psi' inside span{psi, phi} with phi' _|_ psi
-    and psi' _|_ phi: phi' ~ phi - <psi|phi> psi and psi' ~ <psi|phi> phi -
-    psi, each normalised by its own norm. The sign of psi' makes the map
-    (psi, phi') -> (phi, psi') a rotation of the plane by the angle between
-    psi and phi."""
-    ov = float(psi @ phi)
-    phi_p = phi - ov * psi
-    psi_p = ov * phi - psi
-    n_phi, n_psi = np.linalg.norm(phi_p), np.linalg.norm(psi_p)
-    if min(n_phi, n_psi) <= 1e-13:
+    """The unit vectors phi' _|_ psi and psi' _|_ phi in span{psi, phi}.
+    phi' ~ phi - <psi|phi> psi is orthogonalised twice, since one pass
+    leaves an error of 1e-16 / ||psi - phi||. With phi = cos(t) psi +
+    sin(t) phi', psi' = cos(t) phi' - sin(t) psi, so (psi, phi') -> (phi,
+    psi') rotates the plane by the angle t between psi and phi."""
+    cos_t = float(psi @ phi)
+    phi_p = phi - cos_t * psi
+    n_phi = np.linalg.norm(phi_p)
+    if n_phi <= 1e-13:
         raise ValidationError("states are (anti)parallel; completion undefined")
-    return phi_p / n_phi, psi_p / n_psi
+    phi_p /= n_phi
+    phi_p -= float(psi @ phi_p) * psi
+    phi_p /= np.linalg.norm(phi_p)
+    return phi_p, cos_t * phi_p - float(phi_p @ phi) * psi
 
 
 def completion_operators(psi: np.ndarray, phi: np.ndarray):
@@ -111,7 +113,9 @@ class HybridResult:
 def _distinguishing_probability(a_psi: np.ndarray, a_phi: np.ndarray, maps) -> float:
     """Optimal probability of telling apart U_T A U_{T-1} ... A U_0 e_0 for
     A = A_psi and A = A_phi, from the trace distance of the two final pure
-    states: 1/2 + sqrt(1 - <eta_psi|eta_phi>^2) / 2."""
+    states: 1/2 + sqrt(1 - <eta_psi|eta_phi>^2) / 2, taken as half the norm
+    of eta_phi's part orthogonal to eta_psi, which keeps full precision
+    where the square root would turn a rounding error of 1e-16 into 1e-8."""
 
     def evolve(a_op):
         state = np.zeros(len(a_op))
@@ -120,8 +124,9 @@ def _distinguishing_probability(a_psi: np.ndarray, a_phi: np.ndarray, maps) -> f
             state = a_op @ (u @ state)
         return maps[-1] @ state
 
-    ov = float(np.clip(evolve(a_psi) @ evolve(a_phi), -1.0, 1.0))
-    return 0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - ov * ov))
+    eta_psi, eta_phi = evolve(a_psi), evolve(a_phi)
+    ov = float(eta_psi @ eta_phi) / float(eta_psi @ eta_psi)
+    return 0.5 + 0.5 * float(np.linalg.norm(eta_phi - ov * eta_psi))
 
 
 def hybrid_experiment(pair: BlackBoxPair) -> HybridResult:

@@ -7,12 +7,13 @@ at l2 distance eps_l from the exact solution state (sparse direct solve),
 and the subroutine's analytic oracle cost is charged to a resource ledger
 once per use of the state preparation. Solves come from the
 stiffness matrix's cached sparse factorisation (``SparseSymMatrix.solve``),
-and lambda_max and the condition number from its cached eigenvalue extremes
-(``SparseSymMatrix.extremes``, shift-invert Lanczos at both ends of the
-spectrum); no dense matrix is formed. All estimators are plain Monte Carlo
-at the exact event probabilities: empirical sampling uses 1/eps^2 shots
-while the ledger charges the amplitude-estimation count of 1/eps, and the
-gap is annotated in the ledger entries.
+and the condition number from its cached eigenvalue extremes
+(``SparseSymMatrix.extremes``): exact lambda_min over a certified upper
+bound on lambda_max, so modelled costs are upper bounds. No dense matrix is
+formed. All estimators are plain Monte Carlo at the exact event
+probabilities: empirical sampling uses 1/eps^2 shots while the ledger
+charges the amplitude-estimation count of 1/eps, and the gap is annotated
+in the ledger entries.
 
 All states are real unit vectors over the FEM dofs.
 """
@@ -110,7 +111,8 @@ def hadamard_test_estimate(
 def estimate_norm(M: SparseSymMatrix, b: np.ndarray, eps_n_rel: float, budget: SampleBudget, ledger=None) -> float:
     """Estimate ||M^{-1} b|| by sampling the acceptance event of the
     norm-estimation subroutine at its exact probability p = ||A^{-1}b||^2 /
-    kappa^2 (A = M / lambda_max) and inverting kappa * sqrt(p).
+    kappa^2 (A = M / lambda_max) = (lambda_min ||M^{-1} b||)^2, in which
+    lambda_max cancels, and inverting sqrt(p) / lambda_min.
 
     Relative error <= eps_n_rel with probability >= 2/3 by construction of
     the shot count. The analytic oracle cost is appended to ``ledger``.
@@ -118,9 +120,8 @@ def estimate_norm(M: SparseSymMatrix, b: np.ndarray, eps_n_rel: float, budget: S
     if eps_n_rel <= 0:
         raise ValidationError("eps_n_rel must be positive")
     lam_min, lam_max = M.extremes()
-    kap = lam_max / lam_min
-    x = lam_max * M.solve(b)
-    p = min(float(x @ x) / kap**2, 1.0)
+    x = lam_min * M.solve(b)
+    p = min(float(x @ x), 1.0)
     if p < ACCEPTANCE_FLOOR:
         raise SimulationFloorError(
             f"acceptance probability {p:.3e} below the simulable floor; consider preconditioning"
@@ -128,7 +129,7 @@ def estimate_norm(M: SparseSymMatrix, b: np.ndarray, eps_n_rel: float, budget: S
     shots = max(8, math.ceil(2.0 * (1.0 - p) / (p * eps_n_rel**2)))
     p_hat = budget.binomial(shots, p) / shots
     if ledger is not None:
-        entry = norm_estimation_cost(M.s, kap, eps_n_rel)
+        entry = norm_estimation_cost(M.s, lam_max / lam_min, eps_n_rel)
         entry.notes.update(
             {
                 "call": "norm_estimation",
@@ -138,7 +139,7 @@ def estimate_norm(M: SparseSymMatrix, b: np.ndarray, eps_n_rel: float, budget: S
             }
         )
         ledger.append(entry)
-    return float(kap * math.sqrt(p_hat) / lam_max)
+    return float(math.sqrt(p_hat) / lam_min)
 
 
 @dataclass

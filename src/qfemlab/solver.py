@@ -14,10 +14,11 @@ Lanczos tridiagonal would bound lambda_min from above and so make the
 certified bound too small. r is the recursively updated residual,
 which can fall below the true b - M x once both near rounding level.
 
-The same extremes give kappa = lambda_max / lambda_min, which sets the
-default iteration cap max(50, ceil(10 sqrt(kappa) log(1/tol))), sized for
-unpreconditioned CG's O(sqrt(kappa) log(1/tol)) steps, and is what
-``estimate_condition_number`` returns.
+The same extremes give kappa = lambda_max / lambda_min, the exact lambda_min
+over a certified upper bound on lambda_max, so kappa is an upper bound too.
+It sets the default iteration cap max(50, ceil(10 sqrt(kappa) log(1/tol))),
+sized for unpreconditioned CG's O(sqrt(kappa) log(1/tol)) steps, and is
+what ``estimate_condition_number`` returns.
 """
 from __future__ import annotations
 
@@ -110,8 +111,9 @@ def conjugate_gradient(
 
 
 def estimate_condition_number(M: SparseSymMatrix) -> float:
-    """kappa = lambda_max / lambda_min from the cached eigenvalue extremes
-    of M's sparse factorisation (``SparseSymMatrix.extremes``).
+    """An upper bound on kappa = lambda_max / lambda_min: the exact lambda_min
+    over the Collatz-Wielandt upper bound on lambda_max, both cached by
+    ``SparseSymMatrix.extremes``.
 
     Raises ValidationError when M is singular or indefinite.
     """

@@ -41,6 +41,24 @@ def test_completion_operators_differ_by_a_rotation_of_size_eps(eps, seed):
     assert pair.eps_sep == pytest.approx(eps, abs=1e-12)
 
 
+@pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6, 1e-4])
+def test_nearby_states_complete_to_orthogonal_operators(eps):
+    # completion_operators raises unless both operators are orthogonal to 1e-12
+    for seed in range(20):
+        pair = make_blackbox_pair(16, eps, 1, rng_seed=seed)
+        completion_operators(pair.psi, pair.phi)
+        assert 0.0 <= hybrid_experiment(pair).exact_probability - 0.5 <= eps / math.sqrt(2.0)
+
+
+def test_no_preparation_gives_no_advantage(capsys):
+    argv = ["lowerbound", "--mode", "hybrid", "--T", "0,1,3,16", "--eps-sep", "0,0.3,1.5"]
+    assert cli.main([*argv, "--draws", "4", "--dim", "8", "--seed", "2", "--format", "csv"]) == 0
+    header, *lines = capsys.readouterr().out.strip().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == 12 and all(row["violations"] == "0" for row in rows)
+    assert all(float(row["exact_advantage"]) == 0.0 for row in rows if row["T"] == "0")
+
+
 def test_default_grid_passes_gate_and_bound():
     # the CLI's default hybrid grid, draw by draw
     for T in (1, 2, 4, 8):
@@ -68,9 +86,8 @@ def test_aligned_interleaving_turns_by_theta_per_use(T, eps):
     assert aligned_probability(eps, T) - 0.5 == pytest.approx(0.5 * math.sin(T * theta), abs=1e-12)
 
 
-# eps >= 1e-3: below it sqrt(1 - <eta_psi|eta_phi>^2) loses the advantage to rounding
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 64), st.floats(1e-3, 1.99))
+@given(st.integers(0, 64), st.floats(1e-10, 1.99))
 def test_aligned_advantage_is_within_a_constant_of_the_bound(T, eps):
     aligned = aligned_probability(eps, T)
     bound = 0.5 + T * eps / math.sqrt(2.0)

@@ -33,6 +33,9 @@ from qfemlab import (
 from qfemlab.assembly import _gauss01
 
 REL = 1e-9
+# extremes() bounds lambda_max from above; on FEM matrices the bound sits
+# within 1.7e-2 of it (2D n = 12, 1D n = 10) and much closer at larger n
+FEM_GAP = 2e-2
 
 
 def system(d, n, k=1, reaction=0.0):
@@ -66,7 +69,7 @@ def test_solve_and_extremes_match_dense(d, n, k, reaction):
     assert np.linalg.norm(x - x_ref) <= REL * np.linalg.norm(x_ref)
     lam_min, lam_max = M.extremes()
     assert lam_min == pytest.approx(ev[0], rel=REL)
-    assert lam_max == pytest.approx(ev[-1], rel=REL)
+    assert ev[-1] <= lam_max <= (1.0 + FEM_GAP) * ev[-1]
     assert M.is_spd()
 
 
@@ -76,10 +79,10 @@ def test_solve_and_extremes_match_dense(d, n, k, reaction):
     ids=["3I", "2x2", "tied-diagonal"],
 )
 def test_lambda_max_where_collatz_wielandt_bound_is_tight(a):
-    # the bound equals lambda_max here, so sI - M is singular without a margin
+    # the Collatz-Wielandt bound equals lambda_max here; the margin keeps it above
     lam_min, lam_max = SparseSymMatrix.from_dense(a).extremes()
     ev = np.linalg.eigvalsh(a)
-    assert lam_max == pytest.approx(ev[-1], rel=1e-12)
+    assert ev[-1] <= lam_max <= (1.0 + 2e-12) * ev[-1]
     assert lam_min == pytest.approx(ev[0], rel=1e-12)
 
 
@@ -92,7 +95,17 @@ def test_extremes_match_closed_form_2d(n, diffusion):
     M = assemble_stiffness(mesh, build_basis(mesh, 1), BilinearForm(diffusion, 0.0))
     lam_min, lam_max = M.extremes()
     assert lam_min == pytest.approx(8.0 * diffusion * np.sin(np.pi / (2 * n)) ** 2, rel=1e-12)
-    assert lam_max == pytest.approx(8.0 * diffusion * np.cos(np.pi / (2 * n)) ** 2, rel=1e-12)
+    exact_max = 8.0 * diffusion * np.cos(np.pi / (2 * n)) ** 2
+    assert exact_max <= lam_max <= (1.0 + FEM_GAP) * exact_max
+
+
+def test_lambda_max_bound_clears_rounding_on_2d_n3():
+    # the unraised Collatz-Wielandt ratio lands one ulp below lambda_max here
+    mesh = build_square_triangulation(3)
+    M = assemble_stiffness(mesh, build_basis(mesh, 1), BilinearForm(1.0, 0.0))
+    lam_max = M.extremes()[1]
+    assert lam_max >= np.linalg.eigvalsh(M.to_dense())[-1]
+    assert lam_max >= 8.0 * np.cos(np.pi / 6) ** 2
 
 
 # lambda_min of a matrix with condition number kappa is found to about
@@ -108,7 +121,7 @@ def test_extremes_match_closed_form_1d(n):
         return n * (2.0 - 2.0 * np.cos((2 * j - 1) * np.pi / (2 * n + 1)))
 
     assert lam_min == pytest.approx(eigenvalue(1), rel=1e-12)
-    assert lam_max == pytest.approx(eigenvalue(n), rel=1e-12)
+    assert eigenvalue(n) <= lam_max <= (1.0 + FEM_GAP) * eigenvalue(n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,20 +134,35 @@ def test_extremes_match_dense_on_random_sparse_spd(n, density, gap, seed):
     ev = np.linalg.eigvalsh(a)
     lam_min, lam_max = SparseSymMatrix.from_dense(a).extremes()
     assert lam_min == pytest.approx(ev[0], rel=1e-10)
-    assert lam_max == pytest.approx(ev[-1], rel=1e-10)
+    # the ratio never rises under iteration, so the bound stays below the
+    # first step's max row sum of |a| (up to the 1e-12 margin); with mixed
+    # off-diagonal signs it can sit far above lambda_max
+    assert ev[-1] <= lam_max <= (1.0 + 2e-12) * np.abs(a).sum(axis=1).max()
 
 
-def test_both_extremes_go_through_one_symmetric_factorisation(monkeypatch):
+def _count_factorisations(monkeypatch):
     calls = []
+    splu = qfemlab.assembly.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(0)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(qfemlab.assembly, "splu", counting_splu)
+    return calls
+
+
+def test_extremes_factors_a_fresh_matrix_once(monkeypatch):
+    calls = _count_factorisations(monkeypatch)
+    solves = []
     eigsh = qfemlab.assembly.eigsh
 
     def counting_eigsh(A, *args, OPinv=None, **kwargs):
-        calls.append(0)
-        if OPinv is None:
-            return eigsh(A, *args, **kwargs)
+        # SciPy factors A - sigma I itself (general pivoting) when OPinv is missing
+        assert OPinv is not None
 
         def solve(x):
-            calls[-1] += 1
+            solves.append(0)
             return OPinv.matvec(x)
 
         return eigsh(A, *args, OPinv=LinearOperator(OPinv.shape, matvec=solve, dtype=float), **kwargs)
@@ -142,9 +170,9 @@ def test_both_extremes_go_through_one_symmetric_factorisation(monkeypatch):
     monkeypatch.setattr(qfemlab.assembly, "eigsh", counting_eigsh)
     M = system(1, 300, k=3)[0]
     M.extremes()
-    # SciPy factors A - sigma I itself (general pivoting) when OPinv is missing
-    assert calls and all(calls), calls
-    assert sum(calls) <= 42, calls
+    M.extremes()
+    assert len(calls) == 1
+    assert 0 < len(solves) <= 21
 
 
 def _random_symmetric(rng, n, spd):
@@ -209,7 +237,8 @@ def test_constructor_leaves_the_callers_matrix_alone():
     lam = M.extremes()
     a.data[:] = 9.0  # a later write by the caller reaches neither M nor its cache
     assert np.array_equal(M.to_dense(), [[2.0, 1.0], [1.0, 2.0]])
-    assert M.extremes() == lam == pytest.approx((1.0, 3.0), rel=1e-12)
+    assert M.extremes() == lam
+    assert lam[0] == pytest.approx(1.0, rel=1e-12) and 3.0 <= lam[1] <= 3.0 * (1.0 + 2e-12)
 
 
 def test_extremes_bit_identical_on_equal_matrices():
@@ -264,6 +293,22 @@ def test_reports_make_no_dense_calls(monkeypatch, payload):
     out = cli.simulate_report(problem)
     assert out["n_dofs"] >= 1
     assert "budget" in cli.plan_report(problem)
+
+
+@pytest.mark.parametrize("payload", [SPEC_1D, SPEC_2D], ids=["1d", "2d"])
+@pytest.mark.parametrize("report", ["solve_report", "simulate_report"])
+def test_reports_factor_each_assembled_matrix_once(monkeypatch, payload, report):
+    calls = _count_factorisations(monkeypatch)
+    matrices = []
+    adopt = SparseSymMatrix._adopt
+
+    def counting_adopt(self, csr):
+        matrices.append(self)
+        adopt(self, csr)
+
+    monkeypatch.setattr(SparseSymMatrix, "_adopt", counting_adopt)
+    getattr(cli, report)(ProblemSpec.from_dict(payload))
+    assert len(calls) == len(matrices) == 1
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["convergence", "--levels", "3"], ["plan"]])
