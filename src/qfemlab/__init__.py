@@ -10,7 +10,6 @@ from .assembly import (
     assemble_gram,
     assemble_load,
     assemble_stiffness,
-    spai_preconditioner,
 )
 from .errors import (
     BudgetExceededError,

@@ -1,4 +1,4 @@
-"""Assembly of stiffness, mass and load terms, and the SPAI preconditioner.
+"""Assembly of stiffness, mass and load terms.
 
 The bilinear form is a(u, v) = diffusion * int grad(u).grad(v) + reaction *
 int u v. Element matrices are exact: in 1D they are integrated in rational
@@ -32,7 +32,6 @@ from .errors import NonConvergenceError, ValidationError
 from .mesh import TRIANGLE_GRADS, BasisSpec, Mesh
 
 MAX_POLY_DEGREE = 8
-_CALLABLE_QUAD_POINTS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +389,8 @@ def poly_degree(coeffs) -> int:
 
 
 def _as_evaluator(mesh: Mesh, f):
-    """Normalize polynomial coefficients or a callable into a point evaluator
-    plus the quadrature order needed for load integrals to be exact."""
-    if callable(f):
-        return f, _CALLABLE_QUAD_POINTS
+    """Normalize polynomial coefficients into a point evaluator plus their
+    total degree, which sets the quadrature order for exact load integrals."""
     c = np.asarray(f, dtype=float)
     deg = poly_degree(c)
     if deg > MAX_POLY_DEGREE:
@@ -401,10 +398,10 @@ def _as_evaluator(mesh: Mesh, f):
     if mesh.dimension == 1:
         if c.ndim != 1:
             raise ValidationError("1D data must be a flat coefficient list")
-        return (lambda x: npoly.polyval(x, c)), 0
+        return (lambda x: npoly.polyval(x, c)), deg
     if c.ndim == 1:
         c = c.reshape(-1, 1)
-    return (lambda x, y: npoly.polyval2d(x, y, c)), 0
+    return (lambda x, y: npoly.polyval2d(x, y, c)), deg
 
 
 def element_quadrature_1d(mesh: Mesh, p: int):
@@ -418,17 +415,14 @@ def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> np.ndarray:
     """Load vector with entries int f phi_i over the active dofs.
 
     ``f`` is given as polynomial coefficients (1D: flat list, low order
-    first; 2D: coefficient matrix c[i][j] of x^i y^j, total degree <= 8) or
-    as a callable sampled by quadrature. A callable is evaluated once on
-    (n_elements, q) arrays of quadrature points (one ``x`` array in 1D, ``x``
-    and ``y`` in 2D), so it must be numpy-vectorised. In 2D the points are
-    kept one coordinate at a time and the quadrature terms are added in q
-    order to (n_elements, 3) contributions; no (n_elements, q, 3) array is
-    formed.
+    first; 2D: coefficient matrix c[i][j] of x^i y^j, total degree <= 8),
+    evaluated once on (n_elements, q) arrays of quadrature points. In 2D the
+    points are kept one coordinate at a time and the quadrature terms are
+    added in q order to (n_elements, 3) contributions; no (n_elements, q, 3)
+    array is formed.
     """
     _check_pair(mesh, spec)
-    ev, extra = _as_evaluator(mesh, f)
-    deg = extra if extra else poly_degree(f)
+    ev, deg = _as_evaluator(mesh, f)
     if mesh.dimension == 1:
         xq, ws = element_quadrature_1d(mesh, max(spec.k + 1, (spec.k + deg) // 2 + 2))
         basis_vals = _reference_values_at(spec.k, len(ws))  # (k+1, p)
@@ -455,43 +449,3 @@ def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> np.ndarray:
     out = np.bincount(gids[keep], weights=contrib[keep], minlength=spec.n_dofs)
     return out.astype(float, copy=False)
 
-
-def spai_preconditioner(M: SparseSymMatrix) -> SparseSymMatrix:
-    """Sparse approximate inverse: minimize ||PM - I||_F row by row over the
-    sparsity pattern of M, then symmetrize.
-
-    Rows whose local least-squares problem is rank deficient fall back to
-    the Jacobi entry 1/M_ii. When the symmetrised result is not positive
-    definite (``is_spd()``; it can be indefinite on coarse meshes, e.g. 1D
-    P1 with n = 3), the whole matrix falls back to Jacobi, diag(1/M_ii), so
-    the returned preconditioner of an SPD M is always SPD, as CG requires.
-    """
-    A = M.csr
-    n = M.n
-    indptr, indices, diag = A.indptr, A.indices, A.diagonal()
-
-    def jacobi(i):
-        if diag[i] == 0.0:
-            raise ValidationError(f"cannot precondition: zero diagonal at row {i}")
-        return 1.0 / diag[i]
-
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        J = indices[indptr[i]:indptr[i + 1]]
-        if len(J) == 0:
-            J = np.array([i])
-        # by symmetry, column support of A[:, j] equals row support of A[j, :]
-        I = np.unique(np.concatenate([indices[indptr[j]:indptr[j + 1]] for j in J]))
-        Asub = A[I][:, J].toarray()
-        e = (I == i).astype(float)
-        sol, _, rank, _ = np.linalg.lstsq(Asub, e, rcond=None)
-        if rank < len(J) or not np.all(np.isfinite(sol)):
-            J, sol = [i], [jacobi(i)]
-        rows.extend([i] * len(J))
-        cols.extend(J)
-        vals.extend(sol)
-    P = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
-    P = SparseSymMatrix((P + P.T) * 0.5)
-    if P.is_spd():
-        return P
-    return SparseSymMatrix(sp.diags_array([jacobi(i) for i in range(n)]))

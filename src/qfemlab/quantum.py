@@ -33,7 +33,7 @@ from .errors import (
 )
 from .mesh import BasisSpec, Mesh
 from .problems import ProblemSpec, derive_sobolev, discretize, mesh_size, poly_l2_norm
-from .resources import ErrorBudget, ResourceEstimate, discretisation_share, norm_estimation_cost, split_budget
+from .resources import ErrorBudget, ResourceEstimate, discretisation_share, norm_estimation_cost, qle_cost, split_budget
 from .solver import estimate_condition_number
 
 ACCEPTANCE_FLOOR = 1e-9
@@ -64,12 +64,7 @@ class SampleBudget:
 
 
 # ---------------------------------------------------------------------------
-# linear-solver cost model and the estimators
-
-def _theorem_cost(s: int, kappa: float, eps: float) -> float:
-    eps = max(eps, 1e-16)
-    return s * kappa * (1.0 + math.log(max(s * kappa / eps, 1.0))) ** 2
-
+# the estimators
 
 def build_r_state(mesh: Mesh, spec: BasisSpec, r_coeffs):
     """Normalized state with amplitudes proportional to <phi_i, r>, plus the
@@ -108,11 +103,12 @@ def hadamard_test_estimate(
     return 2.0 * budget.binomial(shots, p) / shots - 1.0
 
 
-def estimate_norm(M: SparseSymMatrix, b: np.ndarray, eps_n_rel: float, budget: SampleBudget, ledger=None) -> float:
-    """Estimate ||M^{-1} b|| by sampling the acceptance event of the
-    norm-estimation subroutine at its exact probability p = ||A^{-1}b||^2 /
-    kappa^2 (A = M / lambda_max) = (lambda_min ||M^{-1} b||)^2, in which
-    lambda_max cancels, and inverting sqrt(p) / lambda_min.
+def estimate_norm(M: SparseSymMatrix, x: np.ndarray, eps_n_rel: float, budget: SampleBudget, ledger=None) -> float:
+    """Estimate ||x|| for the solve x = M^{-1} b the caller holds, by
+    sampling the acceptance event of the norm-estimation subroutine at its
+    exact probability p = ||A^{-1}b||^2 / kappa^2 (A = M / lambda_max) =
+    (lambda_min ||x||)^2, in which lambda_max cancels, and inverting
+    sqrt(p) / lambda_min.
 
     Relative error <= eps_n_rel with probability >= 2/3 by construction of
     the shot count. The analytic oracle cost is appended to ``ledger``.
@@ -120,12 +116,10 @@ def estimate_norm(M: SparseSymMatrix, b: np.ndarray, eps_n_rel: float, budget: S
     if eps_n_rel <= 0:
         raise ValidationError("eps_n_rel must be positive")
     lam_min, lam_max = M.extremes()
-    x = lam_min * M.solve(b)
-    p = min(float(x @ x), 1.0)
+    y = lam_min * x
+    p = min(float(y @ y), 1.0)
     if p < ACCEPTANCE_FLOOR:
-        raise SimulationFloorError(
-            f"acceptance probability {p:.3e} below the simulable floor; consider preconditioning"
-        )
+        raise SimulationFloorError(f"acceptance probability {p:.3e} below the simulable floor {ACCEPTANCE_FLOOR:.0e}")
     shots = max(8, math.ceil(2.0 * (1.0 - p) / (p * eps_n_rel**2)))
     p_hat = budget.binomial(shots, p) / shots
     if ledger is not None:
@@ -208,20 +202,19 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
         value = alpha * n_tilde * r_tilde
     else:
         b_norm = float(np.linalg.norm(b_raw))
-        b_state = b_raw / b_norm
         eps_n_rel = split.eps_n / u_norm
-        n_tilde = b_norm * estimate_norm(M, b_state, eps_n_rel, budget, ledger=ledger)
+        n_tilde = b_norm * estimate_norm(M, u_tilde / b_norm, eps_n_rel, budget, ledger=ledger)
         u_state = u_tilde / u_norm
         eps_l_eff = min(split.eps_l, 0.9)
-        qle_cost = _theorem_cost(M.s, estimate_condition_number(M), max(eps_l_eff, 1e-16))
+        cost = qle_cost(M.s, estimate_condition_number(M), eps_l_eff)
         uses_before = budget.uses_of_state_prep
         r_tilde = hadamard_test_estimate(u_state, r_state, split.eps_out, budget, eps_l=eps_l_eff)
         uses = budget.uses_of_state_prep - uses_before
         ledger.append(
             ResourceEstimate(
                 pipeline="quantum",
-                oracle_calls={"P_M": qle_cost * uses, "P_b": qle_cost * uses},
-                runtime_model=qle_cost * uses,
+                oracle_calls={"P_M": cost * uses, "P_b": cost * uses},
+                runtime_model=cost * uses,
                 notes={
                     "call": "overlap_estimation",
                     "state_prep_uses": uses,

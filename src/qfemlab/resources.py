@@ -223,6 +223,12 @@ def norm_estimation_cost(s: int, kappa: float, eps: float) -> ResourceEstimate:
     )
 
 
+def qle_cost(s: int, kappa: float, eps: float) -> float:
+    """Oracle calls of one quantum linear-equation solve to accuracy eps,
+    s kappa polylog(s kappa / eps); eps is clamped at 1e-16."""
+    return s * kappa * _polylog(s * kappa / max(eps, 1e-16))
+
+
 def exponent_table(d: int, k: int) -> dict:
     """Closed-form 1/eps exponents of the four pipelines (exact rationals)."""
     if d < 1 or k < 1:

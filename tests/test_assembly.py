@@ -13,7 +13,6 @@ from qfemlab import (
     build_square_triangulation,
     eval_basis,
     eval_basis_grad,
-    spai_preconditioner,
 )
 
 DIFFUSION = BilinearForm(1.0, 0.0)
@@ -84,15 +83,6 @@ def test_load_rejects_high_degree():
     spec = build_basis(mesh, 1)
     with pytest.raises(ValidationError):
         assemble_load(mesh, spec, [0.0] * 9 + [1.0])
-
-
-def test_load_callable_matches_poly():
-    mesh = build_interval_mesh(6)
-    spec = build_basis(mesh, 2)
-    coeffs = [0.3, -1.0, 2.0, 0.5]
-    a = assemble_load(mesh, spec, coeffs)
-    b = assemble_load(mesh, spec, lambda x: 0.3 - x + 2 * x**2 + 0.5 * x**3)
-    assert np.allclose(a, b, atol=1e-13)
 
 
 def test_gram_tent_overlaps():
@@ -210,30 +200,6 @@ def test_symmetry_and_psd(builder, n, k):
     dense = M.to_dense()
     assert np.array_equal(dense, dense.T)
     assert np.linalg.eigvalsh(dense).min() >= -1e-12
-
-
-def test_spai_identity():
-    eye = SparseSymMatrix.identity(6)
-    P = spai_preconditioner(eye)
-    assert np.allclose(P.to_dense(), np.eye(6), atol=1e-12)
-
-
-def test_spai_diagonal_exact_inverse():
-    D = SparseSymMatrix.from_dense(np.diag([1.0, 2.0, 4.0, 0.5]))
-    P = spai_preconditioner(D)
-    assert np.allclose(P.to_dense(), np.diag([1.0, 0.5, 0.25, 2.0]), atol=1e-12)
-
-
-def test_spai_reduces_condition_number():
-    _, _, M = poisson_1d(16)
-    P = spai_preconditioner(M)
-    dense_m = M.to_dense()
-    dense_pm = P.to_dense() @ dense_m
-    ev_m = np.linalg.eigvalsh(dense_m)
-    ev_pm = np.sort(np.linalg.eigvals(dense_pm).real)
-    kappa_m = ev_m[-1] / ev_m[0]
-    kappa_pm = ev_pm[-1] / ev_pm[0]
-    assert kappa_pm < kappa_m
 
 
 def test_sparse_matrix_rejects_asymmetry():

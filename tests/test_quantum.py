@@ -50,18 +50,22 @@ def test_r_state_uniform_interior():
 
 
 def test_r_state_single_tent_matches_gram_row():
+    """Loads take polynomial data, so tents are checked where they are
+    polynomials: r = x is the half tent of a one-element mesh, whose state
+    is its Gram row, and on eight elements r = x = sum_j x_j phi_j, whose
+    load is the Gram rows weighted by the node values x_j."""
+    mesh, spec, _, _ = poisson(1)
+    W = assemble_gram(mesh, spec).to_dense()
+    state, alpha = build_r_state(mesh, spec, [0.0, 1.0])
+    assert np.array_equal(state, [1.0])
+    assert alpha == pytest.approx(W[0, 0], abs=1e-15)
+
     mesh, spec, _, _ = poisson(8)
     W = assemble_gram(mesh, spec).to_dense()
-    j = 3
-    xj = mesh.h * (j + 1)
-
-    def tent(x):
-        return np.maximum(0.0, 1.0 - np.abs(np.asarray(x) - xj) / mesh.h)
-
-    state, alpha = build_r_state(mesh, spec, tent)
-    expected = W[j] / np.linalg.norm(W[j])
-    assert np.allclose(state, expected, atol=1e-12)
-    assert alpha == pytest.approx(np.linalg.norm(W[j]), abs=1e-12)
+    load = W @ (mesh.h * np.arange(1, spec.n_dofs + 1))
+    state, alpha = build_r_state(mesh, spec, [0.0, 1.0])
+    assert np.allclose(state, load / np.linalg.norm(load), atol=1e-12)
+    assert alpha == pytest.approx(np.linalg.norm(load), abs=1e-12)
 
 
 def test_r_state_alpha_bounded_by_gram_norm():
@@ -126,24 +130,25 @@ def test_norm_estimation_identity():
     M = SparseSymMatrix.identity(4)
     b = unit([1.0, 1.0, 1.0, 1.0])
     budget = SampleBudget(rng_seed=0)
-    assert estimate_norm(M, b, 0.05, budget) == pytest.approx(1.0, abs=0.05)
+    assert estimate_norm(M, M.solve(b), 0.05, budget) == pytest.approx(1.0, abs=0.05)
 
 
 def test_norm_estimation_scaled_diagonal():
     M = SparseSymMatrix.from_dense(np.diag([0.5, 0.5, 0.5, 0.5]))
     b = unit([1.0, 1.0, 1.0, 1.0])
     budget = SampleBudget(rng_seed=0)
-    assert estimate_norm(M, b, 0.05, budget) == pytest.approx(2.0, rel=0.1)
+    assert estimate_norm(M, M.solve(b), 0.05, budget) == pytest.approx(2.0, rel=0.1)
 
 
 def test_norm_estimation_poisson_coverage():
     _, _, M, b_raw = poisson(32)
     b = unit(b_raw)
     truth = np.linalg.norm(np.linalg.solve(M.to_dense(), b))
+    x = M.solve(b)
     hits = 0
     for seed in range(30):
         budget = SampleBudget(rng_seed=seed)
-        if abs(estimate_norm(M, b, 0.03, budget) - truth) <= 0.03 * truth:
+        if abs(estimate_norm(M, x, 0.03, budget) - truth) <= 0.03 * truth:
             hits += 1
     assert hits >= 20  # 2/3 of seeds
 
@@ -151,8 +156,8 @@ def test_norm_estimation_poisson_coverage():
 def test_norm_estimation_floor():
     M = SparseSymMatrix.from_dense(np.diag([1.0, 1e-8]))
     b = np.array([1.0, 0.0])
-    with pytest.raises(SimulationFloorError):
-        estimate_norm(M, b, 0.1, budget=SampleBudget(rng_seed=0))
+    with pytest.raises(SimulationFloorError, match=r"acceptance probability 1\.000e-16 below the simulable floor 1e-09$"):
+        estimate_norm(M, M.solve(b), 0.1, budget=SampleBudget(rng_seed=0))
 
 
 def test_norm_estimation_empirical_shots_scale_inverse_eps_squared():
@@ -163,7 +168,7 @@ def test_norm_estimation_empirical_shots_scale_inverse_eps_squared():
     ledger = []
     for eps in eps_list:
         budget = SampleBudget(rng_seed=0)
-        estimate_norm(M, b, eps, budget, ledger=ledger)
+        estimate_norm(M, M.solve(b), eps, budget, ledger=ledger)
         shots.append(budget.uses_of_state_prep)
     slope = np.polyfit(np.log(1.0 / np.asarray(eps_list)), np.log(shots), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.05)

@@ -26,9 +26,7 @@ from qfemlab import (
     build_interval_mesh,
     build_square_triangulation,
     cli,
-    conjugate_gradient,
     estimate_norm,
-    spai_preconditioner,
 )
 from qfemlab.assembly import _gauss01
 
@@ -223,9 +221,9 @@ def test_singular_matrix_raises(a):
         M.solve(np.ones(M.n))
     with pytest.raises(ValidationError, match="singular"):
         M.extremes()
-    b = np.ones(M.n) / np.sqrt(M.n)
+    # M.solve raises above, so any vector stands in for M^{-1} b
     with pytest.raises(ValidationError, match="singular"):
-        estimate_norm(M, b, 0.1, SampleBudget(rng_seed=0))
+        estimate_norm(M, np.ones(M.n), 0.1, SampleBudget(rng_seed=0))
 
 
 def test_constructor_leaves_the_callers_matrix_alone():
@@ -246,18 +244,6 @@ def test_extremes_bit_identical_on_equal_matrices():
     second_matrix = system(2, 30, reaction=1.0)[0]
     assert second_matrix.extremes() == first
     assert second_matrix.extremes() == first  # cached
-
-
-@pytest.mark.parametrize("n", [64, 256])
-def test_preconditioned_cg_certificate_is_sound(n):
-    M, b = system(1, n)
-    tol = 1e-6
-    rep = conjugate_gradient(M, b, tol=tol, precond=spai_preconditioner(M))
-    assert rep.converged
-    assert rep.lambda_min_estimate == M.extremes()[0]
-    x_ref = np.linalg.solve(M.to_dense(), b)
-    err = x_ref - rep.solution
-    assert np.sqrt(err @ (M @ err)) <= tol * np.sqrt(b @ x_ref)
 
 
 # ---------------------------------------------------------------------------
