@@ -16,6 +16,10 @@ build for matrices, one ``np.bincount`` for loads), so duplicates sum in a
 fixed order. 2D matrices are a stencil on the uniform triangulation: the two
 element matrices are added onto the vertex grid by slices, one array per
 coupling direction, and written out as CSR rows directly.
+
+Dofs are numbered along the line (1D) or row by row (2D), so every
+assembled matrix is banded, with half-bandwidth at most k in 1D and n in
+2D; ``SparseSymMatrix`` solves through one band Cholesky factor of it.
 """
 from __future__ import annotations
 
@@ -26,7 +30,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import polynomial as npoly
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NonConvergenceError, ValidationError
 from .mesh import TRIANGLE_GRADS, BasisSpec, Mesh
@@ -147,13 +152,12 @@ class SparseSymMatrix:
     2D stencil assembly.
 
     Linear algebra stays sparse. The first call to ``solve``, ``is_spd`` or
-    ``extremes`` factors the matrix once with a symmetric-mode sparse LU
-    (symmetric fill-reducing ordering, diagonal pivots only) and caches it;
-    no other factorisation is made. With diagonal pivots the factorisation
-    is P M P^T = L D L^T with D = diag(U), so by Sylvester's law of inertia
-    M is positive definite exactly when no off-diagonal pivot was needed and
-    every pivot is > 0. SuperLU reads the CSR arrays as CSC, i.e. M^T: M
-    itself, up to that tolerance.
+    ``extremes`` packs the upper band of the CSR arrays (half-bandwidth bw,
+    the largest j - i of a stored entry) into LAPACK's (bw + 1) x n layout
+    and takes its band Cholesky factor M = R^T R once, caching it (or its
+    failure); no other factorisation is made. Assembled matrices are banded
+    by their dof numbering, bw <= k in 1D and bw <= n in 2D. M is positive
+    definite exactly when the factorisation succeeds.
     """
 
     def __init__(self, matrix):
@@ -179,7 +183,7 @@ class SparseSymMatrix:
         self._csr = csr
         self.n = csr.shape[0]
         self.s = int(np.diff(csr.indptr).max()) if self.n else 0
-        self._lu = self._spd = self._extremes = None
+        self._chol = self._extremes = None
 
     @classmethod
     def from_upper_coo(cls, n, rows, cols, vals):
@@ -221,44 +225,38 @@ class SparseSymMatrix:
     def to_dense(self):
         return self._csr.toarray()
 
-    def _factor(self):
-        if self._lu is None:
-            try:
-                csr = self._csr  # canonical, so splu rewrites nothing in these shared arrays
-                lu = splu(
-                    sp.csc_array((csr.data, csr.indices, csr.indptr), shape=csr.shape),
-                    permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True},
-                )
-            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-                raise ValidationError("matrix is singular") from exc
-            # SuperLU still swaps rows at an exactly zero diagonal pivot
-            self._spd = bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0))
-            self._lu = lu
-        return self._lu
-
     def solve(self, b) -> np.ndarray:
-        """M^{-1} b from the cached sparse factorisation."""
-        x = self._factor().solve(np.asarray(b, dtype=float))
+        """M^{-1} b from the cached band Cholesky factor; raises
+        ValidationError when M is not positive definite."""
+        if not self.is_spd():
+            raise ValidationError("matrix is singular or indefinite")
+        x = cho_solve_banded((self._chol, False), np.asarray(b, dtype=float), check_finite=False)
         if not np.all(np.isfinite(x)):
             raise ValidationError("matrix is singular")
         return x
 
     def is_spd(self) -> bool:
-        """Positive definiteness from the pivot signs of the cached
-        factorisation; a singular matrix is not SPD."""
-        try:
-            self._factor()
-        except ValidationError:
-            return False
-        return self._spd
+        """Whether the band Cholesky factorisation succeeds (a singular matrix
+        is not SPD). The first call factors M and caches the factor or the
+        failure."""
+        if self._chol is None:
+            csr = self._csr
+            offset = csr.indices - np.repeat(np.arange(self.n), np.diff(csr.indptr))
+            upper = offset >= 0
+            bw = int(offset.max(initial=0))
+            band = np.zeros((bw + 1, self.n), order="F")  # LAPACK's layout, factored in place
+            band[bw - offset[upper], csr.indices[upper]] = csr.data[upper]
+            try:
+                self._chol = cholesky_banded(band, overwrite_ab=True, check_finite=False)
+            except LinAlgError:  # a leading minor is not positive
+                self._chol = False
+        return self._chol is not False
 
     def extremes(self) -> tuple[float, float]:
         """(lambda_min, an upper bound on lambda_max) of an SPD matrix, cached.
 
         lambda_min comes from shift-invert Lanczos at 0 through the cached
-        factorisation (ARPACK, fixed start vector). The upper end is the
+        Cholesky factor (ARPACK, fixed start vector). The upper end is the
         Collatz-Wielandt bound max_i (|M| w)_i / w_i >= rho(|M|) >= lambda_max
         after 8 power steps on |M| from w = 1, raised by a relative 1e-12 so
         that rounding cannot put it below lambda_max. On stiffness matrices
@@ -278,7 +276,7 @@ class SparseSymMatrix:
                 w = y / y.max()
             lam_min = float(self._csr.data[0])  # ARPACK needs n > 1
             if self.n > 1:
-                inv = LinearOperator(self._csr.shape, matvec=self._factor().solve, dtype=float)
+                inv = LinearOperator(self._csr.shape, matvec=self.solve, dtype=float)
                 v0 = np.random.default_rng(0).standard_normal(self.n)
                 try:
                     lam_min = float(eigsh(self._csr, k=1, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False)[0])

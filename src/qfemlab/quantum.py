@@ -3,10 +3,10 @@
 The input state |f~> is prepared exactly, as the ledger records in its
 ``input_state_assumption``. The linear-equation subroutine is not run:
 the overlap estimator samples the outcome distribution of a solver output
-at l2 distance eps_l from the exact solution state (sparse direct solve),
+at l2 distance eps_l from the exact solution state (band Cholesky solve),
 and the subroutine's analytic oracle cost is charged to a resource ledger
 once per use of the state preparation. Solves come from the
-stiffness matrix's cached sparse factorisation (``SparseSymMatrix.solve``),
+stiffness matrix's cached band Cholesky factor (``SparseSymMatrix.solve``),
 and the condition number from its cached eigenvalue extremes
 (``SparseSymMatrix.extremes``): exact lambda_min over a certified upper
 bound on lambda_max, so modelled costs are upper bounds. No dense matrix is

@@ -5,7 +5,7 @@ CG only observes residuals, so the energy-norm target ||x - x*||_M <=
 tol * ||x*||_M is certified through the bound ||x - x*||_M <= ||r|| /
 sqrt(lambda_min) together with ||x_j||_M = sqrt(b.x_j), which increases
 monotonically to ||x*||_M when starting from zero. lambda_min is the exact
-smallest eigenvalue of M from its cached sparse factorisation
+smallest eigenvalue of M from its cached band Cholesky factor
 (``SparseSymMatrix.extremes``); a Ritz value of CG's own Lanczos
 tridiagonal would bound lambda_min from above and so make the certified
 bound too small. r is the recursively updated residual, which can fall

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator
 
@@ -26,6 +26,7 @@ from qfemlab import (
     build_interval_mesh,
     build_square_triangulation,
     cli,
+    discretize,
     estimate_norm,
 )
 from qfemlab.assembly import _gauss01
@@ -139,14 +140,15 @@ def test_extremes_match_dense_on_random_sparse_spd(n, density, gap, seed):
 
 
 def _count_factorisations(monkeypatch):
+    """The shape of every band factored from here on."""
     calls = []
-    splu = qfemlab.assembly.splu
+    cholesky_banded = qfemlab.assembly.cholesky_banded
 
-    def counting_splu(*args, **kwargs):
-        calls.append(0)
-        return splu(*args, **kwargs)
+    def counting_cholesky_banded(band, **kwargs):
+        calls.append(band.shape)
+        return cholesky_banded(band, **kwargs)
 
-    monkeypatch.setattr(qfemlab.assembly, "splu", counting_splu)
+    monkeypatch.setattr(qfemlab.assembly, "cholesky_banded", counting_cholesky_banded)
     return calls
 
 
@@ -182,7 +184,7 @@ def _random_symmetric(rng, n, spd):
     return 0.5 * (a + a.T)
 
 
-def test_pivot_certificate_matches_dense_on_random_matrices():
+def test_cholesky_certificate_matches_dense_on_random_matrices():
     rng = np.random.default_rng(7)
     seen = {True: 0, False: 0}
     for trial in range(300):
@@ -204,16 +206,66 @@ def test_pivot_certificate_matches_dense_on_random_matrices():
     assert seen[True] > 50 and seen[False] > 50
 
 
-def test_indefinite_matrix_solves_but_has_no_extremes():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])  # zero diagonal forces a row swap
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+    st.floats(0.0, 1.0),
+    st.floats(1e-3, 2.0),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_band_factor_matches_dense_on_random_banded_matrices(shape, density, margin, spd, seed):
+    n, bw = shape
+    rng = np.random.default_rng(seed)
+    # half-bandwidth at most bw, with zero gaps (whole diagonals too) inside the band
+    distance = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    keep = (distance <= bw) & (rng.random(n) < density)[distance] & (rng.random((n, n)) < 0.8)
+    entries = np.triu(rng.uniform(-1.0, 1.0, (n, n)) * keep)
+    b = entries + np.triu(entries, 1).T
+    # lambda_min of a is +margin or -margin
+    a = b + ((margin if spd else -margin) - np.linalg.eigvalsh(b)[0]) * np.eye(n)
+    ev = np.linalg.eigvalsh(a)
+    assume(np.abs(ev).min() >= 1e-8)  # numerically singular: no clean answer
     M = SparseSymMatrix.from_dense(a)
+    assert M.is_spd() == bool(ev[0] > 0)
+    if ev[0] > 0:
+        rhs = rng.standard_normal(n)
+        x_ref = np.linalg.solve(a, rhs)
+        assert np.linalg.norm(M.solve(rhs) - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+@pytest.mark.parametrize("reaction", [0.0, 1.0])
+@pytest.mark.parametrize("d,k,n", [(1, 1, 2), (1, 1, 300), (1, 2, 2), (1, 2, 150), (1, 3, 2), (1, 3, 100), (2, 1, 3), (2, 1, 4), (2, 1, 43)])
+def test_discretize_matrices_have_the_numbering_bandwidth(monkeypatch, d, k, n, reaction):
+    one = [1.0] if d == 1 else [[1.0]]
+    problem = ProblemSpec.from_dict({"d": d, "k": k, "pde": {"diffusion": 1.0, "reaction": reaction}, "f": one, "r": one, "eps": 0.1})
+    M = discretize(problem, n)[2]
+    rows = np.repeat(np.arange(M.n), np.diff(M.csr.indptr))
+    # 1D: an element couples k + 1 consecutive dofs. 2D: the free vertices
+    # are numbered row by row, n - 1 to a row, so the north-east neighbour is
+    # n dofs on; pure diffusion gives the five-point stencil, which stops at
+    # the north neighbour, n - 1 on
+    bw = k if d == 1 else (n if reaction else n - 1)
+    assert int((M.csr.indices - rows).max()) == bw
+    bands = _count_factorisations(monkeypatch)
+    assert M.is_spd()
+    assert bands == [(bw + 1, M.n)]
+
+
+def test_indefinite_matrix_has_no_solve_or_extremes(monkeypatch):
+    calls = _count_factorisations(monkeypatch)
+    M = SparseSymMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])  # a zero first pivot
     assert not M.is_spd()
-    assert np.allclose(M.solve([1.0, 2.0]), [2.0, 1.0])
+    with pytest.raises(ValidationError, match="indefinite"):
+        M.solve([1.0, 2.0])
     with pytest.raises(ValidationError, match="indefinite"):
         M.extremes()
+    assert len(calls) == 1  # the failure is cached too
 
 
-@pytest.mark.parametrize("a", [np.ones((2, 2)), np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0])])
+@pytest.mark.parametrize(
+    "a", [np.ones((2, 2)), np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0]), np.zeros((1, 1)), np.diag([2.0, 3.0, 0.0])]
+)
 def test_singular_matrix_raises(a):
     M = SparseSymMatrix.from_dense(a)
     assert not M.is_spd()
@@ -224,6 +276,33 @@ def test_singular_matrix_raises(a):
     # M.solve raises above, so any vector stands in for M^{-1} b
     with pytest.raises(ValidationError, match="singular"):
         estimate_norm(M, np.ones(M.n), 0.1, SampleBudget(rng_seed=0))
+
+
+@pytest.mark.parametrize("value", [-2.0, -1e-300])
+def test_negative_one_by_one_is_indefinite(value):
+    M = SparseSymMatrix.from_dense([[value]])
+    assert not M.is_spd()
+    for call in (lambda: M.solve([1.0]), M.extremes):
+        with pytest.raises(ValidationError, match="indefinite"):
+            call()
+
+
+def test_positive_one_by_one_solves_and_has_extremes():
+    M = SparseSymMatrix.from_dense([[4.0]])
+    assert M.is_spd()
+    assert M.solve([2.0]) == pytest.approx([0.5], rel=1e-15)
+    lam_min, lam_max = M.extremes()
+    assert lam_min == 4.0 and 4.0 <= lam_max <= 4.0 * (1.0 + 2e-12)
+
+
+def test_solve_rejects_non_finite_output():
+    # the factor exists, but the solution overflows
+    M = SparseSymMatrix.from_dense(np.diag([1e-300, 1.0]))
+    assert M.is_spd()
+    with pytest.raises(ValidationError, match="singular"):
+        M.solve([1e300, 1.0])
+    with pytest.raises(ValidationError, match="singular"):
+        M.solve([np.nan, 1.0])
 
 
 def test_constructor_leaves_the_callers_matrix_alone():
