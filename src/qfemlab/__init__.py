@@ -33,9 +33,6 @@ from .mesh import (
     build_basis,
     build_interval_mesh,
     build_square_triangulation,
-    eval_basis,
-    eval_basis_grad,
-    evaluate_discrete,
 )
 from .problems import (
     ProblemSpec,

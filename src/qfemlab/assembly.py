@@ -230,9 +230,10 @@ class SparseSymMatrix:
         ValidationError when M is not positive definite."""
         if not self.is_spd():
             raise ValidationError("matrix is singular or indefinite")
-        x = cho_solve_banded((self._chol, False), np.asarray(b, dtype=float), check_finite=False)
+        b = np.asarray(b, dtype=float)
+        x = cho_solve_banded((self._chol, False), b, check_finite=False)
         if not np.all(np.isfinite(x)):
-            raise ValidationError("matrix is singular")
+            raise ValidationError("solution overflows" if np.all(np.isfinite(b)) else "right-hand side is not finite")
         return x
 
     def is_spd(self) -> bool:

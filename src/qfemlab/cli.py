@@ -11,11 +11,12 @@ flags of its mode; a flag of the other mode exits 2.
 Exit codes: 0 success, 2 validation error, 3 non-convergence, 4 budget or
 cap exceeded (a shot budget, the mesh cell cap, the simulable acceptance
 floor, or memory running out). Every artifact embeds the spec hash, the
-seed and the package version; identical inputs reproduce outputs
-bit-identically in exact modes and distribution-identically (same seed,
-same values) in sampling modes. solve's ``kappa_estimate`` and the ledger's
-modelled costs use an upper bound on the condition number: the exact
-lambda_min over a certified upper bound on lambda_max.
+seed and the package version; at a fixed BLAS thread count, identical
+inputs reproduce outputs bit-identically in exact modes and
+distribution-identically (same seed, same values) in sampling modes.
+solve's ``kappa_estimate`` and the ledger's modelled costs use an upper
+bound on the condition number: the exact lambda_min over a certified upper
+bound on lambda_max.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import __version__
-from .assembly import assemble_gram, assemble_load, element_quadrature_1d
+from .assembly import _reference_values_at, assemble_gram, assemble_load, element_quadrature_1d, poly_degree
 from .errors import (
     BudgetExceededError,
     CapExceededError,
@@ -39,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .lowerbounds import BumpOracle, aligned_probability, hybrid_experiment, make_blackbox_pair, oracle_search_demo
-from .mesh import evaluate_discrete, prolongation
+from .mesh import prolongation
 from .problems import ProblemSpec, analytic_solution_1d, derive_sobolev, discretize, mesh_size
 from .quantum import SampleBudget, estimate_functional
 from .resources import SobolevData, classical_cost, exponent_table, quantum_cost
@@ -91,7 +92,10 @@ def convergence_report(problem: ProblemSpec, levels: int) -> dict:
     doubling at each level, and the fitted log-log slope.
 
     Uses the analytic polynomial solution when available (1D, reaction = 0),
-    integrated by Gauss quadrature on each element. Otherwise the reference
+    integrated by Gauss quadrature on each element; the discrete solution's
+    values at the Gauss points come from the reference basis table the loads
+    use. A solution of degree <= k is reproduced exactly by the discrete one,
+    so it has no rate to fit and is refused. Otherwise the reference
     is a solve u_f on a 4x finer mesh, in which every level is nested: with
     the prolongation P of a level's solution u_c onto the fine basis and the
     fine Gram matrix G_f, the error is sqrt(e^T G_f e) for e = u_f - P u_c,
@@ -104,10 +108,16 @@ def convergence_report(problem: ProblemSpec, levels: int) -> dict:
     analytic = problem.d == 1 and problem.reaction == 0.0
     if analytic:
         u_poly = analytic_solution_1d(problem.f_array(), problem.diffusion)
+        if poly_degree(u_poly) <= problem.k:
+            raise ValidationError(f"the solution has degree <= k = {problem.k}, so every level reproduces it; no rate to fit")
 
         def error(mesh, spec, coeffs):
             p = max(10, 2 * (len(u_poly) + spec.k))
-            return _l2_norm_1d(mesh, p, lambda xq: npoly.polyval(xq, u_poly) - evaluate_discrete(mesh, spec, coeffs, xq))
+            nodal = np.zeros(spec.n_nodes)
+            nodal[spec.dof_nodes] = coeffs
+            # (n_elements, p), in the point order of element_quadrature_1d
+            uh = (nodal[spec.element_nodes] @ _reference_values_at(spec.k, p)).ravel()
+            return _l2_norm_1d(mesh, p, lambda xq: npoly.polyval(xq, u_poly) - uh)
     else:
         mesh_f, spec_f, M_f, b_f = discretize(problem, 4 * ns[-1])
         coeffs_f = M_f.solve(b_f)
@@ -123,10 +133,8 @@ def convergence_report(problem: ProblemSpec, levels: int) -> dict:
         rows.append({"n": n, "h": mesh.h, "error": error(mesh, spec, M.solve(b))})
     hs = np.array([row["h"] for row in rows])
     errs = np.array([row["error"] for row in rows])
-    if np.any(errs <= 0) or np.any(errs < 1e-14):
-        raise ValidationError(
-            "errors at rounding level; the solution is exactly representable, no rate to fit"
-        )
+    if np.any(errs <= 0):
+        raise ValidationError("zero errors; the solution is exactly representable, no rate to fit")
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     return {
         "meta": _meta(problem, problem.seed),

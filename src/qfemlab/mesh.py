@@ -1,8 +1,8 @@
 """Uniform interval meshes and unit-square triangulations with nodal bases.
 
 Only uniform subdivisions of [0, 1] and [0, 1]^2 are supported: the
-eigenvalue scaling studies and the index-arithmetic point location both
-rely on regular spacing. Vertex coordinates are computed as i/n (never
+eigenvalue scaling studies, the 2D stencil assembly and the prolongation
+all rely on regular spacing. Vertex coordinates are computed as i/n (never
 accumulated), so refining a mesh halves h exactly in floating point.
 
 Boundary conditions are fixed: in 1D the left endpoint is Dirichlet and the
@@ -103,8 +103,8 @@ class BasisSpec:
     """Nodal basis on a mesh: degree-k Lagrange in 1D, hats (k=1) in 2D.
 
     Nodes include the Dirichlet-constrained ones; dofs are the subset kept
-    in the assembled system (all nodes when ``constrained`` is False). Each
-    basis function is supported on O(1) elements.
+    in the assembled system (all nodes when the Dirichlet nodes are left
+    unconstrained). Each basis function is supported on O(1) elements.
     """
 
     k: int
@@ -113,7 +113,6 @@ class BasisSpec:
     element_nodes: np.ndarray  # (n_elements, nodes per element) node ids
     dof_nodes: np.ndarray      # dof index -> node id
     node_dofs: np.ndarray      # node id -> dof index, -1 if constrained
-    constrained: bool
 
     @property
     def n_nodes(self) -> int:
@@ -155,55 +154,7 @@ def build_basis(mesh: Mesh, k: int, constrain_dirichlet: bool = True) -> BasisSp
         element_nodes=element_nodes,
         dof_nodes=dof_nodes,
         node_dofs=node_dofs,
-        constrained=constrain_dirichlet,
     )
-
-
-def _check_point(mesh: Mesh, x) -> np.ndarray:
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.shape != (mesh.dimension,):
-        raise ValidationError(f"point shape {pt.shape} does not match dimension {mesh.dimension}")
-    if np.any(pt < 0.0) or np.any(pt > 1.0):
-        raise ValidationError(f"point {pt} outside the unit domain")
-    return pt
-
-
-def _locate(mesh: Mesh, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Element holding each of the (m, d) points, and the points' (m, d)
-    coordinates in their cell, scaled to [0, 1]^d.
-
-    Cell (i, j) of the square holds elements 2(jn + i) (lower, eta <= xi)
-    and 2(jn + i) + 1 (upper).
-    """
-    n = mesh.n
-    scaled = pts * n
-    cell = np.minimum(scaled.astype(int), n - 1)
-    local = scaled - cell
-    if mesh.dimension == 1:
-        return cell[:, 0], local
-    upper = local[:, 1] > local[:, 0]
-    return 2 * (cell[:, 1] * n + cell[:, 0]) + upper, local
-
-
-def _lagrange_value(ts: np.ndarray, j: int, x: float) -> float:
-    v = 1.0
-    for m in range(len(ts)):
-        if m != j:
-            v *= (x - ts[m]) / (ts[j] - ts[m])
-    return v
-
-
-def _lagrange_deriv(ts: np.ndarray, j: int, x: float) -> float:
-    total = 0.0
-    for m in range(len(ts)):
-        if m == j:
-            continue
-        term = 1.0 / (ts[j] - ts[m])
-        for l in range(len(ts)):
-            if l != j and l != m:
-                term *= (x - ts[l]) / (ts[j] - ts[l])
-        total += term
-    return total
 
 
 # Barycentric coordinates on the two reference triangles of a cell, as
@@ -211,86 +162,6 @@ def _lagrange_deriv(ts: np.ndarray, j: int, x: float) -> float:
 # lower (v00, v10, v11): 1-xi, xi-eta, eta ; upper (v00, v11, v01): 1-eta, xi, eta-xi
 # Their gradients, times n, in the same order:
 TRIANGLE_GRADS = (np.array([[-1, 0], [1, -1], [0, 1]]), np.array([[0, -1], [1, 0], [-1, 1]]))
-
-
-def _node_at(mesh: Mesh, spec: BasisSpec, node: int, pt: np.ndarray):
-    """(element holding pt, local index of node there or None, cell-local
-    coordinates of pt)."""
-    e, local = _locate(mesh, pt[None])
-    e = int(e[0])
-    hits = np.nonzero(spec.element_nodes[e] == node)[0]
-    return e, (int(hits[0]) if len(hits) else None), local[0]
-
-
-def _eval_nodal(mesh: Mesh, spec: BasisSpec, node: int, pt: np.ndarray) -> float:
-    e, a, local = _node_at(mesh, spec, node, pt)
-    if a is None:
-        return 0.0
-    if mesh.dimension == 1:
-        return _lagrange_value(spec.nodes[spec.element_nodes[e], 0], a, float(pt[0]))
-    xi, eta = local
-    vals = (1.0 - xi, xi - eta, eta) if e % 2 == 0 else (1.0 - eta, xi, eta - xi)
-    return float(vals[a])
-
-
-def _eval_nodal_grad(mesh: Mesh, spec: BasisSpec, node: int, pt: np.ndarray) -> np.ndarray:
-    e, a, _ = _node_at(mesh, spec, node, pt)
-    if a is None:
-        return np.zeros(mesh.dimension)
-    if mesh.dimension == 1:
-        return np.array([_lagrange_deriv(spec.nodes[spec.element_nodes[e], 0], a, float(pt[0]))])
-    return (mesh.n * TRIANGLE_GRADS[e % 2][a]).astype(float)
-
-
-def eval_basis(mesh: Mesh, spec: BasisSpec, i: int, x) -> float:
-    """Value of basis function i at point x; zero outside its support."""
-    pt = _check_point(mesh, x)
-    if not 0 <= i < spec.n_dofs:
-        raise ValidationError(f"dof index {i} out of range [0, {spec.n_dofs})")
-    return _eval_nodal(mesh, spec, int(spec.dof_nodes[i]), pt)
-
-
-def eval_basis_grad(mesh: Mesh, spec: BasisSpec, i: int, x) -> np.ndarray:
-    """Gradient of basis function i at point x (length-d array)."""
-    pt = _check_point(mesh, x)
-    if not 0 <= i < spec.n_dofs:
-        raise ValidationError(f"dof index {i} out of range [0, {spec.n_dofs})")
-    return _eval_nodal_grad(mesh, spec, int(spec.dof_nodes[i]), pt)
-
-
-def evaluate_discrete(mesh: Mesh, spec: BasisSpec, coeffs, points) -> np.ndarray:
-    """Evaluate sum_i coeffs_i phi_i at many points (vectorized).
-
-    ``coeffs`` has one entry per dof; constrained nodes contribute zero.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (spec.n_dofs,):
-        raise ValidationError(f"expected {spec.n_dofs} coefficients, got {coeffs.shape}")
-    nodal = np.zeros(spec.n_nodes)
-    nodal[spec.dof_nodes] = coeffs
-
-    pts = np.asarray(points, dtype=float).reshape(-1, mesh.dimension)
-    e, local = _locate(mesh, pts)
-    locals_ = spec.element_nodes[e]                          # (m, nodes per element)
-    if mesh.dimension == 1:
-        xs = pts[:, 0]
-        ts = spec.nodes[locals_, 0]                          # (m, k+1)
-        vals = np.zeros(len(xs))
-        kk = spec.k + 1
-        for j in range(kk):
-            lj = np.ones(len(xs))
-            for m in range(kk):
-                if m != j:
-                    lj *= (xs - ts[:, m]) / (ts[:, j] - ts[:, m])
-            vals += nodal[locals_[:, j]] * lj
-        return vals
-
-    # barycentric weights (1 - xi, xi - eta, eta) on lower elements (eta <= xi)
-    # and (1 - eta, xi, eta - xi) on upper ones, added in local node order
-    xi, eta = local.T
-    upper = e % 2 == 1
-    first = nodal[locals_[:, 0]] * (1.0 - np.maximum(xi, eta))
-    return (first + nodal[locals_[:, 1]] * np.where(upper, xi, xi - eta)) + nodal[locals_[:, 2]] * np.where(upper, eta - xi, eta)
 
 
 def prolongation(coarse: Mesh, coarse_spec: BasisSpec, fine: Mesh, fine_spec: BasisSpec):
@@ -321,7 +192,7 @@ def prolongation(coarse: Mesh, coarse_spec: BasisSpec, fine: Mesh, fine_spec: Ba
         vals = num / den
     else:
         # coarse cell (ci, cj) holds fine vertex (I, J) at (a, b) / r in the
-        # cell; barycentric weights as in evaluate_discrete, times r
+        # cell; its barycentric weights, times r
         nc = coarse.n
         I, J = np.tile(np.arange(fine.n + 1), fine.n + 1), np.repeat(np.arange(fine.n + 1), fine.n + 1)
         ci, cj = np.minimum(I // r, nc - 1), np.minimum(J // r, nc - 1)

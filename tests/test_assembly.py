@@ -11,9 +11,8 @@ from qfemlab import (
     build_basis,
     build_interval_mesh,
     build_square_triangulation,
-    eval_basis,
-    eval_basis_grad,
 )
+from pointwise import basis
 
 DIFFUSION = BilinearForm(1.0, 0.0)
 
@@ -138,14 +137,12 @@ def test_bruteforce_equivalence_1d(k):
         xq = (a + b) / 2 + (b - a) / 2 * xs
         wq = (b - a) / 2 * ws
         for i in range(spec.n_dofs):
-            vi = np.array([eval_basis(mesh, spec, i, x) for x in xq])
-            gi = np.array([eval_basis_grad(mesh, spec, i, x)[0] for x in xq])
+            vi, gi = basis(mesh, spec, i, xq)
             if not np.any(vi) and not np.any(gi):
                 continue
             for j in range(i, spec.n_dofs):
-                vj = np.array([eval_basis(mesh, spec, j, x) for x in xq])
-                gj = np.array([eval_basis_grad(mesh, spec, j, x)[0] for x in xq])
-                val = form.diffusion * wq @ (gi * gj) + form.reaction * wq @ (vi * vj)
+                vj, gj = basis(mesh, spec, j, xq)
+                val = form.diffusion * wq @ (gi * gj)[:, 0] + form.reaction * wq @ (vi * vj)
                 dense[i, j] += val
                 if i != j:
                     dense[j, i] += val
@@ -169,11 +166,9 @@ def test_bruteforce_equivalence_2d():
         yq = p[0, 1] + pts[:, 0] * (p[1, 1] - p[0, 1]) + pts[:, 1] * (p[2, 1] - p[0, 1])
         jac = 1.0 / mesh.n**2  # 2 * area
         for i in range(spec.n_dofs):
-            vi = np.array([eval_basis(mesh, spec, i, (x, y)) for x, y in zip(xq, yq)])
-            gi = np.array([eval_basis_grad(mesh, spec, i, (x, y)) for x, y in zip(xq, yq)])
+            vi, gi = basis(mesh, spec, i, np.column_stack([xq, yq]))
             for j in range(i, spec.n_dofs):
-                vj = np.array([eval_basis(mesh, spec, j, (x, y)) for x, y in zip(xq, yq)])
-                gj = np.array([eval_basis_grad(mesh, spec, j, (x, y)) for x, y in zip(xq, yq)])
+                vj, gj = basis(mesh, spec, j, np.column_stack([xq, yq]))
                 val = jac * (form.diffusion * w @ (gi * gj).sum(axis=1) + form.reaction * w @ (vi * vj))
                 dense[i, j] += val
                 if i != j:

@@ -1,21 +1,24 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from qfemlab import cli, evaluate_discrete
+from pointwise import evaluate
+from qfemlab import cli
 from qfemlab.assembly import element_quadrature_1d
 from qfemlab.cli import main
-from qfemlab.problems import ProblemSpec, discretize, mesh_size
+from qfemlab.problems import ProblemSpec, analytic_solution_1d, discretize, mesh_size
 
 TINY_1D = {"d": 1, "k": 1, "pde": {"diffusion": 1, "reaction": 0}, "f": [-1], "r": [1], "eps": 1e-2}
 TINY_1D_K2 = {"d": 1, "k": 2, "pde": {"diffusion": 1, "reaction": 0}, "f": [0, 0, -12], "r": [1, 1], "eps": 1e-2}
@@ -334,21 +337,6 @@ def test_integral_float_spec_integers_accepted(capsys, spec_file):
         assert run_json(capsys, command, "--spec", as_floats) == run_json(capsys, command, "--spec", as_ints)
 
 
-@pytest.mark.parametrize("spec", [TINY_2D, {**TINY_1D, "pde": {"diffusion": 1, "reaction": 1}}], ids=["2d", "1d-reaction"])
-def test_convergence_against_fine_mesh_evaluates_no_points(monkeypatch, spec):
-    calls = []
-    evaluate = cli.evaluate_discrete
-
-    def counting_evaluate(mesh, *args):
-        calls.append(mesh.n)
-        return evaluate(mesh, *args)
-
-    monkeypatch.setattr(cli, "evaluate_discrete", counting_evaluate)
-    art = cli.convergence_report(ProblemSpec.from_dict(spec), levels=3)
-    assert art["reference"] == "fine-mesh solve"
-    assert calls == []
-
-
 def pointwise_errors(problem, levels):
     """The L2 distance of each level's solution from the fine reference,
     by point evaluation on the fine mesh: the 4-point Gauss rule per element
@@ -364,11 +352,11 @@ def pointwise_errors(problem, levels):
         tri = mesh_f.vertices[mesh_f.elements]
         pts = (0.5 * (tri + np.roll(tri, -1, axis=1))).reshape(-1, 2)
         weights = np.full(len(pts), 0.5 / mesh_f.n**2 / 3.0)
-    fine = evaluate_discrete(mesh_f, spec_f, coeffs_f, pts)
+    fine = evaluate(mesh_f, spec_f, coeffs_f, pts)
     errors = []
     for n in ns:
         mesh, spec, M, b = discretize(problem, n)
-        errors.append(float(np.sqrt(weights @ (fine - evaluate_discrete(mesh, spec, M.solve(b), pts)) ** 2)))
+        errors.append(float(np.sqrt(weights @ (fine - evaluate(mesh, spec, M.solve(b), pts)) ** 2)))
     return errors
 
 
@@ -392,6 +380,76 @@ def test_convergence_errors_match_pointwise_measure(spec, rel):
     problem = ProblemSpec.from_dict(spec)
     levels = [row["error"] for row in cli.convergence_report(problem, levels=3)["levels"]]
     assert levels == pytest.approx(pointwise_errors(problem, 3), rel=rel)
+
+
+def _polymul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _polyadd(a, b):
+    return [x + y for x, y in zip(a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b)))]
+
+
+def exact_l2_errors(problem, levels):
+    """The L2 distance of each level's solution from the analytic one, in
+    rational arithmetic: the float coefficients of u and the float nodal
+    values of u_h are taken exactly, both are written on each element as
+    polynomials in the local coordinate t = n x - e, and (u - u_h)^2 is
+    integrated over the element exactly. Only the final square root rounds."""
+    u = [Fraction(c) for c in analytic_solution_1d(problem.f_array(), problem.diffusion)]
+    k = problem.k
+    # the Lagrange polynomial of node j/k in t: prod_{m != j} (k t - m) / (j - m)
+    lagrange = []
+    for j in range(k + 1):
+        lj = [Fraction(1)]
+        for m in range(k + 1):
+            if m != j:
+                lj = _polymul(lj, [Fraction(-m, j - m), Fraction(k, j - m)])
+        lagrange.append(lj)
+    errors = []
+    for n in (4 * 2**i for i in range(levels)):
+        _, spec, M, b = discretize(problem, n)
+        nodal = [Fraction(0)] * spec.n_nodes
+        for node, c in zip(spec.dof_nodes, M.solve(b)):
+            nodal[node] = Fraction(c)
+        total = Fraction(0)
+        for e in range(n):
+            diff = [Fraction(0)]
+            for c in reversed(u):  # u((e + t) / n) by Horner's rule
+                diff = _polyadd(_polymul(diff, [Fraction(e, n), Fraction(1, n)]), [c])
+            for j, lj in enumerate(lagrange):
+                diff = _polyadd(diff, [-nodal[e * k + j] * c for c in lj])
+            total += sum(c / (i + 1) for i, c in enumerate(_polymul(diff, diff))) / n
+        errors.append(math.sqrt(total))
+    return errors
+
+
+@pytest.mark.parametrize("diffusion", [1.0, 0.3])
+@pytest.mark.parametrize(
+    "k, f",
+    # u has degree len(f) + 1, which must exceed k for a rate to exist
+    [(k, f) for k in (1, 2, 3) for f in ([-1], [0.3, -2, 1.5], [0, 0, -12], [1, -3, 0, 0, 0, 2]) if len(f) + 1 > k],
+)
+def test_analytic_convergence_errors_match_exact_rational_distance(k, f, diffusion):
+    problem = ProblemSpec.from_dict({**TINY_1D, "k": k, "f": f, "pde": {"diffusion": diffusion, "reaction": 0}})
+    art = cli.convergence_report(problem, levels=3)
+    assert art["reference"] == "analytic"
+    errors = [row["error"] for row in art["levels"]]
+    assert errors == pytest.approx(exact_l2_errors(problem, 3), rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("k, f", [(2, [-1]), (3, [-1]), (3, [1, 2])])
+def test_convergence_of_representable_solution_exit_two(capsys, spec_file, k, f):
+    # u has degree <= k, so every level reproduces it and the errors are
+    # rounding noise with no rate in them
+    code, out, err = run(capsys, "convergence", "--spec", spec_file({**TINY_1D, "k": k, "f": f}), "--levels", "3")
+    assert code == 2, out
+    assert out == ""
+    assert err.startswith("validation error")
 
 
 def test_parser_built_once_per_process():

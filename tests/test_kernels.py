@@ -1,11 +1,11 @@
 """Batched element kernels against per-element reference loops.
 
 Each reference below is the element-by-element form the batched kernel
-replaced. The load and evaluation kernels add the same terms in the same
-order, so those comparisons are exact (``np.array_equal``). The 2D stencil
-build uses the exact reference-triangle matrices, where the element loop
-takes gradients from vertex coordinates i/n that are rounded, so it is
-compared at 1e-14 relative, with the same sparsity pattern.
+replaced. The load kernel adds the same terms in the same order, so that
+comparison is exact (``np.array_equal``). The 2D stencil build uses the
+exact reference-triangle matrices, where the element loop takes gradients
+from vertex coordinates i/n that are rounded, so it is compared at 1e-14
+relative, with the same sparsity pattern.
 """
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from qfemlab import (
     build_basis,
     build_interval_mesh,
     build_square_triangulation,
-    evaluate_discrete,
 )
 from qfemlab.assembly import _duffy_rule, _gauss01, _reference_values_at, poly_degree
 from qfemlab.cli import _l2_norm_1d
@@ -151,38 +150,6 @@ def test_stencil_matches_element_loop_on_every_size(constrained):
             np.testing.assert_allclose(G @ np.ones(spec.n_dofs), assemble_load(mesh, spec, [[1.0]]), rtol=1e-14, atol=0)
 
 
-def reference_evaluate_2d(mesh, spec, coeffs, pts):
-    """sum_i coeffs_i phi_i one point at a time: locate the cell by index
-    arithmetic, then add the three barycentric terms in local node order."""
-    nodal = np.zeros(spec.n_nodes)
-    nodal[spec.dof_nodes] = coeffs
-    n = mesh.n
-    out = np.empty(len(pts))
-    for m, (x, y) in enumerate(pts):
-        i, j = min(int(x * n), n - 1), min(int(y * n), n - 1)
-        xi, eta = x * n - i, y * n - j
-        upper = eta > xi
-        e = 2 * (j * n + i) + upper
-        lam = (1.0 - eta, xi, eta - xi) if upper else (1.0 - xi, xi - eta, eta)
-        terms = nodal[spec.element_nodes[e]] * np.array(lam)
-        out[m] = (terms[0] + terms[1]) + terms[2]
-    return out
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 20), st.booleans(), st.integers(0, 2**32 - 1))
-def test_batched_evaluate_2d_matches_point_loop(n, constrained, seed):
-    mesh = build_square_triangulation(n)
-    spec = build_basis(mesh, 1, constrain_dirichlet=constrained)
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(spec.n_dofs)
-    # random points, plus grid points and edge midpoints, where xi == eta
-    # and cell boundaries are hit exactly
-    grid = np.arange(2 * n + 1) / (2 * n)
-    pts = np.vstack([rng.random((200, 2)), np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)])
-    assert np.array_equal(evaluate_discrete(mesh, spec, coeffs, pts), reference_evaluate_2d(mesh, spec, coeffs, pts))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
 def test_from_upper_coo_mirrors_bit_identically(n, seed):
@@ -214,14 +181,12 @@ def test_batched_builders_match_loops(n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 3), st.integers(2, 12), st.integers(0, 2**32 - 1))
-def test_l2_norm_1d_matches_element_loop(n, k, p, seed):
+@given(st.integers(1, 40), st.integers(2, 12), st.floats(-10.0, 10.0))
+def test_l2_norm_1d_matches_element_loop(n, p, freq):
     mesh = build_interval_mesh(n)
-    spec = build_basis(mesh, k)
-    coeffs = np.random.default_rng(seed).standard_normal(spec.n_dofs)
 
     def diff(xq):
-        return np.cos(3.0 * xq) - evaluate_discrete(mesh, spec, coeffs, xq)
+        return np.cos(freq * xq) - xq**2
 
     xs, ws = _gauss01(p)
     total = 0.0

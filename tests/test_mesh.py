@@ -1,17 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfemlab import (
-    ValidationError,
-    build_basis,
-    build_interval_mesh,
-    build_square_triangulation,
-    eval_basis,
-    evaluate_discrete,
-)
-from qfemlab.mesh import DIRICHLET, INTERIOR, NEUMANN, _eval_nodal, prolongation
+from pointwise import evaluate
+from qfemlab import ValidationError, build_basis, build_interval_mesh, build_square_triangulation
+from qfemlab.assembly import _reference_lagrange, _reference_values_at
+from qfemlab.mesh import DIRICHLET, INTERIOR, NEUMANN, prolongation
 
 
 def test_interval_mesh_uniform_partition():
@@ -82,41 +79,29 @@ def test_refinement_halves_h_exactly():
 
 
 def test_tent_values():
-    m = build_interval_mesh(4)
-    spec = build_basis(m, 1)
-    # dof 0 peaks at its node x = 0.25
-    assert eval_basis(m, spec, 0, 0.25) == 1.0
-    assert eval_basis(m, spec, 0, 0.375) == 0.5
-    assert eval_basis(m, spec, 0, 0.75) == 0.0
-
-
-def test_eval_rejects_outside_domain():
-    m = build_interval_mesh(4)
-    spec = build_basis(m, 1)
-    with pytest.raises(ValidationError):
-        eval_basis(m, spec, 0, 1.5)
-    with pytest.raises(ValidationError):
-        eval_basis(m, spec, 99, 0.5)
+    coarse, fine = build_interval_mesh(4), build_interval_mesh(8)
+    # column 0 of P holds dof 0 of the coarse space, which peaks at its node
+    # x = 0.25, at the fine nodes 0.125, 0.25, ..., 1
+    tent = prolongation(coarse, build_basis(coarse, 1), fine, build_basis(fine, 1)).toarray()[:, 0]
+    assert tent[1] == 1.0  # x = 0.25
+    assert tent[2] == 0.5  # x = 0.375
+    assert tent[5] == 0.0  # x = 0.75
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_partition_of_unity_1d(k):
-    m = build_interval_mesh(5)
-    spec = build_basis(m, k, constrain_dirichlet=False)
-    rng = np.random.default_rng(7)
-    for x in rng.uniform(0, 1, size=100):
-        total = sum(_eval_nodal(m, spec, g, np.array([x])) for g in range(spec.n_nodes))
-        assert total == pytest.approx(1.0, abs=1e-12)
+    # the reference table behind the loads (2..7 points) and the 1D L2 error
+    # (10..28 points); the k = 3 polynomials have coefficients up to 27/2,
+    # so Horner's rule puts a column sum up to 5 ulp off 1
+    for p in range(1, 29):
+        np.testing.assert_allclose(_reference_values_at(k, p).sum(axis=0), 1.0, rtol=0, atol=2e-15)
 
 
 def test_partition_of_unity_2d():
-    m = build_square_triangulation(3)
-    spec = build_basis(m, 1, constrain_dirichlet=False)
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(0, 1, size=(100, 2))
-    for pt in pts:
-        total = sum(_eval_nodal(m, spec, g, pt) for g in range(spec.n_nodes))
-        assert total == pytest.approx(1.0, abs=1e-12)
+    # with every node active the coarse basis functions sum to 1 at every fine node
+    coarse, fine = build_square_triangulation(3), build_square_triangulation(12)
+    P = prolongation(coarse, build_basis(coarse, 1, False), fine, build_basis(fine, 1, False))
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -135,36 +120,15 @@ def test_support_sparsity_2d():
 
 
 def test_lagrange_nodal_property():
-    m = build_interval_mesh(3)
-    for k in (2, 3):
+    for k in (1, 2, 3):
+        # the reference basis function j is 1 at its node j/k and 0 at the others
+        for j, poly in enumerate(_reference_lagrange(k)):
+            at_nodes = [sum(c * Fraction(i, k) ** e for e, c in enumerate(poly)) for i in range(k + 1)]
+            assert at_nodes == [int(i == j) for i in range(k + 1)]
+        # so on a mesh, P from a space to itself is the identity
+        m = build_interval_mesh(3)
         spec = build_basis(m, k)
-        for i in range(spec.n_dofs):
-            xi = spec.nodes[spec.dof_nodes[i], 0]
-            assert eval_basis(m, spec, i, xi) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_evaluate_discrete_matches_pointwise():
-    m = build_interval_mesh(5)
-    spec = build_basis(m, 2)
-    rng = np.random.default_rng(3)
-    coeffs = rng.standard_normal(spec.n_dofs)
-    xs = rng.uniform(0, 1, size=40)
-    vals = evaluate_discrete(m, spec, coeffs, xs)
-    for x, v in zip(xs, vals):
-        direct = sum(coeffs[i] * eval_basis(m, spec, i, x) for i in range(spec.n_dofs))
-        assert v == pytest.approx(direct, abs=1e-12)
-
-
-def test_evaluate_discrete_2d_matches_pointwise():
-    m = build_square_triangulation(3)
-    spec = build_basis(m, 1)
-    rng = np.random.default_rng(5)
-    coeffs = rng.standard_normal(spec.n_dofs)
-    pts = rng.uniform(0, 1, size=(25, 2))
-    vals = evaluate_discrete(m, spec, coeffs, pts)
-    for pt, v in zip(pts, vals):
-        direct = sum(coeffs[i] * eval_basis(m, spec, i, pt) for i in range(spec.n_dofs))
-        assert v == pytest.approx(direct, abs=1e-12)
+        assert np.array_equal(prolongation(m, spec, m, spec).toarray(), np.eye(spec.n_dofs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,7 +147,7 @@ def test_prolongation_matches_point_evaluation(dk, n, ratio, constrained, seed):
     coeffs = np.random.default_rng(seed).standard_normal(spec_c.n_dofs)
     P = prolongation(coarse, spec_c, fine, spec_f)
     assert P.shape == (spec_f.n_dofs, spec_c.n_dofs)
-    at_fine_dofs = evaluate_discrete(coarse, spec_c, coeffs, spec_f.nodes[spec_f.dof_nodes])
+    at_fine_dofs = evaluate(coarse, spec_c, coeffs, spec_f.nodes[spec_f.dof_nodes])
     np.testing.assert_allclose(P @ coeffs, at_fine_dofs, rtol=0, atol=1e-14 * max(1.0, abs(coeffs).max(initial=0.0)))
 
 

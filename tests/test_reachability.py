@@ -20,8 +20,6 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qfemlab"
 
 ALLOWED = {
-    "eval_basis": "test reference: the pointwise basis function the batched kernels are checked against",
-    "eval_basis_grad": "test reference: the pointwise basis gradient behind the brute-force stiffness check",
     "exact_functional_1d": "test reference: the exact functional the estimators are checked against",
     "to_dense": "test reference: the dense matrix behind every eigvalsh/solve cross-check",
     "from_dense": "test constructor for small hand-written matrices",
