@@ -9,13 +9,15 @@ pure diffusion gives the five-point stencil 4 * diffusion and -diffusion
 exactly. Loads use Gauss-Legendre quadrature with enough points to be exact
 for polynomial data up to degree 8.
 
-1D matrices and all loads are batched over elements: the element matrices,
-or the load contributions at all quadrature points of all elements, are
-formed in one broadcast, then scattered to the dofs in element order (a COO
-build for matrices, one ``np.bincount`` for loads), so duplicates sum in a
-fixed order. 2D matrices are a stencil on the uniform triangulation: the two
-element matrices are added onto the vertex grid by slices, one array per
-coupling direction, and written out as CSR rows directly.
+1D matrices and loads are batched over elements: the element matrices, or
+the load contributions at all quadrature points of all elements, are formed
+in one broadcast, then scattered to the dofs in element order (a COO build
+for matrices, one ``np.bincount`` for loads), so duplicates sum in a fixed
+order. 2D matrices and loads are stencils on the uniform triangulation, one
+per triangle shape, added onto the vertex grid by slices: the two element
+matrices, one array per coupling direction, written out as CSR rows
+directly; and the load by sum factorisation, f evaluated one axis at a
+time on the grid of quadrature points.
 
 Dofs are numbered along the line (1D) or row by row (2D), so every
 assembled matrix is banded, with half-bandwidth at most k in 1D and n in
@@ -387,20 +389,20 @@ def poly_degree(coeffs) -> int:
     return int(max(i + j for i, j in zip(*nz)))
 
 
-def _as_evaluator(mesh: Mesh, f):
-    """Normalize polynomial coefficients into a point evaluator plus their
-    total degree, which sets the quadrature order for exact load integrals."""
-    c = np.asarray(f, dtype=float)
+def _coefficients(mesh: Mesh, f):
+    """f as a float coefficient array (1D: flat; 2D: c[a, b] of x^a y^b) and
+    its total degree, which sets the quadrature order of exact loads."""
+    try:
+        c = np.asarray(f, dtype=float)
+    except ValueError as exc:  # ragged rows, or entries that are not numbers
+        raise ValidationError("polynomial coefficients must be a rectangular array of numbers") from exc
+    if c.size == 0 or not 1 <= c.ndim <= mesh.dimension:
+        shape = "flat list" if mesh.dimension == 1 else "list or matrix"
+        raise ValidationError(f"{mesh.dimension}D data must be a non-empty coefficient {shape}")
     deg = poly_degree(c)
     if deg > MAX_POLY_DEGREE:
         raise ValidationError(f"polynomial degree {deg} beyond supported maximum {MAX_POLY_DEGREE}")
-    if mesh.dimension == 1:
-        if c.ndim != 1:
-            raise ValidationError("1D data must be a flat coefficient list")
-        return (lambda x: npoly.polyval(x, c)), deg
-    if c.ndim == 1:
-        c = c.reshape(-1, 1)
-    return (lambda x, y: npoly.polyval2d(x, y, c)), deg
+    return c, deg
 
 
 def element_quadrature_1d(mesh: Mesh, p: int):
@@ -414,37 +416,45 @@ def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> np.ndarray:
     """Load vector with entries int f phi_i over the active dofs.
 
     ``f`` is given as polynomial coefficients (1D: flat list, low order
-    first; 2D: coefficient matrix c[i][j] of x^i y^j, total degree <= 8),
-    evaluated once on (n_elements, q) arrays of quadrature points. In 2D the
-    points are kept one coordinate at a time and the quadrature terms are
-    added in q order to (n_elements, 3) contributions; no (n_elements, q, 3)
-    array is formed.
+    first; 2D: coefficient matrix c[a][b] of x^a y^b, total degree <= 8).
+    1D evaluates f on the (n_elements, p) Gauss points and sums to the dofs
+    by one ``np.bincount``. 2D is a vertex-grid stencil by sum
+    factorisation: per triangle shape, cell (i, j) has its quadrature points
+    at x = (i + s_q)/n, y = (j + t_q)/n, so Horner in x on an (n, q) table,
+    once per power of y, then Horner in y give f on an (n, n, q) array
+    [j, i, q]. One product with the (q, 3) table of weighted barycentric
+    values gives the triangles' corner terms, added onto the grid by slices.
     """
     _check_pair(mesh, spec)
-    ev, deg = _as_evaluator(mesh, f)
-    if mesh.dimension == 1:
-        xq, ws = element_quadrature_1d(mesh, max(spec.k + 1, (spec.k + deg) // 2 + 2))
-        basis_vals = _reference_values_at(spec.k, len(ws))  # (k+1, p)
-        # (h * B) @ v and h * (B @ v) round differently; artifacts pin the first
-        contrib = ((mesh.h * basis_vals)[None] @ (ws * ev(xq))[..., None])[..., 0]
-    else:
-        ref_pts, ref_w = _duffy_rule(max(2, (deg + 1) // 2 + 2))
-        u, v = ref_pts.T
-        vx, vy = mesh.vertices.T
-        corners = spec.element_nodes
-        # affine map from the reference triangle, one coordinate at a time
-        xq, yq = (c[:, :1] + u * (c[:, 1:2] - c[:, :1]) + v * (c[:, 2:] - c[:, :1]) for c in (vx[corners], vy[corners]))
-        fw = ref_w * ev(xq, yq)  # (n_elements, q)
-        lam = np.column_stack([1.0 - u - v, u, v])  # (q, 3)
-        contrib = fw[:, :1] * lam[0]
-        for i in range(1, len(ref_w)):
-            contrib += fw[:, i:i + 1] * lam[i]
-        area = 0.5 / (mesh.n * mesh.n)
-        contrib = 2.0 * area * contrib
-    gids = spec.node_dofs[spec.element_nodes]  # (n_elements, m), -1 if constrained
+    c, deg = _coefficients(mesh, f)
+    if mesh.dimension == 2:
+        n = mesh.n
+        pts, w = _duffy_rule(max(2, (deg + 1) // 2 + 2))
+        u, v = pts.T
+        # weight times barycentric value per corner, times the Jacobian 2|T| = 1/n^2
+        table = w[:, None] * np.column_stack([1.0 - u - v, u, v]) / (n * n)
+        cells = np.arange(n)[:, None]
+        grid = np.zeros((n + 1, n + 1))  # vertex (i, j) at [j, i]
+        # lower (v00, v10, v11): x = i + u + v, y = j + v; upper (v00, v11,
+        # v01): x = i + u, y = j + u + v; corners as (dj, di) from v00
+        for s, t, corners in ((u + v, v, ((0, 0), (0, 1), (1, 1))), (u, u + v, ((0, 0), (1, 1), (1, 0)))):
+            fx = npoly.polyval((cells + s) / n, c.reshape(len(c), -1))  # [b, i, q]
+            y = ((cells + t) / n)[:, None]
+            fq = np.broadcast_to(fx[-1], (n, n, len(w))).copy()  # [j, i, q], by Horner in y in place
+            for row in fx[-2::-1]:
+                fq *= y
+                fq += row
+            terms = (fq.reshape(n * n, -1) @ table).reshape(n, n, 3)
+            for (dj, di), term in zip(corners, np.moveaxis(terms, 2, 0)):
+                grid[dj:dj + n, di:di + n] += term
+        return grid.ravel()[spec.dof_nodes]
+    xq, ws = element_quadrature_1d(mesh, max(spec.k + 1, (spec.k + deg) // 2 + 2))
+    basis_vals = _reference_values_at(spec.k, len(ws))  # (k+1, p)
+    # (h * B) @ v and h * (B @ v) round differently; artifacts pin the first
+    contrib = ((mesh.h * basis_vals)[None] @ (ws * npoly.polyval(xq, c))[..., None])[..., 0]
+    gids = spec.node_dofs[spec.element_nodes]  # (n_elements, k+1), -1 if constrained
     keep = gids >= 0
     # bincount adds in element order, as the bilinear COO build does; it
     # returns integer zeros when there are no dofs
     out = np.bincount(gids[keep], weights=contrib[keep], minlength=spec.n_dofs)
     return out.astype(float, copy=False)
-

@@ -84,6 +84,18 @@ def test_load_rejects_high_degree():
         assemble_load(mesh, spec, [0.0] * 9 + [1.0])
 
 
+@pytest.mark.parametrize(
+    "d, f",
+    [(2, [[[1.0]]]), (2, [[1.0, 2.0], [3.0]]), (1, [[1.0, 2.0], [3.0]]), (2, []), (2, [[]])],
+    ids=["3d-array", "ragged-rows", "ragged-rows-1d", "empty", "empty-rows"],
+)
+def test_load_rejects_malformed_coefficients(d, f):
+    mesh = build_interval_mesh(4) if d == 1 else build_square_triangulation(3)
+    spec = build_basis(mesh, 1)
+    with pytest.raises(ValidationError):
+        assemble_load(mesh, spec, f)
+
+
 def test_gram_tent_overlaps():
     mesh = build_interval_mesh(8)
     spec = build_basis(mesh, 1)

@@ -1,18 +1,30 @@
 """Batched element kernels against per-element reference loops.
 
 Each reference below is the element-by-element form the batched kernel
-replaced. The load kernel adds the same terms in the same order, so that
-comparison is exact (``np.array_equal``). The 2D stencil build uses the
-exact reference-triangle matrices, where the element loop takes gradients
-from vertex coordinates i/n that are rounded, so it is compared at 1e-14
-relative, with the same sparsity pattern.
+replaced. The 1D load kernel adds the same terms in the same order, so that
+comparison is exact (``np.array_equal``). The 2D load is a vertex-grid
+stencil that sums in another order, so it is compared within 4e-15 times
+the load of the coefficients' absolute values, which bounds |f| since
+x, y >= 0. The 2D stencil build uses the exact reference-triangle matrices,
+where the element loop takes gradients from vertex coordinates i/n that are
+rounded, so it is compared at 1e-14 relative, with the same sparsity
+pattern.
 """
+import math
+import os
+import subprocess
+import sys
+from collections import defaultdict
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qfemlab
 from qfemlab import (
     BilinearForm,
     SparseSymMatrix,
@@ -23,7 +35,7 @@ from qfemlab import (
     build_interval_mesh,
     build_square_triangulation,
 )
-from qfemlab.assembly import _duffy_rule, _gauss01, _reference_values_at, poly_degree
+from qfemlab.assembly import MAX_POLY_DEGREE, _duffy_rule, _gauss01, _reference_values_at, poly_degree
 from qfemlab.cli import _l2_norm_1d
 
 coeff = st.floats(-1e3, 1e3, allow_nan=False)
@@ -39,8 +51,8 @@ def loads(draw):
     if d == 1:
         f = draw(st.lists(coeff, min_size=1, max_size=9))
     else:
-        m = draw(st.integers(1, 4))
-        f = draw(st.lists(st.lists(coeff, min_size=m, max_size=m), min_size=m, max_size=m))
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        f = draw(st.lists(st.lists(coeff, min_size=b, max_size=b), min_size=a, max_size=a))
     return d, n, k, constrained, f
 
 
@@ -81,7 +93,104 @@ def test_batched_load_matches_element_loop(case):
     d, n, k, constrained, f = case
     mesh = build_interval_mesh(n) if d == 1 else build_square_triangulation(n)
     spec = build_basis(mesh, k, constrain_dirichlet=constrained)
-    assert np.array_equal(assemble_load(mesh, spec, f), reference_load(mesh, spec, f))
+    load, ref = assemble_load(mesh, spec, f), reference_load(mesh, spec, f)
+    if d == 1:
+        assert np.array_equal(load, ref)
+    else:
+        # x, y >= 0, so the load of |c| bounds the load of |f|; below the
+        # smallest normal number, rounding errors are absolute
+        scale = reference_load(mesh, spec, abs(np.asarray(f))) + np.finfo(float).tiny
+        assert np.all(abs(load - ref) <= 4e-15 * scale)
+
+
+def exact_vertex_loads(n, a, b):
+    """int x^a y^b phi_v for every vertex v of the n x n triangulation, in
+    Fraction arithmetic. On a triangle, x and y are linear in the barycentric
+    coordinates l, and int l0^p l1^q l2^r = 2|T| p! q! r! / (p + q + r + 2)!,
+    with 2|T| = 1/n^2."""
+    out = [Fraction(0)] * (n + 1) ** 2
+    for corners in build_square_triangulation(n).elements.tolist():
+        # vertex (i, j) is node j (n + 1) + i, at (i/n, j/n)
+        coords = [[Fraction(v % (n + 1), n) for v in corners], [Fraction(v // (n + 1), n) for v in corners]]
+        poly = {(0, 0, 0): Fraction(1)}  # x^a y^b as {exponents of l: coefficient}
+        for xs in [coords[0]] * a + [coords[1]] * b:
+            product = defaultdict(Fraction)
+            for exps, coef in poly.items():
+                for slot in range(3):
+                    if xs[slot]:
+                        product[exps[:slot] + (exps[slot] + 1,) + exps[slot + 1:]] += coef * xs[slot]
+            poly = product
+        for slot, node in enumerate(corners):
+            for exps, coef in poly.items():
+                e = [p + (s == slot) for s, p in enumerate(exps)]
+                moment = Fraction(math.prod(map(math.factorial, e)), math.factorial(sum(e) + 2))
+                out[node] += coef * moment / n**2
+    return np.array([float(v) for v in out])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_2d_load_exact_for_every_monomial_up_to_degree_8(n):
+    mesh = build_square_triangulation(n)
+    specs = [build_basis(mesh, 1, constrain_dirichlet=constrained) for constrained in (True, False)]
+    for a in range(MAX_POLY_DEGREE + 1):
+        for b in range(MAX_POLY_DEGREE + 1 - a):
+            c = np.zeros((a + 1, b + 1))
+            c[a, b] = 1.0
+            exact = exact_vertex_loads(n, a, b)
+            for spec in specs:
+                load = assemble_load(mesh, spec, c)
+                assert np.all(abs(load - exact[spec.dof_nodes]) <= 4e-15 * exact.max()), (a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_2d_load_mirrors_with_transposed_coefficients(n, rows, cols, data):
+    # the triangulation is symmetric about the diagonal y = x, so the load of
+    # f(y, x), whose coefficients are c^T, is the load of f mirrored
+    c = np.array(data.draw(st.lists(st.lists(coeff, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+    mesh = build_square_triangulation(n)
+    spec = build_basis(mesh, 1, constrain_dirichlet=False)
+    load = assemble_load(mesh, spec, c).reshape(n + 1, n + 1)
+    mirrored = assemble_load(mesh, spec, c.T).reshape(n + 1, n + 1).T
+    assert np.all(abs(load - mirrored) <= 1e-15 * (assemble_load(mesh, spec, abs(c)).max() + np.finfo(float).tiny))
+
+
+def run_load_subprocess(code, **env):
+    """Run ``code`` with qfemlab importable and return its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qfemlab.__file__).resolve().parents[1]), **env}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=60).stdout
+
+
+def test_2d_load_at_the_cap_fits_in_one_gib():
+    # a degree-8 f on the n = 447 triangulation, the largest the validator
+    # accepts, under a 1 GiB address-space limit
+    code = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from qfemlab import assemble_load, build_basis, build_square_triangulation
+mesh = build_square_triangulation(447)
+spec = build_basis(mesh, 1)
+c = np.zeros((9, 9))
+c[8, 0] = c[4, 4] = c[0, 8] = 1.0
+start = time.perf_counter()
+assemble_load(mesh, spec, c)
+print(time.perf_counter() - start)
+"""
+    assert float(run_load_subprocess(code, OPENBLAS_NUM_THREADS="1")) < 3.0
+
+
+def test_2d_load_bits_do_not_depend_on_blas_threads():
+    code = """
+import hashlib
+import numpy as np
+from qfemlab import assemble_load, build_basis, build_square_triangulation
+mesh = build_square_triangulation(126)
+f = np.arange(25.0).reshape(5, 5) % 7 - 3.0  # degree 8
+print(hashlib.sha256(assemble_load(mesh, build_basis(mesh, 1), f).tobytes()).hexdigest())
+"""
+    digests = {run_load_subprocess(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")}
+    assert len(digests) == 1
 
 
 def reference_bilinear_2d(mesh, spec, diffusion, reaction):
