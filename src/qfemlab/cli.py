@@ -121,7 +121,7 @@ def convergence_report(problem: ProblemSpec, levels: int) -> dict:
     else:
         mesh_f, spec_f, M_f, b_f = discretize(problem, 4 * ns[-1])
         coeffs_f = M_f.solve(b_f)
-        del M_f, b_f  # free the reference factorisation before anything else runs
+        del M_f, b_f  # free the reference matrix (and its 1D band factor) before anything else runs
         gram_f = assemble_gram(mesh_f, spec_f)
 
         def error(mesh, spec, coeffs):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .assembly import BilinearForm, SparseSymMatrix, assemble_load, assemble_stiffness
+from .assembly import BilinearForm, SparseSymMatrix, assemble_load, assemble_stiffness, coefficient_array
 from .errors import CapExceededError, UnsupportedConfigurationError, ValidationError
 from .mesh import BasisSpec, Mesh, build_basis, build_interval_mesh, build_square_triangulation
 from .resources import SobolevData, choose_mesh_size
@@ -82,10 +82,10 @@ class ProblemSpec:
         return self.d in (1, 2)
 
     def f_array(self) -> np.ndarray:
-        return _coeff_array(self.f, self.d)
+        return coefficient_array(self.f, self.d)
 
     def r_array(self) -> np.ndarray:
-        return _coeff_array(self.r, self.d)
+        return coefficient_array(self.r, self.d)
 
     def to_dict(self) -> dict:
         out = {
@@ -153,21 +153,12 @@ def _coeff_list(coeffs):
     return list(coeffs)
 
 
-def _coeff_array(coeffs, d) -> np.ndarray:
-    arr = np.asarray(coeffs, dtype=float)
-    if d == 1 and arr.ndim != 1:
-        raise ValidationError("1D data must be a flat coefficient list")
-    if d == 2 and arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # polynomial calculus
 
 def poly_l2_norm_sq(coeffs, d: int) -> float:
     """Exact integral of p^2 over the unit interval or square."""
-    c = _coeff_array(coeffs, d)
+    c = coefficient_array(coeffs, d)
     if d == 1:
         sq = np.convolve(c, c)
         return float(sum(sq[i] / (i + 1) for i in range(len(sq))))

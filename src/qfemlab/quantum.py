@@ -3,14 +3,14 @@
 The input state |f~> is prepared exactly, as the ledger records in its
 ``input_state_assumption``. The linear-equation subroutine is not run:
 the overlap estimator samples the outcome distribution of a solver output
-at l2 distance eps_l from the exact solution state (band Cholesky solve),
-and the subroutine's analytic oracle cost is charged to a resource ledger
-once per use of the state preparation. Solves come from the
-stiffness matrix's cached band Cholesky factor (``SparseSymMatrix.solve``),
-and the condition number from its cached eigenvalue extremes
+at l2 distance eps_l from the exact solution state, and the subroutine's
+analytic oracle cost is charged to a resource ledger once per use of the
+state preparation. Solves come from ``SparseSymMatrix.solve`` (the band
+Cholesky factor in 1D, preconditioned CG to rounding level in 2D), and
+the condition number from its cached eigenvalue extremes
 (``SparseSymMatrix.extremes``): exact lambda_min over a certified upper
-bound on lambda_max, so modelled costs are upper bounds. No dense matrix is
-formed. All estimators are plain Monte Carlo at the exact event
+bound on lambda_max, so modelled costs are upper bounds. No dense matrix
+is formed. All estimators are plain Monte Carlo at the exact event
 probabilities: empirical sampling uses 1/eps^2 shots while the ledger
 charges the amplitude-estimation count of 1/eps, and the gap is annotated
 in the ledger entries.

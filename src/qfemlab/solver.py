@@ -5,17 +5,19 @@ CG only observes residuals, so the energy-norm target ||x - x*||_M <=
 tol * ||x*||_M is certified through the bound ||x - x*||_M <= ||r|| /
 sqrt(lambda_min) together with ||x_j||_M = sqrt(b.x_j), which increases
 monotonically to ||x*||_M when starting from zero. lambda_min is the exact
-smallest eigenvalue of M from its cached band Cholesky factor
-(``SparseSymMatrix.extremes``); a Ritz value of CG's own Lanczos
-tridiagonal would bound lambda_min from above and so make the certified
-bound too small. r is the recursively updated residual, which can fall
-below the true b - M x once both near rounding level.
+smallest eigenvalue of M (``SparseSymMatrix.extremes``); a Ritz value of
+CG's own Lanczos tridiagonal would bound lambda_min from above and so make
+the certified bound too small. r is the recursively updated residual,
+which can fall below the true b - M x once both near rounding level.
 
 The same extremes give kappa = lambda_max / lambda_min, the exact lambda_min
 over a certified upper bound on lambda_max, so kappa is an upper bound too.
 It sets the default iteration cap max(50, ceil(10 sqrt(kappa) log(1/tol))),
 sized for CG's O(sqrt(kappa) log(1/tol)) steps, and is what
-``estimate_condition_number`` returns.
+``estimate_condition_number`` returns. With C^{-1} for C/4 <= M <= C (2D:
+``SineTransformPreconditioner``), PCG reads lambda_min, lambda_max as 1/4
+and 1, bounds on the spectrum of C^{-1} M, and ||r||^2 as r^T C^{-1} r, so
+that ||x - x*||_M^2 <= 4 r^T C^{-1} r.
 """
 from __future__ import annotations
 
@@ -42,10 +44,11 @@ class CGReport:
         return {key: value for key, value in vars(self).items() if key != "solution"}
 
 
-def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None = None) -> CGReport:
+def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None = None, precond=None) -> CGReport:
     """Solve M x = b by CG to relative energy-norm accuracy ``tol``,
     returning an explicit non-convergence report when the iteration cap is
     reached. ``cap`` bounds the number of iterations and must be at least 1.
+    ``precond`` applies C^{-1}, for C/4 <= M <= C, in place of ``M.extremes()``.
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
@@ -55,29 +58,33 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
     n = M.n
     if bvec.shape != (n,):
         raise ValidationError(f"rhs has shape {bvec.shape}, expected ({n},)")
-    if np.linalg.norm(bvec) == 0.0:
+    if not np.isfinite(bnorm := np.linalg.norm(bvec)):
+        raise ValidationError("right-hand side is not finite")
+    if bnorm == 0.0:
         return CGReport(np.zeros(n), 0, 0.0, 0, True, 0.0, 0.0)
 
-    lam_min, lam_max = M.extremes()
+    lam_min, lam_max = M.extremes() if precond is None else (0.25, 1.0)
     sqrt_lam = np.sqrt(lam_min)
     if cap is None:
         cap = max(50, int(np.ceil(10.0 * np.sqrt(lam_max / lam_min) * np.log(1.0 / tol))))
 
     x = np.zeros(n)
     r = bvec.copy()
-    p = r.copy()
-    rr = float(r @ r)
+    z = r if precond is None else precond(r)
+    p = z.copy()
+    rz = float(r @ z)
     for j in range(1, cap + 1):
         Ap = M @ p
         pAp = float(p @ Ap)
         if pAp <= 0:
             raise ValidationError("matrix is not positive definite on the active dofs")
-        alpha = rr / pAp
+        alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
 
-        rr_new = float(r @ r)
-        rnorm = float(np.sqrt(rr_new))
+        z = r if precond is None else precond(r)
+        rz_new = float(r @ z)
+        rnorm = float(np.sqrt(rz_new))
         energy_of_x = float(bvec @ x)
         err_bound = rnorm / sqrt_lam
         if energy_of_x > 0 and err_bound <= tol * np.sqrt(energy_of_x):
@@ -86,8 +93,8 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
             rel = err_bound / np.sqrt(energy_of_x) if energy_of_x > 0 else np.inf
             return CGReport(x, j, rel, j, False, lam_min, rnorm)
 
-        p = r + (rr_new / rr if rr != 0 else 0.0) * p
-        rr = rr_new
+        p = z + (rz_new / rz if rz != 0 else 0.0) * p
+        rz = rz_new
 
 
 def estimate_condition_number(M: SparseSymMatrix) -> float:

@@ -361,19 +361,31 @@ def test_reports_make_no_dense_calls(monkeypatch, payload):
 
 
 @pytest.mark.parametrize("payload", [SPEC_1D, SPEC_2D], ids=["1d", "2d"])
-@pytest.mark.parametrize("report", ["solve_report", "simulate_report"])
+@pytest.mark.parametrize("report", ["solve_report", "convergence_report", "simulate_report"])
 def test_reports_factor_each_assembled_matrix_once(monkeypatch, payload, report):
+    """1D factors every matrix it solves once; 2D solves by sine-transform
+    preconditioned CG and LOBPCG, with no band factor and no ARPACK call."""
     calls = _count_factorisations(monkeypatch)
-    matrices = []
-    adopt = SparseSymMatrix._adopt
+    matrices, arpack = [], []
+    adopt, eigsh = SparseSymMatrix._adopt, qfemlab.assembly.eigsh
 
     def counting_adopt(self, csr):
         matrices.append(self)
         adopt(self, csr)
 
+    def counting_eigsh(*args, **kwargs):
+        arpack.append(0)
+        return eigsh(*args, **kwargs)
+
     monkeypatch.setattr(SparseSymMatrix, "_adopt", counting_adopt)
-    getattr(cli, report)(ProblemSpec.from_dict(payload))
-    assert len(calls) == len(matrices) == 1
+    monkeypatch.setattr(qfemlab.assembly, "eigsh", counting_eigsh)
+    args = (3,) if report == "convergence_report" else ()
+    getattr(cli, report)(ProblemSpec.from_dict(payload), *args)
+    if payload["d"] == 2:
+        assert calls == [] and arpack == [] and len(matrices) >= 1
+    else:
+        assert len(calls) == len(matrices) >= 1
+        assert len(arpack) == (report != "convergence_report")
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["convergence", "--levels", "3"], ["plan"]])
@@ -394,6 +406,24 @@ def test_import_leaves_scipy_signal_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(qfemlab.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert proc.stdout.strip() == "False"
+
+
+def test_reports_leave_scipy_fft_unloaded(tmp_path):
+    # importing scipy.fft costs about 100 ms and 3.5 MB; the 2D sine transform
+    # is a BLAS product, so neither a 1D nor a 2D report loads it
+    for name, payload in (("1d", SPEC_1D), ("2d", SPEC_2D)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    code = f"""
+import sys, qfemlab.cli as cli
+loaded = []
+for name in ("1d", "2d"):
+    assert cli.main(["solve", "--spec", {str(tmp_path)!r} + f"/{{name}}.json", "--out", {str(tmp_path)!r}]) == 0
+    loaded.append("scipy.fft" in sys.modules)
+print(loaded)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(qfemlab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip().splitlines()[-1] == "[False, False]"
 
 
 def test_import_leaves_scipy_integrate_unloaded():
