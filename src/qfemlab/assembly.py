@@ -29,7 +29,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +46,14 @@ MAX_POLY_DEGREE = 8
 # ---------------------------------------------------------------------------
 # exact reference elements (1D, degree 1..3)
 
+def _frac_polymul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
 def _frac_polyder(a):
     return [i * a[i] for i in range(1, len(a))] or [Fraction(0)]
 
@@ -57,7 +65,7 @@ def _frac_polyint01(a):
 
 @lru_cache(maxsize=None)
 def _reference_lagrange(k: int):
-    """Coefficient arrays (low->high, Fractions) of the k+1 nodal polynomials
+    """Coefficient lists (low->high, Fractions) of the k+1 nodal polynomials
     on [0,1] with nodes j/k."""
     ts = [Fraction(j, k) for j in range(k + 1)]
     polys = []
@@ -67,7 +75,7 @@ def _reference_lagrange(k: int):
             if m == j:
                 continue
             denom = ts[j] - ts[m]
-            p = np.convolve(p, [-ts[m] / denom, Fraction(1) / denom])  # exact, on Fractions
+            p = _frac_polymul(p, [-ts[m] / denom, Fraction(1) / denom])
         polys.append(p)
     return polys
 
@@ -85,8 +93,8 @@ def _reference_matrices(k: int):
     mmat = np.empty((m, m))
     for a in range(m):
         for b in range(m):
-            kmat[a, b] = float(_frac_polyint01(np.convolve(_frac_polyder(polys[a]), _frac_polyder(polys[b]))))
-            mmat[a, b] = float(_frac_polyint01(np.convolve(polys[a], polys[b])))
+            kmat[a, b] = float(_frac_polyint01(_frac_polymul(_frac_polyder(polys[a]), _frac_polyder(polys[b]))))
+            mmat[a, b] = float(_frac_polyint01(_frac_polymul(polys[a], polys[b])))
     return kmat, mmat
 
 
@@ -137,7 +145,6 @@ class BilinearForm:
             raise ValidationError("reaction coefficient must be >= 0")
 
 
-@lru_cache(maxsize=8)  # one per grid and coefficients, shared by the matrices built on them
 class SineTransformPreconditioner:
     """C = diffusion K5 + reaction/n^2 I on the n x n grid's interior vertices,
     the five-point stencil plus the lumped mass: C/4 <= M <= C for the P1
@@ -146,39 +153,33 @@ class SineTransformPreconditioner:
     beat ``scipy.fft.dstn`` up to the cell cap (16 against 146 us at n = 43)."""
 
     def __init__(self, n, diffusion, reaction):
-        self.n, self.diffusion, self.reaction, j = n, diffusion, reaction, np.arange(1, n)
+        self.n, j = n, np.arange(1, n)
         self._sine = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(j, j) / n)  # orthonormal, symmetric
         t = 2.0 - 2.0 * np.cos(np.pi * j / n)
         self._lam = diffusion * (t[:, None] + t) + reaction / n**2
+        # M >= (diffusion - q) K5 + 4q, q = reaction / 4n^2 (the mass stencil is
+        # >= 2 - K5/2 element areas), and K5 >= k12 off the symmetry class of
+        # sin(pi a/n) sin(pi b/n), whose lowest M-value is <= C's, diffusion k11 + 4q
+        k11, k12 = (4.0 - 2.0 * np.cos(np.pi / n) - 2.0 * np.cos(a * np.pi / n) for a in (1, 2))
+        self.class_holds_lambda_min = diffusion * k11 <= (diffusion - reaction / (4 * n**2)) * k12
 
-    def __call__(self, v):
-        """C^{-1} v for a vector or an (N, 1) block."""
+    def __call__(self, v):  # C^{-1} v, for a vector or an (N, 1) block
         s, w = self._sine, v.reshape(self.n - 1, self.n - 1)
         return (s @ (s @ w @ s / self._lam) @ s).reshape(v.shape)
 
     def lowest_eigenvalue(self, csr) -> float:
-        """lambda_min of ``csr`` by LOBPCG with C, to residual 1e-8 rq. The
-        start sin(pi a/n) sin(pi b/n) keeps its class under the mesh's
-        symmetries; outside it K5 >= k12, M >= diffusion K5 + q and, if
-        diffusion >= q, M >= (diffusion - q) K5 + 4q (q = reaction / 4n^2; the
-        mass stencil is >= 2 - K5/2 areas), else a random start runs too."""
-        n, diffusion, q = self.n, self.diffusion, self.reaction / (4 * self.n**2)
+        """lambda_min of ``csr`` by LOBPCG with C from sin(pi a/n) sin(pi b/n),
+        to residual 1e-10 rq (rq: the start's Rayleigh quotient). The start
+        keeps its class under the mesh's symmetries, so this is lambda_min
+        only when ``class_holds_lambda_min``, about reaction <= 2.4 diffusion n^2."""
         start = np.outer(self._sine[0], self._sine[0]).ravel()  # a unit vector
-        tol = 1e-8 * float(start @ (csr @ start))  # rq, the start's Rayleigh quotient
-
-        def run(x0):
-            with warnings.catch_warnings():  # stalled runs and the dense path of N < 5 warn
-                warnings.simplefilter("ignore")
-                lam, x = lobpcg(csr, x0[:, None], M=self, tol=tol, maxiter=1000, largest=False)
-            if np.linalg.norm(csr @ x[:, 0] - lam[0] * x[:, 0]) > 2.0 * tol:
-                raise NonConvergenceError("LOBPCG eigenvalue iteration did not converge")
-            return float(lam[0])
-
-        lam_min = run(start)
-        k12 = 4.0 - 2.0 * np.cos(np.pi / n) - 2.0 * np.cos(2.0 * np.pi / n)
-        if lam_min > diffusion * k12 + q * (max(1.0, 4.0 - k12) if diffusion >= q else 1.0):
-            lam_min = min(lam_min, run(np.random.default_rng(0).standard_normal(csr.shape[0])))
-        return lam_min
+        tol = 1e-10 * float(start @ (csr @ start))
+        with warnings.catch_warnings():  # stalled runs and the dense path of N < 5 warn
+            warnings.simplefilter("ignore")
+            lam, x = lobpcg(csr, start[:, None], M=self, tol=tol, maxiter=1000, largest=False)
+        if np.linalg.norm(csr @ x[:, 0] - lam[0] * x[:, 0]) > 2.0 * tol:
+            raise NonConvergenceError("LOBPCG eigenvalue iteration did not converge")
+        return float(lam[0])
 
 
 class SparseSymMatrix:
@@ -191,12 +192,12 @@ class SparseSymMatrix:
     check through ``_symmetric``: ``from_upper_coo`` (1D assembly) and the
     2D stencil assembly.
 
-    Linear algebra stays sparse. Without a preconditioner, the first call to
-    ``solve``, ``is_spd`` or ``extremes`` packs the upper band of the CSR
-    arrays (half-bandwidth bw, the largest j - i of a stored entry) into
-    LAPACK's (bw + 1) x n layout and takes its band Cholesky factor M = R^T R
-    once, caching it (or its failure); no other factorisation is made. M is
-    positive definite exactly when the factorisation succeeds.
+    Linear algebra stays sparse. The first call that needs it (``is_spd``;
+    ``solve`` without a preconditioner; ``extremes`` unless LOBPCG runs)
+    packs the upper band of the CSR arrays (half-bandwidth bw, the largest
+    j - i of a stored entry) into LAPACK's (bw + 1) x n layout and takes its
+    band Cholesky factor M = R^T R once, caching it (or its failure); no other
+    factorisation is made. M is positive definite exactly when it succeeds.
     """
 
     def __init__(self, matrix):
@@ -302,8 +303,9 @@ class SparseSymMatrix:
     def extremes(self) -> tuple[float, float]:
         """(lambda_min, an upper bound on lambda_max) of an SPD matrix, cached.
 
-        lambda_min: LOBPCG with the preconditioner, else shift-invert Lanczos
-        at 0 on the cached factor (ARPACK, fixed start). The upper end is the
+        lambda_min, to rounding level: LOBPCG with the preconditioner where its
+        start's class holds lambda_min, else shift-invert Lanczos at 0 on the
+        cached band factor (ARPACK, fixed start). The upper end is the
         Collatz-Wielandt bound max_i (|M| w)_i / w_i >= rho(|M|) >= lambda_max
         after 8 power steps on |M| from w = 1, raised by a relative 1e-12 so
         that rounding cannot put it below lambda_max. On stiffness matrices
@@ -313,7 +315,8 @@ class SparseSymMatrix:
         the eigensolver does not converge.
         """
         if self._extremes is None:
-            if self._precond is None and not self.is_spd():
+            by_lobpcg = self._precond is not None and self._precond.class_holds_lambda_min
+            if not by_lobpcg and not self.is_spd():
                 raise ValidationError("matrix is singular or indefinite")
             # w stays positive: an SPD matrix has a positive diagonal
             absm, w = abs(self._csr), np.ones(self.n)
@@ -322,10 +325,11 @@ class SparseSymMatrix:
                 bound = float((y / w).max())
                 w = y / y.max()
             lam_min = float(self._csr.data[0])  # ARPACK needs n > 1
-            if self._precond is not None:
+            if by_lobpcg:
                 lam_min = self._precond.lowest_eigenvalue(self._csr)
             elif self.n > 1:
-                inv = LinearOperator(self._csr.shape, matvec=self.solve, dtype=float)
+                band_solve = partial(cho_solve_banded, (self._chol, False), check_finite=False)
+                inv = LinearOperator(self._csr.shape, matvec=band_solve, dtype=float)
                 v0 = np.random.default_rng(0).standard_normal(self.n)
                 try:
                     lam_min = float(eigsh(self._csr, k=1, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False)[0])
@@ -428,8 +432,14 @@ def assemble_gram(mesh: Mesh, spec: BasisSpec) -> SparseSymMatrix:
 
 
 def poly_degree(coeffs) -> int:
-    """Total degree: the largest sum of exponents over the nonzero coefficients."""
-    return int(sum(np.nonzero(np.asarray(coeffs, dtype=float))).max(initial=0))
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim == 1:
+        nz = np.nonzero(c)[0]
+        return int(nz[-1]) if len(nz) else 0
+    nz = np.nonzero(c)
+    if len(nz[0]) == 0:
+        return 0
+    return int(max(i + j for i, j in zip(*nz)))
 
 
 def coefficient_array(coeffs, d: int) -> np.ndarray:

@@ -15,8 +15,8 @@ seed and the package version; at a fixed BLAS thread count, identical
 inputs reproduce outputs bit-identically in exact modes and
 distribution-identically (same seed, same values) in sampling modes.
 solve's ``kappa_estimate`` and the ledger's modelled costs use an upper
-bound on the condition number: the exact lambda_min over a certified upper
-bound on lambda_max.
+bound on the condition number: lambda_min to rounding level over an upper
+bound on lambda_max, certified with a relative 1e-12 margin.
 """
 from __future__ import annotations
 

@@ -8,8 +8,8 @@ analytic oracle cost is charged to a resource ledger once per use of the
 state preparation. Solves come from ``SparseSymMatrix.solve`` (the band
 Cholesky factor in 1D, preconditioned CG to rounding level in 2D), and
 the condition number from its cached eigenvalue extremes
-(``SparseSymMatrix.extremes``): exact lambda_min over a certified upper
-bound on lambda_max, so modelled costs are upper bounds. No dense matrix
+(``SparseSymMatrix.extremes``): lambda_min to rounding level over a certified
+upper bound on lambda_max, so modelled costs are upper bounds. No dense matrix
 is formed. All estimators are plain Monte Carlo at the exact event
 probabilities: empirical sampling uses 1/eps^2 shots while the ledger
 charges the amplitude-estimation count of 1/eps, and the gap is annotated

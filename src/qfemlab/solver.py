@@ -4,20 +4,21 @@ condition number from the cached sparse eigenvalue extremes.
 CG only observes residuals, so the energy-norm target ||x - x*||_M <=
 tol * ||x*||_M is certified through the bound ||x - x*||_M <= ||r|| /
 sqrt(lambda_min) together with ||x_j||_M = sqrt(b.x_j), which increases
-monotonically to ||x*||_M when starting from zero. lambda_min is the exact
-smallest eigenvalue of M (``SparseSymMatrix.extremes``); a Ritz value of
-CG's own Lanczos tridiagonal would bound lambda_min from above and so make
-the certified bound too small. r is the recursively updated residual,
-which can fall below the true b - M x once both near rounding level.
+monotonically to ||x*||_M when starting from zero. lambda_min is the
+smallest eigenvalue of M to rounding level (``SparseSymMatrix.extremes``);
+a Ritz value of CG's own Lanczos tridiagonal would bound lambda_min from
+above by far more and so make the certified bound too small. r is the
+recursively updated residual, which can fall below the true b - M x once
+both near rounding level.
 
-The same extremes give kappa = lambda_max / lambda_min, the exact lambda_min
-over a certified upper bound on lambda_max, so kappa is an upper bound too.
-It sets the default iteration cap max(50, ceil(10 sqrt(kappa) log(1/tol))),
-sized for CG's O(sqrt(kappa) log(1/tol)) steps, and is what
-``estimate_condition_number`` returns. With C^{-1} for C/4 <= M <= C (2D:
-``SineTransformPreconditioner``), PCG reads lambda_min, lambda_max as 1/4
-and 1, bounds on the spectrum of C^{-1} M, and ||r||^2 as r^T C^{-1} r, so
-that ||x - x*||_M^2 <= 4 r^T C^{-1} r.
+The same extremes give kappa = lambda_max / lambda_min, lambda_min to
+rounding over an upper bound on lambda_max with a relative 1e-12 margin,
+so kappa is an upper bound too. It sets the default iteration cap
+max(50, ceil(10 sqrt(kappa) log(1/tol))), sized for CG's
+O(sqrt(kappa) log(1/tol)) steps, and is what ``estimate_condition_number``
+returns. With C^{-1} for C/4 <= M <= C (2D: ``SineTransformPreconditioner``),
+PCG reads lambda_min, lambda_max as 1/4 and 1, bounds on the spectrum of
+C^{-1} M, and ||r||^2 as r^T C^{-1} r, so that ||x - x*||_M^2 <= 4 r^T C^{-1} r.
 """
 from __future__ import annotations
 
@@ -98,7 +99,7 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
 
 
 def estimate_condition_number(M: SparseSymMatrix) -> float:
-    """An upper bound on kappa = lambda_max / lambda_min: the exact lambda_min
+    """An upper bound on kappa = lambda_max / lambda_min: lambda_min to rounding
     over the Collatz-Wielandt upper bound on lambda_max, both cached by
     ``SparseSymMatrix.extremes``.
 

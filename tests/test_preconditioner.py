@@ -131,35 +131,66 @@ def test_lambda_min_matches_factored_shift_invert(n, reaction):
     assert M.extremes()[0] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
-def _count_lobpcg_runs(monkeypatch):
-    runs = []
-    lobpcg = qfemlab.assembly.lobpcg
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(qfemlab.assembly, name)
 
-    def counting_lobpcg(*args, **kwargs):
-        runs.append(0)
-        return lobpcg(*args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(0)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(qfemlab.assembly, "lobpcg", counting_lobpcg)
-    return runs
+    monkeypatch.setattr(qfemlab.assembly, name, counting)
+    return calls
+
+
+def boundary(n):
+    """The largest reaction (diffusion 1) at which the class bound holds."""
+    k11, k12 = 4 - 4 * np.cos(np.pi / n), 4 - 2 * np.cos(np.pi / n) - 2 * np.cos(2 * np.pi / n)
+    return 4 * n**2 * (1 - k11 / k12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+def test_mass_bound_behind_the_class_switch(n):
+    # R Mass >= (R / n^2)(I - K5 / 4): with the symmetry classes, it decides
+    # when LOBPCG from the symmetric start reaches lambda_min
+    K5 = system(n, 0.0)[0].to_dense()
+    mass = system(n, 1.0)[0].to_dense() - K5
+    gap = np.linalg.eigvalsh(mass - (np.eye(len(K5)) - K5 / 4) / n**2)
+    assert gap.min() >= -1e-14 / n**2
 
 
 @pytest.mark.parametrize(
-    "n,reaction,runs", [(20, 1.0, 1), (64, 1000.0, 1), (4, 1e4, 2), (5, 1e4, 2), (20, 1e4, 2), (20, 1e6, 2)]
+    "n,reaction",
+    [(20, 1.0), (64, 1000.0), (8, 0.99 * boundary(8)), (16, 0.99 * boundary(16)), (16, 1.01 * boundary(16)),
+     (16, 1000.0), (4, 1e4), (5, 1e4), (20, 1e4), (20, 1e6)],
 )
-def test_lambda_min_outside_the_start_symmetry_class(monkeypatch, n, reaction, runs):
+def test_lambda_min_method_follows_the_class_bound(monkeypatch, n, reaction):
     """With reaction >> diffusion n^2 the lowest eigenvector can lie outside
-    the symmetry class of sin(pi a/n) sin(pi b/n), where the first run
-    cannot reach it (it alone reads up to 0.5 % high at n = 4, reaction 1e4);
-    the class bound then calls for the second, random start. The low end of
-    the mass stencil's spectrum is clustered there, so a Ritz value at
-    residual 1e-8 rq can sit above lambda_min by more than rounding: 1.3e-12
-    relative at n = 20, reaction 1e6."""
-    counted = _count_lobpcg_runs(monkeypatch)
+    the symmetry class of sin(pi a/n) sin(pi b/n), which LOBPCG from that
+    start cannot leave (alone it reads 0.5 % high at n = 4, reaction 1e4).
+    There extremes() keeps the band factor and shift-invert ARPACK."""
+    runs, factors, arpack = (_count_calls(monkeypatch, name) for name in ("lobpcg", "cholesky_banded", "eigsh"))
     M = system(n, reaction)[0]
     ev = np.linalg.eigvalsh(M.to_dense())
-    rel = 1e-13 if runs == 1 else 1e-11
-    assert abs(M.extremes()[0] - ev[0]) <= rel * ev[0] + 16 * EPS * ev[-1]
-    assert len(counted) == runs
+    assert abs(M.extremes()[0] - ev[0]) <= 1e-13 * ev[0] + 16 * EPS * ev[-1]
+    by_lobpcg = reaction <= boundary(n)
+    assert M._precond.class_holds_lambda_min == by_lobpcg
+    assert (len(runs), len(factors), len(arpack)) == ((1, 0, 0) if by_lobpcg else (0, 1, 1))
+
+
+@pytest.mark.parametrize("n", [64, 126])
+def test_high_reaction_matches_factored_references(n):
+    # reaction 1e6 is far past the class bound; LOBPCG took 500-1,300
+    # iterations here, where shift-invert ARPACK on the band factor converges
+    M, b = system(n, 1e6)
+    csc = M.csr.tocsc()
+    lu = splu(csc)
+    x_ref = lu.solve(b)
+    assert np.linalg.norm(M.solve(b) - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
+    inv = LinearOperator(csc.shape, matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(M.n)
+    ref = eigsh(csc, k=1, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False)[0]
+    assert M.extremes()[0] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 TINY_2D = {

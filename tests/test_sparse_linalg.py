@@ -363,7 +363,9 @@ def test_reports_make_no_dense_calls(monkeypatch, payload):
 @pytest.mark.parametrize("payload", [SPEC_1D, SPEC_2D], ids=["1d", "2d"])
 @pytest.mark.parametrize("report", ["solve_report", "convergence_report", "simulate_report"])
 def test_reports_factor_each_assembled_matrix_once(monkeypatch, payload, report):
-    """1D factors every matrix it solves once; 2D solves by sine-transform
+    """solve and simulate assemble one matrix, convergence one per level plus,
+    in 2D, a reference and its Gram matrix (SPEC_1D has the analytic
+    solution). 1D factors each once; 2D solves by sine-transform
     preconditioned CG and LOBPCG, with no band factor and no ARPACK call."""
     calls = _count_factorisations(monkeypatch)
     matrices, arpack = [], []
@@ -381,10 +383,11 @@ def test_reports_factor_each_assembled_matrix_once(monkeypatch, payload, report)
     monkeypatch.setattr(qfemlab.assembly, "eigsh", counting_eigsh)
     args = (3,) if report == "convergence_report" else ()
     getattr(cli, report)(ProblemSpec.from_dict(payload), *args)
+    assert len(matrices) == (3 + 2 * (payload["d"] == 2) if report == "convergence_report" else 1)
     if payload["d"] == 2:
-        assert calls == [] and arpack == [] and len(matrices) >= 1
+        assert calls == [] and arpack == []
     else:
-        assert len(calls) == len(matrices) >= 1
+        assert len(calls) == len(matrices)
         assert len(arpack) == (report != "convergence_report")
 
 
