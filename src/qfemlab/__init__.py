@@ -37,7 +37,6 @@ from .mesh import (
 from .problems import (
     ProblemSpec,
     analytic_solution_1d,
-    derive_sobolev,
     discretize,
     exact_functional_1d,
     mesh_size,

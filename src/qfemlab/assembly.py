@@ -19,23 +19,27 @@ matrices, one array per coupling direction, written out as CSR rows
 directly; and the load by sum factorisation, f evaluated one axis at a
 time on the grid of quadrature points.
 
+Meshes carry only their dimension and n. The 2D stencils work on the
+vertex grid and never read vertex coordinates or element lists; 1D reads
+only its basis's element-to-node map.
+
 Dofs are numbered along the line (1D) or row by row (2D), so every
 assembled matrix is banded, with half-bandwidth at most k in 1D and n in
 2D. 1D matrices solve through one band Cholesky factor; 2D ones, whose factor
-would fill the band, through a ``SineTransformPreconditioner``.
+would fill the band, through a ``SineTransformPreconditioner``, built on
+first use, which also gives lambda_min by a single-vector LOPCG loop.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, lobpcg
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NonConvergenceError, ValidationError
 from .mesh import TRIANGLE_GRADS, BasisSpec, Mesh
@@ -150,36 +154,84 @@ class SineTransformPreconditioner:
     the five-point stencil plus the lumped mass: C/4 <= M <= C for the P1
     matrix M of the same coefficients. The DST-I S diagonalises C (Lynch, Rice
     & Thomas 1964): C^{-1} v = S Lambda^{-1} S v, by sine-matrix products that
-    beat ``scipy.fft.dstn`` up to the cell cap (16 against 146 us at n = 43)."""
+    beat ``scipy.fft.dstn`` up to the cell cap (16 against 146 us at n = 43).
+    The sine matrix and the spectrum are built on first use."""
 
     def __init__(self, n, diffusion, reaction):
-        self.n, j = n, np.arange(1, n)
-        self._sine = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(j, j) / n)  # orthonormal, symmetric
-        t = 2.0 - 2.0 * np.cos(np.pi * j / n)
-        self._lam = diffusion * (t[:, None] + t) + reaction / n**2
+        self.n, self.diffusion, self.reaction = n, diffusion, reaction
+
+    @cached_property
+    def _sine(self):
+        j = np.arange(1, self.n)
+        return np.sqrt(2.0 / self.n) * np.sin(np.pi * np.outer(j, j) / self.n)  # orthonormal, symmetric
+
+    @cached_property
+    def _lam(self):
+        t = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, self.n) / self.n)
+        return self.diffusion * (t[:, None] + t) + self.reaction / self.n**2
+
+    @cached_property
+    def class_holds_lambda_min(self) -> bool:
         # M >= (diffusion - q) K5 + 4q, q = reaction / 4n^2 (the mass stencil is
         # >= 2 - K5/2 element areas), and K5 >= k12 off the symmetry class of
         # sin(pi a/n) sin(pi b/n), whose lowest M-value is <= C's, diffusion k11 + 4q
+        n = self.n
         k11, k12 = (4.0 - 2.0 * np.cos(np.pi / n) - 2.0 * np.cos(a * np.pi / n) for a in (1, 2))
-        self.class_holds_lambda_min = diffusion * k11 <= (diffusion - reaction / (4 * n**2)) * k12
+        return bool(self.diffusion * k11 <= (self.diffusion - self.reaction / (4 * n**2)) * k12)
 
-    def __call__(self, v):  # C^{-1} v, for a vector or an (N, 1) block
+    def __call__(self, v):  # C^{-1} v
         s, w = self._sine, v.reshape(self.n - 1, self.n - 1)
         return (s @ (s @ w @ s / self._lam) @ s).reshape(v.shape)
 
     def lowest_eigenvalue(self, csr) -> float:
-        """lambda_min of ``csr`` by LOBPCG with C from sin(pi a/n) sin(pi b/n),
-        to residual 1e-10 rq (rq: the start's Rayleigh quotient). The start
-        keeps its class under the mesh's symmetries, so this is lambda_min
-        only when ``class_holds_lambda_min``, about reaction <= 2.4 diffusion n^2."""
-        start = np.outer(self._sine[0], self._sine[0]).ravel()  # a unit vector
-        tol = 1e-10 * float(start @ (csr @ start))
-        with warnings.catch_warnings():  # stalled runs and the dense path of N < 5 warn
-            warnings.simplefilter("ignore")
-            lam, x = lobpcg(csr, start[:, None], M=self, tol=tol, maxiter=1000, largest=False)
-        if np.linalg.norm(csr @ x[:, 0] - lam[0] * x[:, 0]) > 2.0 * tol:
-            raise NonConvergenceError("LOBPCG eigenvalue iteration did not converge")
-        return float(lam[0])
+        """lambda_min of ``csr`` by single-vector LOPCG (Knyazev 2001) with C,
+        from x = sin(pi a/n) sin(pi b/n), to residual ||Mx - rq x|| <= tol =
+        1e-10 rq (rq: the start's Rayleigh quotient). Each step is one
+        Rayleigh-Ritz on span{x, w, p}: w = C^{-1}(Mx - (x^T Mx) x), made
+        orthogonal to x, and p the previous step's move, each of unit norm;
+        p is left out for a step whose 3 x 3 Gram matrix is not positive
+        definite. M x and M p are updated with x and p, so each step takes
+        one product with M. The loop stops on that recursive M x, then M x is
+        recomputed and the residual rechecked against 2 tol; the value
+        returned is x^T M x. The start keeps its class under the mesh's
+        symmetries, so this is lambda_min only when ``class_holds_lambda_min``,
+        about reaction <= 2.4 diffusion n^2."""
+        x = np.outer(self._sine[0], self._sine[0]).ravel()  # a unit vector
+        # rows x, w, p, and M times each; p joins from the second step
+        basis, images = np.empty((3, len(x))), np.empty((3, len(x)))
+        basis[0], images[0] = x, csr @ x
+        tol = 1e-10 * float(x @ images[0])
+        rows = 2
+        for _ in range(1000):
+            x, mx = basis[0], images[0]
+            residual = mx - (x @ mx) * x
+            if np.linalg.norm(residual) <= tol:  # on the recursive M x: recheck
+                mx = csr @ x
+                lam = float(x @ mx)
+                if np.linalg.norm(mx - lam * x) > 2.0 * tol:
+                    break
+                return lam
+            w = self(residual)
+            w -= (x @ w) * x
+            basis[1] = w / np.linalg.norm(w)
+            images[1] = csr @ basis[1]
+            for rows in (rows, 2):  # with p if it can, then without
+                try:
+                    gram = basis[:rows] @ basis[:rows].T
+                    coef = eigh(basis[:rows] @ images[:rows].T, gram, check_finite=False)[1][:, 0]
+                    break
+                except LinAlgError:  # the Gram matrix is not positive definite
+                    continue
+            else:
+                break
+            p, mp = coef[1:] @ basis[1:rows], coef[1:] @ images[1:rows]
+            x, mx = coef[0] * x + p, coef[0] * mx + mp
+            x_norm, p_norm = np.linalg.norm(x), np.linalg.norm(p)
+            basis[0], images[0] = x / x_norm, mx / x_norm
+            rows = 3 if p_norm > 0.0 else 2  # a step that left x in place has no p
+            if rows == 3:
+                basis[2], images[2] = p / p_norm, mp / p_norm
+        raise NonConvergenceError("LOPCG eigenvalue iteration did not converge")
 
 
 class SparseSymMatrix:
@@ -193,7 +245,7 @@ class SparseSymMatrix:
     2D stencil assembly.
 
     Linear algebra stays sparse. The first call that needs it (``is_spd``;
-    ``solve`` without a preconditioner; ``extremes`` unless LOBPCG runs)
+    ``solve`` without a preconditioner; ``extremes`` unless LOPCG runs)
     packs the upper band of the CSR arrays (half-bandwidth bw, the largest
     j - i of a stored entry) into LAPACK's (bw + 1) x n layout and takes its
     band Cholesky factor M = R^T R once, caching it (or its failure); no other
@@ -303,9 +355,10 @@ class SparseSymMatrix:
     def extremes(self) -> tuple[float, float]:
         """(lambda_min, an upper bound on lambda_max) of an SPD matrix, cached.
 
-        lambda_min, to rounding level: LOBPCG with the preconditioner where its
-        start's class holds lambda_min, else shift-invert Lanczos at 0 on the
-        cached band factor (ARPACK, fixed start). The upper end is the
+        lambda_min, to rounding level: the preconditioner's LOPCG loop
+        (``SineTransformPreconditioner.lowest_eigenvalue``) where its start's
+        class holds lambda_min, else shift-invert Lanczos at 0 on the cached
+        band factor (ARPACK, fixed start). The upper end is the
         Collatz-Wielandt bound max_i (|M| w)_i / w_i >= rho(|M|) >= lambda_max
         after 8 power steps on |M| from w = 1, raised by a relative 1e-12 so
         that rounding cannot put it below lambda_max. On stiffness matrices
@@ -315,8 +368,8 @@ class SparseSymMatrix:
         the eigensolver does not converge.
         """
         if self._extremes is None:
-            by_lobpcg = self._precond is not None and self._precond.class_holds_lambda_min
-            if not by_lobpcg and not self.is_spd():
+            by_lopcg = self._precond is not None and self._precond.class_holds_lambda_min
+            if not by_lopcg and not self.is_spd():
                 raise ValidationError("matrix is singular or indefinite")
             # w stays positive: an SPD matrix has a positive diagonal
             absm, w = abs(self._csr), np.ones(self.n)
@@ -325,7 +378,7 @@ class SparseSymMatrix:
                 bound = float((y / w).max())
                 w = y / y.max()
             lam_min = float(self._csr.data[0])  # ARPACK needs n > 1
-            if by_lobpcg:
+            if by_lopcg:
                 lam_min = self._precond.lowest_eigenvalue(self._csr)
             elif self.n > 1:
                 band_solve = partial(cho_solve_banded, (self._chol, False), check_finite=False)
@@ -343,8 +396,7 @@ class SparseSymMatrix:
 # assembly
 
 def _check_pair(mesh: Mesh, spec: BasisSpec):
-    expected_nodes = mesh.n * spec.k + 1 if mesh.dimension == 1 else mesh.n_vertices
-    if spec.n_nodes != expected_nodes or len(spec.element_nodes) != mesh.n_elements:
+    if spec.mesh != mesh:
         raise ValidationError("basis was not built for this mesh")
 
 
@@ -458,7 +510,7 @@ def element_quadrature_1d(mesh: Mesh, p: int):
     """p-point Gauss-Legendre rule on every element of a 1D mesh: points
     (n_elements, p) in element order and the weights (p,) of [0, 1]."""
     xs, ws = _gauss01(p)
-    return mesh.vertices[mesh.elements[:, 0]] + mesh.h * xs, ws
+    return (np.arange(mesh.n) / mesh.n)[:, None] + mesh.h * xs, ws
 
 
 def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> np.ndarray:

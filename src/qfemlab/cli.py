@@ -41,7 +41,7 @@ from .errors import (
 )
 from .lowerbounds import BumpOracle, aligned_probability, hybrid_experiment, make_blackbox_pair, oracle_search_demo
 from .mesh import prolongation
-from .problems import ProblemSpec, analytic_solution_1d, derive_sobolev, discretize, mesh_size
+from .problems import ProblemSpec, analytic_solution_1d, discretize, mesh_size
 from .quantum import SampleBudget, estimate_functional
 from .resources import SobolevData, classical_cost, exponent_table, quantum_cost
 from .solver import conjugate_gradient, estimate_condition_number
@@ -125,7 +125,7 @@ def convergence_report(problem: ProblemSpec, levels: int) -> dict:
         gram_f = assemble_gram(mesh_f, spec_f)
 
         def error(mesh, spec, coeffs):
-            e = coeffs_f - prolongation(mesh, spec, mesh_f, spec_f) @ coeffs
+            e = coeffs_f - prolongation(spec, spec_f, coeffs)
             return float(np.sqrt(max(e @ (gram_f @ e), 0.0)))  # >= 0 up to rounding
     rows = []
     for n in ns:
@@ -179,7 +179,7 @@ def _model_costs(d: int, k: int, eps: float, sob: SobolevData):
 def plan_report(problem: ProblemSpec) -> dict:
     """Mesh size, model costs and, when assemblable, the budget split that
     ``simulate`` runs with."""
-    n_model, kappa_model, costs = _model_costs(problem.d, problem.k, problem.eps, derive_sobolev(problem))
+    n_model, kappa_model, costs = _model_costs(problem.d, problem.k, problem.eps, problem.solution_sobolev)
     out = {
         "meta": _meta(problem, problem.seed),
         "h": mesh_size(problem, problem.eps)[1],

@@ -2,100 +2,84 @@
 
 Only uniform subdivisions of [0, 1] and [0, 1]^2 are supported: the
 eigenvalue scaling studies, the 2D stencil assembly and the prolongation
-all rely on regular spacing. Vertex coordinates are computed as i/n (never
+all rely on regular spacing. A mesh is its dimension and its number of
+subdivisions per side n: h and the element count are closed forms, and the
+vertex coordinates and element connectivity are computed on first use,
+which no 2D report makes. Vertex coordinates are computed as i/n (never
 accumulated), so refining a mesh halves h exactly in floating point.
 
 Boundary conditions are fixed: in 1D the left endpoint is Dirichlet and the
 right endpoint Neumann (u(0) = u'(1) = 0); in 2D all four sides of the unit
-square are homogeneous Dirichlet.
+square are homogeneous Dirichlet. ``build_basis`` takes the constrained
+nodes from n.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import UnsupportedConfigurationError, ValidationError
-
-INTERIOR = 0
-DIRICHLET = 1
-NEUMANN = 2
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform mesh of [0,1] (intervals) or [0,1]^2 (right triangles).
+    """Uniform mesh of [0,1] (n intervals) or [0,1]^2 (n^2 cells, each split
+    into two right triangles along its (0,0)-(1,1) diagonal).
 
-    Attributes
-    ----------
-    dimension : 1 or 2
-    n : subdivisions per side
-    vertices : (n_vertices, dimension) array of coordinates
-    elements : (n_elements, dimension + 1) array of vertex indices
-    h : greatest edge length over all elements
-    boundary_flags : per-vertex marker (INTERIOR / DIRICHLET / NEUMANN)
+    ``vertices``, the (n+1)^dimension x dimension coordinates with vertex
+    (i, j) of the square at j(n+1) + i, and ``elements``, the n_elements x
+    (dimension + 1) vertex indices, are computed on first use.
     """
 
     dimension: int
     n: int
-    vertices: np.ndarray
-    elements: np.ndarray
-    h: float
-    boundary_flags: np.ndarray
 
     @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
+    def h(self) -> float:
+        """The greatest edge length over all elements."""
+        return 1.0 / self.n if self.dimension == 1 else np.sqrt(2.0) / self.n
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
+        return self.n if self.dimension == 1 else 2 * self.n**2
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        xs = np.arange(self.n + 1, dtype=float) / self.n
+        if self.dimension == 1:
+            return xs.reshape(-1, 1)
+        gx, gy = np.meshgrid(xs, xs, indexing="xy")
+        return np.column_stack([gx.ravel(), gy.ravel()])
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        n = self.n
+        if self.dimension == 1:
+            return np.column_stack([np.arange(n), np.arange(1, n + 1)])
+        # cell (i, j), row by row: lower-left vertex j(n+1) + i
+        v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+        v10, v01 = v00 + 1, v00 + n + 1
+        v11 = v01 + 1
+        lower = np.column_stack([v00, v10, v11])  # eta <= xi
+        upper = np.column_stack([v00, v11, v01])  # eta >= xi
+        return np.stack([lower, upper], axis=1).reshape(-1, 3)
 
 
 def build_interval_mesh(n_elements: int) -> Mesh:
-    """Uniform mesh of [0, 1] with n_elements intervals of size 1/n.
-
-    The left endpoint is flagged Dirichlet and the right endpoint Neumann,
-    matching the model problem u(0) = u'(1) = 0.
-    """
+    """Uniform mesh of [0, 1] with n_elements intervals of size 1/n."""
     if n_elements < 1:
         raise ValidationError(f"n_elements must be >= 1, got {n_elements}")
-    n = int(n_elements)
-    vertices = (np.arange(n + 1, dtype=float) / n).reshape(-1, 1)
-    elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    flags = np.full(n + 1, INTERIOR, dtype=np.int8)
-    flags[0] = DIRICHLET
-    flags[-1] = NEUMANN
-    return Mesh(1, n, vertices, elements, 1.0 / n, flags)
+    return Mesh(1, int(n_elements))
 
 
 def build_square_triangulation(n_per_side: int) -> Mesh:
     """Uniform triangulation of [0, 1]^2: n^2 cells, each split into two
-    right triangles along the (0,0)-(1,1) cell diagonal. h = sqrt(2)/n.
-
-    All four sides are flagged Dirichlet.
-    """
+    right triangles along the (0,0)-(1,1) cell diagonal. h = sqrt(2)/n."""
     if n_per_side < 1:
         raise ValidationError(f"n_per_side must be >= 1, got {n_per_side}")
-    n = int(n_per_side)
-    xs = np.arange(n + 1, dtype=float) / n
-    gx, gy = np.meshgrid(xs, xs, indexing="xy")
-    vertices = np.column_stack([gx.ravel(), gy.ravel()])
-
-    # cell (i, j), row by row: lower-left vertex j(n+1) + i
-    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
-    v10, v01 = v00 + 1, v00 + n + 1
-    v11 = v01 + 1
-    lower = np.column_stack([v00, v10, v11])  # eta <= xi
-    upper = np.column_stack([v00, v11, v01])  # eta >= xi
-    elements = np.stack([lower, upper], axis=1).reshape(-1, 3)
-
-    ii = np.tile(np.arange(n + 1), n + 1)
-    jj = np.repeat(np.arange(n + 1), n + 1)
-    on_boundary = (ii == 0) | (ii == n) | (jj == 0) | (jj == n)
-    flags = np.where(on_boundary, DIRICHLET, INTERIOR).astype(np.int8)
-    return Mesh(2, n, vertices, elements, np.sqrt(2.0) / n, flags)
+    return Mesh(2, int(n_per_side))
 
 
 @dataclass(frozen=True)
@@ -105,56 +89,58 @@ class BasisSpec:
     Nodes include the Dirichlet-constrained ones; dofs are the subset kept
     in the assembled system (all nodes when the Dirichlet nodes are left
     unconstrained). Each basis function is supported on O(1) elements.
+    ``nodes`` ((n_nodes, d) coordinates) and ``element_nodes`` ((n_elements,
+    nodes per element) node ids) are computed on first use.
     """
 
+    mesh: Mesh
     k: int
-    n_dofs: int
-    nodes: np.ndarray          # (n_nodes, d) coordinates of all nodes
-    element_nodes: np.ndarray  # (n_elements, nodes per element) node ids
-    dof_nodes: np.ndarray      # dof index -> node id
-    node_dofs: np.ndarray      # node id -> dof index, -1 if constrained
+    dof_nodes: np.ndarray  # dof index -> node id
+    node_dofs: np.ndarray  # node id -> dof index, -1 if constrained
+
+    @property
+    def n_dofs(self) -> int:
+        return len(self.dof_nodes)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_dofs)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        if self.mesh.dimension == 2:
+            return self.mesh.vertices
+        return (np.arange(self.n_nodes, dtype=float) / (self.mesh.n * self.k)).reshape(-1, 1)
+
+    @cached_property
+    def element_nodes(self) -> np.ndarray:
+        if self.mesh.dimension == 2:
+            return self.mesh.elements
+        return np.arange(self.mesh.n)[:, None] * self.k + np.arange(self.k + 1)
 
 
 def build_basis(mesh: Mesh, k: int, constrain_dirichlet: bool = True) -> BasisSpec:
-    """Build the nodal basis of degree k (1..3 in 1D; k must be 1 in 2D)."""
+    """Build the nodal basis of degree k (1..3 in 1D; k must be 1 in 2D).
+    The Dirichlet nodes are node 0 in 1D and the boundary of the (n+1)^2
+    vertex grid in 2D."""
+    n = mesh.n
     if mesh.dimension == 1:
         if k not in (1, 2, 3):
             raise UnsupportedConfigurationError(f"1D degree must be 1..3, got {k}")
-        n = mesh.n
-        n_nodes = n * k + 1
-        coords = (np.arange(n_nodes, dtype=float) / (n * k)).reshape(-1, 1)
-        element_nodes = np.arange(n)[:, None] * k + np.arange(k + 1)
-        constrained_nodes = np.zeros(n_nodes, dtype=bool)
-        if constrain_dirichlet:
-            constrained_nodes[0] = mesh.boundary_flags[0] == DIRICHLET
+        free = np.ones(n * k + 1, dtype=bool)
+        free[0] = not constrain_dirichlet
     elif mesh.dimension == 2:
         if k != 1:
             raise UnsupportedConfigurationError("2D supports k = 1 only")
-        coords = mesh.vertices
-        element_nodes = mesh.elements
-        constrained_nodes = (
-            mesh.boundary_flags == DIRICHLET
-            if constrain_dirichlet
-            else np.zeros(mesh.n_vertices, dtype=bool)
-        )
+        inside = np.ones(n + 1, dtype=bool)
+        inside[[0, n]] = not constrain_dirichlet
+        free = (inside[:, None] & inside).ravel()  # vertex (i, j) at j(n+1) + i
     else:
         raise UnsupportedConfigurationError(f"dimension {mesh.dimension}")
-
-    dof_nodes = np.nonzero(~constrained_nodes)[0]
-    node_dofs = np.full(len(coords), -1, dtype=int)
+    dof_nodes = np.flatnonzero(free)
+    node_dofs = np.full(len(free), -1)
     node_dofs[dof_nodes] = np.arange(len(dof_nodes))
-    return BasisSpec(
-        k=k,
-        n_dofs=len(dof_nodes),
-        nodes=coords,
-        element_nodes=element_nodes,
-        dof_nodes=dof_nodes,
-        node_dofs=node_dofs,
-    )
+    return BasisSpec(mesh, k, dof_nodes, node_dofs)
 
 
 # Barycentric coordinates on the two reference triangles of a cell, as
@@ -164,43 +150,47 @@ def build_basis(mesh: Mesh, k: int, constrain_dirichlet: bool = True) -> BasisSp
 TRIANGLE_GRADS = (np.array([[-1, 0], [1, -1], [0, 1]]), np.array([[0, -1], [1, 0], [-1, 1]]))
 
 
-def prolongation(coarse: Mesh, coarse_spec: BasisSpec, fine: Mesh, fine_spec: BasisSpec):
-    """Sparse P_{c->f} holding the coarse basis values at the fine nodes:
-    rows are fine dofs, columns coarse dofs, so P u_c is the coarse function
-    in the fine basis. The fine mesh must refine the coarse one (same
-    dimension and degree, n_f a multiple of n_c); the spaces are then
-    nested and P u_c is exact. Built by index arithmetic on integers, so
-    every value is a ratio of two integers rounded once. A constrained
-    node's value is zero in both spaces, so its row or column is left out.
+def prolongation(coarse_spec: BasisSpec, fine_spec: BasisSpec, u_c: np.ndarray) -> np.ndarray:
+    """P u_c: the coarse function with dof values ``u_c`` in the fine basis,
+    one value per fine dof. The fine mesh must refine the coarse one (same
+    dimension and degree, n_f a multiple of n_c); the spaces are then nested
+    and P u_c is exact. The weights come from index arithmetic on integers,
+    so each is a ratio of two integers rounded once; a fine node's value is
+    its weighted coarse nodal values added in ascending coarse node order,
+    constrained coarse nodes reading zero.
     """
+    coarse, fine = coarse_spec.mesh, fine_spec.mesh
     r, rem = divmod(fine.n, coarse.n)
     if fine.dimension != coarse.dimension or fine_spec.k != coarse_spec.k or rem:
         raise ValidationError("the fine mesh and basis do not refine the coarse ones")
+    nodal = np.zeros(coarse_spec.n_nodes)
+    nodal[coarse_spec.dof_nodes] = u_c
     if fine.dimension == 1:
         k = fine_spec.k
         m = np.arange(fine.n * k + 1)  # fine node m sits at m / (n_f k)
         e = np.minimum(m // (r * k), coarse.n - 1)
         q = m - e * r * k  # k t = q / r, t the node's coordinate in coarse element e
-        nodes = e[:, None] * k + np.arange(k + 1)
         # l_j(t) = prod_{l != j} (kt - l) / (j - l) = prod (q - l r) / ((j - l) r)
-        num, den = np.ones((len(m), k + 1), dtype=np.int64), np.ones(k + 1, dtype=np.int64)
+        out = np.zeros(len(m))
         for j in range(k + 1):
+            num, den = np.ones(len(m), dtype=np.int64), 1
             for l in range(k + 1):
                 if l != j:
-                    num[:, j] *= q - l * r
-                    den[j] *= (j - l) * r
-        vals = num / den
+                    num *= q - l * r
+                    den *= (j - l) * r
+            out += num / den * nodal[e * k + j]
     else:
         # coarse cell (ci, cj) holds fine vertex (I, J) at (a, b) / r in the
-        # cell; its barycentric weights, times r
+        # cell; its barycentric weights, times r, for v00, v10, v01, v11
         nc = coarse.n
-        I, J = np.tile(np.arange(fine.n + 1), fine.n + 1), np.repeat(np.arange(fine.n + 1), fine.n + 1)
-        ci, cj = np.minimum(I // r, nc - 1), np.minimum(J // r, nc - 1)
-        a, b = I - ci * r, J - cj * r
-        nodes = (cj * (nc + 1) + ci)[:, None] + np.array([0, 1, nc + 1, nc + 2])  # v00, v10, v01, v11
-        vals = np.column_stack([r - np.maximum(a, b), np.maximum(a - b, 0), np.maximum(b - a, 0), np.minimum(a, b)]) / r
-    # dofs number the free nodes in node order, so each row's columns ascend
-    cols = coarse_spec.node_dofs[nodes]
-    keep = (vals != 0.0) & (cols >= 0) & (fine_spec.node_dofs >= 0)[:, None]
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1)[fine_spec.dof_nodes])])
-    return sp.csr_array((vals[keep], cols[keep], indptr), shape=(fine_spec.n_dofs, coarse_spec.n_dofs))
+        c = np.minimum(np.arange(fine.n + 1) // r, nc - 1)  # the coarse cell of each fine grid line
+        a = np.arange(fine.n + 1) - c * r
+        b = a[:, None]
+        grid = nodal.reshape(nc + 1, nc + 1)  # [cj, ci]
+        columns = grid.take(c, axis=1), grid.take(c + 1, axis=1)
+        out = np.zeros((fine.n + 1, fine.n + 1))  # [J, I]
+        weights = (r - np.maximum(a, b), np.maximum(a - b, 0), np.maximum(b - a, 0), np.minimum(a, b))
+        for w, (dj, di) in zip(weights, ((0, 0), (0, 1), (1, 0), (1, 1))):
+            out += w / r * columns[di].take(c + dj, axis=0)
+        out = out.ravel()
+    return out[fine_spec.dof_nodes]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -80,6 +81,20 @@ class ProblemSpec:
         """Whether this problem can be meshed and solved (d <= 2), as
         opposed to resource-model-only dimensions."""
         return self.d in (1, 2)
+
+    @cached_property
+    def solution_sobolev(self) -> SobolevData:
+        """Solution Sobolev data: the explicit override if present, else the
+        seminorms of orders 0..k+1 of the analytic polynomial solution (1D,
+        reaction = 0). Derived once per spec object, on first use."""
+        if self.sobolev is not None:
+            return self.sobolev
+        if self.d == 1 and self.reaction == 0.0:
+            return sobolev_from_poly(analytic_solution_1d(self.f_array(), self.diffusion), self.k + 1)
+        raise UnsupportedConfigurationError(
+            "solution seminorms are required: supply the 'sobolev' field for "
+            "problems without an analytic polynomial solution"
+        )
 
     def f_array(self) -> np.ndarray:
         return coefficient_array(self.f, self.d)
@@ -197,29 +212,13 @@ def exact_functional_1d(u_coeffs, r_coeffs) -> float:
     return float(sum(prod[i] / (i + 1) for i in range(len(prod))))
 
 
-def derive_sobolev(problem: ProblemSpec) -> SobolevData:
-    """Solution Sobolev data: the explicit override if present, else the
-    seminorms of orders 0..k+1 of the analytic polynomial solution (1D,
-    reaction = 0)."""
-    if problem.sobolev is not None:
-        return problem.sobolev
-    if problem.d == 1 and problem.reaction == 0.0:
-        u = analytic_solution_1d(problem.f_array(), problem.diffusion)
-        return sobolev_from_poly(u, problem.k + 1)
-    raise UnsupportedConfigurationError(
-        "solution seminorms are required: supply the 'sobolev' field for "
-        "problems without an analytic polynomial solution"
-    )
-
-
 # ---------------------------------------------------------------------------
 # discretisation
 
 def mesh_size(problem: ProblemSpec, eps: float) -> tuple[int, float]:
     """Subdivisions per side n and mesh size h for target accuracy ``eps``,
     by the size rule in the module docstring."""
-    sob = derive_sobolev(problem)
-    h = choose_mesh_size(eps, sob.seminorm(problem.k + 1), problem.k)
+    h = choose_mesh_size(eps, problem.solution_sobolev.seminorm(problem.k + 1), problem.k)
     return max(1, int(np.ceil(np.sqrt(problem.d) / h))), h
 
 

@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .mesh import BasisSpec, Mesh
-from .problems import ProblemSpec, derive_sobolev, discretize, mesh_size, poly_l2_norm
+from .problems import ProblemSpec, discretize, mesh_size, poly_l2_norm
 from .resources import ErrorBudget, ResourceEstimate, discretisation_share, norm_estimation_cost, qle_cost, split_budget
 from .solver import estimate_condition_number
 
@@ -178,7 +178,7 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
     ``exact_mode`` zeroes the solver, norm and measurement errors so only
     the discretisation term remains.
     """
-    sob = derive_sobolev(problem)
+    sob = problem.solution_sobolev
     if eps > sob.l2_norm:
         raise UnsupportedConfigurationError(f"assumes eps <= ||u|| (eps={eps}, ||u||={sob.l2_norm})")
     n, h = mesh_size(problem, 2.0 * discretisation_share(eps, sob.l2_norm))

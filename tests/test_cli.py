@@ -15,7 +15,8 @@ import pytest
 import numpy as np
 
 from pointwise import evaluate
-from qfemlab import cli
+import qfemlab.assembly
+from qfemlab import BasisSpec, Mesh, cli
 from qfemlab.assembly import element_quadrature_1d
 from qfemlab.cli import main
 from qfemlab.problems import ProblemSpec, analytic_solution_1d, discretize, mesh_size
@@ -98,6 +99,19 @@ def test_convergence_exit_zero(capsys, spec_file, spec):
     art = run_json(capsys, "convergence", "--spec", spec_file(spec), "--levels", "3")
     assert len(art["levels"]) == 3
     assert art["fitted_slope"] == pytest.approx(2.0, abs=0.3)
+
+
+def test_2d_reports_build_no_mesh_arrays_and_no_scipy_eigensolver(capsys, spec_file, monkeypatch):
+    # 2D assembly, loads, solves and the prolongation work from n alone
+    def computed(self):
+        raise AssertionError("a 2D report computed a mesh or basis array")
+
+    for owner, name in ((Mesh, "vertices"), (Mesh, "elements"), (BasisSpec, "nodes"), (BasisSpec, "element_nodes")):
+        monkeypatch.setattr(owner, name, property(computed))
+    path = spec_file(TINY_2D)
+    assert run_json(capsys, "convergence", "--spec", path, "--levels", "3")["reference"] == "fine-mesh solve"
+    assert run_json(capsys, "simulate", "--spec", path, "--seed", "7")["uses_of_state_prep"] > 0
+    assert "lobpcg" not in vars(qfemlab.assembly)
 
 
 def test_model_only_dimension(capsys, spec_file):
@@ -498,6 +512,9 @@ def test_fixed_seed_rerun_byte_identical(capsys, spec_file, tmp_path):
 # Rewrite them from the current program with `PYTHONPATH=src python tests/test_cli.py`,
 # which prints one line per file: whether it changed, the largest relative
 # change over its float leaves, and whether any other leaf changed.
+# `python tests/test_cli.py --compare DIR_A DIR_B` prints the same line for
+# every file under two artifact directories, matched by relative path, and
+# writes nothing.
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SPECS = {"tiny_1d": TINY_1D, "tiny_1d_k2": TINY_1D_K2, "tiny_2d": TINY_2D}
 GOLDEN_RUNS = {
@@ -567,7 +584,58 @@ def test_golden_diff_separates_floats_from_other_leaves():
     assert golden_diff({"a": 1.0}, {"b": 1.0})[1]
 
 
+def diff_line(name: str, old: bytes | None, new: bytes | None) -> str:
+    """One report line on how an artifact ``name`` went from ``old`` to ``new``
+    (None: absent on that side)."""
+    if old is None or new is None:
+        return f"{name}: {'new' if old is None else 'removed'}"
+    if old == new:
+        return f"{name}: unchanged"
+    try:
+        rel, other = golden_diff(json.loads(old), json.loads(new))
+    except ValueError:  # not JSON, such as a CSV table
+        return f"{name}: changed; not JSON"
+    return (
+        f"{name}: changed; largest relative float change {rel:.2e}; "
+        f"integer, string or shape changes: {'yes' if other else 'none'}"
+    )
+
+
+def compare_dirs(dir_a: Path, dir_b: Path) -> list[str]:
+    """``diff_line`` for every file under either directory, by relative path."""
+    files = [{p.relative_to(d).as_posix(): p for p in d.rglob("*") if p.is_file()} for d in (dir_a, dir_b)]
+    return [
+        diff_line(name, *(side[name].read_bytes() if name in side else None for side in files))
+        for name in sorted(files[0].keys() | files[1].keys())
+    ]
+
+
+def test_compare_dirs_reports_each_artifact_and_writes_nothing(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    (a / "sub").mkdir(parents=True)
+    (b / "sub").mkdir(parents=True)
+    (a / "same.json").write_text('{"x": 1.0}')
+    (b / "same.json").write_text('{"x": 1.0}')
+    (a / "sub" / "moved.json").write_text('{"x": 1.0, "n": 3}')
+    (b / "sub" / "moved.json").write_text('{"x": 1.5, "n": 3}')
+    (a / "gone.csv").write_text("a,b\n")
+    (b / "table.csv").write_text("a,b\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert compare_dirs(a, b) == [
+        "gone.csv: removed",
+        "same.json: unchanged",
+        "sub/moved.json: changed; largest relative float change 3.33e-01; integer, string or shape changes: none",
+        "table.csv: new",
+    ]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"]:
+        if len(sys.argv) != 4:
+            raise SystemExit("usage: python tests/test_cli.py --compare DIR_A DIR_B")
+        print("\n".join(compare_dirs(Path(sys.argv[2]), Path(sys.argv[3]))))
+        raise SystemExit(0)
     GOLDEN_DIR.mkdir(exist_ok=True)
     cases = [(spec_name, run_name) for spec_name in GOLDEN_SPECS for run_name in GOLDEN_RUNS]
     for spec_name, run_name in cases + [(None, run_name) for run_name in GOLDEN_TABLES]:
@@ -577,13 +645,4 @@ if __name__ == "__main__":
         path = golden_path(spec_name, run_name)
         old = path.read_bytes() if path.exists() else None
         path.write_bytes(artifact)
-        if old is None:
-            print(f"{path.name}: new")
-        elif old == artifact:
-            print(f"{path.name}: unchanged")
-        else:
-            rel, other = golden_diff(json.loads(old), json.loads(artifact))
-            print(
-                f"{path.name}: changed; largest relative float change {rel:.2e}; "
-                f"integer, string or shape changes: {'yes' if other else 'none'}"
-            )
+        print(diff_line(path.name, old, artifact))

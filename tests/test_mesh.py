@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from pointwise import evaluate
 from qfemlab import ValidationError, build_basis, build_interval_mesh, build_square_triangulation
 from qfemlab.assembly import _reference_lagrange, _reference_values_at
-from qfemlab.mesh import DIRICHLET, INTERIOR, NEUMANN, prolongation
+from qfemlab.mesh import prolongation
 
 
 def test_interval_mesh_uniform_partition():
     m = build_interval_mesh(4)
     assert np.allclose(m.vertices.ravel(), [0.0, 0.25, 0.5, 0.75, 1.0])
     assert m.h == 0.25
-    assert m.boundary_flags[0] == DIRICHLET
-    assert m.boundary_flags[-1] == NEUMANN
-    assert np.all(m.boundary_flags[1:-1] == INTERIOR)
+    # u(0) = 0 constrains the left endpoint only; the Neumann end stays free
+    assert build_basis(m, 1).dof_nodes.tolist() == [1, 2, 3, 4]
 
 
 def test_interval_mesh_degenerate():
@@ -30,7 +29,7 @@ def test_interval_mesh_eight():
     m = build_interval_mesh(8)
     assert m.h == 0.125
     assert m.n_elements == 8
-    assert m.n_vertices == 9
+    assert len(m.vertices) == 9 and len(m.elements) == 8
 
 
 def test_interval_mesh_rejects_zero():
@@ -40,10 +39,12 @@ def test_interval_mesh_rejects_zero():
 
 def test_square_triangulation_counts():
     m1 = build_square_triangulation(1)
-    assert m1.n_elements == 2 and m1.n_vertices == 4
+    assert m1.n_elements == len(m1.elements) == 2 and len(m1.vertices) == 4
     m2 = build_square_triangulation(2)
-    assert m2.n_elements == 8 and m2.n_vertices == 9
-    assert np.all(m2.boundary_flags[[0, 2, 6, 8]] == DIRICHLET)
+    assert m2.n_elements == len(m2.elements) == 8 and len(m2.vertices) == 9
+    # the whole boundary is Dirichlet: only the centre vertex is a dof
+    spec = build_basis(m2, 1)
+    assert spec.dof_nodes.tolist() == [4] and spec.node_dofs[[0, 2, 6, 8]].tolist() == [-1] * 4
 
 
 def test_square_triangulation_h():
@@ -80,9 +81,10 @@ def test_refinement_halves_h_exactly():
 
 def test_tent_values():
     coarse, fine = build_interval_mesh(4), build_interval_mesh(8)
-    # column 0 of P holds dof 0 of the coarse space, which peaks at its node
-    # x = 0.25, at the fine nodes 0.125, 0.25, ..., 1
-    tent = prolongation(coarse, build_basis(coarse, 1), fine, build_basis(fine, 1)).toarray()[:, 0]
+    # P e_0 is dof 0 of the coarse space, which peaks at its node x = 0.25,
+    # at the fine nodes 0.125, 0.25, ..., 1
+    spec_c = build_basis(coarse, 1)
+    tent = prolongation(spec_c, build_basis(fine, 1), np.eye(spec_c.n_dofs)[0])
     assert tent[1] == 1.0  # x = 0.25
     assert tent[2] == 0.5  # x = 0.375
     assert tent[5] == 0.0  # x = 0.75
@@ -100,8 +102,8 @@ def test_partition_of_unity_1d(k):
 def test_partition_of_unity_2d():
     # with every node active the coarse basis functions sum to 1 at every fine node
     coarse, fine = build_square_triangulation(3), build_square_triangulation(12)
-    P = prolongation(coarse, build_basis(coarse, 1, False), fine, build_basis(fine, 1, False))
-    np.testing.assert_allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    spec_c = build_basis(coarse, 1, False)
+    np.testing.assert_allclose(prolongation(spec_c, build_basis(fine, 1, False), np.ones(spec_c.n_dofs)), 1.0, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -128,7 +130,8 @@ def test_lagrange_nodal_property():
         # so on a mesh, P from a space to itself is the identity
         m = build_interval_mesh(3)
         spec = build_basis(m, k)
-        assert np.array_equal(prolongation(m, spec, m, spec).toarray(), np.eye(spec.n_dofs))
+        P = np.column_stack([prolongation(spec, spec, e) for e in np.eye(spec.n_dofs)])
+        assert np.array_equal(P, np.eye(spec.n_dofs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,10 +148,10 @@ def test_prolongation_matches_point_evaluation(dk, n, ratio, constrained, seed):
     coarse, fine = build(n), build(n * ratio)
     spec_c, spec_f = build_basis(coarse, k, constrained), build_basis(fine, k, constrained)
     coeffs = np.random.default_rng(seed).standard_normal(spec_c.n_dofs)
-    P = prolongation(coarse, spec_c, fine, spec_f)
-    assert P.shape == (spec_f.n_dofs, spec_c.n_dofs)
+    fine_coeffs = prolongation(spec_c, spec_f, coeffs)
+    assert fine_coeffs.shape == (spec_f.n_dofs,)
     at_fine_dofs = evaluate(coarse, spec_c, coeffs, spec_f.nodes[spec_f.dof_nodes])
-    np.testing.assert_allclose(P @ coeffs, at_fine_dofs, rtol=0, atol=1e-14 * max(1.0, abs(coeffs).max(initial=0.0)))
+    np.testing.assert_allclose(fine_coeffs, at_fine_dofs, rtol=0, atol=1e-14 * max(1.0, abs(coeffs).max(initial=0.0)))
 
 
 @pytest.mark.parametrize(
@@ -162,4 +165,5 @@ def test_prolongation_matches_point_evaluation(dk, n, ratio, constrained, seed):
 )
 def test_prolongation_rejects_non_nested_meshes(coarse, fine):
     with pytest.raises(ValidationError):
-        prolongation(coarse, build_basis(coarse, 1), fine, build_basis(fine, 1))
+        spec_c = build_basis(coarse, 1)
+        prolongation(spec_c, build_basis(fine, 1), np.zeros(spec_c.n_dofs))

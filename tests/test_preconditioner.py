@@ -1,6 +1,6 @@
 """The 2D sine-transform preconditioner C = diffusion * K5 + reaction/n^2 * I:
 its DST-I solve, the bound C/4 <= M <= C behind preconditioned CG, and the
-LOBPCG lambda_min it drives, checked against dense and factored references."""
+LOPCG lambda_min it drives, checked against dense and factored references."""
 import json
 import os
 import subprocess
@@ -131,15 +131,15 @@ def test_lambda_min_matches_factored_shift_invert(n, reaction):
     assert M.extremes()[0] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, owner=qfemlab.assembly):
     calls = []
-    original = getattr(qfemlab.assembly, name)
+    original = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(0)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(qfemlab.assembly, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -152,7 +152,7 @@ def boundary(n):
 @pytest.mark.parametrize("n", [2, 3, 8, 16])
 def test_mass_bound_behind_the_class_switch(n):
     # R Mass >= (R / n^2)(I - K5 / 4): with the symmetry classes, it decides
-    # when LOBPCG from the symmetric start reaches lambda_min
+    # when LOPCG from the symmetric start reaches lambda_min
     K5 = system(n, 0.0)[0].to_dense()
     mass = system(n, 1.0)[0].to_dense() - K5
     gap = np.linalg.eigvalsh(mass - (np.eye(len(K5)) - K5 / 4) / n**2)
@@ -166,10 +166,11 @@ def test_mass_bound_behind_the_class_switch(n):
 )
 def test_lambda_min_method_follows_the_class_bound(monkeypatch, n, reaction):
     """With reaction >> diffusion n^2 the lowest eigenvector can lie outside
-    the symmetry class of sin(pi a/n) sin(pi b/n), which LOBPCG from that
+    the symmetry class of sin(pi a/n) sin(pi b/n), which LOPCG from that
     start cannot leave (alone it reads 0.5 % high at n = 4, reaction 1e4).
     There extremes() keeps the band factor and shift-invert ARPACK."""
-    runs, factors, arpack = (_count_calls(monkeypatch, name) for name in ("lobpcg", "cholesky_banded", "eigsh"))
+    runs = _count_calls(monkeypatch, "lowest_eigenvalue", SineTransformPreconditioner)
+    factors, arpack = (_count_calls(monkeypatch, name) for name in ("cholesky_banded", "eigsh"))
     M = system(n, reaction)[0]
     ev = np.linalg.eigvalsh(M.to_dense())
     assert abs(M.extremes()[0] - ev[0]) <= 1e-13 * ev[0] + 16 * EPS * ev[-1]
@@ -201,18 +202,32 @@ TINY_2D = {
 
 @pytest.mark.parametrize("command", ["solve", "simulate"])
 def test_stalled_lobpcg_exits_three_without_a_warning(monkeypatch, tmp_path, capsys, command):
-    def stalled(A, X, **kwargs):
-        warnings.warn("Exited at iteration 1 not reaching the requested tolerance", UserWarning)
-        x = X / np.linalg.norm(X)
-        return np.array([x[:, 0] @ (A @ x[:, 0])]), x
-
-    monkeypatch.setattr(qfemlab.assembly, "lobpcg", stalled)
+    # a Rayleigh-Ritz step that keeps x where it is: every LOPCG step stalls
+    # until the 1000-step cap
+    steps = _count_calls(monkeypatch, "__call__", SineTransformPreconditioner)
+    monkeypatch.setattr(qfemlab.assembly, "eigh", lambda a, b, **kwargs: (np.diag(a), np.eye(len(a))))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(TINY_2D))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main([command, "--spec", str(spec)]) == 3
-    assert "LOBPCG eigenvalue iteration did not converge" in capsys.readouterr().err
+    assert "LOPCG eigenvalue iteration did not converge" in capsys.readouterr().err
+    assert len(steps) >= 1000  # simulate's PCG solve applies C^{-1} too
+
+
+@pytest.mark.parametrize("n", [16, 64, 126])
+def test_lambda_min_just_inside_the_class_bound_matches_the_factored_oracle(monkeypatch, n):
+    # the clustered low spectrum near the bound is LOPCG's slowest regime
+    # (83 steps at n = 64, 157 at n = 126); each step applies C^{-1} once
+    steps = _count_calls(monkeypatch, "__call__", SineTransformPreconditioner)
+    M = system(n, 0.99 * boundary(n))[0]
+    lam_min = M.extremes()[0]
+    assert 0 < len(steps) < 1000
+    csc = M.csr.tocsc()
+    inv = LinearOperator(csc.shape, matvec=splu(csc).solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(M.n)
+    ref = eigsh(csc, k=1, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False)[0]
+    assert lam_min == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_2d_cap_fits_one_gib_within_three_seconds():

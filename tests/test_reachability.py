@@ -24,6 +24,7 @@ ALLOWED = {
     "to_dense": "test reference: the dense matrix behind every eigvalsh/solve cross-check",
     "from_dense": "test constructor for small hand-written matrices",
     "identity": "test constructor for the identity cases of CG and norm estimation",
+    "nodes": "test reference: node coordinates for the pointwise oracle behind the prolongation and load tests",
 }
 
 ALLOWED_KNOBS = {

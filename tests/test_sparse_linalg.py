@@ -366,7 +366,7 @@ def test_reports_factor_each_assembled_matrix_once(monkeypatch, payload, report)
     """solve and simulate assemble one matrix, convergence one per level plus,
     in 2D, a reference and its Gram matrix (SPEC_1D has the analytic
     solution). 1D factors each once; 2D solves by sine-transform
-    preconditioned CG and LOBPCG, with no band factor and no ARPACK call."""
+    preconditioned CG and LOPCG, with no band factor and no ARPACK call."""
     calls = _count_factorisations(monkeypatch)
     matrices, arpack = [], []
     adopt, eigsh = SparseSymMatrix._adopt, qfemlab.assembly.eigsh
