@@ -9,19 +9,14 @@ pure diffusion gives the five-point stencil 4 * diffusion and -diffusion
 exactly. Loads use Gauss-Legendre quadrature with enough points to be exact
 for polynomial data up to degree 8.
 
-1D matrices and loads are batched over elements: the element matrices, or
-the load contributions at all quadrature points of all elements, are formed
-in one broadcast, then scattered to the dofs in element order (a COO build
-for matrices, one ``np.bincount`` for loads), so duplicates sum in a fixed
-order. 2D matrices and loads are stencils on the uniform triangulation, one
-per triangle shape, added onto the vertex grid by slices: the two element
-matrices, one array per coupling direction, written out as CSR rows
-directly; and the load by sum factorisation, f evaluated one axis at a
-time on the grid of quadrature points.
-
-Meshes carry only their dimension and n. The 2D stencils work on the
-vertex grid and never read vertex coordinates or element lists; 1D reads
-only its basis's element-to-node map.
+Matrices and loads are stencils on the uniform mesh, added onto its nodes
+by strided slices, one per local node (pair): on the node line in 1D,
+where element e's local node a is node e k + a, and on the vertex grid in
+2D, one stencil per triangle shape and one array per coupling direction.
+Every matrix row is then written out as CSR directly by one builder for
+both dimensions. The 2D load is formed by sum factorisation, f evaluated
+one axis at a time on the grid of quadrature points. Nothing reads vertex
+coordinates or element lists: meshes carry only their dimension and n.
 
 Dofs are numbered along the line (1D) or row by row (2D), so every
 assembled matrix is banded, with half-bandwidth at most k in 1D and n in
@@ -239,10 +234,9 @@ class SparseSymMatrix:
     no duplicates).
 
     Immutable by convention. ``s`` is the maximum number of nonzeros per row.
-    The constructor checks symmetry (to a relative 1e-14, in O(nnz)). Two
-    other constructions are symmetric bit for bit by design and skip the
-    check through ``_symmetric``: ``from_upper_coo`` (1D assembly) and the
-    2D stencil assembly.
+    The constructor checks symmetry (to a relative 1e-14, in O(nnz)). The
+    stencil assembly is symmetric bit for bit by design and skips the check
+    through ``_symmetric``.
 
     Linear algebra stays sparse. The first call that needs it (``is_spd``;
     ``solve`` without a preconditioner; ``extremes`` unless LOPCG runs)
@@ -276,25 +270,6 @@ class SparseSymMatrix:
         self.n = csr.shape[0]
         self.s = int(np.diff(csr.indptr).max()) if self.n else 0
         self._chol = self._extremes = self._precond = None
-
-    @classmethod
-    def from_upper_coo(cls, n, rows, cols, vals):
-        """Build from upper-triangle COO entries (i <= j), unchecked: duplicates
-        sum in input order, zero sums are dropped and the strict upper part is
-        mirrored, so (i,j) and (j,i) are bit-identical."""
-        rows = np.asarray(rows, dtype=int)
-        cols = np.asarray(cols, dtype=int)
-        vals = np.asarray(vals, dtype=float)
-        if np.any(rows > cols):
-            raise ValidationError("from_upper_coo expects entries with i <= j")
-        upper = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
-        upper.eliminate_zeros()
-        upper = upper.tocoo()
-        r, c, v, low = upper.row, upper.col, upper.data, upper.row < upper.col
-        # COO -> CSR keeps input order within a row: the mirrored entries come
-        # first, ascending as the upper rows run, so every row comes out sorted
-        full = sp.coo_array((np.concatenate([v[low], v]), (np.concatenate([c[low], r]), np.concatenate([r[low], c]))), shape=(n, n))
-        return cls._symmetric(full.tocsr())
 
     @classmethod
     def from_dense(cls, a):
@@ -401,21 +376,35 @@ def _check_pair(mesh: Mesh, spec: BasisSpec):
 
 
 def _assemble_bilinear(mesh: Mesh, spec: BasisSpec, diffusion: float, reaction: float) -> SparseSymMatrix:
-    """1D: the upper triangles of all element matrices in one broadcast, then
-    one COO build in element order (so duplicates sum in a fixed order).
-    2D: the stencil build of ``_assemble_stencil_2d``."""
+    """1D: element e's local node a is node e k + a on the line of n k + 1
+    nodes, so row m of the (n k + 1, 2k + 1) stencil holds the entries for
+    columns m - k .. m + k, and each local entry (a, b) is one strided slice.
+    A node shares at most two elements, so every entry is a sum of at most
+    two terms, the same in any order. 2D: the stencil build of
+    ``_assemble_stencil_2d``."""
     if mesh.dimension == 2:
         return _assemble_stencil_2d(mesh, spec, diffusion, reaction)
-    gids = spec.node_dofs[spec.element_nodes]  # (n_elements, m), -1 if constrained
-    a, b = np.triu_indices(gids.shape[1])
-    kref, mref = _reference_matrices(spec.k)
-    h = mesh.h
-    local = (diffusion * kref / h + reaction * mref * h)[a, b]
-    ia, ib = gids[:, a], gids[:, b]
-    vals = np.broadcast_to(local, ia.shape)
-    keep = (ia >= 0) & (ib >= 0)
-    ia, ib, vals = ia[keep], ib[keep], vals[keep]
-    return SparseSymMatrix.from_upper_coo(spec.n_dofs, np.minimum(ia, ib), np.maximum(ia, ib), vals)
+    n, k = mesh.n, spec.k
+    kref, mref = _reference_matrices(k)
+    local = diffusion * kref / mesh.h + reaction * mref * mesh.h
+    vals = np.zeros((n * k + 1, 2 * k + 1))
+    for a in range(k + 1):
+        for b in range(k + 1):
+            vals[a:a + n * k:k, k + b - a] += local[a, b]
+    line = np.full(n * k + 1 + 2 * k, -1)  # the dofs of nodes -k .. n k + k, -1 off the line
+    line[k:-k] = spec.node_dofs
+    cols = line[np.arange(n * k + 1)[:, None] + np.arange(2 * k + 1)]
+    return _node_rows_to_csr(spec, vals, cols)
+
+
+def _node_rows_to_csr(spec: BasisSpec, vals, cols) -> SparseSymMatrix:
+    """M from one row per node: (n_nodes, width) values and their dof
+    columns, -1 off the dofs, ascending along each row. Dofs number the free
+    nodes in node order, so keeping the nonzero entries of free rows and
+    free columns leaves canonical CSR."""
+    keep = (vals != 0.0) & (cols >= 0) & (spec.node_dofs >= 0)[:, None]
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1)[spec.dof_nodes])])
+    return SparseSymMatrix._symmetric(sp.csr_array((vals[keep], cols[keep], indptr), shape=(spec.n_dofs, spec.n_dofs)))
 
 
 def _assemble_stencil_2d(mesh: Mesh, spec: BasisSpec, diffusion: float, reaction: float) -> SparseSymMatrix:
@@ -463,9 +452,7 @@ def _assemble_stencil_2d(mesh: Mesh, spec: BasisSpec, diffusion: float, reaction
     ).reshape(-1, 7)
     steps = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
     cols = np.stack([offset(dof, dj, di) for dj, di in steps], axis=-1).reshape(-1, 7)
-    keep = (vals != 0.0) & (cols >= 0) & (spec.node_dofs >= 0)[:, None]
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1)[spec.dof_nodes])])
-    M = SparseSymMatrix._symmetric(sp.csr_array((vals[keep], cols[keep], indptr), shape=(spec.n_dofs, spec.n_dofs)))
+    M = _node_rows_to_csr(spec, vals, cols)
     if spec.n_dofs == (n - 1) ** 2:
         M._precond = SineTransformPreconditioner(n, diffusion, reaction)
     return M
@@ -518,13 +505,14 @@ def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> np.ndarray:
 
     ``f`` is given as polynomial coefficients (1D: flat list, low order
     first; 2D: coefficient matrix c[a][b] of x^a y^b, total degree <= 8).
-    1D evaluates f on the (n_elements, p) Gauss points and sums to the dofs
-    by one ``np.bincount``. 2D is a vertex-grid stencil by sum
-    factorisation: per triangle shape, cell (i, j) has its quadrature points
-    at x = (i + s_q)/n, y = (j + t_q)/n, so Horner in x on an (n, q) table,
-    once per power of y, then Horner in y give f on an (n, n, q) array
-    [j, i, q]. One product with the (q, 3) table of weighted barycentric
-    values gives the triangles' corner terms, added onto the grid by slices.
+    1D evaluates f on the (n_elements, p) Gauss points and adds each local
+    node's terms onto the node line by one slice. 2D is a vertex-grid
+    stencil by sum factorisation: per triangle shape, cell (i, j) has its
+    quadrature points at x = (i + s_q)/n, y = (j + t_q)/n, so Horner in x on
+    an (n, q) table, once per power of y, then Horner in y give f on an
+    (n, n, q) array [j, i, q]. One product with the (q, 3) table of weighted
+    barycentric values gives the triangles' corner terms, added onto the
+    grid by slices.
     """
     _check_pair(mesh, spec)
     c = coefficient_array(f, mesh.dimension)
@@ -556,9 +544,7 @@ def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> np.ndarray:
     basis_vals = _reference_values_at(spec.k, len(ws))  # (k+1, p)
     # (h * B) @ v and h * (B @ v) round differently; artifacts pin the first
     contrib = ((mesh.h * basis_vals)[None] @ (ws * npoly.polyval(xq, c))[..., None])[..., 0]
-    gids = spec.node_dofs[spec.element_nodes]  # (n_elements, k+1), -1 if constrained
-    keep = gids >= 0
-    # bincount adds in element order, as the bilinear COO build does; it
-    # returns integer zeros when there are no dofs
-    out = np.bincount(gids[keep], weights=contrib[keep], minlength=spec.n_dofs)
-    return out.astype(float, copy=False)
+    out = np.zeros(spec.n_nodes)  # element e's local node a is node e k + a
+    for a in range(spec.k + 1):
+        out[a:a + mesh.n * spec.k:spec.k] += contrib[:, a]
+    return out[spec.dof_nodes]

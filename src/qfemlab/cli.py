@@ -41,7 +41,7 @@ from .errors import (
 )
 from .lowerbounds import BumpOracle, aligned_probability, hybrid_experiment, make_blackbox_pair, oracle_search_demo
 from .mesh import prolongation
-from .problems import ProblemSpec, analytic_solution_1d, discretize, mesh_size
+from .problems import MAX_CELLS, ProblemSpec, analytic_solution_1d, discretize, mesh_size
 from .quantum import SampleBudget, estimate_functional
 from .resources import SobolevData, classical_cost, exponent_table, quantum_cost
 from .solver import conjugate_gradient, estimate_condition_number
@@ -115,8 +115,10 @@ def convergence_report(problem: ProblemSpec, levels: int) -> dict:
             p = max(10, 2 * (len(u_poly) + spec.k))
             nodal = np.zeros(spec.n_nodes)
             nodal[spec.dof_nodes] = coeffs
-            # (n_elements, p), in the point order of element_quadrature_1d
-            uh = (nodal[spec.element_nodes] @ _reference_values_at(spec.k, p)).ravel()
+            # element e's local node a is node e k + a; (n_elements, p), in
+            # the point order of element_quadrature_1d
+            element_nodes = np.arange(mesh.n)[:, None] * spec.k + np.arange(spec.k + 1)
+            uh = (nodal[element_nodes] @ _reference_values_at(spec.k, p)).ravel()
             return _l2_norm_1d(mesh, p, lambda xq: npoly.polyval(xq, u_poly) - uh)
     else:
         mesh_f, spec_f, M_f, b_f = discretize(problem, 4 * ns[-1])
@@ -157,8 +159,13 @@ def _model_costs(d: int, k: int, eps: float, sob: SobolevData):
     """Model size N, condition number kappa and the cost of each of the four
     pipelines, for ``plan`` and ``resources`` alike. N is rounded up."""
     sem = sob.seminorm(k + 1)
-    n_model = (sem / eps) ** (d / (k + 1))
-    kappa_model = (sem / eps) ** (2.0 / (k + 1))
+    try:
+        n_model = (sem / eps) ** (d / (k + 1))
+        kappa_model = (sem / eps) ** (2.0 / (k + 1))
+    except OverflowError:  # a float power past double range
+        n_model = kappa_model = np.inf
+    if not (np.isfinite(n_model) and np.isfinite(kappa_model)):
+        raise ValidationError(f"the model size N = {n_model} or condition number {kappa_model} overflows at eps = {eps}")
     n_cg = max(1, int(np.ceil(n_model)))
     # kappa = 1 after preconditioning, so only N carries a power of 1/eps
     precond_terms = exponent_table(d, k)["classical_precond"]
@@ -255,11 +262,16 @@ def lowerbound_hybrid_table(t_list=None, eps_list=None, draws=None, dim=None, se
 
 def lowerbound_bump_table(n_list=None, per_n=None, seed=0) -> list[dict]:
     """Bump-search answers and query counts, ``per_n`` random bumps per N.
-    Arguments left None take the CLI defaults: N 16,64,256 and 8 per N."""
+    Arguments left None take the CLI defaults: N 16,64,256 and 8 per N.
+    A search scans floor(N/2) cells; more than ``MAX_CELLS`` cells over the
+    whole table are refused."""
     n_list = [16, 64, 256] if n_list is None else n_list
     per_n = 8 if per_n is None else per_n
     if seed < 0 or per_n < 1 or any(n < 2 for n in n_list):
         raise ValidationError(f"need --seed >= 0, --per-n >= 1 and every --N >= 2, got {seed}, {per_n}, {n_list}")
+    cells = per_n * sum(n // 2 for n in n_list)
+    if cells > MAX_CELLS:
+        raise CapExceededError(f"bump searches would scan {cells} cells (cap {MAX_CELLS})", required=cells)
     rows = []
     rng = np.random.default_rng(seed)
     for n in n_list:

@@ -3,10 +3,10 @@
 Only uniform subdivisions of [0, 1] and [0, 1]^2 are supported: the
 eigenvalue scaling studies, the 2D stencil assembly and the prolongation
 all rely on regular spacing. A mesh is its dimension and its number of
-subdivisions per side n: h and the element count are closed forms, and the
-vertex coordinates and element connectivity are computed on first use,
-which no 2D report makes. Vertex coordinates are computed as i/n (never
-accumulated), so refining a mesh halves h exactly in floating point.
+subdivisions per side n: h and the element count are closed forms, and
+nodes and elements are index rules on n, so no coordinate or connectivity
+array is ever built. Coordinates are i/n (never accumulated), so refining a
+mesh halves h exactly in floating point.
 
 Boundary conditions are fixed: in 1D the left endpoint is Dirichlet and the
 right endpoint Neumann (u(0) = u'(1) = 0); in 2D all four sides of the unit
@@ -16,7 +16,6 @@ nodes from n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,9 +27,10 @@ class Mesh:
     """Uniform mesh of [0,1] (n intervals) or [0,1]^2 (n^2 cells, each split
     into two right triangles along its (0,0)-(1,1) diagonal).
 
-    ``vertices``, the (n+1)^dimension x dimension coordinates with vertex
-    (i, j) of the square at j(n+1) + i, and ``elements``, the n_elements x
-    (dimension + 1) vertex indices, are computed on first use.
+    Vertex i of the interval sits at i/n. Vertex (i, j) of the square sits
+    at (i/n, j/n) and is numbered j(n+1) + i; cell (i, j) holds the lower
+    triangle (v00, v10, v11) and the upper one (v00, v11, v01), v00 being
+    vertex (i, j).
     """
 
     dimension: int
@@ -44,27 +44,6 @@ class Mesh:
     @property
     def n_elements(self) -> int:
         return self.n if self.dimension == 1 else 2 * self.n**2
-
-    @cached_property
-    def vertices(self) -> np.ndarray:
-        xs = np.arange(self.n + 1, dtype=float) / self.n
-        if self.dimension == 1:
-            return xs.reshape(-1, 1)
-        gx, gy = np.meshgrid(xs, xs, indexing="xy")
-        return np.column_stack([gx.ravel(), gy.ravel()])
-
-    @cached_property
-    def elements(self) -> np.ndarray:
-        n = self.n
-        if self.dimension == 1:
-            return np.column_stack([np.arange(n), np.arange(1, n + 1)])
-        # cell (i, j), row by row: lower-left vertex j(n+1) + i
-        v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
-        v10, v01 = v00 + 1, v00 + n + 1
-        v11 = v01 + 1
-        lower = np.column_stack([v00, v10, v11])  # eta <= xi
-        upper = np.column_stack([v00, v11, v01])  # eta >= xi
-        return np.stack([lower, upper], axis=1).reshape(-1, 3)
 
 
 def build_interval_mesh(n_elements: int) -> Mesh:
@@ -89,8 +68,8 @@ class BasisSpec:
     Nodes include the Dirichlet-constrained ones; dofs are the subset kept
     in the assembled system (all nodes when the Dirichlet nodes are left
     unconstrained). Each basis function is supported on O(1) elements.
-    ``nodes`` ((n_nodes, d) coordinates) and ``element_nodes`` ((n_elements,
-    nodes per element) node ids) are computed on first use.
+    In 1D node m sits at m/(n k) and element e's local node a is node
+    e k + a; in 2D the nodes are the mesh vertices.
     """
 
     mesh: Mesh
@@ -105,18 +84,6 @@ class BasisSpec:
     @property
     def n_nodes(self) -> int:
         return len(self.node_dofs)
-
-    @cached_property
-    def nodes(self) -> np.ndarray:
-        if self.mesh.dimension == 2:
-            return self.mesh.vertices
-        return (np.arange(self.n_nodes, dtype=float) / (self.mesh.n * self.k)).reshape(-1, 1)
-
-    @cached_property
-    def element_nodes(self) -> np.ndarray:
-        if self.mesh.dimension == 2:
-            return self.mesh.elements
-        return np.arange(self.mesh.n)[:, None] * self.k + np.arange(self.k + 1)
 
 
 def build_basis(mesh: Mesh, k: int, constrain_dirichlet: bool = True) -> BasisSpec:

@@ -217,8 +217,11 @@ def exact_functional_1d(u_coeffs, r_coeffs) -> float:
 
 def mesh_size(problem: ProblemSpec, eps: float) -> tuple[int, float]:
     """Subdivisions per side n and mesh size h for target accuracy ``eps``,
-    by the size rule in the module docstring."""
+    by the size rule in the module docstring; an h that is zero or not
+    finite (the seminorm overflowed, or eps underflowed against it) is refused."""
     h = choose_mesh_size(eps, problem.solution_sobolev.seminorm(problem.k + 1), problem.k)
+    if not 0.0 < h < np.inf:
+        raise ValidationError(f"the size rule gives h = {h}: the data's scale is out of double-precision range")
     return max(1, int(np.ceil(np.sqrt(problem.d) / h))), h
 
 

@@ -66,6 +66,15 @@ class SampleBudget:
 # ---------------------------------------------------------------------------
 # the estimators
 
+def _shot_count(num: float, den: float, what: str) -> int:
+    """ceil(num / den) shots. Where den underflows to 0 or the quotient
+    overflows, no float holds the count, and it exceeds every budget."""
+    try:
+        return math.ceil(num / den)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise BudgetExceededError(f"{what} needs more shots than a float can count") from exc
+
+
 def build_r_state(mesh: Mesh, spec: BasisSpec, r_coeffs):
     """Normalized state with amplitudes proportional to <phi_i, r>, plus the
     normalization alpha = (sum_i <phi_i, r>^2)^(1/2)."""
@@ -97,7 +106,8 @@ def hadamard_test_estimate(
         raise ValidationError("eps_out must be positive")
     if not 0.0 <= eps_l < 1.0:
         raise ValidationError("eps_l must be in [0, 1)")
-    shots = 2 * math.ceil(1.0 / eps_out**2)
+    # an error of 1 or more needs one pair of shots; squaring more can overflow
+    shots = 2 * _shot_count(1.0, min(eps_out, 1.0) ** 2, "overlap estimation")
     theta = 2.0 * math.asin(eps_l / 2.0)
     p = 0.5 * (1.0 + float(np.clip(math.cos(theta) * float(u_state @ r_state), -1.0, 1.0)))
     return 2.0 * budget.binomial(shots, p) / shots - 1.0
@@ -120,7 +130,7 @@ def estimate_norm(M: SparseSymMatrix, x: np.ndarray, eps_n_rel: float, budget: S
     p = min(float(y @ y), 1.0)
     if p < ACCEPTANCE_FLOOR:
         raise SimulationFloorError(f"acceptance probability {p:.3e} below the simulable floor {ACCEPTANCE_FLOOR:.0e}")
-    shots = max(8, math.ceil(2.0 * (1.0 - p) / (p * eps_n_rel**2)))
+    shots = max(8, _shot_count(2.0 * (1.0 - p), p * eps_n_rel**2, "norm estimation"))
     p_hat = budget.binomial(shots, p) / shots
     if ledger is not None:
         entry = norm_estimation_cost(M.s, lam_max / lam_min, eps_n_rel)

@@ -150,12 +150,16 @@ def split_budget(
     eps_n = eps * u_tilde_norm / (3.0 * u_norm)
     eps_l = eps_out = eps * r_norm / (6.0 * alpha * u_tilde_norm)
     eps_d = discretisation_share(eps, u_norm)
-
-    total = (
-        eps_d * r_norm * (1.0 + eps_n / u_tilde_norm)
-        + u_norm * r_norm * eps_n / u_tilde_norm
-        + alpha * (u_tilde_norm + eps_n) * (eps_l + eps_out)
+    terms = (
+        eps_d * r_norm * (1.0 + eps_n / u_tilde_norm),
+        u_norm * r_norm * eps_n / u_tilde_norm,
+        alpha * (u_tilde_norm + eps_n) * (eps_l + eps_out),
     )
+    # non-finite inputs, and shares or terms that overflow or fall below the
+    # smallest normal double, would fail the identity by range, not by algebra
+    if not all(2.0**-1022 <= v < math.inf for v in (eps_n, eps_l, eps_d, *terms)):
+        raise ValidationError(f"the budget split leaves double-precision range (alpha {alpha}, ||u~|| {u_tilde_norm}, ||r|| {r_norm})")
+    total = terms[0] + terms[1] + terms[2]
     assert abs(total - eps * r_norm) <= 1e-12 * eps * r_norm
     return ErrorBudget(eps=eps, eps_d=eps_d, eps_n=eps_n, eps_l=eps_l, eps_out=eps_out, eps_cg=eps / 2.0)
 
@@ -164,7 +168,12 @@ def classical_cost(n: int, s: int, kappa: float, eps_cg: float, d: int, k: int) 
     """Conjugate-gradient runtime model N s sqrt(kappa) ln(1/eps_cg)."""
     if n <= 0 or s <= 0 or kappa <= 0 or eps_cg <= 0:
         raise ValidationError("all parameters must be positive")
-    value = n * s * math.sqrt(kappa) * math.log(1.0 / eps_cg)
+    try:
+        value = n * s * math.sqrt(kappa) * math.log(1.0 / eps_cg)
+    except OverflowError:  # n s past double range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"the classical model cost overflows at N = {n}")
     exponent = Fraction(d + 1, k + 1)
     return ResourceEstimate(
         pipeline="classical",
@@ -195,8 +204,13 @@ def quantum_cost(d: int, k: int, eps: float, sobolev: SobolevData, s: int, preco
     else:
         sem = sobolev.seminorm(k + 1)
         kappa = (sem / eps) ** (2.0 / (k + 1))
-        value = (s * kappa**2 * u_norm + math.sqrt(s) * kappa * u_1) / eps * _polylog(s * kappa / eps)
+        try:
+            value = (s * kappa**2 * u_norm + math.sqrt(s) * kappa * u_1) / eps * _polylog(s * kappa / eps)
+        except OverflowError:  # kappa**2 past double range
+            value = math.inf
         exps = (Fraction(k + 5, k + 1), Fraction(k + 3, k + 1))
+    if not math.isfinite(value):
+        raise ValidationError(f"the quantum model cost overflows at eps = {eps}")
     return ResourceEstimate(
         pipeline="quantum_precond" if preconditioned else "quantum",
         oracle_calls={"P_M": value, "P_b": value},

@@ -12,7 +12,7 @@ from qfemlab import (
     build_interval_mesh,
     build_square_triangulation,
 )
-from pointwise import basis
+from pointwise import basis, elements, vertices
 
 DIFFUSION = BilinearForm(1.0, 0.0)
 
@@ -144,8 +144,8 @@ def test_bruteforce_equivalence_1d(k):
     xs, ws = np.polynomial.legendre.leggauss(64)
     dense = np.zeros_like(M)
     for e in range(mesh.n_elements):
-        a = mesh.vertices[mesh.elements[e, 0], 0]
-        b = mesh.vertices[mesh.elements[e, 1], 0]
+        a = vertices(mesh)[elements(mesh)[e, 0], 0]
+        b = vertices(mesh)[elements(mesh)[e, 1], 0]
         xq = (a + b) / 2 + (b - a) / 2 * xs
         wq = (b - a) / 2 * ws
         for i in range(spec.n_dofs):
@@ -172,8 +172,8 @@ def test_bruteforce_equivalence_2d():
     pts, w = _duffy_rule(8)
     dense = np.zeros_like(M)
     for e in range(mesh.n_elements):
-        tri = mesh.elements[e]
-        p = mesh.vertices[tri]
+        tri = elements(mesh)[e]
+        p = vertices(mesh)[tri]
         xq = p[0, 0] + pts[:, 0] * (p[1, 0] - p[0, 0]) + pts[:, 1] * (p[2, 0] - p[0, 0])
         yq = p[0, 1] + pts[:, 0] * (p[1, 1] - p[0, 1]) + pts[:, 1] * (p[2, 1] - p[0, 1])
         jac = 1.0 / mesh.n**2  # 2 * area

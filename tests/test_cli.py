@@ -14,9 +14,9 @@ import pytest
 
 import numpy as np
 
-from pointwise import evaluate
+from pointwise import elements, evaluate, vertices
 import qfemlab.assembly
-from qfemlab import BasisSpec, Mesh, cli
+from qfemlab import cli
 from qfemlab.assembly import element_quadrature_1d
 from qfemlab.cli import main
 from qfemlab.problems import ProblemSpec, analytic_solution_1d, discretize, mesh_size
@@ -101,17 +101,44 @@ def test_convergence_exit_zero(capsys, spec_file, spec):
     assert art["fitted_slope"] == pytest.approx(2.0, abs=0.3)
 
 
-def test_2d_reports_build_no_mesh_arrays_and_no_scipy_eigensolver(capsys, spec_file, monkeypatch):
+def test_2d_reports_build_no_mesh_arrays_and_no_scipy_eigensolver(capsys, spec_file):
     # 2D assembly, loads, solves and the prolongation work from n alone
-    def computed(self):
-        raise AssertionError("a 2D report computed a mesh or basis array")
-
-    for owner, name in ((Mesh, "vertices"), (Mesh, "elements"), (BasisSpec, "nodes"), (BasisSpec, "element_nodes")):
-        monkeypatch.setattr(owner, name, property(computed))
     path = spec_file(TINY_2D)
     assert run_json(capsys, "convergence", "--spec", path, "--levels", "3")["reference"] == "fine-mesh solve"
     assert run_json(capsys, "simulate", "--spec", path, "--seed", "7")["uses_of_state_prep"] > 0
     assert "lobpcg" not in vars(qfemlab.assembly)
+
+
+# finite specs the validator accepts whose data, or the mesh sizes, model
+# costs and shot counts derived from them, leave double-precision range
+OUT_OF_RANGE = {
+    "2d-diffusion": ({**TINY_2D, "pde": {"diffusion": 1e-300, "reaction": 0}}, ("simulate", "plan")),
+    "1d-r": ({**TINY_1D, "r": [1e300]}, ("simulate", "plan")),
+    "1d-diffusion": ({**TINY_1D, "pde": {"diffusion": 1e-300, "reaction": 0}}, ("solve", "simulate", "plan")),
+    "1d-f": ({**TINY_1D, "f": [-1e300]}, ("solve", "simulate", "plan")),
+    "1d-eps": ({**TINY_1D, "eps": 1e-300}, ("plan",)),
+    "1d-sobolev": ({**TINY_1D, "sobolev": [1e300, 1, 1]}, ("simulate",)),
+    "1d-overlap-shots": ({**TINY_1D, "eps": 1e-300, "sobolev": [1e-300, 1, 1e-300]}, ("simulate",)),
+    "3d-eps": ({**MODEL_ONLY_3D, "eps": 1e-250}, ("plan",)),
+    # a given ||u|| of 1e300 against a computed ||u~|| near 1e-120 underflows a budget share
+    "2d-budget-share": (
+        {**TINY_2D, "pde": {"diffusion": 1e150, "reaction": 0}, "f": [[-1e30]], "r": [[1e30]], "sobolev": [1e300, 1, 1]},
+        ("simulate", "plan"),
+    ),
+}
+
+
+# numpy's overflow warnings reach stderr as they do from the console script,
+# not as the errors this suite makes of them
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+@pytest.mark.parametrize(
+    "name, command", [(name, command) for name, (_, commands) in OUT_OF_RANGE.items() for command in commands]
+)
+def test_out_of_range_specs_exit_without_traceback(capsys, spec_file, name, command):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--spec", spec_file(OUT_OF_RANGE[name][0]))
+    assert code in (2, 4) and out == "" and "Traceback" not in err, err
+    assert time.perf_counter() - start < 2.0
 
 
 def test_model_only_dimension(capsys, spec_file):
@@ -182,6 +209,15 @@ def test_lowerbound_hybrid_defaults_exit_zero(capsys):
     rows = run_json(capsys, "lowerbound", "--mode", "hybrid")
     assert len(rows) == 12
     assert all(row["violations"] == 0 for row in rows)
+
+
+@pytest.mark.parametrize("flag, value", [("--N", "100000000000"), ("--per-n", "1000000000")])
+def test_lowerbound_bump_over_the_cell_cap_exits_four(capsys, flag, value):
+    # per_n * sum(N // 2) cells of 8 queries each, refused before the first one
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lowerbound", "--mode", "bump", flag, value)
+    assert code == 4 and out == "" and "cells" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_lowerbound_oversized_dim_exits_two_before_allocating(capsys):
@@ -363,7 +399,7 @@ def pointwise_errors(problem, levels):
         xq, ws = element_quadrature_1d(mesh_f, 4)
         pts, weights = xq.ravel(), np.tile(ws * mesh_f.h, mesh_f.n_elements)
     else:
-        tri = mesh_f.vertices[mesh_f.elements]
+        tri = vertices(mesh_f)[elements(mesh_f)]
         pts = (0.5 * (tri + np.roll(tri, -1, axis=1))).reshape(-1, 2)
         weights = np.full(len(pts), 0.5 / mesh_f.n**2 / 3.0)
     fine = evaluate(mesh_f, spec_f, coeffs_f, pts)

@@ -1,8 +1,9 @@
-"""Batched element kernels against per-element reference loops.
+"""Stencil kernels against per-element reference loops.
 
-Each reference below is the element-by-element form the batched kernel
-replaced. The 1D load kernel adds the same terms in the same order, so that
-comparison is exact (``np.array_equal``). The 2D load is a vertex-grid
+Each reference below is the element-by-element form of a kernel. A 1D node
+belongs to at most two elements, so every 1D matrix entry and load value
+sums at most two terms, the same in any order, and those comparisons are
+exact (bits, ``np.array_equal``). The 2D load is a vertex-grid
 stencil that sums in another order, so it is compared within 4e-15 times
 the load of the coefficients' absolute values, which bounds |f| since
 x, y >= 0. The 2D stencil build uses the exact reference-triangle matrices,
@@ -25,9 +26,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qfemlab
+from pointwise import element_nodes, elements, vertices
 from qfemlab import (
     BilinearForm,
-    SparseSymMatrix,
     assemble_gram,
     assemble_load,
     assemble_stiffness,
@@ -35,7 +36,7 @@ from qfemlab import (
     build_interval_mesh,
     build_square_triangulation,
 )
-from qfemlab.assembly import MAX_POLY_DEGREE, _duffy_rule, _gauss01, _reference_values_at, poly_degree
+from qfemlab.assembly import MAX_POLY_DEGREE, _duffy_rule, _gauss01, _reference_matrices, _reference_values_at, poly_degree
 from qfemlab.cli import _l2_norm_1d
 
 coeff = st.floats(-1e3, 1e3, allow_nan=False)
@@ -65,9 +66,9 @@ def reference_load(mesh, spec, f):
         basis_vals = _reference_values_at(spec.k, p)
         h = mesh.h
         for e in range(mesh.n_elements):
-            fq = np.polynomial.polynomial.polyval(mesh.vertices[mesh.elements[e, 0], 0] + h * xs, f)
+            fq = np.polynomial.polynomial.polyval(vertices(mesh)[elements(mesh)[e, 0], 0] + h * xs, f)
             contrib = h * basis_vals @ (ws * fq)
-            for a, ia in enumerate(spec.node_dofs[spec.element_nodes[e]]):
+            for a, ia in enumerate(spec.node_dofs[element_nodes(spec)[e]]):
                 if ia >= 0:
                     out[ia] += contrib[a]
         return out
@@ -75,11 +76,11 @@ def reference_load(mesh, spec, f):
     area = 0.5 / (mesh.n * mesh.n)
     lam = np.column_stack([1.0 - ref_pts[:, 0] - ref_pts[:, 1], ref_pts[:, 0], ref_pts[:, 1]])
     for e in range(mesh.n_elements):
-        pts = mesh.vertices[spec.element_nodes[e]]
+        pts = vertices(mesh)[element_nodes(spec)[e]]
         xq = pts[0, 0] + ref_pts[:, 0] * (pts[1, 0] - pts[0, 0]) + ref_pts[:, 1] * (pts[2, 0] - pts[0, 0])
         yq = pts[0, 1] + ref_pts[:, 0] * (pts[1, 1] - pts[0, 1]) + ref_pts[:, 1] * (pts[2, 1] - pts[0, 1])
         contrib = 2.0 * area * (lam * (ref_w * np.polynomial.polynomial.polyval2d(xq, yq, f))[:, None]).sum(axis=0)
-        for a, ia in enumerate(spec.node_dofs[spec.element_nodes[e]]):
+        for a, ia in enumerate(spec.node_dofs[element_nodes(spec)[e]]):
             if ia >= 0:
                 out[ia] += contrib[a]
     return out
@@ -109,7 +110,7 @@ def exact_vertex_loads(n, a, b):
     coordinates l, and int l0^p l1^q l2^r = 2|T| p! q! r! / (p + q + r + 2)!,
     with 2|T| = 1/n^2."""
     out = [Fraction(0)] * (n + 1) ** 2
-    for corners in build_square_triangulation(n).elements.tolist():
+    for corners in elements(build_square_triangulation(n)).tolist():
         # vertex (i, j) is node j (n + 1) + i, at (i/n, j/n)
         coords = [[Fraction(v % (n + 1), n) for v in corners], [Fraction(v // (n + 1), n) for v in corners]]
         poly = {(0, 0, 0): Fraction(1)}  # x^a y^b as {exponents of l: coefficient}
@@ -198,12 +199,12 @@ def reference_bilinear_2d(mesh, spec, diffusion, reaction):
     vertex coordinates, summed over elements by a COO build; exact zero
     sums are dropped."""
     area = 0.5 / (mesh.n * mesh.n)
-    pts = mesh.vertices[spec.element_nodes]  # (n_elements, 3, 2)
+    pts = vertices(mesh)[element_nodes(spec)]  # (n_elements, 3, 2)
     # gradient of barycentric function a from the vertices b, c that follow it
     pb, pc = np.roll(pts, -1, axis=1), np.roll(pts, -2, axis=1)
     g = np.stack([pb[..., 1] - pc[..., 1], pc[..., 0] - pb[..., 0]], axis=-1) / (2.0 * area)
     local = diffusion * np.einsum("eak,ebk->eab", g, g) * area + reaction * area / 12.0 * (1.0 + np.eye(3))
-    gids = spec.node_dofs[spec.element_nodes]
+    gids = spec.node_dofs[element_nodes(spec)]
     rows, cols = np.broadcast_to(gids[:, :, None], local.shape), np.broadcast_to(gids[:, None, :], local.shape)
     keep = (rows >= 0) & (cols >= 0)
     out = sp.coo_array((local[keep], (rows[keep], cols[keep])), shape=(spec.n_dofs, spec.n_dofs)).tocsr()
@@ -259,15 +260,42 @@ def test_stencil_matches_element_loop_on_every_size(constrained):
             np.testing.assert_allclose(G @ np.ones(spec.n_dofs), assemble_load(mesh, spec, [[1.0]]), rtol=1e-14, atol=0)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 30), st.integers(0, 2**32 - 1))
-def test_from_upper_coo_mirrors_bit_identically(n, seed):
-    rng = np.random.default_rng(seed)
-    m = 4 * n
-    rows, cols = rng.integers(0, n, m), rng.integers(0, n, m)
-    # duplicates of mixed magnitude, so the summation order shows in the bits
-    vals = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 9, m)
-    M = SparseSymMatrix.from_upper_coo(n, np.minimum(rows, cols), np.maximum(rows, cols), vals)
+def reference_bilinear_1d(mesh, spec, diffusion, reaction):
+    """M from the exact element matrix, added entry by entry over the
+    elements in element order; exact zero sums are dropped. Returns
+    (indptr, indices, data) of the CSR rows, columns ascending."""
+    kref, mref = _reference_matrices(spec.k)
+    local = diffusion * kref / mesh.h + reaction * mref * mesh.h
+    entries = defaultdict(float)
+    for e in range(mesh.n_elements):
+        gids = spec.node_dofs[element_nodes(spec)[e]]
+        for a, ia in enumerate(gids):
+            for b, ib in enumerate(gids):
+                if ia >= 0 and ib >= 0:
+                    entries[int(ia), int(ib)] += local[a, b]
+    kept = sorted(ij for ij, v in entries.items() if v != 0.0)
+    rows = np.array([i for i, _ in kept], dtype=int)
+    indptr = np.searchsorted(rows, np.arange(spec.n_dofs + 1))
+    return indptr, np.array([j for _, j in kept], dtype=int), np.array([entries[ij] for ij in kept])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 60),
+    st.booleans(),
+    st.one_of(st.just((0.0, 1.0)), st.tuples(st.floats(1e-3, 1e3), st.one_of(st.just(0.0), st.floats(1e-3, 1e6)))),
+)
+def test_bilinear_1d_matches_element_loop_bitwise(k, n, constrained, form):
+    # every entry sums at most two element terms, so the stencil build and
+    # the element loop agree bit for bit; (0, 1) is the Gram matrix
+    diffusion, reaction = form
+    mesh = build_interval_mesh(n)
+    spec = build_basis(mesh, k, constrain_dirichlet=constrained)
+    M = assemble_gram(mesh, spec) if diffusion == 0.0 else assemble_stiffness(mesh, spec, BilinearForm(diffusion, reaction))
+    indptr, indices, data = reference_bilinear_1d(mesh, spec, diffusion, reaction)
+    assert np.array_equal(M.csr.indptr, indptr) and np.array_equal(M.csr.indices, indices)
+    assert M.csr.data.tobytes() == data.tobytes()
     dense = M.to_dense()
     assert np.array_equal(dense.view(np.uint64), dense.T.view(np.uint64))
 
@@ -282,11 +310,11 @@ def test_batched_builders_match_loops(n):
         for i in range(n):
             expected.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
             expected.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    assert np.array_equal(build_square_triangulation(n).elements, np.asarray(expected))
+    assert np.array_equal(elements(build_square_triangulation(n)), np.asarray(expected))
     mesh = build_interval_mesh(n)
     for k in (1, 2, 3):
         expected = np.array([[e * k + j for j in range(k + 1)] for e in range(n)])
-        assert np.array_equal(build_basis(mesh, k).element_nodes, expected)
+        assert np.array_equal(element_nodes(build_basis(mesh, k)), expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -300,7 +328,7 @@ def test_l2_norm_1d_matches_element_loop(n, p, freq):
     xs, ws = _gauss01(p)
     total = 0.0
     for e in range(mesh.n_elements):
-        xq = mesh.vertices[mesh.elements[e, 0], 0] + mesh.h * xs
+        xq = vertices(mesh)[elements(mesh)[e, 0], 0] + mesh.h * xs
         total += mesh.h * float(ws @ diff(xq) ** 2)
     assert _l2_norm_1d(mesh, p, diff) == float(np.sqrt(total))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointwise import evaluate
+from pointwise import element_nodes, elements, evaluate, nodes, vertices
 from qfemlab import ValidationError, build_basis, build_interval_mesh, build_square_triangulation
 from qfemlab.assembly import _reference_lagrange, _reference_values_at
 from qfemlab.mesh import prolongation
@@ -13,7 +13,7 @@ from qfemlab.mesh import prolongation
 
 def test_interval_mesh_uniform_partition():
     m = build_interval_mesh(4)
-    assert np.allclose(m.vertices.ravel(), [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.allclose(vertices(m).ravel(), [0.0, 0.25, 0.5, 0.75, 1.0])
     assert m.h == 0.25
     # u(0) = 0 constrains the left endpoint only; the Neumann end stays free
     assert build_basis(m, 1).dof_nodes.tolist() == [1, 2, 3, 4]
@@ -29,7 +29,7 @@ def test_interval_mesh_eight():
     m = build_interval_mesh(8)
     assert m.h == 0.125
     assert m.n_elements == 8
-    assert len(m.vertices) == 9 and len(m.elements) == 8
+    assert len(vertices(m)) == 9 and len(elements(m)) == 8
 
 
 def test_interval_mesh_rejects_zero():
@@ -39,9 +39,9 @@ def test_interval_mesh_rejects_zero():
 
 def test_square_triangulation_counts():
     m1 = build_square_triangulation(1)
-    assert m1.n_elements == len(m1.elements) == 2 and len(m1.vertices) == 4
+    assert m1.n_elements == len(elements(m1)) == 2 and len(vertices(m1)) == 4
     m2 = build_square_triangulation(2)
-    assert m2.n_elements == len(m2.elements) == 8 and len(m2.vertices) == 9
+    assert m2.n_elements == len(elements(m2)) == 8 and len(vertices(m2)) == 9
     # the whole boundary is Dirichlet: only the centre vertex is a dof
     spec = build_basis(m2, 1)
     assert spec.dof_nodes.tolist() == [4] and spec.node_dofs[[0, 2, 6, 8]].tolist() == [-1] * 4
@@ -51,8 +51,8 @@ def test_square_triangulation_h():
     m = build_square_triangulation(4)
     assert m.h == pytest.approx(np.sqrt(2) / 4)
     # h really is the longest edge
-    for tri in m.elements:
-        pts = m.vertices[tri]
+    for tri in elements(m):
+        pts = vertices(m)[tri]
         for a in range(3):
             edge = np.linalg.norm(pts[a] - pts[(a + 1) % 3])
             assert edge <= m.h + 1e-15
@@ -66,8 +66,8 @@ def test_square_triangulation_rejects_zero():
 def test_elements_tile_domain():
     m = build_square_triangulation(3)
     area = 0.0
-    for tri in m.elements:
-        pts = m.vertices[tri]
+    for tri in elements(m):
+        pts = vertices(m)[tri]
         e1, e2 = pts[1] - pts[0], pts[2] - pts[0]
         area += 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
     assert area == pytest.approx(1.0, abs=1e-14)
@@ -111,14 +111,14 @@ def test_support_sparsity_1d(k):
     m = build_interval_mesh(6)
     spec = build_basis(m, k)
     for i in range(spec.n_dofs):
-        assert (spec.element_nodes == spec.dof_nodes[i]).any(axis=1).sum() <= k + 1
+        assert (element_nodes(spec) == spec.dof_nodes[i]).any(axis=1).sum() <= k + 1
 
 
 def test_support_sparsity_2d():
     m = build_square_triangulation(4)
     spec = build_basis(m, 1)
     for i in range(spec.n_dofs):
-        assert (spec.element_nodes == spec.dof_nodes[i]).any(axis=1).sum() <= 6
+        assert (element_nodes(spec) == spec.dof_nodes[i]).any(axis=1).sum() <= 6
 
 
 def test_lagrange_nodal_property():
@@ -150,7 +150,7 @@ def test_prolongation_matches_point_evaluation(dk, n, ratio, constrained, seed):
     coeffs = np.random.default_rng(seed).standard_normal(spec_c.n_dofs)
     fine_coeffs = prolongation(spec_c, spec_f, coeffs)
     assert fine_coeffs.shape == (spec_f.n_dofs,)
-    at_fine_dofs = evaluate(coarse, spec_c, coeffs, spec_f.nodes[spec_f.dof_nodes])
+    at_fine_dofs = evaluate(coarse, spec_c, coeffs, nodes(spec_f)[spec_f.dof_nodes])
     np.testing.assert_allclose(fine_coeffs, at_fine_dofs, rtol=0, atol=1e-14 * max(1.0, abs(coeffs).max(initial=0.0)))
 
 

@@ -124,6 +124,13 @@ def test_hadamard_consumes_budget_and_raises_when_exhausted():
     budget = SampleBudget(rng_seed=0)
     hadamard_test_estimate(s, s, 0.1, budget)
     assert budget.uses_of_state_prep == 2 * 100
+    # a target of 1 or more takes one pair of shots, also where its square
+    # overflows; one whose square underflows to 0 has no countable shots
+    budget = SampleBudget(rng_seed=0)
+    hadamard_test_estimate(s, s, 1e200, budget)
+    assert budget.uses_of_state_prep == 2
+    with pytest.raises(BudgetExceededError):
+        hadamard_test_estimate(s, s, 1e-200, budget)
 
 
 def test_norm_estimation_identity():

@@ -3,9 +3,11 @@
 Every non-dunder function, class and method defined in ``src/qfemlab`` must
 be named somewhere in the package outside its own definition and
 ``__init__.py``, or be on the allowlist below with its reason. Names are
-matched as identifiers (``name`` or ``obj.name``), not resolved, so a
-definition that shares its name with an attribute of another object (for
-example ``nnz`` on a SciPy array) counts as reached.
+matched as identifiers, not resolved: a module-level function or class as
+``name`` or ``obj.name``, a method or property only as ``obj.name``, so a
+local variable of the same name does not reach it. A definition that
+shares its name with an attribute of another object (for example ``nnz``
+on a SciPy array) still counts as reached.
 
 Likewise every parameter with a default must be passed, by keyword or by
 position, at some call in the package, or be on the knob allowlist with its
@@ -14,6 +16,7 @@ call that unpacks ``*args`` or ``**kwargs`` counts as passing every
 parameter. Dataclass fields are not covered.
 """
 import ast
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -24,7 +27,7 @@ ALLOWED = {
     "to_dense": "test reference: the dense matrix behind every eigvalsh/solve cross-check",
     "from_dense": "test constructor for small hand-written matrices",
     "identity": "test constructor for the identity cases of CG and norm estimation",
-    "nodes": "test reference: node coordinates for the pointwise oracle behind the prolongation and load tests",
+    "csr": "test reference: the CSR arrays behind the sparsity-pattern and bitwise comparisons",
 }
 
 ALLOWED_KNOBS = {
@@ -43,29 +46,36 @@ def _names(node) -> Counter:
     )
 
 
+def _attributes(node) -> Counter:
+    """Attribute identifiers (``obj.name``) read anywhere under ``node``."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
 def _definitions(tree):
-    """Module-level functions and classes, and the methods of those classes."""
+    """(definition, whether it is a method) for the module-level functions
+    and classes, and the methods of those classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, False
             if isinstance(node, ast.ClassDef):
-                yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
+                yield from ((m, True) for m in node.body if isinstance(m, ast.FunctionDef))
 
 
 def _trees() -> dict:
     return {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
 
 
-def unreached() -> list[tuple[str, str]]:
-    """(where, name) of every definition named nowhere else in the package."""
-    trees = _trees()
-    used = sum((_names(tree) for tree in trees.values()), Counter())
+def unreached(trees) -> list[tuple[str, str]]:
+    """(where, name) of every definition in ``trees`` ({path: module}) named
+    nowhere else in them."""
+    used = {count: sum((count(tree) for tree in trees.values()), Counter()) for count in (_names, _attributes)}
     return [
         (f"{path.name}:{node.lineno}", node.name)
         for path, tree in trees.items()
-        for node in _definitions(tree)
+        for node, method in _definitions(tree)
+        for count in [_attributes if method else _names]
         if not (node.name.startswith("__") and node.name.endswith("__"))
-        and used[node.name] == _names(node)[node.name]
+        and used[count][node.name] == count(node)[node.name]
     ]
 
 
@@ -119,12 +129,29 @@ def unpassed_knobs() -> list[tuple[str, str]]:
 
 
 def test_every_definition_is_reached_or_allowed():
-    assert [f"{where} {name}" for where, name in unreached() if name not in ALLOWED] == []
+    assert [f"{where} {name}" for where, name in unreached(_trees()) if name not in ALLOWED] == []
 
 
 def test_allowlist_is_not_stale():
     # an entry whose definition is now reached, or gone, should leave the list
-    assert sorted(set(ALLOWED) - {name for _, name in unreached()}) == []
+    assert sorted(set(ALLOWED) - {name for _, name in unreached(_trees())}) == []
+
+
+def test_a_local_variable_does_not_reach_a_method():
+    module = textwrap.dedent(
+        """
+        class Box:
+            def nodes(self): ...
+            def size(self): ...
+        def helper(): ...
+        def run(box):
+            nodes = 1
+            return helper(), box.size(), nodes
+        """
+    )
+    # Box and run are named nowhere; helper is reached by its bare name and
+    # size by an attribute, but the local ``nodes`` does not reach Box.nodes
+    assert [name for _, name in unreached({PACKAGE / "m.py": ast.parse(module)})] == ["Box", "nodes", "run"]
 
 
 def test_every_defaulted_parameter_is_passed_or_allowed():
