@@ -34,6 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import polynomial as npoly
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
+from scipy.sparse._sparsetools import csr_matvec  # private; pinned to csr @ x bitwise by the tests
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NonConvergenceError, ValidationError
@@ -178,15 +179,16 @@ class SineTransformPreconditioner:
         s, w = self._sine, v.reshape(self.n - 1, self.n - 1)
         return (s @ (s @ w @ s / self._lam) @ s).reshape(v.shape)
 
-    def lowest_eigenvalue(self, csr) -> float:
-        """lambda_min of ``csr`` by single-vector LOPCG (Knyazev 2001) with C,
+    def lowest_eigenvalue(self, matvec) -> float:
+        """lambda_min of M by single-vector LOPCG (Knyazev 2001) with C,
         from x = sin(pi a/n) sin(pi b/n), to residual ||Mx - rq x|| <= tol =
         1e-10 rq (rq: the start's Rayleigh quotient). Each step is one
         Rayleigh-Ritz on span{x, w, p}: w = C^{-1}(Mx - (x^T Mx) x), made
         orthogonal to x, and p the previous step's move, each of unit norm;
         p is left out for a step whose 3 x 3 Gram matrix is not positive
         definite. M x and M p are updated with x and p, so each step takes
-        one product with M. The loop stops on that recursive M x, then M x is
+        one product with M, through ``matvec``: M's own, one kernel call on
+        its arrays. The loop stops on that recursive M x, then M x is
         recomputed and the residual rechecked against 2 tol; the value
         returned is x^T M x. The start keeps its class under the mesh's
         symmetries, so this is lambda_min only when ``class_holds_lambda_min``,
@@ -194,14 +196,14 @@ class SineTransformPreconditioner:
         x = np.outer(self._sine[0], self._sine[0]).ravel()  # a unit vector
         # rows x, w, p, and M times each; p joins from the second step
         basis, images = np.empty((3, len(x))), np.empty((3, len(x)))
-        basis[0], images[0] = x, csr @ x
+        basis[0], images[0] = x, matvec(x)
         tol = 1e-10 * float(x @ images[0])
         rows = 2
         for _ in range(1000):
             x, mx = basis[0], images[0]
             residual = mx - (x @ mx) * x
             if np.linalg.norm(residual) <= tol:  # on the recursive M x: recheck
-                mx = csr @ x
+                mx = matvec(x)
                 lam = float(x @ mx)
                 if np.linalg.norm(mx - lam * x) > 2.0 * tol:
                     break
@@ -209,7 +211,7 @@ class SineTransformPreconditioner:
             w = self(residual)
             w -= (x @ w) * x
             basis[1] = w / np.linalg.norm(w)
-            images[1] = csr @ basis[1]
+            images[1] = matvec(basis[1])
             for rows in (rows, 2):  # with p if it can, then without
                 try:
                     gram = basis[:rows] @ basis[:rows].T
@@ -229,6 +231,14 @@ class SineTransformPreconditioner:
         raise NonConvergenceError("LOPCG eigenvalue iteration did not converge")
 
 
+def _csr_product(csr, data, x) -> np.ndarray:
+    """The product of x with csr's pattern holding ``data``, by the kernel
+    call that ``csr @ x`` ends in, into a fresh zero vector."""
+    y = np.zeros(csr.shape[0])
+    csr_matvec(csr.shape[0], csr.shape[1], csr.indptr, csr.indices, data, x, y)
+    return y
+
+
 class SparseSymMatrix:
     """Symmetric sparse matrix in canonical CSR form (sorted column indices,
     no duplicates).
@@ -237,6 +247,10 @@ class SparseSymMatrix:
     The constructor checks symmetry (to a relative 1e-14, in O(nnz)). The
     stencil assembly is symmetric bit for bit by design and skips the check
     through ``_symmetric``.
+
+    Every product with M, and the |M| products of ``extremes``, is one call
+    of scipy's CSR kernel on M's own arrays, the call that ``csr @ x`` makes
+    after its type and shape dispatch, so the results are the same bits.
 
     Linear algebra stays sparse. The first call that needs it (``is_spd``;
     ``solve`` without a preconditioner; ``extremes`` unless LOPCG runs)
@@ -284,7 +298,11 @@ class SparseSymMatrix:
         return self._csr
 
     def matvec(self, x):
-        return self._csr @ np.asarray(x, dtype=float)
+        """M x for a vector x of length n, by one kernel call on M's arrays."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise ValidationError(f"vector has shape {x.shape}, expected ({self.n},)")
+        return _csr_product(self._csr, self._csr.data, x)
 
     def __matmul__(self, x):
         return self.matvec(x)
@@ -336,8 +354,10 @@ class SparseSymMatrix:
         band factor (ARPACK, fixed start). The upper end is the
         Collatz-Wielandt bound max_i (|M| w)_i / w_i >= rho(|M|) >= lambda_max
         after 8 power steps on |M| from w = 1, raised by a relative 1e-12 so
-        that rounding cannot put it below lambda_max. On stiffness matrices
-        it is within 2e-2 of lambda_max, and within 1e-5 at a thousand dofs.
+        that rounding cannot put it below lambda_max. Each step is one kernel
+        call on M's pattern with |data|: not a product with M, so it does not
+        pass through ``matvec``. On stiffness matrices it is within 2e-2 of
+        lambda_max, and within 1e-5 at a thousand dofs.
         Equal matrices give bit-identical values. Raises ValidationError when
         the matrix is singular or indefinite and NonConvergenceError when
         the eigensolver does not converge.
@@ -347,14 +367,14 @@ class SparseSymMatrix:
             if not by_lopcg and not self.is_spd():
                 raise ValidationError("matrix is singular or indefinite")
             # w stays positive: an SPD matrix has a positive diagonal
-            absm, w = abs(self._csr), np.ones(self.n)
+            absdata, w = np.abs(self._csr.data), np.ones(self.n)
             for _ in range(8):
-                y = absm @ w
+                y = _csr_product(self._csr, absdata, w)
                 bound = float((y / w).max())
                 w = y / y.max()
             lam_min = float(self._csr.data[0])  # ARPACK needs n > 1
             if by_lopcg:
-                lam_min = self._precond.lowest_eigenvalue(self._csr)
+                lam_min = self._precond.lowest_eigenvalue(self.matvec)
             elif self.n > 1:
                 band_solve = partial(cho_solve_banded, (self._chol, False), check_finite=False)
                 inv = LinearOperator(self._csr.shape, matvec=band_solve, dtype=float)

@@ -90,7 +90,8 @@ class ProblemSpec:
         if self.sobolev is not None:
             return self.sobolev
         if self.d == 1 and self.reaction == 0.0:
-            return sobolev_from_poly(analytic_solution_1d(self.f_array(), self.diffusion), self.k + 1)
+            with np.errstate(over="ignore", invalid="ignore"):  # f / diffusion may overflow: refused by the norms
+                return sobolev_from_poly(analytic_solution_1d(self.f_array(), self.diffusion), self.k + 1)
         raise UnsupportedConfigurationError(
             "solution seminorms are required: supply the 'sobolev' field for "
             "problems without an analytic polynomial solution"
@@ -172,14 +173,20 @@ def _coeff_list(coeffs):
 # polynomial calculus
 
 def poly_l2_norm_sq(coeffs, d: int) -> float:
-    """Exact integral of p^2 over the unit interval or square."""
+    """Exact integral of p^2 over the unit interval or square. Raises
+    ValidationError where it leaves double-precision range."""
     c = coefficient_array(coeffs, d)
-    if d == 1:
-        sq = np.convolve(c, c)
-        return float(sum(sq[i] / (i + 1) for i in range(len(sq))))
-    # int x^(i+k) y^(j+l) = 1/((i+k+1)(j+l+1)): Hilbert matrices on each side
-    hx, hy = (1.0 / (np.arange(m)[:, None] + np.arange(m)[None, :] + 1.0) for m in c.shape)
-    return float((c * (hx @ c @ hy)).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        if d == 1:
+            sq = np.convolve(c, c)
+            value = float(sum(sq[i] / (i + 1) for i in range(len(sq))))
+        else:
+            # int x^(i+k) y^(j+l) = 1/((i+k+1)(j+l+1)): Hilbert matrices on each side
+            hx, hy = (1.0 / (np.arange(m)[:, None] + np.arange(m)[None, :] + 1.0) for m in c.shape)
+            value = float((c * (hx @ c @ hy)).sum())
+    if not np.isfinite(value):
+        raise ValidationError("the L2 norm of a polynomial (the data or the analytic solution) leaves double-precision range")
+    return value
 
 
 def poly_l2_norm(coeffs, d: int) -> float:

@@ -79,7 +79,10 @@ def build_r_state(mesh: Mesh, spec: BasisSpec, r_coeffs):
     """Normalized state with amplitudes proportional to <phi_i, r>, plus the
     normalization alpha = (sum_i <phi_i, r>^2)^(1/2)."""
     load = assemble_load(mesh, spec, r_coeffs)
-    alpha = float(np.linalg.norm(load))
+    with np.errstate(over="ignore"):  # refused below
+        alpha = float(np.linalg.norm(load))
+    if alpha == np.inf:
+        raise ValidationError("the norm of r's load vector leaves double-precision range")
     if alpha < 1e-300:
         raise ValidationError("r is orthogonal to every basis function")
     return load / alpha, alpha
@@ -197,7 +200,8 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
     r_norm = poly_l2_norm(problem.r_array(), problem.d)
 
     u_tilde = M.solve(b_raw)
-    u_norm = float(np.linalg.norm(u_tilde))
+    with np.errstate(over="ignore"):  # split_budget refuses an infinite norm
+        u_norm = float(np.linalg.norm(u_tilde))
     split = split_budget(eps, sob, alpha, u_norm, r_norm)
     split.h = h
     split.n_dofs = spec.n_dofs

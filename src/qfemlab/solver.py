@@ -59,8 +59,10 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
     n = M.n
     if bvec.shape != (n,):
         raise ValidationError(f"rhs has shape {bvec.shape}, expected ({n},)")
-    if not np.isfinite(bnorm := np.linalg.norm(bvec)):
-        raise ValidationError("right-hand side is not finite")
+    with np.errstate(over="ignore"):  # refused below
+        bnorm = np.linalg.norm(bvec)
+    if not np.isfinite(bnorm):
+        raise ValidationError("right-hand side is not finite or its norm overflows")
     if bnorm == 0.0:
         return CGReport(np.zeros(n), 0, 0.0, 0, True, 0.0, 0.0)
 

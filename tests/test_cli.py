@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import numpy as np
+import scipy.sparse
 
 from pointwise import elements, evaluate, vertices
 import qfemlab.assembly
@@ -109,6 +110,17 @@ def test_2d_reports_build_no_mesh_arrays_and_no_scipy_eigensolver(capsys, spec_f
     assert "lobpcg" not in vars(qfemlab.assembly)
 
 
+@pytest.mark.parametrize("spec", [TINY_1D, TINY_2D], ids=["1d", "2d"])
+@pytest.mark.parametrize("command", [("solve",), ("simulate",), ("convergence", "--levels", "3")])
+def test_reports_make_no_scipy_sparse_products(monkeypatch, capsys, spec_file, spec, command):
+    # products with M are one kernel call each, past scipy's sparse dispatch
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("scipy sparse matrix-vector product")
+
+    monkeypatch.setattr(scipy.sparse._compressed._cs_matrix, "_matmul_vector", forbidden)
+    run_json(capsys, command[0], "--spec", spec_file(spec), *command[1:])
+
+
 # finite specs the validator accepts whose data, or the mesh sizes, model
 # costs and shot counts derived from them, leave double-precision range
 OUT_OF_RANGE = {
@@ -128,16 +140,16 @@ OUT_OF_RANGE = {
 }
 
 
-# numpy's overflow warnings reach stderr as they do from the console script,
-# not as the errors this suite makes of them
-@pytest.mark.filterwarnings("default::RuntimeWarning")
+# the suite turns numpy's RuntimeWarnings into errors, so these runs also
+# show that the data is refused before any overflow warning
 @pytest.mark.parametrize(
     "name, command", [(name, command) for name, (_, commands) in OUT_OF_RANGE.items() for command in commands]
 )
 def test_out_of_range_specs_exit_without_traceback(capsys, spec_file, name, command):
     start = time.perf_counter()
     code, out, err = run(capsys, command, "--spec", spec_file(OUT_OF_RANGE[name][0]))
-    assert code in (2, 4) and out == "" and "Traceback" not in err, err
+    assert code in (2, 4) and out == "" and "Traceback" not in err and "Warning" not in err, err
+    assert len(err.splitlines()) == 1, err
     assert time.perf_counter() - start < 2.0
 
 

@@ -99,23 +99,26 @@ def test_zero_rhs_returns_before_factorising():
     assert np.array_equal(rep.solution, np.zeros(3))
 
 
-def reference_cg(M, b, tol):
-    """CG written with two reductions per step, ||r|| and r.z with z = r,
-    as it was while it also accepted a preconditioner z = P r."""
-    lam_min, lam_max = M.extremes()
+def reference_cg(M, b, tol, precond=None):
+    """Textbook CG (PCG with ``precond``) with its products through scipy's
+    ``csr @ p`` and two reductions per step: ||r|| (r^T z with a
+    preconditioner) and r.z."""
+    lam_min, lam_max = M.extremes() if precond is None else (0.25, 1.0)
     sqrt_lam = np.sqrt(lam_min)
     cap = max(50, int(np.ceil(10.0 * np.sqrt(lam_max / lam_min) * np.log(1.0 / tol))))
     x = np.zeros(M.n)
     r = b.copy()
-    z = r
+    z = r if precond is None else precond(r)
     p = z.copy()
     rz = float(r @ z)
     for j in range(1, cap + 1):
-        Ap = M @ p
+        Ap = M.csr @ p
         alpha = rz / float(p @ Ap)
         x = x + alpha * p
         r = r - alpha * Ap
-        rnorm = float(np.linalg.norm(r))
+        z = r if precond is None else precond(r)
+        rz_new = float(r @ z)
+        rnorm = float(np.linalg.norm(r) if precond is None else np.sqrt(rz_new))
         energy_of_x = float(b @ x)
         err_bound = rnorm / sqrt_lam
         if energy_of_x > 0 and err_bound <= tol * np.sqrt(energy_of_x):
@@ -123,8 +126,6 @@ def reference_cg(M, b, tol):
         if j >= cap:
             rel = err_bound / np.sqrt(energy_of_x) if energy_of_x > 0 else np.inf
             return CGReport(x, j, rel, j, False, lam_min, rnorm)
-        z = r
-        rz_new = float(r @ z)
         p = z + (rz_new / rz if rz != 0 else 0.0) * p
         rz = rz_new
 
@@ -136,6 +137,31 @@ def test_single_reduction_loop_matches_reference_bit_for_bit(d, n, k, tol):
     apart, at the benchmark's 1D sizes and at 1,764 dofs in 2D."""
     M, b = poisson_system(n, k=k, f=(0.7, -1.2, 0.9, -1.1) if d == 1 else (-1.0, 0.5), d=d)
     rep, ref = conjugate_gradient(M, b, tol=tol), reference_cg(M, b, tol)
+    assert np.array_equal(rep.solution, ref.solution)
+    assert rep.to_dict() == ref.to_dict()
+
+
+@pytest.mark.parametrize("k, n", [(1, 1000), (2, 500), (3, 300)])
+def test_cg_matches_reference_at_the_benchmark_tolerances(k, n):
+    """The 1D CG solves of the benchmark, at its sizes and tolerances
+    tol = (n - 1/2)^-(k+1): about 1,000 dofs and 700 to 1,200 steps."""
+    M, b = poisson_system(n, k=k, f=(0.7, -1.2, 0.9, -1.1))
+    tol = (n - 0.5) ** -(k + 1)
+    rep, ref = conjugate_gradient(M, b, tol=tol), reference_cg(M, b, tol)
+    assert ref.converged and rep.iterations == ref.iterations > 500
+    assert np.array_equal(rep.solution, ref.solution)
+    assert rep.to_dict() == ref.to_dict()
+
+
+def test_pcg_matches_reference_bit_for_bit():
+    # with reaction, C = K5 + R/n^2 I is not M, and PCG takes 15 steps
+    mesh = build_square_triangulation(43)
+    spec = build_basis(mesh, 1)
+    M = assemble_stiffness(mesh, spec, BilinearForm(1.0, 1e4))
+    b = -assemble_load(mesh, spec, [[-1.0, 0.5]])
+    rep = conjugate_gradient(M, b, tol=1e-14, precond=M._precond)
+    ref = reference_cg(M, b, 1e-14, M._precond)
+    assert ref.converged and rep.iterations == ref.iterations > 10
     assert np.array_equal(rep.solution, ref.solution)
     assert rep.to_dict() == ref.to_dict()
 
@@ -198,3 +224,19 @@ def test_tolerance_validation():
     M, b = poisson_system(8)
     with pytest.raises(ValidationError):
         conjugate_gradient(M, b, tol=0.0)
+
+
+def test_cg_counts_one_matvec_per_iteration(monkeypatch):
+    # the benchmark's tracer counts products by wrapping matvec on the class
+    calls = []
+    matvec = SparseSymMatrix.matvec
+
+    def counted(self, x):
+        calls.append(1)
+        return matvec(self, x)
+
+    M, b = poisson_system(200, k=2)
+    M.extremes()
+    monkeypatch.setattr(SparseSymMatrix, "matvec", counted)
+    rep = conjugate_gradient(M, b, tol=1e-8)
+    assert rep.converged and len(calls) == rep.iterations == rep.matvec_count

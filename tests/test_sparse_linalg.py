@@ -37,9 +37,9 @@ REL = 1e-9
 FEM_GAP = 2e-2
 
 
-def system(d, n, k=1, reaction=0.0):
+def system(d, n, k=1, reaction=0.0, constrained=True):
     mesh = build_interval_mesh(n) if d == 1 else build_square_triangulation(n)
-    spec = build_basis(mesh, k)
+    spec = build_basis(mesh, k, constrain_dirichlet=constrained)
     M = assemble_stiffness(mesh, spec, BilinearForm(diffusion=1.0, reaction=reaction))
     load = assemble_load(mesh, spec, [-1.0] if d == 1 else [[-1.0]])
     return M, -load
@@ -323,6 +323,46 @@ def test_extremes_bit_identical_on_equal_matrices():
     second_matrix = system(2, 30, reaction=1.0)[0]
     assert second_matrix.extremes() == first
     assert second_matrix.extremes() == first  # cached
+
+
+# ---------------------------------------------------------------------------
+# products with M: scipy's private CSR kernel, called directly, must give
+# what csr @ x gives
+
+PRODUCT_MATRICES = {
+    "1d-k1": lambda: system(1, 1000)[0],
+    "1d-k2-reaction": lambda: system(1, 500, k=2, reaction=3.0)[0],
+    "1d-k3": lambda: system(1, 300, k=3)[0],
+    "1d-k2-unconstrained": lambda: system(1, 40, k=2, constrained=False)[0],
+    "2d": lambda: system(2, 43, reaction=1.0)[0],
+    "2d-unconstrained": lambda: system(2, 20, reaction=1.0, constrained=False)[0],
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_MATRICES)
+def test_products_are_csr_products_bitwise(name):
+    M = PRODUCT_MATRICES[name]()
+    rng = np.random.default_rng(3)
+    wide = rng.standard_normal(3 * M.n)
+    vectors = {
+        "random": wide[:M.n].copy(),
+        "strided": wide[::3],
+        "integers": rng.integers(-5, 6, M.n),
+        "positive": rng.uniform(0.5, 1.5, M.n),
+    }
+    for label, x in vectors.items():
+        assert M.matvec(x).tobytes() == (M.csr @ x).tobytes(), label
+        assert (M @ x).tobytes() == (M.csr @ x).tobytes(), label
+    w = vectors["positive"]  # the |M| products of extremes()
+    absolute = qfemlab.assembly._csr_product(M.csr, np.abs(M.csr.data), w)
+    assert absolute.tobytes() == (abs(M.csr) @ w).tobytes()
+
+
+def test_product_refuses_a_vector_of_another_length():
+    M = system(1, 10)[0]
+    for x in (np.ones(M.n + 1), np.ones((M.n, 1))):
+        with pytest.raises(ValidationError, match="shape"):
+            M @ x
 
 
 # ---------------------------------------------------------------------------
