@@ -38,7 +38,6 @@ from .problems import (
     ProblemSpec,
     analytic_solution_1d,
     discretize,
-    exact_functional_1d,
     mesh_size,
     poly_l2_norm,
 )

@@ -21,11 +21,16 @@ coordinates or element lists: meshes carry only their dimension and n.
 Dofs are numbered along the line (1D) or row by row (2D), so every
 assembled matrix is banded, with half-bandwidth at most k in 1D and n in
 2D. 1D matrices solve through one band Cholesky factor; 2D ones, whose factor
-would fill the band, through a ``SineTransformPreconditioner``, built on
-first use, which also gives lambda_min by a single-vector LOPCG loop.
+would fill the band, through a ``SineTransformPreconditioner`` built on
+first use. lambda_min comes from one single-vector LOPCG loop,
+``lowest_eigenvalue``, preconditioned by the band factor in 1D and by the
+sine transform in 2D. Only past the 2D class bound, where the loop's start
+cannot reach the lowest eigenvector, does shift-invert ARPACK on the band
+factor read it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -179,56 +184,63 @@ class SineTransformPreconditioner:
         s, w = self._sine, v.reshape(self.n - 1, self.n - 1)
         return (s @ (s @ w @ s / self._lam) @ s).reshape(v.shape)
 
-    def lowest_eigenvalue(self, matvec) -> float:
-        """lambda_min of M by single-vector LOPCG (Knyazev 2001) with C,
-        from x = sin(pi a/n) sin(pi b/n), to residual ||Mx - rq x|| <= tol =
-        1e-10 rq (rq: the start's Rayleigh quotient). Each step is one
-        Rayleigh-Ritz on span{x, w, p}: w = C^{-1}(Mx - (x^T Mx) x), made
-        orthogonal to x, and p the previous step's move, each of unit norm;
-        p is left out for a step whose 3 x 3 Gram matrix is not positive
-        definite. M x and M p are updated with x and p, so each step takes
-        one product with M, through ``matvec``: M's own, one kernel call on
-        its arrays. The loop stops on that recursive M x, then M x is
-        recomputed and the residual rechecked against 2 tol; the value
-        returned is x^T M x. The start keeps its class under the mesh's
-        symmetries, so this is lambda_min only when ``class_holds_lambda_min``,
-        about reaction <= 2.4 diffusion n^2."""
-        x = np.outer(self._sine[0], self._sine[0]).ravel()  # a unit vector
-        # rows x, w, p, and M times each; p joins from the second step
-        basis, images = np.empty((3, len(x))), np.empty((3, len(x)))
-        basis[0], images[0] = x, matvec(x)
-        tol = 1e-10 * float(x @ images[0])
-        rows = 2
-        for _ in range(1000):
-            x, mx = basis[0], images[0]
-            residual = mx - (x @ mx) * x
-            if np.linalg.norm(residual) <= tol:  # on the recursive M x: recheck
-                mx = matvec(x)
-                lam = float(x @ mx)
-                if np.linalg.norm(mx - lam * x) > 2.0 * tol:
-                    break
-                return lam
-            w = self(residual)
-            w -= (x @ w) * x
-            basis[1] = w / np.linalg.norm(w)
-            images[1] = matvec(basis[1])
-            for rows in (rows, 2):  # with p if it can, then without
-                try:
-                    gram = basis[:rows] @ basis[:rows].T
-                    coef = eigh(basis[:rows] @ images[:rows].T, gram, check_finite=False)[1][:, 0]
-                    break
-                except LinAlgError:  # the Gram matrix is not positive definite
-                    continue
-            else:
+
+def lowest_eigenvalue(matvec, precond, start, lam_max) -> float:
+    """lambda_min of M by single-vector LOPCG (Knyazev 2001) from the unit
+    vector ``start``, with ``precond`` applying the preconditioner's inverse
+    and ``lam_max`` an upper bound on M's spectrum. It stops at residual
+    ||Mx - rq x|| <= tol = max(1e-10 rq, 32 eps lam_max) (rq: the start's
+    Rayleigh quotient); the second term, the rounding floor of M x, is the
+    larger where lam_max / rq passes about 1.4e4. Each step is one
+    Rayleigh-Ritz on span{x, w, p}: w = precond(Mx - (x^T Mx) x), made
+    orthogonal to x, and p the previous step's move, each of unit norm; p
+    is left out for a step whose 3 x 3 Gram matrix is not positive
+    definite. M x and M p are updated with x and p, so each step takes one
+    product with M, through ``matvec``. The loop stops on that recursive
+    M x, then M x is recomputed and the residual rechecked against 2 tol;
+    the value returned is x^T M x. It is lambda_min only where the
+    iteration can reach the lowest eigenvector from ``start``: the 2D start
+    keeps its symmetry class
+    (``SineTransformPreconditioner.class_holds_lambda_min``)."""
+    x = start
+    # rows x, w, p, and M times each; p joins from the second step
+    basis, images = np.empty((3, len(x))), np.empty((3, len(x)))
+    basis[0], images[0] = x, matvec(x)
+    # residual norms are taken times a power of two near 1/lam_max, which
+    # changes no rounding but keeps their squares from over- or underflowing
+    scale = math.ldexp(1.0, -math.frexp(lam_max)[1])
+    tol = max(1e-10 * (float(x @ images[0]) * scale), 32.0 * np.finfo(float).eps * (lam_max * scale))
+    rows = 2
+    for _ in range(1000):
+        x, mx = basis[0], images[0]
+        residual = mx - (x @ mx) * x
+        if np.linalg.norm(residual * scale) <= tol:  # on the recursive M x: recheck
+            mx = matvec(x)
+            lam = float(x @ mx)
+            if np.linalg.norm((mx - lam * x) * scale) > 2.0 * tol:
                 break
-            p, mp = coef[1:] @ basis[1:rows], coef[1:] @ images[1:rows]
-            x, mx = coef[0] * x + p, coef[0] * mx + mp
-            x_norm, p_norm = np.linalg.norm(x), np.linalg.norm(p)
-            basis[0], images[0] = x / x_norm, mx / x_norm
-            rows = 3 if p_norm > 0.0 else 2  # a step that left x in place has no p
-            if rows == 3:
-                basis[2], images[2] = p / p_norm, mp / p_norm
-        raise NonConvergenceError("LOPCG eigenvalue iteration did not converge")
+            return lam
+        w = precond(residual)
+        w -= (x @ w) * x
+        basis[1] = w / np.linalg.norm(w)
+        images[1] = matvec(basis[1])
+        for rows in (rows, 2):  # with p if it can, then without
+            try:
+                gram = basis[:rows] @ basis[:rows].T
+                coef = eigh(basis[:rows] @ images[:rows].T, gram, check_finite=False)[1][:, 0]
+                break
+            except LinAlgError:  # the Gram matrix is not positive definite
+                continue
+        else:
+            break
+        p, mp = coef[1:] @ basis[1:rows], coef[1:] @ images[1:rows]
+        x, mx = coef[0] * x + p, coef[0] * mx + mp
+        x_norm, p_norm = np.linalg.norm(x), np.linalg.norm(p)
+        basis[0], images[0] = x / x_norm, mx / x_norm
+        rows = 3 if p_norm > 0.0 else 2  # a step that left x in place has no p
+        if rows == 3:
+            basis[2], images[2] = p / p_norm, mp / p_norm
+    raise NonConvergenceError("LOPCG eigenvalue iteration did not converge")
 
 
 def _csr_product(csr, data, x) -> np.ndarray:
@@ -253,7 +265,8 @@ class SparseSymMatrix:
     after its type and shape dispatch, so the results are the same bits.
 
     Linear algebra stays sparse. The first call that needs it (``is_spd``;
-    ``solve`` without a preconditioner; ``extremes`` unless LOPCG runs)
+    ``solve`` without a preconditioner; ``extremes`` unless the sine
+    transform preconditions its LOPCG loop)
     packs the upper band of the CSR arrays (half-bandwidth bw, the largest
     j - i of a stored entry) into LAPACK's (bw + 1) x n layout and takes its
     band Cholesky factor M = R^T R once, caching it (or its failure); no other
@@ -348,23 +361,32 @@ class SparseSymMatrix:
     def extremes(self) -> tuple[float, float]:
         """(lambda_min, an upper bound on lambda_max) of an SPD matrix, cached.
 
-        lambda_min, to rounding level: the preconditioner's LOPCG loop
-        (``SineTransformPreconditioner.lowest_eigenvalue``) where its start's
-        class holds lambda_min, else shift-invert Lanczos at 0 on the cached
-        band factor (ARPACK, fixed start). The upper end is the
-        Collatz-Wielandt bound max_i (|M| w)_i / w_i >= rho(|M|) >= lambda_max
-        after 8 power steps on |M| from w = 1, raised by a relative 1e-12 so
-        that rounding cannot put it below lambda_max. Each step is one kernel
-        call on M's pattern with |data|: not a product with M, so it does not
-        pass through ``matvec``. On stiffness matrices it is within 2e-2 of
-        lambda_max, and within 1e-5 at a thousand dofs.
+        The upper end comes first: the Collatz-Wielandt bound max_i (|M| w)_i
+        / w_i >= rho(|M|) >= lambda_max after 8 power steps on |M| from w =
+        1, raised by a relative 1e-12 so that rounding cannot put it below
+        lambda_max. Each step is one kernel call on M's pattern with |data|:
+        not a product with M, so it does not pass through ``matvec``. On
+        stiffness matrices it is within 2e-2 of lambda_max, and within 1e-5
+        at a thousand dofs.
+
+        lambda_min, to rounding level, is ``lowest_eigenvalue``'s LOPCG loop.
+        On the 2D Dirichlet grid it runs with the sine-transform C from x =
+        sin(pi a/n) sin(pi b/n); that start keeps its class under the mesh's
+        symmetries, so this holds lambda_min only when
+        ``class_holds_lambda_min``, and past that bound (about reaction > 2.4
+        diffusion n^2) shift-invert Lanczos at 0 on the cached band factor
+        (ARPACK, fixed start) reads it instead. Every other matrix, each 1D
+        one included, runs the loop preconditioned by its cached band
+        factor, from x_j = sin(pi (j + 1) / 2n): the nodal values of sin(pi
+        x / 2), the lowest eigenfunction of -D u'' + R u with u(0) = u'(1) =
+        0 for every D and R.
         Equal matrices give bit-identical values. Raises ValidationError when
         the matrix is singular or indefinite and NonConvergenceError when
         the eigensolver does not converge.
         """
         if self._extremes is None:
-            by_lopcg = self._precond is not None and self._precond.class_holds_lambda_min
-            if not by_lopcg and not self.is_spd():
+            by_sine = self._precond is not None and self._precond.class_holds_lambda_min
+            if not by_sine and not self.is_spd():
                 raise ValidationError("matrix is singular or indefinite")
             # w stays positive: an SPD matrix has a positive diagonal
             absdata, w = np.abs(self._csr.data), np.ones(self.n)
@@ -372,18 +394,22 @@ class SparseSymMatrix:
                 y = _csr_product(self._csr, absdata, w)
                 bound = float((y / w).max())
                 w = y / y.max()
-            lam_min = float(self._csr.data[0])  # ARPACK needs n > 1
-            if by_lopcg:
-                lam_min = self._precond.lowest_eigenvalue(self.matvec)
-            elif self.n > 1:
-                band_solve = partial(cho_solve_banded, (self._chol, False), check_finite=False)
+            lam_max = bound * (1.0 + 1e-12)
+            band_solve = partial(cho_solve_banded, (self._chol, False), check_finite=False)
+            if by_sine:
+                sine = self._precond._sine[0]
+                lam_min = lowest_eigenvalue(self.matvec, self._precond, np.outer(sine, sine).ravel(), lam_max)
+            elif self._precond is None or self.n == 1:  # one dof: the loop returns M_00 at once
+                start = np.sin(np.pi * np.arange(1, self.n + 1) / (2 * self.n))
+                lam_min = lowest_eigenvalue(self.matvec, band_solve, start / np.linalg.norm(start), lam_max)
+            else:
                 inv = LinearOperator(self._csr.shape, matvec=band_solve, dtype=float)
                 v0 = np.random.default_rng(0).standard_normal(self.n)
                 try:
                     lam_min = float(eigsh(self._csr, k=1, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False)[0])
                 except ArpackNoConvergence as exc:
                     raise NonConvergenceError("Lanczos eigenvalue iteration did not converge") from exc
-            self._extremes = (lam_min, bound * (1.0 + 1e-12))
+            self._extremes = (lam_min, lam_max)
         return self._extremes
 
 

@@ -16,7 +16,10 @@ inputs reproduce outputs bit-identically in exact modes and
 distribution-identically (same seed, same values) in sampling modes.
 solve's ``kappa_estimate`` and the ledger's modelled costs use an upper
 bound on the condition number: lambda_min to rounding level over an upper
-bound on lambda_max, certified with a relative 1e-12 margin.
+bound on lambda_max, certified with a relative 1e-12 margin. lambda_min
+comes from one LOPCG loop in 1D and 2D, preconditioned by the band factor
+or the sine transform; only 2D matrices past the class bound (about
+reaction > 2.4 diffusion n^2) read it by shift-invert ARPACK instead.
 """
 from __future__ import annotations
 
@@ -63,7 +66,10 @@ def solve_report(problem: ProblemSpec) -> dict:
     if not report.converged:
         raise NonConvergenceError("conjugate gradient hit its cap", partial=report.to_dict())
     r_load = assemble_load(mesh, spec, problem.r_array())
-    functional = float(r_load @ report.solution)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        functional = float(r_load @ report.solution)
+    if not np.isfinite(functional):
+        raise ValidationError("the functional leaves double-precision range")
     kappa = estimate_condition_number(M)
     return {
         "meta": _meta(problem, problem.seed),

@@ -213,12 +213,6 @@ def sobolev_from_poly(u_coeffs, max_order: int) -> SobolevData:
     return SobolevData(tuple(semis))
 
 
-def exact_functional_1d(u_coeffs, r_coeffs) -> float:
-    """Exact int_0^1 r(x) u(x) dx for polynomial u and r."""
-    prod = np.convolve(np.asarray(u_coeffs, float), np.asarray(r_coeffs, float))
-    return float(sum(prod[i] / (i + 1) for i in range(len(prod))))
-
-
 # ---------------------------------------------------------------------------
 # discretisation
 

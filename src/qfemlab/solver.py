@@ -22,6 +22,7 @@ C^{-1} M, and ||r||^2 as r^T C^{-1} r, so that ||x - x*||_M^2 <= 4 r^T C^{-1} r.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,8 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
     returning an explicit non-convergence report when the iteration cap is
     reached. ``cap`` bounds the number of iterations and must be at least 1.
     ``precond`` applies C^{-1}, for C/4 <= M <= C, in place of ``M.extremes()``.
+    Raises ValidationError when p^T A p is not positive or not finite, and
+    when the iterate's energy b^T x is not finite.
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
@@ -71,33 +74,44 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
     if cap is None:
         cap = max(50, int(np.ceil(10.0 * np.sqrt(lam_max / lam_min) * np.log(1.0 / tol))))
 
-    x = np.zeros(n)
-    r = bvec.copy()
-    z = r if precond is None else precond(r)
-    p = z.copy()
-    rz = float(r @ z)
-    for j in range(1, cap + 1):
-        Ap = M @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0:
-            raise ValidationError("matrix is not positive definite on the active dofs")
-        alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-
+    # one errstate for the whole loop: an overflow shows in p^T A p or in the
+    # energy b^T x, and either is refused
+    with np.errstate(all="ignore"):
+        x = np.zeros(n)
+        r = bvec.copy()
         z = r if precond is None else precond(r)
-        rz_new = float(r @ z)
-        rnorm = float(np.sqrt(rz_new))
-        energy_of_x = float(bvec @ x)
-        err_bound = rnorm / sqrt_lam
-        if energy_of_x > 0 and err_bound <= tol * np.sqrt(energy_of_x):
-            return CGReport(x, j, err_bound / np.sqrt(energy_of_x), j, True, lam_min, rnorm)
-        if j >= cap:
-            rel = err_bound / np.sqrt(energy_of_x) if energy_of_x > 0 else np.inf
-            return CGReport(x, j, rel, j, False, lam_min, rnorm)
+        p = z.copy()
+        rz = float(r @ z)
+        for j in range(1, cap + 1):
+            Ap = M @ p
+            pAp = float(p @ Ap)
+            if not 0.0 < pAp < math.inf:
+                raise ValidationError(
+                    "matrix is not positive definite on the active dofs" if pAp <= 0
+                    else "a CG step leaves double-precision range"
+                )
+            alpha = rz / pAp
+            x = x + alpha * p
+            r = r - alpha * Ap
 
-        p = z + (rz_new / rz if rz != 0 else 0.0) * p
-        rz = rz_new
+            z = r if precond is None else precond(r)
+            rz_new = float(r @ z)
+            rnorm = float(np.sqrt(rz_new))
+            energy_of_x = float(bvec @ x)
+            err_bound = rnorm / sqrt_lam
+            if energy_of_x > 0:  # finite or +inf; +inf is refused on return
+                if err_bound <= tol * np.sqrt(energy_of_x):
+                    break
+            elif not math.isfinite(energy_of_x):
+                raise ValidationError("the CG iterate leaves double-precision range")
+
+            p = z + (rz_new / rz if rz != 0 else 0.0) * p
+            rz = rz_new
+        if energy_of_x == math.inf:
+            raise ValidationError("the CG iterate leaves double-precision range")
+        converged = bool(energy_of_x > 0 and err_bound <= tol * np.sqrt(energy_of_x))
+        rel = err_bound / np.sqrt(energy_of_x) if energy_of_x > 0 else np.inf
+        return CGReport(x, j, rel, j, converged, lam_min, rnorm)
 
 
 def estimate_condition_number(M: SparseSymMatrix) -> float:

@@ -137,6 +137,19 @@ OUT_OF_RANGE = {
         {**TINY_2D, "pde": {"diffusion": 1e150, "reaction": 0}, "f": [[-1e30]], "r": [[1e30]], "sobolev": [1e300, 1, 1]},
         ("simulate", "plan"),
     ),
+    # CG's iterate overflows (2D), or the functional of a finite solution does (1D)
+    "2d-cg-overflow": (
+        {
+            "d": 2, "k": 1, "pde": {"diffusion": 2.83e-278, "reaction": 0},
+            "f": [[-1.0e39, 1.58], [2.9e-294, -1.4e-209]], "r": [[-3.9e142, 1.4e-160], [1.98, -1.4e206]],
+            "eps": 0.404, "sobolev": [0.08, 2.6e293, 0.134],
+        },
+        ("solve", "convergence"),
+    ),
+    "1d-functional": (
+        {"d": 1, "k": 1, "pde": {"diffusion": 4.8e-163, "reaction": 0}, "f": [-1e-40], "r": [-1.4e189], "eps": 1e118},
+        ("solve",),
+    ),
 }
 
 

@@ -2,7 +2,8 @@
 a renamed or deleted name that the harness calls fails here first. Each run
 also checks every artifact against the harness's own sparse-direct
 reference (``perfbench/checks.py``): sample1d covers the 1D kernels and the
-sampler, dense2d the 2D kernels and the convergence study."""
+sampler, dense2d the 2D kernels and the convergence study, cg1d plain CG and
+the 1D lambda_min at about 1,000 dofs."""
 import json
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["sample1d", "dense2d"])
+@pytest.mark.parametrize("workload", ["sample1d", "dense2d", "cg1d"])
 def test_smoke_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0.5"],

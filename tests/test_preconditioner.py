@@ -169,7 +169,7 @@ def test_lambda_min_method_follows_the_class_bound(monkeypatch, n, reaction):
     the symmetry class of sin(pi a/n) sin(pi b/n), which LOPCG from that
     start cannot leave (alone it reads 0.5 % high at n = 4, reaction 1e4).
     There extremes() keeps the band factor and shift-invert ARPACK."""
-    runs = _count_calls(monkeypatch, "lowest_eigenvalue", SineTransformPreconditioner)
+    runs = _count_calls(monkeypatch, "lowest_eigenvalue")
     factors, arpack = (_count_calls(monkeypatch, name) for name in ("cholesky_banded", "eigsh"))
     M = system(n, reaction)[0]
     ev = np.linalg.eigvalsh(M.to_dense())

@@ -23,7 +23,6 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qfemlab"
 
 ALLOWED = {
-    "exact_functional_1d": "test reference: the exact functional the estimators are checked against",
     "to_dense": "test reference: the dense matrix behind every eigvalsh/solve cross-check",
     "from_dense": "test constructor for small hand-written matrices",
     "identity": "test constructor for the identity cases of CG and norm estimation",

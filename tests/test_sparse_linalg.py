@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 import qfemlab
 from qfemlab import (
@@ -152,27 +152,81 @@ def _count_factorisations(monkeypatch):
     return calls
 
 
+def _count_calls(monkeypatch, name):
+    """One entry per call of ``qfemlab.assembly.<name>`` from here on."""
+    calls = []
+    original = getattr(qfemlab.assembly, name)
+
+    def counting(*args, **kwargs):
+        calls.append(0)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qfemlab.assembly, name, counting)
+    return calls
+
+
 def test_extremes_factors_a_fresh_matrix_once(monkeypatch):
+    # 1D lambda_min is the LOPCG loop on the band factor: one band solve per
+    # step (4 here), no ARPACK, and a second call reads the cache
     calls = _count_factorisations(monkeypatch)
-    solves = []
-    eigsh = qfemlab.assembly.eigsh
-
-    def counting_eigsh(A, *args, OPinv=None, **kwargs):
-        # SciPy factors A - sigma I itself (general pivoting) when OPinv is missing
-        assert OPinv is not None
-
-        def solve(x):
-            solves.append(0)
-            return OPinv.matvec(x)
-
-        return eigsh(A, *args, OPinv=LinearOperator(OPinv.shape, matvec=solve, dtype=float), **kwargs)
-
-    monkeypatch.setattr(qfemlab.assembly, "eigsh", counting_eigsh)
+    solves, arpack = _count_calls(monkeypatch, "cho_solve_banded"), _count_calls(monkeypatch, "eigsh")
     M = system(1, 300, k=3)[0]
     M.extremes()
+    steps = len(solves)
     M.extremes()
-    assert len(calls) == 1
-    assert 0 < len(solves) <= 21
+    assert len(calls) == 1 and arpack == []
+    assert 0 < len(solves) == steps <= 8
+
+
+def _assemble_1d(k, n, diffusion, reaction):
+    mesh = build_interval_mesh(n)
+    return assemble_stiffness(mesh, build_basis(mesh, k), BilinearForm(diffusion, reaction))
+
+
+# every (k, diffusion, reaction) at about 300 dofs, and at 2,000 dofs with
+# diffusion 1e-3, which also covers reaction / diffusion up to 1e9
+LOOP_GRID = [
+    (k, dofs, diffusion, reaction)
+    for k in (1, 2, 3)
+    for dofs, diffusions in ((300, (1.0, 1e-3)), (2000, (1e-3,)))
+    for diffusion in diffusions
+    for reaction in (0.0, 1.0, 1e2, 1e4, 1e6)
+]
+
+
+@pytest.mark.parametrize("k,dofs,diffusion,reaction", LOOP_GRID)
+def test_1d_lambda_min_matches_dense_at_the_rounding_floor(k, dofs, diffusion, reaction):
+    # a Rayleigh quotient x^T M x carries rounding of about kappa eps relative
+    M = _assemble_1d(k, dofs // k, diffusion, reaction)
+    ev = np.linalg.eigvalsh(M.to_dense())
+    lam_min = M.extremes()[0]
+    assert abs(lam_min - ev[0]) <= 10.0 * (ev[-1] / ev[0]) * np.finfo(float).eps * ev[0]
+
+
+@pytest.mark.parametrize("k,n", [(1, 20_000), (3, 20_000), (1, 200_000)], ids=["k1-20k", "k3-20k", "k1-cap"])
+def test_1d_loop_converges_under_its_cap_on_large_meshes(monkeypatch, k, n):
+    # the 200,000-cell mesh is the 1D cell cap; kappa eps reaches 3.5e-5 there
+    solves = _count_calls(monkeypatch, "cho_solve_banded")
+    M = _assemble_1d(k, n, 1.0, 0.0)
+    lam_min, lam_max = M.extremes()
+    assert 0 < len(solves) < 1000
+    lu = splu(M.csr.tocsc())
+    inv = LinearOperator(M.csr.shape, matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(M.n)
+    ref = eigsh(M.csr, k=1, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False)[0]
+    assert abs(lam_min - ref) <= 10.0 * lam_max * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("scale", [2.0**-600, 2.0**600], ids=["tiny", "huge"])
+@pytest.mark.parametrize("d,k,n,reaction", [(1, 2, 50, 0.0), (1, 1, 50, 1.0), (2, 1, 8, 0.0), (2, 1, 8, 1.0)])
+def test_lambda_min_scales_with_the_matrix(d, k, n, reaction, scale):
+    # the residual norms of the LOPCG loop square entries of M's size: at
+    # 2^-600 they underflowed to 0 and the loop stopped at its start (3e-5
+    # high in 1D), at 2^600 they overflowed and it never stopped
+    mesh = build_interval_mesh(n) if d == 1 else build_square_triangulation(n)
+    spec = build_basis(mesh, k)
+    unit, scaled = (assemble_stiffness(mesh, spec, BilinearForm(c, c * reaction)) for c in (1.0, scale))
+    assert scaled.extremes()[0] == pytest.approx(scale * unit.extremes()[0], rel=1e-10, abs=0.0)
 
 
 def _random_symmetric(rng, n, spd):
@@ -405,30 +459,31 @@ def test_reports_make_no_dense_calls(monkeypatch, payload):
 def test_reports_factor_each_assembled_matrix_once(monkeypatch, payload, report):
     """solve and simulate assemble one matrix, convergence one per level plus,
     in 2D, a reference and its Gram matrix (SPEC_1D has the analytic
-    solution). 1D factors each once; 2D solves by sine-transform
-    preconditioned CG and LOPCG, with no band factor and no ARPACK call."""
+    solution). 1D factors each once and reads lambda_min by the LOPCG loop,
+    one band solve per step; 2D solves by sine-transform preconditioned CG
+    and LOPCG. Neither calls ARPACK."""
     calls = _count_factorisations(monkeypatch)
-    matrices, arpack = [], []
-    adopt, eigsh = SparseSymMatrix._adopt, qfemlab.assembly.eigsh
+    solves, arpack = _count_calls(monkeypatch, "cho_solve_banded"), _count_calls(monkeypatch, "eigsh")
+    matrices = []
+    adopt = SparseSymMatrix._adopt
 
     def counting_adopt(self, csr):
         matrices.append(self)
         adopt(self, csr)
 
-    def counting_eigsh(*args, **kwargs):
-        arpack.append(0)
-        return eigsh(*args, **kwargs)
-
     monkeypatch.setattr(SparseSymMatrix, "_adopt", counting_adopt)
-    monkeypatch.setattr(qfemlab.assembly, "eigsh", counting_eigsh)
     args = (3,) if report == "convergence_report" else ()
     getattr(cli, report)(ProblemSpec.from_dict(payload), *args)
     assert len(matrices) == (3 + 2 * (payload["d"] == 2) if report == "convergence_report" else 1)
+    assert arpack == []
     if payload["d"] == 2:
-        assert calls == [] and arpack == []
+        assert calls == [] and solves == []
     else:
         assert len(calls) == len(matrices)
-        assert len(arpack) == (report != "convergence_report")
+        # convergence solves once per level and reads no lambda_min; simulate
+        # solves once besides the loop's steps
+        loop_steps = len(solves) - {"solve_report": 0, "convergence_report": 3, "simulate_report": 1}[report]
+        assert loop_steps == 0 if report == "convergence_report" else 0 < loop_steps <= 10
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["convergence", "--levels", "3"], ["plan"]])
