@@ -13,10 +13,11 @@ Matrices and loads are stencils on the uniform mesh, added onto its nodes
 by strided slices, one per local node (pair): on the node line in 1D,
 where element e's local node a is node e k + a, and on the vertex grid in
 2D, one stencil per triangle shape and one array per coupling direction.
-Every matrix row is then written out as CSR directly by one builder for
-both dimensions. The 2D load is formed by sum factorisation, f evaluated
-one axis at a time on the grid of quadrature points. Nothing reads vertex
-coordinates or element lists: meshes carry only their dimension and n.
+Every matrix row is written out as CSR by one builder for both
+dimensions, the only maker of a ``SparseSymMatrix``. The 2D load is formed
+by sum factorisation, f evaluated one axis at a time on the grid of
+quadrature points. Entry points take the ``BasisSpec`` alone, which holds
+its mesh; a mesh is its dimension and n, with no coordinates or elements.
 
 Dofs are numbered along the line (1D) or row by row (2D), so every
 assembled matrix is banded, with half-bandwidth at most k in 1D and n in
@@ -252,17 +253,16 @@ def _csr_product(csr, data, x) -> np.ndarray:
 
 
 class SparseSymMatrix:
-    """Symmetric sparse matrix in canonical CSR form (sorted column indices,
-    no duplicates).
+    """Symmetric sparse matrix ``csr`` in canonical CSR form (sorted column
+    indices, no duplicates), built only by the stencil assembly, symmetric
+    bit for bit: M_pq and M_qp are the same stencil entry read from either
+    end, so the constructor wraps ``csr`` without a check.
 
     Immutable by convention. ``s`` is the maximum number of nonzeros per row.
-    The constructor checks symmetry (to a relative 1e-14, in O(nnz)). The
-    stencil assembly is symmetric bit for bit by design and skips the check
-    through ``_symmetric``.
-
-    Every product with M, and the |M| products of ``extremes``, is one call
-    of scipy's CSR kernel on M's own arrays, the call that ``csr @ x`` makes
-    after its type and shape dispatch, so the results are the same bits.
+    Every product with M (``matvec``), and the |M| products of ``extremes``,
+    is one call of scipy's CSR kernel on M's own arrays, the call that ``csr
+    @ x`` makes after its type and shape dispatch, so the results are the
+    same bits.
 
     Linear algebra stays sparse. The first call that needs it (``is_spd``;
     ``solve`` without a preconditioner; ``extremes`` unless the sine
@@ -273,55 +273,18 @@ class SparseSymMatrix:
     factorisation is made. M is positive definite exactly when it succeeds.
     """
 
-    def __init__(self, matrix):
-        # a copy: canonicalising sorts in place, and the caller keeps its arrays
-        csr = sp.csr_array(matrix, copy=True)
-        csr.sum_duplicates()
-        if csr.shape[0] != csr.shape[1]:
-            raise ValidationError(f"matrix must be square, got {csr.shape}")
-        scale = max(1.0, abs(csr.data).max() if csr.nnz else 0.0)
-        asym = abs((csr - csr.T)).max() if csr.nnz else 0.0
-        if asym > 1e-14 * scale:
-            raise ValidationError(f"matrix is not symmetric (asymmetry {asym:.3e})")
-        self._adopt(csr)
-
-    @classmethod
-    def _symmetric(cls, csr):
-        """Wrap a canonical CSR matrix, symmetric by construction, unchecked."""
-        self = cls.__new__(cls)
-        self._adopt(csr)
-        return self
-
-    def _adopt(self, csr):
-        self._csr = csr
+    def __init__(self, csr):
+        self.csr = csr
         self.n = csr.shape[0]
         self.s = int(np.diff(csr.indptr).max()) if self.n else 0
         self._chol = self._extremes = self._precond = None
 
-    @classmethod
-    def from_dense(cls, a):
-        return cls(np.asarray(a, dtype=float))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(sp.identity(n, format="csr"))
-
-    @property
-    def csr(self):
-        return self._csr
-
     def matvec(self, x):
         """M x for a vector x of length n, by one kernel call on M's arrays."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
+        if x.shape != (self.n,):  # the kernel reads x without a bounds check
             raise ValidationError(f"vector has shape {x.shape}, expected ({self.n},)")
-        return _csr_product(self._csr, self._csr.data, x)
-
-    def __matmul__(self, x):
-        return self.matvec(x)
-
-    def to_dense(self):
-        return self._csr.toarray()
+        return _csr_product(self.csr, self.csr.data, x)
 
     def solve(self, b) -> np.ndarray:
         """M^{-1} b: PCG to rounding level (relative energy error 1e-14) or
@@ -346,7 +309,7 @@ class SparseSymMatrix:
         is not SPD). The first call factors M and caches the factor or the
         failure."""
         if self._chol is None:
-            csr = self._csr
+            csr = self.csr
             offset = csr.indices - np.repeat(np.arange(self.n), np.diff(csr.indptr))
             upper = offset >= 0
             bw = int(offset.max(initial=0))
@@ -389,9 +352,9 @@ class SparseSymMatrix:
             if not by_sine and not self.is_spd():
                 raise ValidationError("matrix is singular or indefinite")
             # w stays positive: an SPD matrix has a positive diagonal
-            absdata, w = np.abs(self._csr.data), np.ones(self.n)
+            absdata, w = np.abs(self.csr.data), np.ones(self.n)
             for _ in range(8):
-                y = _csr_product(self._csr, absdata, w)
+                y = _csr_product(self.csr, absdata, w)
                 bound = float((y / w).max())
                 w = y / y.max()
             lam_max = bound * (1.0 + 1e-12)
@@ -403,10 +366,10 @@ class SparseSymMatrix:
                 start = np.sin(np.pi * np.arange(1, self.n + 1) / (2 * self.n))
                 lam_min = lowest_eigenvalue(self.matvec, band_solve, start / np.linalg.norm(start), lam_max)
             else:
-                inv = LinearOperator(self._csr.shape, matvec=band_solve, dtype=float)
+                inv = LinearOperator(self.csr.shape, matvec=band_solve, dtype=float)
                 v0 = np.random.default_rng(0).standard_normal(self.n)
                 try:
-                    lam_min = float(eigsh(self._csr, k=1, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False)[0])
+                    lam_min = float(eigsh(self.csr, k=1, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False)[0])
                 except ArpackNoConvergence as exc:
                     raise NonConvergenceError("Lanczos eigenvalue iteration did not converge") from exc
             self._extremes = (lam_min, lam_max)
@@ -416,20 +379,16 @@ class SparseSymMatrix:
 # ---------------------------------------------------------------------------
 # assembly
 
-def _check_pair(mesh: Mesh, spec: BasisSpec):
-    if spec.mesh != mesh:
-        raise ValidationError("basis was not built for this mesh")
-
-
-def _assemble_bilinear(mesh: Mesh, spec: BasisSpec, diffusion: float, reaction: float) -> SparseSymMatrix:
+def _assemble_bilinear(spec: BasisSpec, diffusion: float, reaction: float) -> SparseSymMatrix:
     """1D: element e's local node a is node e k + a on the line of n k + 1
     nodes, so row m of the (n k + 1, 2k + 1) stencil holds the entries for
     columns m - k .. m + k, and each local entry (a, b) is one strided slice.
     A node shares at most two elements, so every entry is a sum of at most
     two terms, the same in any order. 2D: the stencil build of
     ``_assemble_stencil_2d``."""
+    mesh = spec.mesh
     if mesh.dimension == 2:
-        return _assemble_stencil_2d(mesh, spec, diffusion, reaction)
+        return _assemble_stencil_2d(spec, diffusion, reaction)
     n, k = mesh.n, spec.k
     kref, mref = _reference_matrices(k)
     local = diffusion * kref / mesh.h + reaction * mref * mesh.h
@@ -450,10 +409,10 @@ def _node_rows_to_csr(spec: BasisSpec, vals, cols) -> SparseSymMatrix:
     free columns leaves canonical CSR."""
     keep = (vals != 0.0) & (cols >= 0) & (spec.node_dofs >= 0)[:, None]
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1)[spec.dof_nodes])])
-    return SparseSymMatrix._symmetric(sp.csr_array((vals[keep], cols[keep], indptr), shape=(spec.n_dofs, spec.n_dofs)))
+    return SparseSymMatrix(sp.csr_array((vals[keep], cols[keep], indptr), shape=(spec.n_dofs, spec.n_dofs)))
 
 
-def _assemble_stencil_2d(mesh: Mesh, spec: BasisSpec, diffusion: float, reaction: float) -> SparseSymMatrix:
+def _assemble_stencil_2d(spec: BasisSpec, diffusion: float, reaction: float) -> SparseSymMatrix:
     """The uniform triangulation has two element shapes, so M is a stencil.
 
     The two exact element matrices are added onto the (n+1)^2 vertex grid,
@@ -464,7 +423,7 @@ def _assemble_stencil_2d(mesh: Mesh, spec: BasisSpec, diffusion: float, reaction
     order; exact zeros and constrained nodes are dropped, which leaves
     canonical CSR. On the Dirichlet grid M carries its preconditioner.
     """
-    n = mesh.n
+    n = spec.mesh.n
     area = 0.5 / (n * n)
     mass = reaction * area / 12.0 * (1.0 + np.eye(3))
     # the gradients are n g, so the element stiffness (n g)(n g)^T * area is
@@ -504,16 +463,14 @@ def _assemble_stencil_2d(mesh: Mesh, spec: BasisSpec, diffusion: float, reaction
     return M
 
 
-def assemble_stiffness(mesh: Mesh, spec: BasisSpec, form: BilinearForm) -> SparseSymMatrix:
+def assemble_stiffness(spec: BasisSpec, form: BilinearForm) -> SparseSymMatrix:
     """Assemble M with M_ij = a(phi_i, phi_j); symmetric positive semidefinite."""
-    _check_pair(mesh, spec)
-    return _assemble_bilinear(mesh, spec, form.diffusion, form.reaction)
+    return _assemble_bilinear(spec, form.diffusion, form.reaction)
 
 
-def assemble_gram(mesh: Mesh, spec: BasisSpec) -> SparseSymMatrix:
+def assemble_gram(spec: BasisSpec) -> SparseSymMatrix:
     """Assemble the Gram (mass) matrix W_ij = int phi_i phi_j."""
-    _check_pair(mesh, spec)
-    return _assemble_bilinear(mesh, spec, 0.0, 1.0)
+    return _assemble_bilinear(spec, 0.0, 1.0)
 
 
 def poly_degree(coeffs) -> int:
@@ -546,7 +503,7 @@ def element_quadrature_1d(mesh: Mesh, p: int):
     return (np.arange(mesh.n) / mesh.n)[:, None] + mesh.h * xs, ws
 
 
-def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> np.ndarray:
+def assemble_load(spec: BasisSpec, f) -> np.ndarray:
     """Load vector with entries int f phi_i over the active dofs.
 
     ``f`` is given as polynomial coefficients (1D: flat list, low order
@@ -560,7 +517,7 @@ def assemble_load(mesh: Mesh, spec: BasisSpec, f) -> np.ndarray:
     barycentric values gives the triangles' corner terms, added onto the
     grid by slices.
     """
-    _check_pair(mesh, spec)
+    mesh = spec.mesh
     c = coefficient_array(f, mesh.dimension)
     deg = poly_degree(c)  # sets the quadrature order
     if deg > MAX_POLY_DEGREE:

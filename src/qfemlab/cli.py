@@ -24,7 +24,6 @@ reaction > 2.4 diffusion n^2) read it by shift-invert ARPACK instead.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -46,7 +45,7 @@ from .lowerbounds import BumpOracle, aligned_probability, hybrid_experiment, mak
 from .mesh import prolongation
 from .problems import MAX_CELLS, ProblemSpec, analytic_solution_1d, discretize, mesh_size
 from .quantum import SampleBudget, estimate_functional
-from .resources import SobolevData, classical_cost, exponent_table, quantum_cost
+from .resources import SobolevData, classical_cost, quantum_cost
 from .solver import conjugate_gradient, estimate_condition_number
 
 
@@ -61,11 +60,11 @@ def _meta(problem: ProblemSpec | None, seed: int) -> dict:
 def solve_report(problem: ProblemSpec) -> dict:
     """Mesh, assemble and CG-solve; emit the functional sum_i u_i <phi_i, r>
     plus iteration and conditioning diagnostics."""
-    mesh, spec, M, b = discretize(problem, mesh_size(problem, problem.eps)[0])
+    spec, M, b = discretize(problem, mesh_size(problem, problem.eps)[0])
     report = conjugate_gradient(M, b, tol=problem.eps / 2.0)
     if not report.converged:
         raise NonConvergenceError("conjugate gradient hit its cap", partial=report.to_dict())
-    r_load = assemble_load(mesh, spec, problem.r_array())
+    r_load = assemble_load(spec, problem.r_array())
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         functional = float(r_load @ report.solution)
     if not np.isfinite(functional):
@@ -73,9 +72,9 @@ def solve_report(problem: ProblemSpec) -> dict:
     kappa = estimate_condition_number(M)
     return {
         "meta": _meta(problem, problem.seed),
-        "n_elements": mesh.n_elements,
+        "n_elements": spec.mesh.n_elements,
         "n_dofs": spec.n_dofs,
-        "h": mesh.h,
+        "h": spec.mesh.h,
         "functional": functional,
         "cg": report.to_dict(),
         "kappa_estimate": kappa,
@@ -113,32 +112,40 @@ def convergence_report(problem: ProblemSpec, levels: int) -> dict:
     ns = [4 * 2**i for i in range(levels)]
     analytic = problem.d == 1 and problem.reaction == 0.0
     if analytic:
-        u_poly = analytic_solution_1d(problem.f_array(), problem.diffusion)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            u_poly = analytic_solution_1d(problem.f_array(), problem.diffusion)
+        if not np.all(np.isfinite(u_poly)):
+            raise ValidationError("the analytic solution leaves double-precision range")
         if poly_degree(u_poly) <= problem.k:
             raise ValidationError(f"the solution has degree <= k = {problem.k}, so every level reproduces it; no rate to fit")
 
-        def error(mesh, spec, coeffs):
+        def error(spec, coeffs):
             p = max(10, 2 * (len(u_poly) + spec.k))
             nodal = np.zeros(spec.n_nodes)
             nodal[spec.dof_nodes] = coeffs
             # element e's local node a is node e k + a; (n_elements, p), in
             # the point order of element_quadrature_1d
-            element_nodes = np.arange(mesh.n)[:, None] * spec.k + np.arange(spec.k + 1)
+            element_nodes = np.arange(spec.mesh.n)[:, None] * spec.k + np.arange(spec.k + 1)
             uh = (nodal[element_nodes] @ _reference_values_at(spec.k, p)).ravel()
-            return _l2_norm_1d(mesh, p, lambda xq: npoly.polyval(xq, u_poly) - uh)
+            return _l2_norm_1d(spec.mesh, p, lambda xq: npoly.polyval(xq, u_poly) - uh)
     else:
-        mesh_f, spec_f, M_f, b_f = discretize(problem, 4 * ns[-1])
+        spec_f, M_f, b_f = discretize(problem, 4 * ns[-1])
         coeffs_f = M_f.solve(b_f)
         del M_f, b_f  # free the reference matrix (and its 1D band factor) before anything else runs
-        gram_f = assemble_gram(mesh_f, spec_f)
+        gram_f = assemble_gram(spec_f)
 
-        def error(mesh, spec, coeffs):
+        def error(spec, coeffs):
             e = coeffs_f - prolongation(spec, spec_f, coeffs)
-            return float(np.sqrt(max(e @ (gram_f @ e), 0.0)))  # >= 0 up to rounding
+            return float(np.sqrt(max(e @ gram_f.matvec(e), 0.0)))  # >= 0 up to rounding
     rows = []
     for n in ns:
-        mesh, spec, M, b = discretize(problem, n)
-        rows.append({"n": n, "h": mesh.h, "error": error(mesh, spec, M.solve(b))})
+        spec, M, b = discretize(problem, n)
+        coeffs = M.solve(b)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            err = error(spec, coeffs)
+        if not np.isfinite(err):
+            raise ValidationError("the L2 error leaves double-precision range")
+        rows.append({"n": n, "h": spec.mesh.h, "error": err})
     hs = np.array([row["h"] for row in rows])
     errs = np.array([row["error"] for row in rows])
     if np.any(errs <= 0):
@@ -173,16 +180,10 @@ def _model_costs(d: int, k: int, eps: float, sob: SobolevData):
     if not (np.isfinite(n_model) and np.isfinite(kappa_model)):
         raise ValidationError(f"the model size N = {n_model} or condition number {kappa_model} overflows at eps = {eps}")
     n_cg = max(1, int(np.ceil(n_model)))
-    # kappa = 1 after preconditioning, so only N carries a power of 1/eps
-    precond_terms = exponent_table(d, k)["classical_precond"]
     costs = {
-        "classical": classical_cost(n_cg, 3, kappa_model, eps / 2.0, d=d, k=k),
-        "classical_precond": dataclasses.replace(
-            classical_cost(n_cg, 3, 1.0, eps / 2.0, d=d, k=k),
-            pipeline="classical_precond",
-            exponent_of_inv_eps=precond_terms[0],
-            exponent_terms=precond_terms,
-        ),
+        "classical": classical_cost(n_cg, 3, kappa_model, eps / 2.0, d=d, k=k, preconditioned=False),
+        # kappa = 1 after preconditioning, so only N carries a power of 1/eps
+        "classical_precond": classical_cost(n_cg, 3, 1.0, eps / 2.0, d=d, k=k, preconditioned=True),
         "quantum": quantum_cost(d, k, eps, sob, 3, preconditioned=False),
         "quantum_precond": quantum_cost(d, k, eps, sob, 3, preconditioned=True),
     }

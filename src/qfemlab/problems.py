@@ -27,7 +27,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .assembly import BilinearForm, SparseSymMatrix, assemble_load, assemble_stiffness, coefficient_array
 from .errors import CapExceededError, UnsupportedConfigurationError, ValidationError
-from .mesh import BasisSpec, Mesh, build_basis, build_interval_mesh, build_square_triangulation
+from .mesh import BasisSpec, build_basis, build_interval_mesh, build_square_triangulation
 from .resources import SobolevData, choose_mesh_size
 
 # largest mesh discretize builds, in cells of the n^d grid
@@ -226,11 +226,11 @@ def mesh_size(problem: ProblemSpec, eps: float) -> tuple[int, float]:
     return max(1, int(np.ceil(np.sqrt(problem.d) / h))), h
 
 
-def discretize(problem: ProblemSpec, n: int) -> tuple[Mesh, BasisSpec, SparseSymMatrix, np.ndarray]:
-    """Mesh of n subdivisions per side, degree-k basis, stiffness matrix M
-    and right-hand side b = -(load of f). Raises ValidationError for
-    resource-model-only dimensions and for meshes without free dofs, and
-    CapExceededError for over-cap meshes."""
+def discretize(problem: ProblemSpec, n: int) -> tuple[BasisSpec, SparseSymMatrix, np.ndarray]:
+    """(spec, M, b): the degree-k basis on the mesh of n subdivisions per
+    side (``spec.mesh``), its stiffness matrix M and b = -(load of f).
+    Raises ValidationError for resource-model-only dimensions and for meshes
+    without free dofs, and CapExceededError for over-cap meshes."""
     if not problem.assembled:
         raise ValidationError(f"d={problem.d} cannot be assembled (resource model only)")
     cells = n**problem.d
@@ -240,6 +240,6 @@ def discretize(problem: ProblemSpec, n: int) -> tuple[Mesh, BasisSpec, SparseSym
     spec = build_basis(mesh, problem.k)
     if spec.n_dofs == 0:
         raise ValidationError(f"{n} subdivision(s) per side leave no free dofs (every node is on the Dirichlet boundary)")
-    M = assemble_stiffness(mesh, spec, BilinearForm(problem.diffusion, problem.reaction))
-    b = -assemble_load(mesh, spec, problem.f_array())
-    return mesh, spec, M, b
+    M = assemble_stiffness(spec, BilinearForm(problem.diffusion, problem.reaction))
+    b = -assemble_load(spec, problem.f_array())
+    return spec, M, b

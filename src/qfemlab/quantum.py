@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .mesh import BasisSpec, Mesh
+from .mesh import BasisSpec
 from .problems import ProblemSpec, discretize, mesh_size, poly_l2_norm
 from .resources import ErrorBudget, ResourceEstimate, discretisation_share, norm_estimation_cost, qle_cost, split_budget
 from .solver import estimate_condition_number
@@ -75,10 +75,10 @@ def _shot_count(num: float, den: float, what: str) -> int:
         raise BudgetExceededError(f"{what} needs more shots than a float can count") from exc
 
 
-def build_r_state(mesh: Mesh, spec: BasisSpec, r_coeffs):
+def build_r_state(spec: BasisSpec, r_coeffs):
     """Normalized state with amplitudes proportional to <phi_i, r>, plus the
     normalization alpha = (sum_i <phi_i, r>^2)^(1/2)."""
-    load = assemble_load(mesh, spec, r_coeffs)
+    load = assemble_load(spec, r_coeffs)
     with np.errstate(over="ignore"):  # refused below
         alpha = float(np.linalg.norm(load))
     if alpha == np.inf:
@@ -195,8 +195,8 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
     if eps > sob.l2_norm:
         raise UnsupportedConfigurationError(f"assumes eps <= ||u|| (eps={eps}, ||u||={sob.l2_norm})")
     n, h = mesh_size(problem, 2.0 * discretisation_share(eps, sob.l2_norm))
-    mesh, spec, M, b_raw = discretize(problem, n)
-    r_state, alpha = build_r_state(mesh, spec, problem.r_array())
+    spec, M, b_raw = discretize(problem, n)
+    r_state, alpha = build_r_state(spec, problem.r_array())
     r_norm = poly_l2_norm(problem.r_array(), problem.d)
 
     u_tilde = M.solve(b_raw)
@@ -248,7 +248,7 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
         u_tilde_norm=u_norm,
         budget_split=split,
         h=h,
-        n_elements=mesh.n_elements,
+        n_elements=spec.mesh.n_elements,
         n_dofs=spec.n_dofs,
         exact_mode=exact_mode,
         ledger=ledger,

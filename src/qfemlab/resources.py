@@ -74,12 +74,12 @@ class ErrorBudget:
 
 @dataclass
 class ResourceEstimate:
-    """Oracle-call counts and runtime-model terms for one pipeline."""
+    """Oracle-call counts and runtime-model terms for one pipeline. Its 1/eps
+    exponent is the largest of ``exponent_terms``, None when there are none."""
 
     pipeline: str
     oracle_calls: dict = field(default_factory=dict)
     runtime_model: float = 0.0
-    exponent_of_inv_eps: Fraction | None = None
     exponent_terms: tuple = ()
     notes: dict = field(default_factory=dict)
 
@@ -88,9 +88,7 @@ class ResourceEstimate:
             "pipeline": self.pipeline,
             "oracle_calls": dict(self.oracle_calls),
             "runtime_model": self.runtime_model,
-            "exponent_of_inv_eps": (
-                str(self.exponent_of_inv_eps) if self.exponent_of_inv_eps is not None else None
-            ),
+            "exponent_of_inv_eps": str(max(self.exponent_terms)) if self.exponent_terms else None,
             "exponent_terms": [str(t) for t in self.exponent_terms],
             "notes": dict(self.notes),
         }
@@ -164,8 +162,9 @@ def split_budget(
     return ErrorBudget(eps=eps, eps_d=eps_d, eps_n=eps_n, eps_l=eps_l, eps_out=eps_out, eps_cg=eps / 2.0)
 
 
-def classical_cost(n: int, s: int, kappa: float, eps_cg: float, d: int, k: int) -> ResourceEstimate:
-    """Conjugate-gradient runtime model N s sqrt(kappa) ln(1/eps_cg)."""
+def classical_cost(n: int, s: int, kappa: float, eps_cg: float, d: int, k: int, preconditioned: bool) -> ResourceEstimate:
+    """Conjugate-gradient runtime model N s sqrt(kappa) ln(1/eps_cg); the
+    preconditioned pipeline is priced at kappa = 1 by its caller."""
     if n <= 0 or s <= 0 or kappa <= 0 or eps_cg <= 0:
         raise ValidationError("all parameters must be positive")
     try:
@@ -174,13 +173,12 @@ def classical_cost(n: int, s: int, kappa: float, eps_cg: float, d: int, k: int) 
         value = math.inf
     if not math.isfinite(value):
         raise ValidationError(f"the classical model cost overflows at N = {n}")
-    exponent = Fraction(d + 1, k + 1)
+    pipeline = "classical_precond" if preconditioned else "classical"
     return ResourceEstimate(
-        pipeline="classical",
+        pipeline=pipeline,
         oracle_calls={"matvec": float(n * s)},
         runtime_model=value,
-        exponent_of_inv_eps=exponent,
-        exponent_terms=(exponent,),
+        exponent_terms=exponent_table(d, k)[pipeline],
     )
 
 
@@ -191,15 +189,14 @@ def quantum_cost(d: int, k: int, eps: float, sobolev: SobolevData, s: int, preco
     (|u|_{k+1}/eps)^(2/(k+1)), giving 1/eps exponents (k+5)/(k+1) and
     (k+3)/(k+1). Preconditioned: ||u||_1/eps with exponent 1.
     """
-    if d < 1 or k < 1:
-        raise ValidationError("d and k must be >= 1")
+    pipeline = "quantum_precond" if preconditioned else "quantum"
+    terms = exponent_table(d, k)[pipeline]  # refuses d or k below 1
     if eps <= 0 or s <= 0:
         raise ValidationError("eps and s must be positive")
     u_norm = sobolev.l2_norm
     u_1 = sobolev.sobolev_1_norm
     if preconditioned:
         value = u_1 / eps * _polylog(s / eps)
-        exps = (Fraction(1),)
         kappa = 1.0
     else:
         sem = sobolev.seminorm(k + 1)
@@ -208,15 +205,13 @@ def quantum_cost(d: int, k: int, eps: float, sobolev: SobolevData, s: int, preco
             value = (s * kappa**2 * u_norm + math.sqrt(s) * kappa * u_1) / eps * _polylog(s * kappa / eps)
         except OverflowError:  # kappa**2 past double range
             value = math.inf
-        exps = (Fraction(k + 5, k + 1), Fraction(k + 3, k + 1))
     if not math.isfinite(value):
         raise ValidationError(f"the quantum model cost overflows at eps = {eps}")
     return ResourceEstimate(
-        pipeline="quantum_precond" if preconditioned else "quantum",
+        pipeline=pipeline,
         oracle_calls={"P_M": value, "P_b": value},
         runtime_model=value,
-        exponent_of_inv_eps=max(exps),
-        exponent_terms=exps,
+        exponent_terms=terms,
         notes={"kappa_model": kappa},
     )
 
@@ -232,7 +227,6 @@ def norm_estimation_cost(s: int, kappa: float, eps: float) -> ResourceEstimate:
         pipeline="quantum",
         oracle_calls={"P_A": pa, "P_b": pb},
         runtime_model=pa,
-        exponent_of_inv_eps=Fraction(1),
         exponent_terms=(Fraction(1),),
     )
 

@@ -83,7 +83,7 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
         p = z.copy()
         rz = float(r @ z)
         for j in range(1, cap + 1):
-            Ap = M @ p
+            Ap = M.matvec(p)
             pAp = float(p @ Ap)
             if not 0.0 < pAp < math.inf:
                 raise ValidationError(

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -78,7 +79,7 @@ def test_solve_plan_simulate_exit_zero(capsys, spec_file, spec):
 def test_solve_lambda_min_and_kappa_share_one_source(capsys, spec_file, spec):
     art = run_json(capsys, "solve", "--spec", spec_file(spec))
     problem = ProblemSpec.from_dict(spec)
-    M = discretize(problem, mesh_size(problem, problem.eps)[0])[2]
+    M = discretize(problem, mesh_size(problem, problem.eps)[0])[1]
     lam_max = M.extremes()[1]
     assert art["kappa_estimate"] * art["cg"]["lambda_min_estimate"] == pytest.approx(lam_max, rel=1e-12)
 
@@ -149,6 +150,23 @@ OUT_OF_RANGE = {
     "1d-functional": (
         {"d": 1, "k": 1, "pde": {"diffusion": 4.8e-163, "reaction": 0}, "f": [-1e-40], "r": [-1.4e189], "eps": 1e118},
         ("solve",),
+    ),
+    # a convergence error overflows: the analytic L2 error's square (1D), the
+    # fine-mesh e^T G e, or the analytic solution itself
+    "1d-analytic-error": (
+        {"d": 1, "k": 1, "pde": {"diffusion": 5.87e10, "reaction": 0}, "eps": 1.76e248, "f": [2.02e229], "r": [-2.9e-183, 2.6e-261]},
+        ("convergence",),
+    ),
+    "1d-fine-mesh-error": (
+        {
+            "d": 1, "k": 2, "pde": {"diffusion": 1.0, "reaction": 4e-168}, "eps": 1e-3,
+            "f": [1.75e169, -3.8e-9], "r": [1.0], "sobolev": [1, 1, 1, 1],
+        },
+        ("convergence",),
+    ),
+    "1d-analytic-solution": (
+        {"d": 1, "k": 1, "pde": {"diffusion": 3.79e-41, "reaction": 0}, "eps": 4.7e-47, "f": [2.89e280, 9.4e-66], "r": [-3.8e-93]},
+        ("convergence",),
     ),
 }
 
@@ -418,7 +436,8 @@ def pointwise_errors(problem, levels):
     in 1D, the edge-midpoint rule per triangle in 2D (exact for the
     piecewise polynomial differences of degree <= 6 and 2)."""
     ns = [4 * 2**i for i in range(levels)]
-    mesh_f, spec_f, M_f, b_f = discretize(problem, 4 * ns[-1])
+    spec_f, M_f, b_f = discretize(problem, 4 * ns[-1])
+    mesh_f = spec_f.mesh
     coeffs_f = M_f.solve(b_f)
     if problem.d == 1:
         xq, ws = element_quadrature_1d(mesh_f, 4)
@@ -430,8 +449,8 @@ def pointwise_errors(problem, levels):
     fine = evaluate(mesh_f, spec_f, coeffs_f, pts)
     errors = []
     for n in ns:
-        mesh, spec, M, b = discretize(problem, n)
-        errors.append(float(np.sqrt(weights @ (fine - evaluate(mesh, spec, M.solve(b), pts)) ** 2)))
+        spec, M, b = discretize(problem, n)
+        errors.append(float(np.sqrt(weights @ (fine - evaluate(spec.mesh, spec, M.solve(b), pts)) ** 2)))
     return errors
 
 
@@ -487,7 +506,7 @@ def exact_l2_errors(problem, levels):
         lagrange.append(lj)
     errors = []
     for n in (4 * 2**i for i in range(levels)):
-        _, spec, M, b = discretize(problem, n)
+        spec, M, b = discretize(problem, n)
         nodal = [Fraction(0)] * spec.n_nodes
         for node, c in zip(spec.dof_nodes, M.solve(b)):
             nodal[node] = Fraction(c)
@@ -575,7 +594,10 @@ def test_fixed_seed_rerun_byte_identical(capsys, spec_file, tmp_path):
 # change over its float leaves, and whether any other leaf changed.
 # `python tests/test_cli.py --compare DIR_A DIR_B` prints the same line for
 # every file under two artifact directories, matched by relative path, and
-# writes nothing.
+# writes nothing. `python tests/test_cli.py --dump DIR` writes the artifacts
+# of the benchmark's seed-1 ops and of plan and resources into DIR (see
+# ``dump_artifacts``); dumps from two checkouts, compared, show what a
+# change moved.
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SPECS = {"tiny_1d": TINY_1D, "tiny_1d_k2": TINY_1D_K2, "tiny_2d": TINY_2D}
 GOLDEN_RUNS = {
@@ -671,6 +693,45 @@ def compare_dirs(dir_a: Path, dir_b: Path) -> list[str]:
     ]
 
 
+DUMP_WORKLOADS = ("cg1d", "dense2d", "sample1d")
+
+
+def dump_artifacts(out_dir: Path):
+    """Write the artifact of every seed-1 op of the benchmark's cg1d, dense2d
+    and sample1d workloads as <workload>/<op index>/<command>.json, plan on
+    each golden spec as plan/<spec name>/plan.json, and the default
+    resources table as resources/json/resources.json and
+    resources/csv/resources.csv. The ops come from ``perfbench/workloads.py``,
+    loaded from its file and left as it is."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    runs = [
+        (f"{name}/{i:02d}", [op.kind], op.spec, op.args)
+        for name in DUMP_WORKLOADS
+        for i, op in enumerate(workloads.WORKLOADS[name].ops(1))
+    ]
+    runs += [(f"plan/{name}", ["plan"], payload, ()) for name, payload in GOLDEN_SPECS.items()]
+    runs += [(f"resources/{fmt}", ["resources", "--format", fmt], None, ()) for fmt in ("json", "csv")]
+    # main prints each artifact's path; keep it off the caller's stdout
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for where, argv, payload, args in runs:
+            if payload is not None:
+                spec_path = Path(tmp) / "spec.json"
+                spec_path.write_text(json.dumps(payload))
+                argv = [*argv, "--spec", str(spec_path)]
+            assert main([*argv, *args, "--out", str(out_dir / where)]) == 0, where
+
+
+def test_dumps_at_fixed_seeds_are_identical(tmp_path):
+    dump_artifacts(tmp_path / "a")
+    dump_artifacts(tmp_path / "b")
+    lines = compare_dirs(tmp_path / "a", tmp_path / "b")
+    assert len(lines) == 9 + 10 + 40 + len(GOLDEN_SPECS) + 2
+    assert [line for line in lines if not line.endswith(": unchanged")] == []
+
+
 def test_compare_dirs_reports_each_artifact_and_writes_nothing(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     (a / "sub").mkdir(parents=True)
@@ -692,6 +753,11 @@ def test_compare_dirs_reports_each_artifact_and_writes_nothing(tmp_path):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--dump"]:
+        if len(sys.argv) != 3:
+            raise SystemExit("usage: python tests/test_cli.py --dump DIR")
+        dump_artifacts(Path(sys.argv[2]))
+        raise SystemExit(0)
     if sys.argv[1:2] == ["--compare"]:
         if len(sys.argv) != 4:
             raise SystemExit("usage: python tests/test_cli.py --compare DIR_A DIR_B")

@@ -34,13 +34,13 @@ GRID = [(n, reaction) for n in (2, 3, 8, 16, 32) for reaction in (0.0, 1.0, 1000
 def system(n, reaction, diffusion=1.0):
     mesh = build_square_triangulation(n)
     spec = build_basis(mesh, 1)
-    M = assemble_stiffness(mesh, spec, BilinearForm(diffusion, reaction))
-    return M, -assemble_load(mesh, spec, [[-1.0, 0.5], [0.3, 0.0]])
+    M = assemble_stiffness(spec, BilinearForm(diffusion, reaction))
+    return M, -assemble_load(spec, [[-1.0, 0.5], [0.3, 0.0]])
 
 
 def lumped(n, reaction, diffusion):
     """C, densely: pure-diffusion P1 on this grid is the five-point stencil."""
-    return diffusion * system(n, 0.0)[0].to_dense() + reaction / n**2 * np.eye((n - 1) ** 2)
+    return diffusion * system(n, 0.0)[0].csr.toarray() + reaction / n**2 * np.eye((n - 1) ** 2)
 
 
 @pytest.mark.parametrize("n,reaction", GRID)
@@ -58,7 +58,7 @@ def test_preconditioner_inverts_stencil_plus_lumped_mass(n, reaction):
 def test_preconditioned_spectrum_lies_in_quarter_to_one(n, reaction, diffusion):
     # kappa(C^{-1} M) <= 4: the certificate and the cap of preconditioned CG rest on it
     M = system(n, reaction, diffusion)[0]
-    mu = scipy.linalg.eigh(M.to_dense(), lumped(n, reaction, diffusion), eigvals_only=True)
+    mu = scipy.linalg.eigh(M.csr.toarray(), lumped(n, reaction, diffusion), eigvals_only=True)
     assert 0.25 * (1.0 - 1e-12) <= mu.min() and mu.max() <= 1.0 + 1e-12
     if reaction == 0.0:  # C = M
         assert np.allclose(mu, 1.0, rtol=0.0, atol=1e-12)
@@ -75,18 +75,18 @@ def test_pure_diffusion_pcg_converges_in_one_step(n):
 @pytest.mark.parametrize("n,reaction", GRID)
 def test_2d_solve_matches_dense_solve(n, reaction):
     M, b = system(n, reaction)
-    x_ref = np.linalg.solve(M.to_dense(), b)
+    x_ref = np.linalg.solve(M.csr.toarray(), b)
     assert np.linalg.norm(M.solve(b) - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
 
 
 @pytest.mark.parametrize("reaction", [1.0, 1000.0])
 def test_pcg_certificate_bounds_the_true_energy_error(reaction):
     M, b = system(32, reaction)
-    exact = np.linalg.solve(M.to_dense(), b)
+    exact = np.linalg.solve(M.csr.toarray(), b)
     for tol in (1e-1, 1e-2, 1e-4, 1e-8):
         report = conjugate_gradient(M, b, tol=tol, precond=M._precond)
         diff = report.solution - exact
-        true_rel = np.sqrt(diff @ (M @ diff)) / np.sqrt(exact @ (M @ exact))
+        true_rel = np.sqrt(diff @ M.matvec(diff)) / np.sqrt(exact @ M.matvec(exact))
         assert report.converged and report.final_energy_error_estimate <= tol
         assert true_rel <= report.final_energy_error_estimate * (1.0 + 1e-12), tol
 
@@ -114,7 +114,7 @@ def test_non_finite_rhs_is_refused_before_iterating(bad):
 @pytest.mark.parametrize("n,reaction", GRID)
 def test_lambda_min_matches_dense(n, reaction):
     M = system(n, reaction)[0]
-    ev = np.linalg.eigvalsh(M.to_dense())
+    ev = np.linalg.eigvalsh(M.csr.toarray())
     lam_min = M.extremes()[0]
     # eigvalsh is accurate to O(eps ||M||) absolute, about 3e-13 relative at n = 32
     assert abs(lam_min - ev[0]) <= 1e-13 * ev[0] + 16 * EPS * ev[-1]
@@ -153,8 +153,8 @@ def boundary(n):
 def test_mass_bound_behind_the_class_switch(n):
     # R Mass >= (R / n^2)(I - K5 / 4): with the symmetry classes, it decides
     # when LOPCG from the symmetric start reaches lambda_min
-    K5 = system(n, 0.0)[0].to_dense()
-    mass = system(n, 1.0)[0].to_dense() - K5
+    K5 = system(n, 0.0)[0].csr.toarray()
+    mass = system(n, 1.0)[0].csr.toarray() - K5
     gap = np.linalg.eigvalsh(mass - (np.eye(len(K5)) - K5 / 4) / n**2)
     assert gap.min() >= -1e-14 / n**2
 
@@ -172,7 +172,7 @@ def test_lambda_min_method_follows_the_class_bound(monkeypatch, n, reaction):
     runs = _count_calls(monkeypatch, "lowest_eigenvalue")
     factors, arpack = (_count_calls(monkeypatch, name) for name in ("cholesky_banded", "eigsh"))
     M = system(n, reaction)[0]
-    ev = np.linalg.eigvalsh(M.to_dense())
+    ev = np.linalg.eigvalsh(M.csr.toarray())
     assert abs(M.extremes()[0] - ev[0]) <= 1e-13 * ev[0] + 16 * EPS * ev[-1]
     by_lobpcg = reaction <= boundary(n)
     assert M._precond.class_holds_lambda_min == by_lobpcg
@@ -243,10 +243,10 @@ from qfemlab import ProblemSpec, discretize
 spec = ProblemSpec.from_dict({"d": 2, "k": 1, "pde": {"diffusion": 1, "reaction": 1000}, "f": [[-1]],
                               "r": [[1]], "eps": 1e-2, "sobolev": [0.05, 0.3, 2.0]})
 t0 = time.perf_counter()
-mesh, basis, M, b = discretize(spec, 447)
+_, M, b = discretize(spec, 447)
 x = M.solve(b)
 lam_min, lam_max = M.extremes()
-print(time.perf_counter() - t0, M.n, np.linalg.norm(b - M @ x) / np.linalg.norm(b), lam_min)
+print(time.perf_counter() - t0, M.n, np.linalg.norm(b - M.matvec(x)) / np.linalg.norm(b), lam_min)
 """
     env = {**os.environ, "PYTHONPATH": str(Path(qfemlab.__file__).resolve().parents[1]), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)

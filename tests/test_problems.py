@@ -58,11 +58,11 @@ def test_mesh_size_rule(spec, eps):
 @settings(max_examples=20, deadline=None)
 @given(specs(d=st.sampled_from([1, 2])), st.integers(2, 12))
 def test_discretize_spd_and_sign(spec, n):
-    mesh, basis, M, b = discretize(spec, n)
-    assert mesh.n_elements == (n if spec.d == 1 else 2 * n * n)
+    basis, M, b = discretize(spec, n)
+    assert basis.mesh.n_elements == (n if spec.d == 1 else 2 * n * n)
     assert M.n == basis.n_dofs == len(b)
     assert M.is_spd()
-    np.testing.assert_array_equal(b, -assemble_load(mesh, basis, spec.f_array()))
+    np.testing.assert_array_equal(b, -assemble_load(basis, spec.f_array()))
 
 
 def test_discretize_rejects_model_only_dimension():
@@ -75,7 +75,7 @@ def test_discretize_rejects_mesh_without_free_dofs():
     spec = ProblemSpec.from_dict({"d": 2, "k": 1, "f": [[-1]], "r": [[1]], "eps": 0.1})
     with pytest.raises(ValidationError, match="no free dofs"):
         discretize(spec, 1)  # the four vertices are all on the Dirichlet boundary
-    assert discretize(spec, 2)[1].n_dofs == 1  # the centre vertex
+    assert discretize(spec, 2)[0].n_dofs == 1  # the centre vertex
 
 
 class Built(Exception):

@@ -8,7 +8,6 @@ from qfemlab import (
     ProblemSpec,
     SampleBudget,
     SimulationFloorError,
-    SparseSymMatrix,
     UnsupportedConfigurationError,
     ValidationError,
     assemble_gram,
@@ -21,13 +20,14 @@ from qfemlab import (
     estimate_norm,
     hadamard_test_estimate,
 )
+from matrices import sym_matrix
 
 
 def poisson(n, f=(-1.0,), k=1):
     mesh = build_interval_mesh(n)
     spec = build_basis(mesh, k)
-    M = assemble_stiffness(mesh, spec, BilinearForm())
-    b = -assemble_load(mesh, spec, list(f))
+    M = assemble_stiffness(spec, BilinearForm())
+    b = -assemble_load(spec, list(f))
     return mesh, spec, M, b
 
 
@@ -41,7 +41,7 @@ def unit(vec):
 
 def test_r_state_uniform_interior():
     mesh, spec, _, _ = poisson(16)
-    state, alpha = build_r_state(mesh, spec, [1.0])
+    state, alpha = build_r_state(spec, [1.0])
     assert len(state) == spec.n_dofs
     assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(state[:-1], state[0], atol=1e-14)
@@ -55,27 +55,27 @@ def test_r_state_single_tent_matches_gram_row():
     is its Gram row, and on eight elements r = x = sum_j x_j phi_j, whose
     load is the Gram rows weighted by the node values x_j."""
     mesh, spec, _, _ = poisson(1)
-    W = assemble_gram(mesh, spec).to_dense()
-    state, alpha = build_r_state(mesh, spec, [0.0, 1.0])
+    W = assemble_gram(spec).csr.toarray()
+    state, alpha = build_r_state(spec, [0.0, 1.0])
     assert np.array_equal(state, [1.0])
     assert alpha == pytest.approx(W[0, 0], abs=1e-15)
 
     mesh, spec, _, _ = poisson(8)
-    W = assemble_gram(mesh, spec).to_dense()
+    W = assemble_gram(spec).csr.toarray()
     load = W @ (mesh.h * np.arange(1, spec.n_dofs + 1))
-    state, alpha = build_r_state(mesh, spec, [0.0, 1.0])
+    state, alpha = build_r_state(spec, [0.0, 1.0])
     assert np.allclose(state, load / np.linalg.norm(load), atol=1e-12)
     assert alpha == pytest.approx(np.linalg.norm(load), abs=1e-12)
 
 
 def test_r_state_alpha_bounded_by_gram_norm():
     mesh, spec, _, _ = poisson(32)
-    W = assemble_gram(mesh, spec).to_dense()
+    W = assemble_gram(spec).csr.toarray()
     bound = np.sqrt(np.linalg.norm(W, 2))
     rng = np.random.default_rng(0)
     for _ in range(10):
         coeffs = rng.uniform(-1, 1, size=5)
-        _, alpha = build_r_state(mesh, spec, coeffs)
+        _, alpha = build_r_state(spec, coeffs)
         r_norm = np.sqrt(np.trapezoid(npoly.polyval(np.linspace(0, 1, 20001), coeffs) ** 2, dx=1 / 20000))
         assert alpha / r_norm <= bound * (1 + 1e-3)
 
@@ -83,7 +83,7 @@ def test_r_state_alpha_bounded_by_gram_norm():
 def test_r_state_rejects_zero_function():
     mesh, spec, _, _ = poisson(8)
     with pytest.raises(ValidationError):
-        build_r_state(mesh, spec, [0.0])
+        build_r_state(spec, [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +134,14 @@ def test_hadamard_consumes_budget_and_raises_when_exhausted():
 
 
 def test_norm_estimation_identity():
-    M = SparseSymMatrix.identity(4)
+    M = sym_matrix(np.eye(4))
     b = unit([1.0, 1.0, 1.0, 1.0])
     budget = SampleBudget(rng_seed=0)
     assert estimate_norm(M, M.solve(b), 0.05, budget) == pytest.approx(1.0, abs=0.05)
 
 
 def test_norm_estimation_scaled_diagonal():
-    M = SparseSymMatrix.from_dense(np.diag([0.5, 0.5, 0.5, 0.5]))
+    M = sym_matrix(np.diag([0.5, 0.5, 0.5, 0.5]))
     b = unit([1.0, 1.0, 1.0, 1.0])
     budget = SampleBudget(rng_seed=0)
     assert estimate_norm(M, M.solve(b), 0.05, budget) == pytest.approx(2.0, rel=0.1)
@@ -150,7 +150,7 @@ def test_norm_estimation_scaled_diagonal():
 def test_norm_estimation_poisson_coverage():
     _, _, M, b_raw = poisson(32)
     b = unit(b_raw)
-    truth = np.linalg.norm(np.linalg.solve(M.to_dense(), b))
+    truth = np.linalg.norm(np.linalg.solve(M.csr.toarray(), b))
     x = M.solve(b)
     hits = 0
     for seed in range(30):
@@ -161,7 +161,7 @@ def test_norm_estimation_poisson_coverage():
 
 
 def test_norm_estimation_floor():
-    M = SparseSymMatrix.from_dense(np.diag([1.0, 1e-8]))
+    M = sym_matrix(np.diag([1.0, 1e-8]))
     b = np.array([1.0, 0.0])
     with pytest.raises(SimulationFloorError, match=r"acceptance probability 1\.000e-16 below the simulable floor 1e-09$"):
         estimate_norm(M, M.solve(b), 0.1, budget=SampleBudget(rng_seed=0))
@@ -254,10 +254,10 @@ def test_functional_rejects_eps_above_solution_norm():
 def test_rescaling_identity():
     # alpha * ||u~|| * <r|u~> equals sum_i u~_i <phi_i, r>
     mesh, spec, M, b_raw = poisson(16)
-    u = np.linalg.solve(M.to_dense(), b_raw)
-    r_state, alpha = build_r_state(mesh, spec, [1.0])
+    u = np.linalg.solve(M.csr.toarray(), b_raw)
+    r_state, alpha = build_r_state(spec, [1.0])
     lhs = alpha * np.linalg.norm(u) * (r_state @ (u / np.linalg.norm(u)))
-    r_load = assemble_load(mesh, spec, [1.0])
+    r_load = assemble_load(spec, [1.0])
     assert lhs == pytest.approx(float(r_load @ u), abs=1e-12)
 
 

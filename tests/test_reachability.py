@@ -1,13 +1,17 @@
 """Guard against regrowth of code and knobs no report reaches.
 
 Every non-dunder function, class and method defined in ``src/qfemlab`` must
-be named somewhere in the package outside its own definition and
-``__init__.py``, or be on the allowlist below with its reason. Names are
-matched as identifiers, not resolved: a module-level function or class as
-``name`` or ``obj.name``, a method or property only as ``obj.name``, so a
-local variable of the same name does not reach it. A definition that
-shares its name with an attribute of another object (for example ``nnz``
-on a SciPy array) still counts as reached.
+be reached from the command line, or be on the allowlist below with its
+reason. Reach is transitive: ``cli.main`` and the module-level code of each
+module (``__init__.py`` aside) are reached, and a definition is reached when
+a reached definition or that module-level code names it. A class is reached
+with its dunder methods and its class-level statements; its other methods
+are definitions of their own. Names are matched as identifiers, not
+resolved: a module-level function or class as ``name`` or ``obj.name``, a
+method or property only as ``obj.name``, so a local variable of the same
+name does not reach it. A definition that shares its name with an attribute
+of another object (for example ``nnz`` on a SciPy array) still counts as
+reached.
 
 Likewise every parameter with a default must be passed, by keyword or by
 position, at some call in the package, or be on the knob allowlist with its
@@ -17,17 +21,12 @@ parameter. Dataclass fields are not covered.
 """
 import ast
 import textwrap
-from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qfemlab"
+ROOT = ("cli.py", "main")
 
-ALLOWED = {
-    "to_dense": "test reference: the dense matrix behind every eigvalsh/solve cross-check",
-    "from_dense": "test constructor for small hand-written matrices",
-    "identity": "test constructor for the identity cases of CG and norm estimation",
-    "csr": "test reference: the CSR arrays behind the sparsity-pattern and bitwise comparisons",
-}
+ALLOWED = {}
 
 ALLOWED_KNOBS = {
     "conjugate_gradient(cap)": "the j-th iterate and exit-3 tests; the work cap of ROADMAP item 8",
@@ -36,28 +35,33 @@ ALLOWED_KNOBS = {
 }
 
 
-def _names(node) -> Counter:
-    """Identifiers read anywhere under ``node``: bare names and attributes."""
-    return Counter(
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
-    )
+def _dunder(name) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
-def _attributes(node) -> Counter:
-    """Attribute identifiers (``obj.name``) read anywhere under ``node``."""
-    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+def _methods(cls) -> list:
+    """The non-dunder methods of a class, each a definition of its own."""
+    return [m for m in cls.body if isinstance(m, ast.FunctionDef) and not _dunder(m.name)]
 
 
 def _definitions(tree):
     """(definition, whether it is a method) for the module-level functions
-    and classes, and the methods of those classes."""
+    and classes, and the non-dunder methods of those classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node, False
             if isinstance(node, ast.ClassDef):
-                yield from ((m, True) for m in node.body if isinstance(m, ast.FunctionDef))
+                yield from ((m, True) for m in _methods(node))
+
+
+def _own_nodes(node):
+    """The nodes a definition reads: its whole subtree, less a class's
+    non-dunder methods."""
+    parts = [node]
+    if isinstance(node, ast.ClassDef):
+        methods = _methods(node)
+        parts = node.decorator_list + node.bases + node.keywords + [m for m in node.body if m not in methods]
+    return (n for part in parts for n in ast.walk(part))
 
 
 def _trees() -> dict:
@@ -65,17 +69,27 @@ def _trees() -> dict:
 
 
 def unreached(trees) -> list[tuple[str, str]]:
-    """(where, name) of every definition in ``trees`` ({path: module}) named
-    nowhere else in them."""
-    used = {count: sum((count(tree) for tree in trees.values()), Counter()) for count in (_names, _attributes)}
-    return [
-        (f"{path.name}:{node.lineno}", node.name)
-        for path, tree in trees.items()
-        for node, method in _definitions(tree)
-        for count in [_attributes if method else _names]
-        if not (node.name.startswith("__") and node.name.endswith("__"))
-        and used[count][node.name] == count(node)[node.name]
-    ]
+    """(where, name) of every definition in ``trees`` ({path: module}) that
+    their module-level code and the function ``ROOT`` (file name, function
+    name) do not reach."""
+    definitions = [(path, node, method) for path, tree in trees.items() for node, method in _definitions(tree)]
+    pending = [stmt for tree in trees.values() for stmt in tree.body if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+    pending += [node for path, node, method in definitions if not method and (path.name, node.name) == ROOT]
+    reached, names, attributes = set(), set(), set()
+    while pending:
+        for part in pending:
+            reached.add(id(part))
+            for n in _own_nodes(part):
+                if isinstance(n, ast.Name):
+                    names.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    attributes.add(n.attr)
+        pending = [
+            node
+            for _, node, method in definitions
+            if id(node) not in reached and node.name in (attributes if method else names | attributes)
+        ]
+    return [(f"{path.name}:{node.lineno}", node.name) for path, node, _ in definitions if id(node) not in reached]
 
 
 def _defaulted(fn, method):
@@ -146,11 +160,37 @@ def test_a_local_variable_does_not_reach_a_method():
         def run(box):
             nodes = 1
             return helper(), box.size(), nodes
+        if __name__ == "__main__":
+            run(None)
         """
     )
-    # Box and run are named nowhere; helper is reached by its bare name and
-    # size by an attribute, but the local ``nodes`` does not reach Box.nodes
-    assert [name for _, name in unreached({PACKAGE / "m.py": ast.parse(module)})] == ["Box", "nodes", "run"]
+    # Box is named nowhere; module-level code reaches run, which reaches
+    # helper by its bare name and size by an attribute, but the local
+    # ``nodes`` does not reach Box.nodes
+    assert [name for _, name in unreached({PACKAGE / "m.py": ast.parse(module)})] == ["Box", "nodes"]
+
+
+def test_a_name_in_unreached_code_reaches_nothing():
+    module = textwrap.dedent(
+        """
+        def main():
+            return helper()
+        def helper(): ...
+        def orphan():
+            return leaf()
+        def leaf(): ...
+        class Unused:
+            def __call__(self):
+                return called_by_dunder()
+        def called_by_dunder(): ...
+        if __name__ == "__main__":
+            main()
+        """
+    )
+    # orphan and Unused are named nowhere, so what only they name (leaf, and
+    # called_by_dunder through Unused's dunder method) is not reached either
+    names = [name for _, name in unreached({PACKAGE / "m.py": ast.parse(module)})]
+    assert names == ["orphan", "leaf", "Unused", "called_by_dunder"]
 
 
 def test_every_defaulted_parameter_is_passed_or_allowed():

@@ -14,18 +14,19 @@ from qfemlab import (
     CGReport,
     estimate_condition_number,
 )
+from matrices import sym_matrix
 
 
 def poisson_system(n, k=1, f=(-1.0,), d=1):
     mesh = build_interval_mesh(n) if d == 1 else build_square_triangulation(n)
     spec = build_basis(mesh, k)
-    M = assemble_stiffness(mesh, spec, BilinearForm())
-    b = -assemble_load(mesh, spec, list(f) if d == 1 else [list(f)])
+    M = assemble_stiffness(spec, BilinearForm())
+    b = -assemble_load(spec, list(f) if d == 1 else [list(f)])
     return M, b
 
 
 def test_identity_converges_in_one_iteration():
-    M = SparseSymMatrix.identity(7)
+    M = sym_matrix(np.eye(7))
     b = np.arange(1.0, 8.0)
     rep = conjugate_gradient(M, b, tol=1e-12)
     assert rep.converged
@@ -36,9 +37,9 @@ def test_identity_converges_in_one_iteration():
 def test_matches_dense_solve_in_energy_norm():
     M, b = poisson_system(64)
     rep = conjugate_gradient(M, b, tol=1e-12)
-    exact = np.linalg.solve(M.to_dense(), b)
+    exact = np.linalg.solve(M.csr.toarray(), b)
     diff = rep.solution - exact
-    energy = np.sqrt(diff @ (M @ diff)) / np.sqrt(exact @ (M @ exact))
+    energy = np.sqrt(diff @ M.matvec(diff)) / np.sqrt(exact @ M.matvec(exact))
     assert rep.converged
     assert energy <= 1e-10
 
@@ -49,7 +50,7 @@ def test_iterations_vs_kappa_slope():
         M, b = poisson_system(n)
         rep = conjugate_gradient(M, b, tol=1e-8)
         assert rep.converged
-        ev = np.linalg.eigvalsh(M.to_dense())
+        ev = np.linalg.eigvalsh(M.csr.toarray())
         iters.append(rep.iterations)
         kappas.append(ev[-1] / ev[0])
     slope = np.polyfit(np.log(kappas), np.log(iters), 1)[0]
@@ -60,8 +61,8 @@ def test_energy_error_monotone_against_dense_oracle():
     M, b = poisson_system(48)
     iterations = conjugate_gradient(M, b, tol=1e-10).iterations
     iterates = [conjugate_gradient(M, b, tol=1e-10, cap=j).solution for j in range(1, iterations + 1)]
-    exact = np.linalg.solve(M.to_dense(), b)
-    errs = [np.sqrt((x - exact) @ (M @ (x - exact))) for x in iterates]
+    exact = np.linalg.solve(M.csr.toarray(), b)
+    errs = [np.sqrt((x - exact) @ M.matvec(x - exact)) for x in iterates]
     assert all(errs[i + 1] <= errs[i] * (1 + 1e-12) for i in range(len(errs) - 1))
 
 
@@ -79,7 +80,7 @@ def test_certificate_is_sound(d, n, k):
     b - M x (certificate 5.5e-16 against a true 1.3e-14 at n = 64). The
     1e-12 allowance covers that floor and is far below every tol here."""
     M, b = poisson_system(n, k=k, d=d)
-    dense = M.to_dense()
+    dense = M.csr.toarray()
     lam_min = np.linalg.eigvalsh(dense)[0]
     exact = np.linalg.solve(dense, b)
     for tol in (1e-1, 1e-2, 1e-4):
@@ -87,13 +88,13 @@ def test_certificate_is_sound(d, n, k):
         assert rep.converged
         assert rep.lambda_min_estimate <= lam_min * (1 + 1e-10), tol
         diff = rep.solution - exact
-        true_rel = np.sqrt(diff @ (M @ diff)) / np.sqrt(exact @ (M @ exact))
+        true_rel = np.sqrt(diff @ M.matvec(diff)) / np.sqrt(exact @ M.matvec(exact))
         assert true_rel <= rep.final_energy_error_estimate + 1e-12, tol
         assert rep.final_energy_error_estimate <= tol, tol
 
 
 def test_zero_rhs_returns_before_factorising():
-    singular = SparseSymMatrix.from_dense(np.zeros((3, 3)))
+    singular = sym_matrix(np.zeros((3, 3)))
     rep = conjugate_gradient(singular, np.zeros(3))
     assert rep.converged and rep.iterations == 0
     assert np.array_equal(rep.solution, np.zeros(3))
@@ -157,8 +158,8 @@ def test_pcg_matches_reference_bit_for_bit():
     # with reaction, C = K5 + R/n^2 I is not M, and PCG takes 15 steps
     mesh = build_square_triangulation(43)
     spec = build_basis(mesh, 1)
-    M = assemble_stiffness(mesh, spec, BilinearForm(1.0, 1e4))
-    b = -assemble_load(mesh, spec, [[-1.0, 0.5]])
+    M = assemble_stiffness(spec, BilinearForm(1.0, 1e4))
+    b = -assemble_load(spec, [[-1.0, 0.5]])
     rep = conjugate_gradient(M, b, tol=1e-14, precond=M._precond)
     ref = reference_cg(M, b, 1e-14, M._precond)
     assert ref.converged and rep.iterations == ref.iterations > 10
@@ -180,7 +181,7 @@ def test_cap_returns_nonconvergence_report_with_best_iterate():
     assert not rep.converged
     assert rep.iterations == 5
     assert rep.solution.shape == b.shape
-    assert np.linalg.norm(b - M @ rep.solution) == pytest.approx(rep.residual_norm)
+    assert np.linalg.norm(b - M.matvec(rep.solution)) == pytest.approx(rep.residual_norm)
 
 
 def test_matvec_count_tracks_iterations():
@@ -197,25 +198,25 @@ def test_cap_below_one_rejected(cap):
 
 
 def test_condition_number_identity():
-    assert estimate_condition_number(SparseSymMatrix.identity(5)) == pytest.approx(1.0, abs=1e-9)
+    assert estimate_condition_number(sym_matrix(np.eye(5))) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_condition_number_diagonal():
-    M = SparseSymMatrix.from_dense(np.diag([1.0, 4.0]))
+    M = sym_matrix(np.diag([1.0, 4.0]))
     assert estimate_condition_number(M) == pytest.approx(4.0, rel=1e-9)
 
 
 def test_condition_number_poisson_matches_dense():
     for k in (1, 2, 3):
         M, _ = poisson_system(64, k=k)
-        ev = np.linalg.eigvalsh(M.to_dense())
+        ev = np.linalg.eigvalsh(M.csr.toarray())
         kappa = ev[-1] / ev[0]
         # exact lambda_min over an upper bound on lambda_max
         assert kappa * (1.0 - 1e-9) <= estimate_condition_number(M) <= kappa * (1.0 + 1e-3)
 
 
 def test_condition_number_indefinite_raises():
-    M = SparseSymMatrix.from_dense(np.diag([2.0, -1.0, 3.0]))
+    M = sym_matrix(np.diag([2.0, -1.0, 3.0]))
     with pytest.raises(ValidationError):
         estimate_condition_number(M)
 

@@ -30,6 +30,7 @@ from qfemlab import (
     estimate_norm,
 )
 from qfemlab.assembly import _gauss01
+from matrices import sym_matrix
 
 REL = 1e-9
 # extremes() bounds lambda_max from above; on FEM matrices the bound sits
@@ -40,8 +41,8 @@ FEM_GAP = 2e-2
 def system(d, n, k=1, reaction=0.0, constrained=True):
     mesh = build_interval_mesh(n) if d == 1 else build_square_triangulation(n)
     spec = build_basis(mesh, k, constrain_dirichlet=constrained)
-    M = assemble_stiffness(mesh, spec, BilinearForm(diffusion=1.0, reaction=reaction))
-    load = assemble_load(mesh, spec, [-1.0] if d == 1 else [[-1.0]])
+    M = assemble_stiffness(spec, BilinearForm(diffusion=1.0, reaction=reaction))
+    load = assemble_load(spec, [-1.0] if d == 1 else [[-1.0]])
     return M, -load
 
 
@@ -61,7 +62,7 @@ CASES = [
 @pytest.mark.parametrize("d,n,k,reaction", CASES)
 def test_solve_and_extremes_match_dense(d, n, k, reaction):
     M, b = system(d, n, k, reaction)
-    dense = M.to_dense()
+    dense = M.csr.toarray()
     x_ref = np.linalg.solve(dense, b)
     ev = np.linalg.eigvalsh(dense)
     x = M.solve(b)
@@ -79,7 +80,7 @@ def test_solve_and_extremes_match_dense(d, n, k, reaction):
 )
 def test_lambda_max_where_collatz_wielandt_bound_is_tight(a):
     # the Collatz-Wielandt bound equals lambda_max here; the margin keeps it above
-    lam_min, lam_max = SparseSymMatrix.from_dense(a).extremes()
+    lam_min, lam_max = sym_matrix(a).extremes()
     ev = np.linalg.eigvalsh(a)
     assert ev[-1] <= lam_max <= (1.0 + 2e-12) * ev[-1]
     assert lam_min == pytest.approx(ev[0], rel=1e-12)
@@ -91,7 +92,7 @@ def test_extremes_match_closed_form_2d(n, diffusion):
     # pure-diffusion P1 on the Dirichlet square is diffusion times the
     # five-point Laplacian, with eigenvalues 4 sin^2(p pi / 2n) + 4 sin^2(q pi / 2n)
     mesh = build_square_triangulation(n)
-    M = assemble_stiffness(mesh, build_basis(mesh, 1), BilinearForm(diffusion, 0.0))
+    M = assemble_stiffness(build_basis(mesh, 1), BilinearForm(diffusion, 0.0))
     lam_min, lam_max = M.extremes()
     assert lam_min == pytest.approx(8.0 * diffusion * np.sin(np.pi / (2 * n)) ** 2, rel=1e-12)
     exact_max = 8.0 * diffusion * np.cos(np.pi / (2 * n)) ** 2
@@ -101,9 +102,9 @@ def test_extremes_match_closed_form_2d(n, diffusion):
 def test_lambda_max_bound_clears_rounding_on_2d_n3():
     # the unraised Collatz-Wielandt ratio lands one ulp below lambda_max here
     mesh = build_square_triangulation(3)
-    M = assemble_stiffness(mesh, build_basis(mesh, 1), BilinearForm(1.0, 0.0))
+    M = assemble_stiffness(build_basis(mesh, 1), BilinearForm(1.0, 0.0))
     lam_max = M.extremes()[1]
-    assert lam_max >= np.linalg.eigvalsh(M.to_dense())[-1]
+    assert lam_max >= np.linalg.eigvalsh(M.csr.toarray())[-1]
     assert lam_max >= 8.0 * np.cos(np.pi / 6) ** 2
 
 
@@ -114,7 +115,7 @@ def test_extremes_match_closed_form_1d(n):
     # P1 with u(0) = u'(1) = 0 is n tridiag(-1, 2, -1) with a last diagonal
     # entry of 1: eigenvalues n (2 - 2 cos((2j - 1) pi / (2n + 1))), j = 1..n
     mesh = build_interval_mesh(n)
-    lam_min, lam_max = assemble_stiffness(mesh, build_basis(mesh, 1), BilinearForm()).extremes()
+    lam_min, lam_max = assemble_stiffness(build_basis(mesh, 1), BilinearForm()).extremes()
 
     def eigenvalue(j):
         return n * (2.0 - 2.0 * np.cos((2 * j - 1) * np.pi / (2 * n + 1)))
@@ -131,7 +132,7 @@ def test_extremes_match_dense_on_random_sparse_spd(n, density, gap, seed):
     b = entries + entries.T
     a = b + (gap - np.linalg.eigvalsh(b)[0]) * np.eye(n)  # lambda_min(a) = gap
     ev = np.linalg.eigvalsh(a)
-    lam_min, lam_max = SparseSymMatrix.from_dense(a).extremes()
+    lam_min, lam_max = sym_matrix(a).extremes()
     assert lam_min == pytest.approx(ev[0], rel=1e-10)
     # the ratio never rises under iteration, so the bound stays below the
     # first step's max row sum of |a| (up to the 1e-12 margin); with mixed
@@ -180,7 +181,7 @@ def test_extremes_factors_a_fresh_matrix_once(monkeypatch):
 
 def _assemble_1d(k, n, diffusion, reaction):
     mesh = build_interval_mesh(n)
-    return assemble_stiffness(mesh, build_basis(mesh, k), BilinearForm(diffusion, reaction))
+    return assemble_stiffness(build_basis(mesh, k), BilinearForm(diffusion, reaction))
 
 
 # every (k, diffusion, reaction) at about 300 dofs, and at 2,000 dofs with
@@ -198,7 +199,7 @@ LOOP_GRID = [
 def test_1d_lambda_min_matches_dense_at_the_rounding_floor(k, dofs, diffusion, reaction):
     # a Rayleigh quotient x^T M x carries rounding of about kappa eps relative
     M = _assemble_1d(k, dofs // k, diffusion, reaction)
-    ev = np.linalg.eigvalsh(M.to_dense())
+    ev = np.linalg.eigvalsh(M.csr.toarray())
     lam_min = M.extremes()[0]
     assert abs(lam_min - ev[0]) <= 10.0 * (ev[-1] / ev[0]) * np.finfo(float).eps * ev[0]
 
@@ -225,7 +226,7 @@ def test_lambda_min_scales_with_the_matrix(d, k, n, reaction, scale):
     # high in 1D), at 2^600 they overflowed and it never stopped
     mesh = build_interval_mesh(n) if d == 1 else build_square_triangulation(n)
     spec = build_basis(mesh, k)
-    unit, scaled = (assemble_stiffness(mesh, spec, BilinearForm(c, c * reaction)) for c in (1.0, scale))
+    unit, scaled = (assemble_stiffness(spec, BilinearForm(c, c * reaction)) for c in (1.0, scale))
     assert scaled.extremes()[0] == pytest.approx(scale * unit.extremes()[0], rel=1e-10, abs=0.0)
 
 
@@ -255,7 +256,7 @@ def test_cholesky_certificate_matches_dense_on_random_matrices():
         if np.min(np.abs(ev)) < 1e-8:  # numerically singular: no clean answer
             continue
         truth = bool(ev[0] > 0)
-        assert SparseSymMatrix.from_dense(a).is_spd() == truth, (trial, ev)
+        assert sym_matrix(a).is_spd() == truth, (trial, ev)
         seen[truth] += 1
     assert seen[True] > 50 and seen[False] > 50
 
@@ -280,7 +281,7 @@ def test_band_factor_matches_dense_on_random_banded_matrices(shape, density, mar
     a = b + ((margin if spd else -margin) - np.linalg.eigvalsh(b)[0]) * np.eye(n)
     ev = np.linalg.eigvalsh(a)
     assume(np.abs(ev).min() >= 1e-8)  # numerically singular: no clean answer
-    M = SparseSymMatrix.from_dense(a)
+    M = sym_matrix(a)
     assert M.is_spd() == bool(ev[0] > 0)
     if ev[0] > 0:
         rhs = rng.standard_normal(n)
@@ -293,7 +294,7 @@ def test_band_factor_matches_dense_on_random_banded_matrices(shape, density, mar
 def test_discretize_matrices_have_the_numbering_bandwidth(monkeypatch, d, k, n, reaction):
     one = [1.0] if d == 1 else [[1.0]]
     problem = ProblemSpec.from_dict({"d": d, "k": k, "pde": {"diffusion": 1.0, "reaction": reaction}, "f": one, "r": one, "eps": 0.1})
-    M = discretize(problem, n)[2]
+    M = discretize(problem, n)[1]
     rows = np.repeat(np.arange(M.n), np.diff(M.csr.indptr))
     # 1D: an element couples k + 1 consecutive dofs. 2D: the free vertices
     # are numbered row by row, n - 1 to a row, so the north-east neighbour is
@@ -308,7 +309,7 @@ def test_discretize_matrices_have_the_numbering_bandwidth(monkeypatch, d, k, n, 
 
 def test_indefinite_matrix_has_no_solve_or_extremes(monkeypatch):
     calls = _count_factorisations(monkeypatch)
-    M = SparseSymMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])  # a zero first pivot
+    M = sym_matrix([[0.0, 1.0], [1.0, 0.0]])  # a zero first pivot
     assert not M.is_spd()
     with pytest.raises(ValidationError, match="indefinite"):
         M.solve([1.0, 2.0])
@@ -321,7 +322,7 @@ def test_indefinite_matrix_has_no_solve_or_extremes(monkeypatch):
     "a", [np.ones((2, 2)), np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0]), np.zeros((1, 1)), np.diag([2.0, 3.0, 0.0])]
 )
 def test_singular_matrix_raises(a):
-    M = SparseSymMatrix.from_dense(a)
+    M = sym_matrix(a)
     assert not M.is_spd()
     with pytest.raises(ValidationError, match="singular"):
         M.solve(np.ones(M.n))
@@ -334,7 +335,7 @@ def test_singular_matrix_raises(a):
 
 @pytest.mark.parametrize("value", [-2.0, -1e-300])
 def test_negative_one_by_one_is_indefinite(value):
-    M = SparseSymMatrix.from_dense([[value]])
+    M = sym_matrix([[value]])
     assert not M.is_spd()
     for call in (lambda: M.solve([1.0]), M.extremes):
         with pytest.raises(ValidationError, match="indefinite"):
@@ -342,7 +343,7 @@ def test_negative_one_by_one_is_indefinite(value):
 
 
 def test_positive_one_by_one_solves_and_has_extremes():
-    M = SparseSymMatrix.from_dense([[4.0]])
+    M = sym_matrix([[4.0]])
     assert M.is_spd()
     assert M.solve([2.0]) == pytest.approx([0.5], rel=1e-15)
     lam_min, lam_max = M.extremes()
@@ -351,7 +352,7 @@ def test_positive_one_by_one_solves_and_has_extremes():
 
 def test_solve_rejects_non_finite_output():
     # the factor exists, but the solution overflows, or b is at fault
-    M = SparseSymMatrix.from_dense(np.diag([1e-300, 1.0]))
+    M = sym_matrix(np.diag([1e-300, 1.0]))
     assert M.is_spd()
     with pytest.raises(ValidationError, match="solution overflows"):
         M.solve([1e300, 1.0])
@@ -362,12 +363,12 @@ def test_solve_rejects_non_finite_output():
 def test_constructor_leaves_the_callers_matrix_alone():
     # unsorted column indices, which canonicalising sorts in place
     a = sp.csr_array((np.array([1.0, 2.0, 2.0, 1.0]), np.array([1, 0, 1, 0]), np.array([0, 2, 4])), shape=(2, 2))
-    M = SparseSymMatrix(a)
+    M = sym_matrix(a)
     assert np.array_equal(a.indices, [1, 0, 1, 0]) and np.array_equal(a.data, [1.0, 2.0, 2.0, 1.0])
     assert not np.shares_memory(a.data, M.csr.data)
     lam = M.extremes()
     a.data[:] = 9.0  # a later write by the caller reaches neither M nor its cache
-    assert np.array_equal(M.to_dense(), [[2.0, 1.0], [1.0, 2.0]])
+    assert np.array_equal(M.csr.toarray(), [[2.0, 1.0], [1.0, 2.0]])
     assert M.extremes() == lam
     assert lam[0] == pytest.approx(1.0, rel=1e-12) and 3.0 <= lam[1] <= 3.0 * (1.0 + 2e-12)
 
@@ -406,7 +407,6 @@ def test_products_are_csr_products_bitwise(name):
     }
     for label, x in vectors.items():
         assert M.matvec(x).tobytes() == (M.csr @ x).tobytes(), label
-        assert (M @ x).tobytes() == (M.csr @ x).tobytes(), label
     w = vectors["positive"]  # the |M| products of extremes()
     absolute = qfemlab.assembly._csr_product(M.csr, np.abs(M.csr.data), w)
     assert absolute.tobytes() == (abs(M.csr) @ w).tobytes()
@@ -416,7 +416,7 @@ def test_product_refuses_a_vector_of_another_length():
     M = system(1, 10)[0]
     for x in (np.ones(M.n + 1), np.ones((M.n, 1))):
         with pytest.raises(ValidationError, match="shape"):
-            M @ x
+            M.matvec(x)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +446,7 @@ def test_reports_make_no_dense_calls(monkeypatch, payload):
         _gauss01(p)
     for name in ("solve", "eigvalsh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, _forbid)
-    monkeypatch.setattr(SparseSymMatrix, "to_dense", _forbid)
+    monkeypatch.setattr(sp.csr_array, "toarray", _forbid)
     assert cli.solve_report(problem)["cg"]["converged"]
     assert len(cli.convergence_report(problem, levels=3)["levels"]) == 3
     out = cli.simulate_report(problem)
@@ -465,13 +465,13 @@ def test_reports_factor_each_assembled_matrix_once(monkeypatch, payload, report)
     calls = _count_factorisations(monkeypatch)
     solves, arpack = _count_calls(monkeypatch, "cho_solve_banded"), _count_calls(monkeypatch, "eigsh")
     matrices = []
-    adopt = SparseSymMatrix._adopt
+    init = SparseSymMatrix.__init__
 
-    def counting_adopt(self, csr):
+    def counting_init(self, csr):
         matrices.append(self)
-        adopt(self, csr)
+        init(self, csr)
 
-    monkeypatch.setattr(SparseSymMatrix, "_adopt", counting_adopt)
+    monkeypatch.setattr(SparseSymMatrix, "__init__", counting_init)
     args = (3,) if report == "convergence_report" else ()
     getattr(cli, report)(ProblemSpec.from_dict(payload), *args)
     assert len(matrices) == (3 + 2 * (payload["d"] == 2) if report == "convergence_report" else 1)
