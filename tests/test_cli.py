@@ -605,16 +605,22 @@ GOLDEN_RUNS = {
     "convergence": ("convergence", "--levels", "3"),
     "simulate_seed7": ("simulate", "--seed", "7"),
     "simulate_exact": ("simulate", "--exact"),
+    "plan": ("plan",),
 }
-# runs that read no spec; each is checked in as <name>.json
+# runs that read no spec; each is checked in as <name>.json, or <name>.csv
+# when it asks for csv
 GOLDEN_TABLES = {
     "lowerbound_hybrid_draws3_seed7": ("lowerbound", "--mode", "hybrid", "--draws", "3", "--seed", "7"),
     "lowerbound_bump": ("lowerbound", "--mode", "bump"),
+    "resources": ("resources",),
+    "resources_csv": ("resources", "--format", "csv"),
 }
 
 
 def golden_path(spec_name: str | None, run_name: str) -> Path:
-    return GOLDEN_DIR / (f"{spec_name}_{run_name}.json" if spec_name else f"{run_name}.json")
+    if spec_name:
+        return GOLDEN_DIR / f"{spec_name}_{run_name}.json"
+    return GOLDEN_DIR / (f"{run_name}.csv" if "csv" in GOLDEN_TABLES[run_name] else f"{run_name}.json")
 
 
 def golden_artifact(spec_name: str | None, run_name: str, tmp_dir: Path) -> bytes:
