@@ -42,7 +42,6 @@ from .problems import (
     poly_l2_norm,
 )
 from .quantum import (
-    FunctionalEstimate,
     SampleBudget,
     build_r_state,
     estimate_functional,
@@ -54,10 +53,9 @@ from .resources import (
     ResourceEstimate,
     SobolevData,
     choose_mesh_size,
-    classical_cost,
     exponent_table,
+    model_costs,
     norm_estimation_cost,
-    quantum_cost,
     split_budget,
 )
 from .solver import CGReport, conjugate_gradient, estimate_condition_number

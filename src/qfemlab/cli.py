@@ -45,7 +45,7 @@ from .lowerbounds import BumpOracle, aligned_probability, hybrid_experiment, mak
 from .mesh import prolongation
 from .problems import MAX_CELLS, ProblemSpec, analytic_solution_1d, discretize, mesh_size
 from .quantum import SampleBudget, estimate_functional
-from .resources import SobolevData, classical_cost, quantum_cost
+from .resources import SobolevData, model_costs
 from .solver import conjugate_gradient, estimate_condition_number
 
 
@@ -161,39 +161,17 @@ def convergence_report(problem: ProblemSpec, levels: int) -> dict:
 
 def simulate_report(problem: ProblemSpec, exact: bool = False) -> dict:
     budget = SampleBudget(rng_seed=problem.seed)
-    est = estimate_functional(problem, problem.eps, budget, exact_mode=exact)
-    out = est.to_dict()
+    out = estimate_functional(problem, problem.eps, budget, exact_mode=exact)
     out["meta"] = _meta(problem, problem.seed)
     out["uses_of_state_prep"] = budget.uses_of_state_prep
     return out
 
 
-def _model_costs(d: int, k: int, eps: float, sob: SobolevData):
-    """Model size N, condition number kappa and the cost of each of the four
-    pipelines, for ``plan`` and ``resources`` alike. N is rounded up."""
-    sem = sob.seminorm(k + 1)
-    try:
-        n_model = (sem / eps) ** (d / (k + 1))
-        kappa_model = (sem / eps) ** (2.0 / (k + 1))
-    except OverflowError:  # a float power past double range
-        n_model = kappa_model = np.inf
-    if not (np.isfinite(n_model) and np.isfinite(kappa_model)):
-        raise ValidationError(f"the model size N = {n_model} or condition number {kappa_model} overflows at eps = {eps}")
-    n_cg = max(1, int(np.ceil(n_model)))
-    costs = {
-        "classical": classical_cost(n_cg, 3, kappa_model, eps / 2.0, d=d, k=k, preconditioned=False),
-        # kappa = 1 after preconditioning, so only N carries a power of 1/eps
-        "classical_precond": classical_cost(n_cg, 3, 1.0, eps / 2.0, d=d, k=k, preconditioned=True),
-        "quantum": quantum_cost(d, k, eps, sob, 3, preconditioned=False),
-        "quantum_precond": quantum_cost(d, k, eps, sob, 3, preconditioned=True),
-    }
-    return n_model, kappa_model, costs
-
-
 def plan_report(problem: ProblemSpec) -> dict:
-    """Mesh size, model costs and, when assemblable, the budget split that
-    ``simulate`` runs with."""
-    n_model, kappa_model, costs = _model_costs(problem.d, problem.k, problem.eps, problem.solution_sobolev)
+    """Mesh size, the model's N, kappa and pipeline costs from
+    ``model_costs`` and, when assemblable, the budget that ``simulate``
+    runs with."""
+    n_model, kappa_model, costs = model_costs(problem.d, problem.k, problem.eps, problem.solution_sobolev)
     out = {
         "meta": _meta(problem, problem.seed),
         "h": mesh_size(problem, problem.eps)[1],
@@ -202,14 +180,13 @@ def plan_report(problem: ProblemSpec) -> dict:
         **{pipeline: est.to_dict() for pipeline, est in costs.items()},
     }
     if problem.assembled:
-        est = estimate_functional(problem, problem.eps, SampleBudget(rng_seed=problem.seed), exact_mode=True)
-        out["budget"] = est.budget_split.to_dict()
+        out["budget"] = estimate_functional(problem, problem.eps, SampleBudget(rng_seed=problem.seed), exact_mode=True)["budget"]
     return out
 
 
 def resources_table(dims, degrees, eps_list) -> list[dict]:
-    """Model exponents and values for every pipeline over a (d, k, eps) grid,
-    with every Sobolev seminorm of the solution taken as 1."""
+    """``model_costs``' exponents and values for every pipeline over a
+    (d, k, eps) grid, with every Sobolev seminorm of the solution taken as 1."""
     if not all(np.isfinite(eps) and eps > 0 for eps in eps_list):
         raise ValidationError(f"every --eps must be finite and > 0, got {eps_list}")
     sob = SobolevData((1.0, 1.0, 1.0, 1.0, 1.0))
@@ -217,7 +194,7 @@ def resources_table(dims, degrees, eps_list) -> list[dict]:
     for d in dims:
         for k in degrees:
             for eps in eps_list:
-                for pipeline, est in _model_costs(d, k, eps, sob)[2].items():
+                for pipeline, est in model_costs(d, k, eps, sob)[2].items():
                     rows.append(
                         {
                             "pipeline": pipeline,

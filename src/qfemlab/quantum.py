@@ -33,7 +33,7 @@ from .errors import (
 )
 from .mesh import BasisSpec
 from .problems import ProblemSpec, discretize, mesh_size, poly_l2_norm
-from .resources import ErrorBudget, ResourceEstimate, discretisation_share, norm_estimation_cost, qle_cost, split_budget
+from .resources import ResourceEstimate, discretisation_share, norm_estimation_cost, qle_cost, split_budget
 from .solver import estimate_condition_number
 
 ACCEPTANCE_FLOOR = 1e-9
@@ -149,47 +149,16 @@ def estimate_norm(M: SparseSymMatrix, x: np.ndarray, eps_n_rel: float, budget: S
     return float(math.sqrt(p_hat) / lam_min)
 
 
-@dataclass
-class FunctionalEstimate:
-    """End-to-end output of the sampling pipeline plus its run record."""
-
-    value: float
-    exact_value_discrete: float
-    alpha: float
-    n_tilde: float
-    r_tilde: float
-    u_tilde_norm: float
-    budget_split: ErrorBudget
-    h: float
-    n_elements: int
-    n_dofs: int
-    exact_mode: bool
-    ledger: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "exact_value_discrete": self.exact_value_discrete,
-            "alpha": self.alpha,
-            "n_tilde": self.n_tilde,
-            "r_tilde": self.r_tilde,
-            "u_tilde_norm": self.u_tilde_norm,
-            "budget": self.budget_split.to_dict(),
-            "h": self.h,
-            "n_elements": self.n_elements,
-            "n_dofs": self.n_dofs,
-            "exact_mode": self.exact_mode,
-            "ledger": [entry.to_dict() for entry in self.ledger],
-        }
-
-
-def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, exact_mode: bool = False) -> FunctionalEstimate:
+def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, exact_mode: bool = False) -> dict:
     """Estimate R = int r u with additive error <= eps ||r|| (probability
     >= 2/3) by the three-step pipeline: estimate the solution norm, estimate
     the overlap <r|u~> from solver-output samples, output alpha * N~ * R~.
 
     ``exact_mode`` zeroes the solver, norm and measurement errors so only
-    the discretisation term remains.
+    the discretisation term remains. Returns the ``simulate`` artifact less
+    its ``meta`` and ``uses_of_state_prep``: the estimate ``value`` next to
+    the discrete functional it estimates, the budget split with the mesh
+    size and dof count, and the ledger of modelled oracle costs.
     """
     sob = problem.solution_sobolev
     if eps > sob.l2_norm:
@@ -203,8 +172,6 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
     with np.errstate(over="ignore"):  # split_budget refuses an infinite norm
         u_norm = float(np.linalg.norm(u_tilde))
     split = split_budget(eps, sob, alpha, u_norm, r_norm)
-    split.h = h
-    split.n_dofs = spec.n_dofs
 
     ledger: list = []
     r_load_values = alpha * r_state
@@ -239,17 +206,17 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
         )
         value = alpha * n_tilde * r_tilde
 
-    return FunctionalEstimate(
-        value=float(value),
-        exact_value_discrete=exact_discrete,
-        alpha=alpha,
-        n_tilde=float(n_tilde),
-        r_tilde=float(r_tilde),
-        u_tilde_norm=u_norm,
-        budget_split=split,
-        h=h,
-        n_elements=spec.mesh.n_elements,
-        n_dofs=spec.n_dofs,
-        exact_mode=exact_mode,
-        ledger=ledger,
-    )
+    return {
+        "value": float(value),
+        "exact_value_discrete": exact_discrete,
+        "alpha": alpha,
+        "n_tilde": float(n_tilde),
+        "r_tilde": float(r_tilde),
+        "u_tilde_norm": u_norm,
+        "budget": {**vars(split), "h": h, "n_dofs": spec.n_dofs},
+        "h": h,
+        "n_elements": spec.mesh.n_elements,
+        "n_dofs": spec.n_dofs,
+        "exact_mode": exact_mode,
+        "ledger": [entry.to_dict() for entry in ledger],
+    }

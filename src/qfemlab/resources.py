@@ -1,6 +1,8 @@
 """Error-budget planning and the analytic runtime model.
 
-All asymptotic formulas are evaluated with every hidden constant set to 1
+``model_costs`` is the one place where the model's size N, its condition
+number kappa and the runtime of the four pipelines are computed. All
+asymptotic formulas are evaluated with every hidden constant set to 1
 and reported as model values; empirical comparisons elsewhere regress
 exponents (log-log slopes), never absolute values. Polylog factors are
 fixed to the squared-log form (1 + ln(arg))^2 for determinism.
@@ -56,20 +58,6 @@ class ErrorBudget:
     eps_l: float
     eps_out: float
     eps_cg: float
-    h: float | None = None
-    n_dofs: int | None = None
-
-    def to_dict(self):
-        return {
-            "eps": self.eps,
-            "eps_d": self.eps_d,
-            "eps_n": self.eps_n,
-            "eps_l": self.eps_l,
-            "eps_out": self.eps_out,
-            "eps_cg": self.eps_cg,
-            "h": self.h,
-            "n_dofs": self.n_dofs,
-        }
 
 
 @dataclass
@@ -92,6 +80,10 @@ class ResourceEstimate:
             "exponent_terms": [str(t) for t in self.exponent_terms],
             "notes": dict(self.notes),
         }
+
+
+# the row sparsity s every pipeline of the runtime model is priced at
+SPARSITY = 3
 
 
 def _polylog(arg: float) -> float:
@@ -162,58 +154,54 @@ def split_budget(
     return ErrorBudget(eps=eps, eps_d=eps_d, eps_n=eps_n, eps_l=eps_l, eps_out=eps_out, eps_cg=eps / 2.0)
 
 
-def classical_cost(n: int, s: int, kappa: float, eps_cg: float, d: int, k: int, preconditioned: bool) -> ResourceEstimate:
-    """Conjugate-gradient runtime model N s sqrt(kappa) ln(1/eps_cg); the
-    preconditioned pipeline is priced at kappa = 1 by its caller."""
-    if n <= 0 or s <= 0 or kappa <= 0 or eps_cg <= 0:
-        raise ValidationError("all parameters must be positive")
-    try:
-        value = n * s * math.sqrt(kappa) * math.log(1.0 / eps_cg)
-    except OverflowError:  # n s past double range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValidationError(f"the classical model cost overflows at N = {n}")
-    pipeline = "classical_precond" if preconditioned else "classical"
-    return ResourceEstimate(
-        pipeline=pipeline,
-        oracle_calls={"matvec": float(n * s)},
-        runtime_model=value,
-        exponent_terms=exponent_table(d, k)[pipeline],
-    )
+def model_costs(d: int, k: int, eps: float, sobolev: SobolevData):
+    """Model size N = (|u|_{k+1}/eps)^(d/(k+1)), condition number kappa =
+    (|u|_{k+1}/eps)^(2/(k+1)) and the runtime model of each of the four
+    pipelines, for ``plan`` and ``resources`` alike. With s = ``SPARSITY``
+    and N rounded up:
 
+        classical          N s sqrt(kappa) ln(1/eps_cg), eps_cg = eps/2
+        classical_precond  the same at kappa = 1
+        quantum            (s kappa^2 ||u|| + sqrt(s) kappa ||u||_1)/eps polylog(s kappa/eps)
+        quantum_precond    ||u||_1/eps polylog(s/eps)
 
-def quantum_cost(d: int, k: int, eps: float, sobolev: SobolevData, s: int, preconditioned: bool) -> ResourceEstimate:
-    """Sampling-pipeline runtime model.
-
-    Unpreconditioned: (s k^2 ||u|| + sqrt(s) k ||u||_1)/eps with kappa =
-    (|u|_{k+1}/eps)^(2/(k+1)), giving 1/eps exponents (k+5)/(k+1) and
-    (k+3)/(k+1). Preconditioned: ||u||_1/eps with exponent 1.
+    Returns (N, kappa, {pipeline: ResourceEstimate}); the 1/eps exponents
+    come from ``exponent_table``.
     """
-    pipeline = "quantum_precond" if preconditioned else "quantum"
-    terms = exponent_table(d, k)[pipeline]  # refuses d or k below 1
-    if eps <= 0 or s <= 0:
-        raise ValidationError("eps and s must be positive")
-    u_norm = sobolev.l2_norm
-    u_1 = sobolev.sobolev_1_norm
-    if preconditioned:
-        value = u_1 / eps * _polylog(s / eps)
-        kappa = 1.0
-    else:
-        sem = sobolev.seminorm(k + 1)
-        kappa = (sem / eps) ** (2.0 / (k + 1))
+    exponents = exponent_table(d, k)  # refuses d or k below 1 before any power
+    sem = sobolev.seminorm(k + 1)
+    eps_cg = eps / 2.0
+    if not (sem > 0 and eps_cg > 0):
+        raise ValidationError(f"need |u|_{k + 1} > 0 and eps > 0, got {sem} and {eps}")
+    try:
+        n_model = (sem / eps) ** (d / (k + 1))
+        kappa_model = (sem / eps) ** (2.0 / (k + 1))
+    except OverflowError:  # a float power past double range
+        n_model = kappa_model = math.inf
+    if not (n_model < math.inf and 0.0 < kappa_model < math.inf):
+        raise ValidationError(f"the model size N = {n_model} or condition number {kappa_model} leaves double-precision range at eps = {eps}")
+    n_cg = max(1, math.ceil(n_model))
+    s = SPARSITY
+    costs = {}
+    # kappa = 1 after preconditioning, so only N carries a power of 1/eps
+    for pipeline, kappa in (("classical", kappa_model), ("classical_precond", 1.0)):
         try:
-            value = (s * kappa**2 * u_norm + math.sqrt(s) * kappa * u_1) / eps * _polylog(s * kappa / eps)
-        except OverflowError:  # kappa**2 past double range
+            value = n_cg * s * math.sqrt(kappa) * math.log(1.0 / eps_cg)
+        except OverflowError:  # n s past double range
             value = math.inf
-    if not math.isfinite(value):
-        raise ValidationError(f"the quantum model cost overflows at eps = {eps}")
-    return ResourceEstimate(
-        pipeline=pipeline,
-        oracle_calls={"P_M": value, "P_b": value},
-        runtime_model=value,
-        exponent_terms=terms,
-        notes={"kappa_model": kappa},
-    )
+        if not math.isfinite(value):
+            raise ValidationError(f"the classical model cost overflows at N = {n_cg}")
+        costs[pipeline] = ResourceEstimate(pipeline, {"matvec": float(n_cg * s)}, value, exponents[pipeline])
+    u_norm, u_1 = sobolev.l2_norm, sobolev.sobolev_1_norm
+    try:
+        quantum = (s * kappa_model**2 * u_norm + math.sqrt(s) * kappa_model * u_1) / eps * _polylog(s * kappa_model / eps)
+    except OverflowError:  # kappa**2 past double range
+        quantum = math.inf
+    for pipeline, kappa, value in (("quantum", kappa_model, quantum), ("quantum_precond", 1.0, u_1 / eps * _polylog(s / eps))):
+        if not math.isfinite(value):
+            raise ValidationError(f"the quantum model cost overflows at eps = {eps}")
+        costs[pipeline] = ResourceEstimate(pipeline, {"P_M": value, "P_b": value}, value, exponents[pipeline], {"kappa_model": kappa})
+    return n_model, kappa_model, costs
 
 
 def norm_estimation_cost(s: int, kappa: float, eps: float) -> ResourceEstimate:

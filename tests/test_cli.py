@@ -290,6 +290,9 @@ BAD_ARGV = [
     ("resources", "--eps", "0"),
     ("resources", "--eps", "-1"),
     ("resources", "--eps", "nan"),
+    ("resources", "--degrees", "-1"),
+    ("resources", "--degrees", "0"),
+    ("resources", "--dims", "0"),
     ("simulate", "--spec", "{seed_minus_one}"),
     ("simulate", "--spec", "{tiny_1d}", "--seed", "-1"),
     ("lowerbound", "--mode", "hybrid", "--seed", "-3"),

@@ -196,13 +196,13 @@ PROB = ProblemSpec(d=1, k=1, diffusion=1.0, reaction=0.0, f=(-1.0,), r=(1.0,), e
 def test_functional_poisson_known_value():
     budget = SampleBudget(rng_seed=7)
     est = estimate_functional(PROB, 0.01, budget)
-    assert abs(est.value - 1.0 / 3.0) <= 0.01
+    assert abs(est["value"] - 1.0 / 3.0) <= 0.01
 
 
 def test_functional_exact_mode_leaves_only_discretisation():
     est = estimate_functional(PROB, 0.02, SampleBudget(rng_seed=0), exact_mode=True)
-    assert est.value == pytest.approx(est.exact_value_discrete, abs=1e-12)
-    assert abs(est.value - 1.0 / 3.0) <= est.budget_split.eps_d
+    assert est["value"] == pytest.approx(est["exact_value_discrete"], abs=1e-12)
+    assert abs(est["value"] - 1.0 / 3.0) <= est["budget"]["eps_d"]
 
 
 def exact_functional_1d(u_coeffs, r_coeffs) -> float:
@@ -226,7 +226,7 @@ def test_functional_orthogonal_r():
     est = estimate_functional(prob, 0.02, budget)
     from qfemlab.problems import poly_l2_norm
 
-    assert abs(est.value) <= 0.02 * poly_l2_norm(r, 1)
+    assert abs(est["value"]) <= 0.02 * poly_l2_norm(r, 1)
 
 
 def test_functional_success_rate():
@@ -234,7 +234,7 @@ def test_functional_success_rate():
     for seed in range(60):
         budget = SampleBudget(rng_seed=seed)
         est = estimate_functional(PROB, 0.02, budget)
-        if abs(est.value - 1.0 / 3.0) <= 0.02:
+        if abs(est["value"] - 1.0 / 3.0) <= 0.02:
             ok += 1
     assert ok >= 40  # 2/3 of 60
 
@@ -242,7 +242,7 @@ def test_functional_success_rate():
 def test_functional_budget_tracking():
     budget = SampleBudget(rng_seed=0)
     est = estimate_functional(PROB, 0.02, budget)
-    prep_uses = sum(e.notes.get("state_prep_uses", 0) for e in est.ledger)
+    prep_uses = sum(e["notes"].get("state_prep_uses", 0) for e in est["ledger"])
     assert budget.uses_of_state_prep >= prep_uses > 0
 
 
