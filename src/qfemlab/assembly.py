@@ -52,37 +52,15 @@ MAX_POLY_DEGREE = 8
 # ---------------------------------------------------------------------------
 # exact reference elements (1D, degree 1..3)
 
-def _frac_polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _frac_polyder(a):
-    return [i * a[i] for i in range(1, len(a))] or [Fraction(0)]
-
-
-def _frac_polyint01(a):
-    # integral over the reference interval [0, 1]
-    return sum(c / (i + 1) for i, c in enumerate(a))
-
-
 @lru_cache(maxsize=None)
 def _reference_lagrange(k: int):
-    """Coefficient lists (low->high, Fractions) of the k+1 nodal polynomials
-    on [0,1] with nodes j/k."""
+    """Coefficient arrays (low->high, Fraction objects) of the k+1 nodal
+    polynomials on [0,1] with nodes j/k."""
     ts = [Fraction(j, k) for j in range(k + 1)]
     polys = []
-    for j in range(k + 1):
-        p = [Fraction(1)]
-        for m in range(k + 1):
-            if m == j:
-                continue
-            denom = ts[j] - ts[m]
-            p = _frac_polymul(p, [-ts[m] / denom, Fraction(1) / denom])
-        polys.append(p)
+    for t_j in ts:
+        others = [t for t in ts if t != t_j]
+        polys.append(npoly.polyfromroots(np.array(others, dtype=object)) / math.prod(t_j - t for t in others))
     return polys
 
 
@@ -94,13 +72,12 @@ def _reference_matrices(k: int):
     and M*h * reaction.
     """
     polys = _reference_lagrange(k)
-    m = k + 1
-    kmat = np.empty((m, m))
-    mmat = np.empty((m, m))
-    for a in range(m):
-        for b in range(m):
-            kmat[a, b] = float(_frac_polyint01(_frac_polymul(_frac_polyder(polys[a]), _frac_polyder(polys[b]))))
-            mmat[a, b] = float(_frac_polyint01(_frac_polymul(polys[a], polys[b])))
+
+    def integral01(poly) -> float:
+        return float(npoly.polyval(1, npoly.polyint(poly)))
+
+    kmat = np.array([[integral01(npoly.polymul(npoly.polyder(a), npoly.polyder(b))) for b in polys] for a in polys])
+    mmat = np.array([[integral01(npoly.polymul(a, b)) for b in polys] for a in polys])
     return kmat, mmat
 
 
@@ -115,11 +92,7 @@ def _gauss01(p: int):
 def _reference_values_at(k: int, p: int):
     """Nodal basis values at the p Gauss points of [0, 1]: (k+1, p) array."""
     xs, _ = _gauss01(p)
-    polys = _reference_lagrange(k)
-    vals = np.empty((k + 1, p))
-    for j, poly in enumerate(polys):
-        vals[j] = npoly.polyval(xs, [float(c) for c in poly])
-    return vals
+    return np.array([npoly.polyval(xs, poly.astype(float)) for poly in _reference_lagrange(k)])
 
 
 @lru_cache(maxsize=None)
