@@ -66,7 +66,7 @@ class BlackBoxPair:
     phi: np.ndarray
     T: int
     unitaries: list = field(repr=False, default_factory=list)
-    eps_sep: float = 0.0
+    eps_sep: float = field(init=False)
 
     def __post_init__(self):
         if len(self.psi) != len(self.phi):
@@ -197,7 +197,7 @@ class BumpOracle:
 
     n: int
     y0: int
-    queries: int = 0
+    queries: int = field(init=False, default=0)
 
     def __post_init__(self):
         if not 0 <= self.y0 < self.n:

@@ -45,7 +45,7 @@ class SampleBudget:
 
     shots: int = 10**12
     rng_seed: int = 0
-    uses_of_state_prep: int = 0
+    uses_of_state_prep: int = field(init=False, default=0)
 
     def __post_init__(self):
         self.rng = np.random.default_rng(self.rng_seed)

@@ -17,7 +17,9 @@ Likewise every parameter with a default must be passed, by keyword or by
 position, at some call in the package, or be on the knob allowlist with its
 reason. Calls are matched by the callee's identifier in the same way, and a
 call that unpacks ``*args`` or ``**kwargs`` counts as passing every
-parameter. Dataclass fields are not covered.
+parameter. A defaulted field of a dataclass is a parameter of the class,
+at its index among the fields ``__init__`` takes; ``cls(...)`` in one of
+the class's classmethods counts as a call of the class.
 """
 import ast
 import textwrap
@@ -32,6 +34,7 @@ ALLOWED_KNOBS = {
     "conjugate_gradient(cap)": "the j-th iterate and exit-3 tests; the work cap of ROADMAP item 8",
     "build_basis(constrain_dirichlet)": "the unconstrained space behind the partition-of-unity and M 1 = 0 oracles",
     "main(argv)": "the entry point: the console script passes nothing, tests pass argv",
+    "SampleBudget(shots)": "the exit-4 shot-budget tests",
 }
 
 
@@ -123,21 +126,62 @@ def _passes(call, name, position) -> bool:
     return any(k.arg == name for k in call.keywords) or (position is not None and position < len(call.args))
 
 
-def unpassed_knobs() -> list[tuple[str, str]]:
-    """(where, function(parameter)) of every defaulted parameter that no
-    call in the package passes."""
-    trees = _trees()
+def _name(node):
+    """The identifier a decorator or callee is written with, if any."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _fields(cls):
+    """(name, position) of each defaulted field that the ``__init__`` of the
+    dataclass ``cls`` takes, the position counting those fields only."""
+    position = 0
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        value = stmt.value
+        options = {k.arg: k.value for k in value.keywords} if isinstance(value, ast.Call) and _name(value) == "field" else None
+        if options is not None and getattr(options.get("init"), "value", True) is False:
+            continue
+        if value is not None and (options is None or "default" in options or "default_factory" in options):
+            yield stmt.target.id, position
+        position += 1
+
+
+def _dataclasses(tree):
+    """(class, the ``cls(...)`` calls in its classmethods) for every
+    dataclass in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(_name(d) == "dataclass" for d in node.decorator_list):
+            classmethods = [m for m in node.body if isinstance(m, ast.FunctionDef) and any(_name(d) == "classmethod" for d in m.decorator_list)]
+            yield node, [c for m in classmethods for c in ast.walk(m) if isinstance(c, ast.Call) and _name(c) == "cls"]
+
+
+def unpassed_knobs(trees) -> list[tuple[str, str]]:
+    """(where, function(parameter)) of every defaulted parameter, and
+    (where, Class(field)) of every defaulted dataclass field, in ``trees``
+    ({path: module}) that no call in them passes."""
     calls = {}
     for tree in trees.values():
         for call in ast.walk(tree):
             if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute)):
-                calls.setdefault(call.func.id if isinstance(call.func, ast.Name) else call.func.attr, []).append(call)
-    return [
-        (f"{path.name}:{fn.lineno}", f"{callee}({name})")
+                calls.setdefault(_name(call), []).append(call)
+    knobs = [
+        (path, fn, callee, name, position, calls.get(callee, []))
         for path, tree in trees.items()
         for fn, callee, method in _functions(tree)
         for name, position in _defaulted(fn, method)
-        if not any(_passes(call, name, position) for call in calls.get(callee, []))
+    ]
+    knobs += [
+        (path, cls, cls.name, name, position, calls.get(cls.name, []) + cls_calls)
+        for path, tree in trees.items()
+        for cls, cls_calls in _dataclasses(tree)
+        for name, position in _fields(cls)
+    ]
+    return [
+        (f"{path.name}:{node.lineno}", f"{callee}({name})")
+        for path, node, callee, name, position, callers in knobs
+        if not any(_passes(call, name, position) for call in callers)
     ]
 
 
@@ -194,8 +238,32 @@ def test_a_name_in_unreached_code_reaches_nothing():
 
 
 def test_every_defaulted_parameter_is_passed_or_allowed():
-    assert [f"{where} {knob}" for where, knob in unpassed_knobs() if knob not in ALLOWED_KNOBS] == []
+    assert [f"{where} {knob}" for where, knob in unpassed_knobs(_trees()) if knob not in ALLOWED_KNOBS] == []
 
 
 def test_knob_allowlist_is_not_stale():
-    assert sorted(set(ALLOWED_KNOBS) - {knob for _, knob in unpassed_knobs()}) == []
+    assert sorted(set(ALLOWED_KNOBS) - {knob for _, knob in unpassed_knobs(_trees())}) == []
+
+
+def test_dataclass_fields_are_knobs_of_their_class():
+    module = textwrap.dedent(
+        """
+        @dataclass
+        class Box:
+            size: int
+            label: str = ""
+            count: int = field(init=False, default=0)
+            tags: list = field(default_factory=list)
+            scale: float = 1.0
+            unit: str = "m"
+
+            @classmethod
+            def build(cls, size):
+                return cls(size, scale=2.0)
+
+        Box(1, "a", [])
+        """
+    )
+    # count is no parameter, so tags is at position 2 and is passed; scale
+    # is passed by the classmethod's cls(...), and unit by nothing
+    assert [knob for _, knob in unpassed_knobs({PACKAGE / "m.py": ast.parse(module)})] == ["Box(unit)"]
