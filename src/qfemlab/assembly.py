@@ -13,17 +13,26 @@ Matrices and loads are stencils on the uniform mesh, added onto its nodes
 by strided slices, one per local node (pair): on the node line in 1D,
 where element e's local node a is node e k + a, and on the vertex grid in
 2D, one stencil per triangle shape and one array per coupling direction.
-Every matrix row is written out as CSR by one builder for both
-dimensions, the only maker of a ``SparseSymMatrix``. The 2D load is formed
-by sum factorisation, f evaluated one axis at a time on the grid of
-quadrature points. Entry points take the ``BasisSpec`` alone, which holds
-its mesh; a mesh is its dimension and n, with no coordinates or elements.
+The assembly is the only maker of a ``SparseSymMatrix``. In 1D each call
+writes its node rows out as CSR. In 2D the CSR pattern depends only on
+the grid, so it is cached per process, keyed by (n, whether the boundary
+is constrained): ``_grid_plan`` holds ``indptr``, ``indices`` and, per
+stored entry, the position of its value in the four coupling grids. Each
+matrix adds its stencils onto the grids and fills its values with one
+gather; exact zero couplings are then dropped. The orthonormal sine
+matrix of a ``SineTransformPreconditioner`` is cached per process too,
+keyed by n. Both caches hold the last ``GRID_CACHE_SIZE`` grids, and
+their arrays are read-only, so a matrix shares them without a copy. The
+2D load is formed by sum factorisation, f evaluated one axis at a time on
+the grid of quadrature points. Entry points take the ``BasisSpec`` alone,
+which holds its mesh; a mesh is its dimension and n, with no coordinates
+or elements.
 
 Dofs are numbered along the line (1D) or row by row (2D), so every
 assembled matrix is banded, with half-bandwidth at most k in 1D and n in
 2D. 1D matrices solve through one band Cholesky factor; 2D ones, whose factor
-would fill the band, through a ``SineTransformPreconditioner`` built on
-first use. lambda_min comes from one single-vector LOPCG loop,
+would fill the band, through a ``SineTransformPreconditioner``.
+lambda_min comes from one single-vector LOPCG loop,
 ``lowest_eigenvalue``, preconditioned by the band factor in 1D and by the
 sine transform in 2D. Only past the 2D class bound, where the loop's start
 cannot reach the lowest eigenvector, does shift-invert ARPACK on the band
@@ -44,9 +53,12 @@ from scipy.sparse._sparsetools import csr_matvec  # private; pinned to csr @ x b
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NonConvergenceError, ValidationError
-from .mesh import TRIANGLE_GRADS, BasisSpec, Mesh
+from .mesh import TRIANGLE_GRADS, BasisSpec, Mesh, build_basis
 
 MAX_POLY_DEGREE = 8
+# 2D grids whose CSR plan and sine matrix each cache keeps: a default
+# ``convergence`` (four levels and their reference) and a ``simulate``
+GRID_CACHE_SIZE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +142,16 @@ class SineTransformPreconditioner:
     matrix M of the same coefficients. The DST-I S diagonalises C (Lynch, Rice
     & Thomas 1964): C^{-1} v = S Lambda^{-1} S v, by sine-matrix products that
     beat ``scipy.fft.dstn`` up to the cell cap (16 against 146 us at n = 43).
-    The sine matrix and the spectrum are built on first use."""
+    The sine matrix S is cached per process, keyed by n (``_sine_matrix``),
+    and read-only, so every preconditioner on a grid shares one; the
+    spectrum, which holds the coefficients, is built on first use."""
 
     def __init__(self, n, diffusion, reaction):
         self.n, self.diffusion, self.reaction = n, diffusion, reaction
 
     @cached_property
     def _sine(self):
-        j = np.arange(1, self.n)
-        return np.sqrt(2.0 / self.n) * np.sin(np.pi * np.outer(j, j) / self.n)  # orthonormal, symmetric
+        return _sine_matrix(self.n)
 
     @cached_property
     def _lam(self):
@@ -157,6 +170,15 @@ class SineTransformPreconditioner:
     def __call__(self, v):  # C^{-1} v
         s, w = self._sine, v.reshape(self.n - 1, self.n - 1)
         return (s @ (s @ w @ s / self._lam) @ s).reshape(v.shape)
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _sine_matrix(n: int) -> np.ndarray:
+    """The orthonormal, symmetric DST-I matrix of the n x n grid, read-only."""
+    j = np.arange(1, n)
+    sine = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(j, j) / n)
+    sine.flags.writeable = False
+    return sine
 
 
 def lowest_eigenvalue(matvec, precond, start, lam_max) -> float:
@@ -372,17 +394,50 @@ def _assemble_bilinear(spec: BasisSpec, diffusion: float, reaction: float) -> Sp
     line = np.full(n * k + 1 + 2 * k, -1)  # the dofs of nodes -k .. n k + k, -1 off the line
     line[k:-k] = spec.node_dofs
     cols = line[np.arange(n * k + 1)[:, None] + np.arange(2 * k + 1)]
-    return _node_rows_to_csr(spec, vals, cols)
-
-
-def _node_rows_to_csr(spec: BasisSpec, vals, cols) -> SparseSymMatrix:
-    """M from one row per node: (n_nodes, width) values and their dof
-    columns, -1 off the dofs, ascending along each row. Dofs number the free
-    nodes in node order, so keeping the nonzero entries of free rows and
-    free columns leaves canonical CSR."""
+    # dofs number the free nodes in node order, so keeping the nonzero
+    # entries of free rows and free columns leaves canonical CSR
     keep = (vals != 0.0) & (cols >= 0) & (spec.node_dofs >= 0)[:, None]
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1)[spec.dof_nodes])])
     return SparseSymMatrix(sp.csr_array((vals[keep], cols[keep], indptr), shape=(spec.n_dofs, spec.n_dofs)))
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _grid_plan(n: int, constrained: bool):
+    """The CSR pattern of every matrix on the n x n grid, read-only:
+    (indptr, indices, at), where ``at`` is, per stored entry, the flat
+    position of its value in the stacked [C, E, N, NE] grids of
+    ``_assemble_stencil_2d``, each (n + 1) x (n + 1) with vertex (i, j) at
+    [j, i].
+
+    Row (i, j) holds SW, S, W, C, E, N, NE, where the neighbour is a dof;
+    SW, S and W read the neighbour's NE, N and E. Dofs number the free
+    nodes in node order, so every row's columns ascend. ``indptr`` and
+    ``indices`` are int64, which scipy's ``csr_array`` keeps, so a matrix
+    that drops no entry views them without a copy; ``at`` is int32, which
+    holds every position in half the memory.
+    """
+    spec = build_basis(Mesh(2, n), 1, constrained)
+    m = n + 1
+    # the grids' positions and the dofs, padded by a border of -1 that
+    # every off-grid neighbour reads
+    at = np.full((4, m + 2, m + 2), -1, dtype=np.int32)
+    at[:, 1:-1, 1:-1] = np.arange(4 * m * m, dtype=np.int32).reshape(4, m, m)
+    dof = np.full((m + 2, m + 2), -1)
+    dof[1:-1, 1:-1] = spec.node_dofs.reshape(m, m)
+    C, E, N, NE = at
+
+    def offset(grid, dj, di):
+        """grid at vertex (i + di, j + dj), for every dof row (i, j)"""
+        return grid[1 + dj:m + 1 + dj, 1 + di:m + 1 + di].reshape(-1)[spec.dof_nodes]
+
+    steps = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+    cols = np.stack([offset(dof, dj, di) for dj, di in steps], axis=-1)
+    keep = cols >= 0
+    reads = (offset(NE, -1, -1), offset(N, -1, 0), offset(E, 0, -1), offset(C, 0, 0), offset(E, 0, 0), offset(N, 0, 0), offset(NE, 0, 0))
+    plan = (np.concatenate([[0], np.cumsum(keep.sum(axis=1))]), cols[keep], np.stack(reads, axis=-1)[keep])
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
 def _assemble_stencil_2d(spec: BasisSpec, diffusion: float, reaction: float) -> SparseSymMatrix:
@@ -392,21 +447,24 @@ def _assemble_stencil_2d(spec: BasisSpec, diffusion: float, reaction: float) -> 
     indexed [j, i], once per coupling: the vertex itself (C) and its east
     (E), north (N) and north-east (NE) neighbours. The other neighbours'
     entries are these read from the neighbour's side, so M_pq and M_qp are
-    bit-identical. Each row's seven entries come out in ascending column
-    order; exact zeros and constrained nodes are dropped, which leaves
-    canonical CSR. On the Dirichlet grid M carries its preconditioner.
+    bit-identical. The grid's cached ``_grid_plan`` gives the CSR pattern
+    and where each entry's value lies, so one gather fills the values.
+    Exact zeros (NE at reaction 0; E and N where the mass cancels the
+    stiffness, at reaction 12 diffusion n^2) are then dropped, with
+    ``indptr`` recounted, which leaves canonical CSR. On the Dirichlet grid
+    M carries its preconditioner.
     """
     n = spec.mesh.n
+    constrained = spec.n_dofs != spec.n_nodes
+    indptr, indices, at = _grid_plan(n, constrained)
     area = 0.5 / (n * n)
     mass = reaction * area / 12.0 * (1.0 + np.eye(3))
     # the gradients are n g, so the element stiffness (n g)(n g)^T * area is
     # g g^T / 2 whatever n is
     lo, up = (diffusion * 0.5 * (g @ g.T) + mass for g in TRIANGLE_GRADS)
-    # vertex (i, j) sits at [j + 1, i + 1]; the border holds zeros and dof -1
-    C, E, N, NE = np.zeros((4, n + 3, n + 3))
-    dof = np.full((n + 3, n + 3), -1)
-    dof[1:n + 2, 1:n + 2] = spec.node_dofs.reshape(n + 1, n + 1)
-    cell, on = slice(1, n + 1), slice(2, n + 2)  # vertex (i, j) of each cell, and one further on
+    grids = np.zeros((4, n + 1, n + 1))  # vertex (i, j) at [j, i]
+    C, E, N, NE = grids
+    cell, on = slice(0, n), slice(1, n + 1)  # vertex (i, j) of each cell, and one further on
     C[cell, cell] += lo[0, 0] + up[0, 0]  # v00 of cell (i, j) is vertex (i, j)
     C[cell, on] += lo[1, 1]  # v10
     C[on, on] += lo[2, 2] + up[1, 1]  # v11
@@ -416,22 +474,13 @@ def _assemble_stencil_2d(spec: BasisSpec, diffusion: float, reaction: float) -> 
     N[cell, cell] += up[0, 2]  # edge v00-v01 of the cell to the east
     N[cell, on] += lo[1, 2]  # edge v10-v11 of the cell to the west
     NE[cell, cell] += lo[0, 2] + up[0, 1]
-
-    def offset(grid, dj, di):
-        """grid at vertex (i + di, j + dj), for every vertex (i, j)"""
-        return grid[1 + dj:n + 2 + dj, 1 + di:n + 2 + di]
-
-    # row (i, j): SW, S, W, C, E, N, NE, where W is the E entry of (i - 1, j)
-    # and so on; dofs number the free nodes in node order, so every row's
-    # columns ascend
-    vals = np.stack(
-        [offset(NE, -1, -1), offset(N, -1, 0), offset(E, 0, -1), offset(C, 0, 0), offset(E, 0, 0), offset(N, 0, 0), offset(NE, 0, 0)],
-        axis=-1,
-    ).reshape(-1, 7)
-    steps = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
-    cols = np.stack([offset(dof, dj, di) for dj, di in steps], axis=-1).reshape(-1, 7)
-    M = _node_rows_to_csr(spec, vals, cols)
-    if spec.n_dofs == (n - 1) ** 2:
+    data = grids.take(at)
+    nonzero = data != 0.0
+    if not nonzero.all():
+        data, indices = data[nonzero], indices[nonzero]
+        indptr = np.concatenate([[0], np.cumsum(nonzero)])[indptr]  # entries kept before each row
+    M = SparseSymMatrix(sp.csr_array((data, indices, indptr), shape=(spec.n_dofs, spec.n_dofs)))
+    if constrained:
         M._precond = SineTransformPreconditioner(n, diffusion, reaction)
     return M
 

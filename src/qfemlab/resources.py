@@ -166,13 +166,15 @@ def model_costs(d: int, k: int, eps: float, sobolev: SobolevData):
         quantum_precond    ||u||_1/eps polylog(s/eps)
 
     Returns (N, kappa, {pipeline: ResourceEstimate}); the 1/eps exponents
-    come from ``exponent_table``.
+    come from ``exponent_table``. eps must lie in (0, 2): at eps >= 2 the
+    CG term ln(1/eps_cg) is zero or negative, and so would be the classical
+    costs, so such an eps is refused (ValidationError).
     """
     exponents = exponent_table(d, k)  # refuses d or k below 1 before any power
     sem = sobolev.seminorm(k + 1)
     eps_cg = eps / 2.0
-    if not (sem > 0 and eps_cg > 0):
-        raise ValidationError(f"need |u|_{k + 1} > 0 and eps > 0, got {sem} and {eps}")
+    if not (sem > 0 and 0 < eps_cg < 1):
+        raise ValidationError(f"need |u|_{k + 1} > 0 and 0 < eps < 2, got {sem} and {eps}")
     try:
         n_model = (sem / eps) ** (d / (k + 1))
         kappa_model = (sem / eps) ** (2.0 / (k + 1))

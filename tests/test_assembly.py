@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from qfemlab import (
     build_interval_mesh,
     build_square_triangulation,
 )
-from matrices import sym_matrix
+from qfemlab import cli
+from qfemlab.assembly import GRID_CACHE_SIZE, _assemble_stencil_2d, _grid_plan, _sine_matrix
+from matrices import stencil_2d_reference, sym_matrix
 from pointwise import basis, elements, vertices
 
 DIFFUSION = BilinearForm(1.0, 0.0)
@@ -223,3 +227,68 @@ def test_assembled_matrices_equal_their_transpose_bitwise(d, constrained):
         stiffness = [assemble_stiffness(spec, BilinearForm(D, R)) for D in (1.0, 1e-3) for R in (0.0, 1.0, 1e4)]
         for M in stiffness + [assemble_gram(spec)]:
             assert (M.csr != M.csr.T).nnz == 0, (mesh, k)
+
+
+# (diffusion, reaction) as functions of n: R = 0 leaves NE zero, and
+# R = 12 D n^2 cancels E and N wherever its mass rounds to -stiffness
+STENCIL_CASES = {
+    "D1-R1": lambda n: (1.0, 1.0),
+    "D1-R0": lambda n: (1.0, 0.0),
+    "gram": lambda n: (0.0, 1.0),
+    "D1-R12n2": lambda n: (1.0, 12.0 * n * n),
+}
+
+
+@pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "unconstrained"])
+@pytest.mark.parametrize("case", list(STENCIL_CASES))
+def test_2d_stencil_matches_the_per_call_index_build_bitwise(case, constrained):
+    dropped = 0
+    for n in range(1, 71):
+        spec = build_basis(build_square_triangulation(n), 1, constrain_dirichlet=constrained)
+        diffusion, reaction = STENCIL_CASES[case](n)
+        M = _assemble_stencil_2d(spec, diffusion, reaction)
+        ref = stencil_2d_reference(spec, diffusion, reaction)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(M.csr, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, name)
+        assert M.s == (int(np.diff(ref.indptr).max()) if spec.n_dofs else 0), n
+        dropped += ref.nnz < len(_grid_plan(n, constrained)[1])
+    # the exact zeros of these cases are dropped from the cached pattern
+    assert (dropped > 0) == (case in ("D1-R0", "D1-R12n2")), dropped
+
+
+def test_grid_caches_are_read_only_and_hit_on_the_same_grid():
+    spec = build_basis(build_square_triangulation(9), 1)
+    M = assemble_stiffness(spec, BilinearForm(1.0, 1.0))
+    sine = M._precond._sine
+    hits = _grid_plan.cache_info().hits, _sine_matrix.cache_info().hits
+    for array in (M.csr.indices, M.csr.indptr):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    with pytest.raises(ValueError):
+        sine[0, 0] = 1.0
+    again = assemble_stiffness(spec, BilinearForm(2.0, 0.5))
+    assert again._precond._sine is sine and np.shares_memory(again.csr.indices, M.csr.indices)
+    assert _grid_plan.cache_info().hits > hits[0] and _sine_matrix.cache_info().hits > hits[1]
+
+
+def test_grid_caches_hold_a_default_convergence_and_a_simulate(tmp_path):
+    levels = cli.build_parser().parse_args(["convergence", "--spec", "x"]).levels
+    assert levels + 2 <= GRID_CACHE_SIZE  # the levels, their reference, a simulate
+    for cache in (_grid_plan, _sine_matrix):
+        assert cache.cache_info().maxsize == GRID_CACHE_SIZE
+        cache.cache_clear()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "d": 2, "k": 1, "pde": {"diffusion": 1, "reaction": 1},
+        "f": [[-1]], "r": [[1]], "eps": 5e-2, "sobolev": [0.05, 0.3, 2.0],
+    }))
+
+    def reports():
+        for command in ("convergence", "simulate"):
+            assert cli.main([command, "--spec", str(spec), "--out", str(tmp_path)]) == 0
+        return _grid_plan.cache_info().misses, _sine_matrix.cache_info().misses
+
+    first = reports()
+    assert first[0] == levels + 2
+    assert reports() == first  # every grid of the second run is a hit

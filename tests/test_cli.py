@@ -204,6 +204,13 @@ def test_resources_json_and_csv(capsys):
     assert len(lines) == 1 + 2 * 4
 
 
+def test_runtime_models_are_positive_just_below_eps_two(capsys, spec_file):
+    rows = run_json(capsys, "resources", "--dims", "1,2,3", "--degrees", "1,2", "--eps", "1.999")
+    assert len(rows) == 3 * 2 * 4 and all(row["model_value"] > 0 for row in rows)
+    plan = run_json(capsys, "plan", "--spec", spec_file({**MODEL_ONLY_3D, "eps": 1.999}))
+    assert all(plan[name]["runtime_model"] > 0 for name in ("classical", "classical_precond", "quantum", "quantum_precond"))
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -293,6 +300,11 @@ BAD_ARGV = [
     ("resources", "--degrees", "-1"),
     ("resources", "--degrees", "0"),
     ("resources", "--dims", "0"),
+    # the classical model prices CG at ln(2/eps), zero or negative from eps = 2 on
+    ("resources", "--eps", "2"),
+    ("resources", "--eps", "3"),
+    ("resources", "--eps", "0.01,3"),
+    ("plan", "--spec", "{model_only_eps_3}"),
     ("simulate", "--spec", "{seed_minus_one}"),
     ("simulate", "--spec", "{tiny_1d}", "--seed", "-1"),
     ("lowerbound", "--mode", "hybrid", "--seed", "-3"),
@@ -311,6 +323,7 @@ def test_invalid_arguments_exit_two(capsys, spec_file, argv):
     specs = {
         "{tiny_1d}": spec_file(TINY_1D),
         "{seed_minus_one}": spec_file({**TINY_1D, "seed": -1}, name="seed.json"),
+        "{model_only_eps_3}": spec_file({**MODEL_ONLY_3D, "eps": 3.0}, name="eps3.json"),
     }
     code, out, err = run(capsys, *(specs.get(arg, arg) for arg in argv))
     assert code == 2, err

@@ -32,7 +32,6 @@ ALLOWED = {}
 
 ALLOWED_KNOBS = {
     "conjugate_gradient(cap)": "the j-th iterate and exit-3 tests; the work cap of ROADMAP item 8",
-    "build_basis(constrain_dirichlet)": "the unconstrained space behind the partition-of-unity and M 1 = 0 oracles",
     "main(argv)": "the entry point: the console script passes nothing, tests pass argv",
     "SampleBudget(shots)": "the exit-4 shot-budget tests",
 }
