@@ -239,14 +239,6 @@ def lowest_eigenvalue(matvec, precond, start, lam_max) -> float:
     raise NonConvergenceError("LOPCG eigenvalue iteration did not converge")
 
 
-def _csr_product(csr, data, x) -> np.ndarray:
-    """The product of x with csr's pattern holding ``data``, by the kernel
-    call that ``csr @ x`` ends in, into a fresh zero vector."""
-    y = np.zeros(csr.shape[0])
-    csr_matvec(csr.shape[0], csr.shape[1], csr.indptr, csr.indices, data, x, y)
-    return y
-
-
 class SparseSymMatrix:
     """Symmetric sparse matrix ``csr`` in canonical CSR form (sorted column
     indices, no duplicates), built only by the stencil assembly, symmetric
@@ -273,13 +265,32 @@ class SparseSymMatrix:
         self.n = csr.shape[0]
         self.s = int(np.diff(csr.indptr).max()) if self.n else 0
         self._chol = self._extremes = self._precond = None
+        # read once: each ``csr.shape`` is a Python-level property call
+        self._indptr, self._indices, self._data = csr.indptr, csr.indices, csr.data
 
-    def matvec(self, x):
-        """M x for a vector x of length n, by one kernel call on M's arrays."""
+    def matvec(self, x, out=None):
+        """M x for a vector x of length n, by one kernel call on M's arrays.
+
+        ``out``, a float vector of length n that does not share memory with
+        x, is zeroed, receives M x and is returned; the bits are those of a
+        fresh result. Without it the result is a new array."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):  # the kernel reads x without a bounds check
             raise ValidationError(f"vector has shape {x.shape}, expected ({self.n},)")
-        return _csr_product(self.csr, self.csr.data, x)
+        return self._product(self._data, x, out)
+
+    def _product(self, data, x, out=None) -> np.ndarray:
+        """The product of x with M's pattern holding ``data``, by the kernel
+        call that ``csr @ x`` ends in. The kernel adds into ``out``, so it
+        starts from zeros, as ``csr @ x``'s result does."""
+        if out is None:
+            out = np.zeros(self.n)
+        elif out.shape == (self.n,):  # the kernel writes out without a bounds check
+            out.fill(0.0)
+        else:
+            raise ValidationError(f"output has shape {out.shape}, expected ({self.n},)")
+        csr_matvec(self.n, self.n, self._indptr, self._indices, data, x, out)
+        return out
 
     def solve(self, b) -> np.ndarray:
         """M^{-1} b: PCG to rounding level (relative energy error 1e-14) or
@@ -347,9 +358,9 @@ class SparseSymMatrix:
             if not by_sine and not self.is_spd():
                 raise ValidationError("matrix is singular or indefinite")
             # w stays positive: an SPD matrix has a positive diagonal
-            absdata, w = np.abs(self.csr.data), np.ones(self.n)
+            absdata, w = np.abs(self._data), np.ones(self.n)
             for _ in range(8):
-                y = _csr_product(self.csr, absdata, w)
+                y = self._product(absdata, w)
                 bound = float((y / w).max())
                 w = y / y.max()
             lam_max = bound * (1.0 + 1e-12)

@@ -19,6 +19,12 @@ O(sqrt(kappa) log(1/tol)) steps, and is what ``estimate_condition_number``
 returns. With C^{-1} for C/4 <= M <= C (2D: ``SineTransformPreconditioner``),
 PCG reads lambda_min, lambda_max as 1/4 and 1, bounds on the spectrum of
 C^{-1} M, and ||r||^2 as r^T C^{-1} r, so that ||x - x*||_M^2 <= 4 r^T C^{-1} r.
+
+A step allocates nothing but what ``precond`` returns: the loop updates x,
+r and p in place, through one scratch vector, and takes M p into one
+reused buffer (``SparseSymMatrix.matvec(p, out=)``). Each element sees the
+same IEEE operations as in x + alpha p, r - alpha M p and z + beta p, so
+the result is bit-identical to the out-of-place form.
 """
 from __future__ import annotations
 
@@ -81,31 +87,36 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
         r = bvec.copy()
         z = r if precond is None else precond(r)
         p = z.copy()
-        rz = float(r @ z)
+        Ap, tmp = np.empty(n), np.empty(n)
+        rz = float(r.dot(z))
         for j in range(1, cap + 1):
-            Ap = M.matvec(p)
-            pAp = float(p @ Ap)
+            M.matvec(p, out=Ap)
+            pAp = float(p.dot(Ap))
             if not 0.0 < pAp < math.inf:
                 raise ValidationError(
                     "matrix is not positive definite on the active dofs" if pAp <= 0
                     else "a CG step leaves double-precision range"
                 )
             alpha = rz / pAp
-            x = x + alpha * p
-            r = r - alpha * Ap
+            np.multiply(p, alpha, out=tmp)
+            x += tmp
+            np.multiply(Ap, alpha, out=tmp)
+            r -= tmp
 
             z = r if precond is None else precond(r)
-            rz_new = float(r @ z)
-            rnorm = float(np.sqrt(rz_new))
-            energy_of_x = float(bvec @ x)
+            rz_new = float(r.dot(z))
+            # an indefinite C^{-1} can make r^T C^{-1} r negative: nan, not an error
+            rnorm = math.sqrt(rz_new) if rz_new >= 0 else math.nan
+            energy_of_x = float(bvec.dot(x))
             err_bound = rnorm / sqrt_lam
             if energy_of_x > 0:  # finite or +inf; +inf is refused on return
-                if err_bound <= tol * np.sqrt(energy_of_x):
+                if err_bound <= tol * math.sqrt(energy_of_x):
                     break
             elif not math.isfinite(energy_of_x):
                 raise ValidationError("the CG iterate leaves double-precision range")
 
-            p = z + (rz_new / rz if rz != 0 else 0.0) * p
+            p *= rz_new / rz if rz != 0 else 0.0
+            p += z
             rz = rz_new
         if energy_of_x == math.inf:
             raise ValidationError("the CG iterate leaves double-precision range")

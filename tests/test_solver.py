@@ -100,13 +100,17 @@ def test_zero_rhs_returns_before_factorising():
     assert np.array_equal(rep.solution, np.zeros(3))
 
 
-def reference_cg(M, b, tol, precond=None):
-    """Textbook CG (PCG with ``precond``) with its products through scipy's
-    ``csr @ p`` and two reductions per step: ||r|| (r^T z with a
-    preconditioner) and r.z."""
+def reference_cg(M, b, tol, precond=None, cap=None):
+    """Textbook CG (PCG with ``precond``), out of place: each step's M p is
+    a fresh ``csr @ p`` through scipy, x + alpha p, r - alpha M p and z +
+    beta p are new vectors, and it takes two reductions per step: ||r||
+    (r^T z with a preconditioner) and r.z."""
+    if not b.any():
+        return CGReport(np.zeros(M.n), 0, 0.0, 0, True, 0.0, 0.0)
     lam_min, lam_max = M.extremes() if precond is None else (0.25, 1.0)
     sqrt_lam = np.sqrt(lam_min)
-    cap = max(50, int(np.ceil(10.0 * np.sqrt(lam_max / lam_min) * np.log(1.0 / tol))))
+    if cap is None:
+        cap = max(50, int(np.ceil(10.0 * np.sqrt(lam_max / lam_min) * np.log(1.0 / tol))))
     x = np.zeros(M.n)
     r = b.copy()
     z = r if precond is None else precond(r)
@@ -138,7 +142,7 @@ def test_single_reduction_loop_matches_reference_bit_for_bit(d, n, k, tol):
     apart, at the benchmark's 1D sizes and at 1,764 dofs in 2D."""
     M, b = poisson_system(n, k=k, f=(0.7, -1.2, 0.9, -1.1) if d == 1 else (-1.0, 0.5), d=d)
     rep, ref = conjugate_gradient(M, b, tol=tol), reference_cg(M, b, tol)
-    assert np.array_equal(rep.solution, ref.solution)
+    assert rep.solution.tobytes() == ref.solution.tobytes()
     assert rep.to_dict() == ref.to_dict()
 
 
@@ -150,7 +154,7 @@ def test_cg_matches_reference_at_the_benchmark_tolerances(k, n):
     tol = (n - 0.5) ** -(k + 1)
     rep, ref = conjugate_gradient(M, b, tol=tol), reference_cg(M, b, tol)
     assert ref.converged and rep.iterations == ref.iterations > 500
-    assert np.array_equal(rep.solution, ref.solution)
+    assert rep.solution.tobytes() == ref.solution.tobytes()
     assert rep.to_dict() == ref.to_dict()
 
 
@@ -163,8 +167,32 @@ def test_pcg_matches_reference_bit_for_bit():
     rep = conjugate_gradient(M, b, tol=1e-14, precond=M._precond)
     ref = reference_cg(M, b, 1e-14, M._precond)
     assert ref.converged and rep.iterations == ref.iterations > 10
-    assert np.array_equal(rep.solution, ref.solution)
+    assert rep.solution.tobytes() == ref.solution.tobytes()
     assert rep.to_dict() == ref.to_dict()
+
+
+@pytest.mark.parametrize("d, cap", [(1, 5), (1, 200), (2, 1), (1, None)])
+def test_capped_and_zero_rhs_runs_match_reference_bit_for_bit(d, cap):
+    """A run stopped by its cap (PCG in 2D), and b = 0 when cap is None."""
+    M, b = poisson_system(300 if d == 1 else 43, k=2 if d == 1 else 1, f=(0.7, -1.2, 0.9) if d == 1 else (-1.0, 0.5), d=d)
+    precond = M._precond if d == 2 else None
+    if cap is None:
+        b = np.zeros_like(b)
+    rep = conjugate_gradient(M, b, tol=1e-14, cap=cap, precond=precond)
+    ref = reference_cg(M, b, 1e-14, precond, cap)
+    assert rep.converged == (cap is None) and rep.iterations == ref.iterations == (cap or 0)
+    assert rep.solution.tobytes() == ref.solution.tobytes()
+    assert rep.to_dict() == ref.to_dict()
+
+
+def test_indefinite_preconditioner_ends_in_a_report_or_a_refusal():
+    # r^T C^{-1} r < 0 has no square root; the run must not raise ValueError
+    M, b = poisson_system(64)
+    try:
+        rep = conjugate_gradient(M, b, cap=5, precond=lambda v: -v)
+    except ValidationError:
+        return
+    assert not rep.converged and np.isnan(rep.residual_norm)
 
 
 def test_deterministic_reruns_bit_identical():
@@ -173,6 +201,7 @@ def test_deterministic_reruns_bit_identical():
     c = conjugate_gradient(M, b, tol=1e-10)
     assert np.array_equal(a.solution, c.solution)
     assert a.iterations == c.iterations
+    assert not np.shares_memory(a.solution, c.solution)  # no buffer outlives a call
 
 
 def test_cap_returns_nonconvergence_report_with_best_iterate():
@@ -232,12 +261,14 @@ def test_cg_counts_one_matvec_per_iteration(monkeypatch):
     calls = []
     matvec = SparseSymMatrix.matvec
 
-    def counted(self, x):
-        calls.append(1)
-        return matvec(self, x)
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs.get("out"))
+        return matvec(self, *args, **kwargs)
 
     M, b = poisson_system(200, k=2)
     M.extremes()
     monkeypatch.setattr(SparseSymMatrix, "matvec", counted)
     rep = conjugate_gradient(M, b, tol=1e-8)
     assert rep.converged and len(calls) == rep.iterations == rep.matvec_count
+    # every step takes M p into the one buffer
+    assert calls[0] is not None and all(out is calls[0] for out in calls)
