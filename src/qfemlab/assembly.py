@@ -268,29 +268,19 @@ class SparseSymMatrix:
         # read once: each ``csr.shape`` is a Python-level property call
         self._indptr, self._indices, self._data = csr.indptr, csr.indices, csr.data
 
-    def matvec(self, x, out=None):
-        """M x for a vector x of length n, by one kernel call on M's arrays.
-
-        ``out``, a float vector of length n that does not share memory with
-        x, is zeroed, receives M x and is returned; the bits are those of a
-        fresh result. Without it the result is a new array."""
+    def matvec(self, x):
+        """M x for a vector x of length n, by one kernel call on M's arrays."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):  # the kernel reads x without a bounds check
             raise ValidationError(f"vector has shape {x.shape}, expected ({self.n},)")
-        return self._product(self._data, x, out)
+        return self._product(self._data, x)
 
-    def _product(self, data, x, out=None) -> np.ndarray:
+    def _product(self, data, x) -> np.ndarray:
         """The product of x with M's pattern holding ``data``, by the kernel
-        call that ``csr @ x`` ends in. The kernel adds into ``out``, so it
-        starts from zeros, as ``csr @ x``'s result does."""
-        if out is None:
-            out = np.zeros(self.n)
-        elif out.shape == (self.n,):  # the kernel writes out without a bounds check
-            out.fill(0.0)
-        else:
-            raise ValidationError(f"output has shape {out.shape}, expected ({self.n},)")
-        csr_matvec(self.n, self.n, self._indptr, self._indices, data, x, out)
-        return out
+        call that ``csr @ x`` ends in, into a fresh zero vector."""
+        y = np.zeros(self.n)
+        csr_matvec(self.n, self.n, self._indptr, self._indices, data, x, y)
+        return y
 
     def solve(self, b) -> np.ndarray:
         """M^{-1} b: PCG to rounding level (relative energy error 1e-14) or

@@ -20,11 +20,10 @@ returns. With C^{-1} for C/4 <= M <= C (2D: ``SineTransformPreconditioner``),
 PCG reads lambda_min, lambda_max as 1/4 and 1, bounds on the spectrum of
 C^{-1} M, and ||r||^2 as r^T C^{-1} r, so that ||x - x*||_M^2 <= 4 r^T C^{-1} r.
 
-A step allocates nothing but what ``precond`` returns: the loop updates x,
-r and p in place, through one scratch vector, and takes M p into one
-reused buffer (``SparseSymMatrix.matvec(p, out=)``). Each element sees the
-same IEEE operations as in x + alpha p, r - alpha M p and z + beta p, so
-the result is bit-identical to the out-of-place form.
+The loop updates x, r and p in place, through one scratch vector, so a
+step allocates only M p (and what ``precond`` returns). Each element sees
+the same IEEE operations as in x + alpha p, r - alpha M p and z + beta p,
+so the result is bit-identical to the out-of-place form.
 """
 from __future__ import annotations
 
@@ -87,11 +86,11 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
         r = bvec.copy()
         z = r if precond is None else precond(r)
         p = z.copy()
-        Ap, tmp = np.empty(n), np.empty(n)
-        rz = float(r.dot(z))
+        tmp = np.empty(n)
+        rz = float(np.dot(r, z))
         for j in range(1, cap + 1):
-            M.matvec(p, out=Ap)
-            pAp = float(p.dot(Ap))
+            Ap = M.matvec(p)
+            pAp = float(np.dot(p, Ap))
             if not 0.0 < pAp < math.inf:
                 raise ValidationError(
                     "matrix is not positive definite on the active dofs" if pAp <= 0
@@ -104,10 +103,10 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
             r -= tmp
 
             z = r if precond is None else precond(r)
-            rz_new = float(r.dot(z))
+            rz_new = float(np.dot(r, z))
             # an indefinite C^{-1} can make r^T C^{-1} r negative: nan, not an error
             rnorm = math.sqrt(rz_new) if rz_new >= 0 else math.nan
-            energy_of_x = float(bvec.dot(x))
+            energy_of_x = float(np.dot(bvec, x))
             err_bound = rnorm / sqrt_lam
             if energy_of_x > 0:  # finite or +inf; +inf is refused on return
                 if err_bound <= tol * math.sqrt(energy_of_x):

@@ -96,7 +96,8 @@ def test_certificate_is_sound(d, n, k):
 def test_zero_rhs_returns_before_factorising():
     singular = sym_matrix(np.zeros((3, 3)))
     rep = conjugate_gradient(singular, np.zeros(3))
-    assert rep.converged and rep.iterations == 0
+    assert rep.converged and rep.iterations == rep.matvec_count == 0
+    assert rep.final_energy_error_estimate == rep.residual_norm == 0.0
     assert np.array_equal(rep.solution, np.zeros(3))
 
 
@@ -105,8 +106,6 @@ def reference_cg(M, b, tol, precond=None, cap=None):
     a fresh ``csr @ p`` through scipy, x + alpha p, r - alpha M p and z +
     beta p are new vectors, and it takes two reductions per step: ||r||
     (r^T z with a preconditioner) and r.z."""
-    if not b.any():
-        return CGReport(np.zeros(M.n), 0, 0.0, 0, True, 0.0, 0.0)
     lam_min, lam_max = M.extremes() if precond is None else (0.25, 1.0)
     sqrt_lam = np.sqrt(lam_min)
     if cap is None:
@@ -171,16 +170,14 @@ def test_pcg_matches_reference_bit_for_bit():
     assert rep.to_dict() == ref.to_dict()
 
 
-@pytest.mark.parametrize("d, cap", [(1, 5), (1, 200), (2, 1), (1, None)])
-def test_capped_and_zero_rhs_runs_match_reference_bit_for_bit(d, cap):
-    """A run stopped by its cap (PCG in 2D), and b = 0 when cap is None."""
+@pytest.mark.parametrize("d, cap", [(1, 5), (1, 200), (2, 1)])
+def test_capped_runs_match_reference_bit_for_bit(d, cap):
+    """A run stopped by its cap, PCG in 2D."""
     M, b = poisson_system(300 if d == 1 else 43, k=2 if d == 1 else 1, f=(0.7, -1.2, 0.9) if d == 1 else (-1.0, 0.5), d=d)
     precond = M._precond if d == 2 else None
-    if cap is None:
-        b = np.zeros_like(b)
     rep = conjugate_gradient(M, b, tol=1e-14, cap=cap, precond=precond)
     ref = reference_cg(M, b, 1e-14, precond, cap)
-    assert rep.converged == (cap is None) and rep.iterations == ref.iterations == (cap or 0)
+    assert not rep.converged and rep.iterations == ref.iterations == cap
     assert rep.solution.tobytes() == ref.solution.tobytes()
     assert rep.to_dict() == ref.to_dict()
 
@@ -261,14 +258,12 @@ def test_cg_counts_one_matvec_per_iteration(monkeypatch):
     calls = []
     matvec = SparseSymMatrix.matvec
 
-    def counted(self, *args, **kwargs):
-        calls.append(kwargs.get("out"))
-        return matvec(self, *args, **kwargs)
+    def counted(self, x):
+        calls.append(1)
+        return matvec(self, x)
 
     M, b = poisson_system(200, k=2)
     M.extremes()
     monkeypatch.setattr(SparseSymMatrix, "matvec", counted)
     rep = conjugate_gradient(M, b, tol=1e-8)
     assert rep.converged and len(calls) == rep.iterations == rep.matvec_count
-    # every step takes M p into the one buffer
-    assert calls[0] is not None and all(out is calls[0] for out in calls)

@@ -407,8 +407,6 @@ def test_products_are_csr_products_bitwise(name):
     }
     for label, x in vectors.items():
         assert M.matvec(x).tobytes() == (M.csr @ x).tobytes(), label
-        out = np.full(M.n, np.nan)  # the kernel adds into out: it must be zeroed first
-        assert M.matvec(x, out=out) is out and out.tobytes() == (M.csr @ x).tobytes(), label
     w = vectors["positive"]  # the |M| products of extremes()
     absolute = M._product(np.abs(M.csr.data), w)
     assert absolute.tobytes() == (abs(M.csr) @ w).tobytes()
@@ -419,10 +417,6 @@ def test_product_refuses_a_vector_of_another_length():
     for x in (np.ones(M.n + 1), np.ones((M.n, 1))):
         with pytest.raises(ValidationError, match="shape"):
             M.matvec(x)
-        with pytest.raises(ValidationError, match="shape"):
-            M.matvec(x, out=np.empty(M.n))
-        with pytest.raises(ValidationError, match="shape"):
-            M.matvec(np.ones(M.n), out=np.empty(x.shape))
 
 
 # ---------------------------------------------------------------------------
