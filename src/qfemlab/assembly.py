@@ -34,9 +34,9 @@ assembled matrix is banded, with half-bandwidth at most k in 1D and n in
 would fill the band, through a ``SineTransformPreconditioner``.
 lambda_min comes from one single-vector LOPCG loop,
 ``lowest_eigenvalue``, preconditioned by the band factor in 1D and by the
-sine transform in 2D. Only past the 2D class bound, where the loop's start
-cannot reach the lowest eigenvector, does shift-invert ARPACK on the band
-factor read it.
+sine transform in 2D. Past the 2D class bound, where the loop's start
+cannot reach the lowest eigenvector, the certified lower bound mu <=
+lambda_min <= 4 mu of ``SineTransformPreconditioner`` stands in for it.
 """
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ import scipy.sparse as sp
 from numpy.polynomial import polynomial as npoly
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 from scipy.sparse._sparsetools import csr_matvec  # private; pinned to csr @ x bitwise by the tests
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NonConvergenceError, ValidationError
 from .mesh import TRIANGLE_GRADS, BasisSpec, Mesh, build_basis
@@ -167,6 +166,13 @@ class SineTransformPreconditioner:
         k11, k12 = (4.0 - 2.0 * np.cos(np.pi / n) - 2.0 * np.cos(a * np.pi / n) for a in (1, 2))
         return bool(self.diffusion * k11 <= (self.diffusion - self.reaction / (4 * n**2)) * k12)
 
+    @cached_property
+    def lambda_min_bound(self) -> float:
+        # diffusion K5 + reaction/4n^2 I <= M <= C (element mass >= 1/4 lumped), so
+        # mu <= lambda_min <= 4 mu; lowered by the 1e-12 that lambda_max is raised by
+        n = self.n
+        return (self.diffusion * 8.0 * math.sin(math.pi / (2 * n)) ** 2 + self.reaction / (4 * n**2)) * (1.0 - 1e-12)
+
     def __call__(self, v):  # C^{-1} v
         s, w = self._sine, v.reshape(self.n - 1, self.n - 1)
         return (s @ (s @ w @ s / self._lam) @ s).reshape(v.shape)
@@ -252,10 +258,9 @@ class SparseSymMatrix:
     same bits.
 
     Linear algebra stays sparse. The first call that needs it (``is_spd``;
-    ``solve`` without a preconditioner; ``extremes`` unless the sine
-    transform preconditions its LOPCG loop)
-    packs the upper band of the CSR arrays (half-bandwidth bw, the largest
-    j - i of a stored entry) into LAPACK's (bw + 1) x n layout and takes its
+    ``solve`` or ``extremes`` of a matrix without the sine transform) packs
+    the upper band of the CSR arrays (half-bandwidth bw, the largest j - i
+    of a stored entry) into LAPACK's (bw + 1) x n layout and takes its
     band Cholesky factor M = R^T R once, caching it (or its failure); no other
     factorisation is made. M is positive definite exactly when it succeeds.
     """
@@ -332,20 +337,19 @@ class SparseSymMatrix:
         On the 2D Dirichlet grid it runs with the sine-transform C from x =
         sin(pi a/n) sin(pi b/n); that start keeps its class under the mesh's
         symmetries, so this holds lambda_min only when
-        ``class_holds_lambda_min``, and past that bound (about reaction > 2.4
-        diffusion n^2) shift-invert Lanczos at 0 on the cached band factor
-        (ARPACK, fixed start) reads it instead. Every other matrix, each 1D
-        one included, runs the loop preconditioned by its cached band
-        factor, from x_j = sin(pi (j + 1) / 2n): the nodal values of sin(pi
-        x / 2), the lowest eigenfunction of -D u'' + R u with u(0) = u'(1) =
-        0 for every D and R.
-        Equal matrices give bit-identical values. Raises ValidationError when
-        the matrix is singular or indefinite and NonConvergenceError when
-        the eigensolver does not converge.
+        ``class_holds_lambda_min``. Past that bound (about reaction > 2.4
+        diffusion n^2) lambda_min is C's ``lambda_min_bound`` mu, a certified
+        lower bound with mu <= lambda_min <= 4 mu; such a matrix is SPD by
+        construction and is not factored. Every other matrix, each 1D one
+        included, runs the loop preconditioned by its cached band factor,
+        from x_j = sin(pi (j + 1) / 2n): the nodal values of sin(pi x / 2),
+        the lowest eigenfunction of -D u'' + R u with u(0) = u'(1) = 0 for
+        every D and R. Equal matrices give bit-identical values. Raises
+        ValidationError when a factored matrix is singular or indefinite and
+        NonConvergenceError when the loop does not converge.
         """
         if self._extremes is None:
-            by_sine = self._precond is not None and self._precond.class_holds_lambda_min
-            if not by_sine and not self.is_spd():
+            if self._precond is None and not self.is_spd():
                 raise ValidationError("matrix is singular or indefinite")
             # w stays positive: an SPD matrix has a positive diagonal
             absdata, w = np.abs(self._data), np.ones(self.n)
@@ -354,20 +358,15 @@ class SparseSymMatrix:
                 bound = float((y / w).max())
                 w = y / y.max()
             lam_max = bound * (1.0 + 1e-12)
-            band_solve = partial(cho_solve_banded, (self._chol, False), check_finite=False)
-            if by_sine:
-                sine = self._precond._sine[0]
-                lam_min = lowest_eigenvalue(self.matvec, self._precond, np.outer(sine, sine).ravel(), lam_max)
-            elif self._precond is None or self.n == 1:  # one dof: the loop returns M_00 at once
+            if self._precond is None:
+                band_solve = partial(cho_solve_banded, (self._chol, False), check_finite=False)
                 start = np.sin(np.pi * np.arange(1, self.n + 1) / (2 * self.n))
                 lam_min = lowest_eigenvalue(self.matvec, band_solve, start / np.linalg.norm(start), lam_max)
+            elif self._precond.class_holds_lambda_min:
+                sine = self._precond._sine[0]
+                lam_min = lowest_eigenvalue(self.matvec, self._precond, np.outer(sine, sine).ravel(), lam_max)
             else:
-                inv = LinearOperator(self.csr.shape, matvec=band_solve, dtype=float)
-                v0 = np.random.default_rng(0).standard_normal(self.n)
-                try:
-                    lam_min = float(eigsh(self.csr, k=1, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False)[0])
-                except ArpackNoConvergence as exc:
-                    raise NonConvergenceError("Lanczos eigenvalue iteration did not converge") from exc
+                lam_min = self._precond.lambda_min_bound
             self._extremes = (lam_min, lam_max)
         return self._extremes
 

@@ -9,17 +9,26 @@ any other flag exits 2. solve, convergence, simulate and plan read
 lowerbound reads ``--mode``, ``--seed``, ``--format json|csv`` and the grid
 flags of its mode; a flag of the other mode exits 2.
 Exit codes: 0 success, 2 validation error, 3 non-convergence, 4 budget or
-cap exceeded (a shot budget, the mesh cell cap, the simulable acceptance
-floor, or memory running out). Every artifact embeds the spec hash, the
-seed and the package version; at a fixed BLAS thread count, identical
-inputs reproduce outputs bit-identically in exact modes and
-distribution-identically (same seed, same values) in sampling modes.
+cap exceeded (a shot budget, the mesh cell cap, the hybrid table's cap,
+the simulable acceptance floor, or memory running out). Every artifact
+embeds the spec hash, the seed and the package version; at a fixed BLAS
+thread count, identical inputs reproduce outputs bit-identically in exact
+modes and distribution-identically (same seed, same values) in sampling
+modes.
 solve's ``kappa_estimate`` and the ledger's modelled costs use an upper
-bound on the condition number: lambda_min to rounding level over an upper
-bound on lambda_max, certified with a relative 1e-12 margin. lambda_min
-comes from one LOPCG loop in 1D and 2D, preconditioned by the band factor
-or the sine transform; only 2D matrices past the class bound (about
-reaction > 2.4 diffusion n^2) read it by shift-invert ARPACK instead.
+bound on the condition number: lambda_min over an upper bound on
+lambda_max, certified with a relative 1e-12 margin. lambda_min comes from
+one LOPCG loop in 1D and 2D, to rounding level, preconditioned by the band
+factor or the sine transform. Past the 2D class bound (about reaction >
+2.4 diffusion n^2) it is the a-priori lower bound mu, mu <= lambda_min <=
+4 mu: there solve's ``cg.lambda_min_estimate`` is a lower bound, and
+``kappa_estimate`` and the ledger's kappa are upper bounds at most 4x
+above kappa. simulate's norm estimation accepts with p = (lambda_min
+||x||)^2 for that lambda_min, so past the bound it draws up to
+(lambda_min / mu)^2 <= 16x more shots and can reach exit 4 sooner.
+lowerbound --mode hybrid prices its table before it builds a map:
+|eps| * draws * sum(T + 1) maps, each priced max(dim, 64)^3, above 2^32
+in all, or a pair's T + 1 dim x dim maps above 256 MiB, exit 4.
 """
 from __future__ import annotations
 
@@ -41,12 +50,21 @@ from .errors import (
     SimulationFloorError,
     ValidationError,
 )
-from .lowerbounds import BumpOracle, aligned_probability, hybrid_experiment, make_blackbox_pair, oracle_search_demo
+from .lowerbounds import BumpOracle, aligned_probability, check_pair_args, hybrid_experiment, make_blackbox_pair, oracle_search_demo
 from .mesh import prolongation
 from .problems import MAX_CELLS, ProblemSpec, analytic_solution_1d, discretize, mesh_size
 from .quantum import SampleBudget, estimate_functional
 from .resources import SobolevData, model_costs
 from .solver import conjugate_gradient, estimate_condition_number
+
+# lowerbound --mode hybrid builds |eps| * draws * sum(T + 1) orthogonal maps,
+# each the QR of a dim x dim Gaussian matrix, and holds a pair's T + 1 maps
+# at once. A map is priced at max(dim, HYBRID_MAP_FLOOR)^3: below that
+# size the Python work per map (about 25 us) outweighs the QR. A unit took
+# 0.1-1 ns on a 2-core x86 host, so the work cap is a few seconds.
+HYBRID_MAP_FLOOR = 64
+MAX_HYBRID_WORK = 2**32
+MAX_HYBRID_BYTES = 2**28  # one pair's maps, 256 MiB
 
 
 def _meta(problem: ProblemSpec | None, seed: int) -> dict:
@@ -215,13 +233,22 @@ def lowerbound_hybrid_table(t_list=None, eps_list=None, draws=None, dim=None, se
     """Exact worst advantage over ``draws`` random pairs per (T, eps), next
     to the exact advantage of the aligned interleaving and the bound; a row
     violates the bound if either advantage exceeds it.
-    Arguments left None take the CLI defaults: T 1,2,4,8, eps 0.01,0.05,0.1, 50 draws, dim 16."""
+    Arguments left None take the CLI defaults: T 1,2,4,8, eps 0.01,0.05,0.1, 50 draws, dim 16.
+    The table is priced before the first map is built: above
+    ``MAX_HYBRID_WORK`` or ``MAX_HYBRID_BYTES`` it is refused."""
     t_list = [1, 2, 4, 8] if t_list is None else t_list
     eps_list = [0.01, 0.05, 0.1] if eps_list is None else eps_list
     draws = 50 if draws is None else draws
     dim = 16 if dim is None else dim
     if seed < 0 or draws < 1 or any(T < 0 for T in t_list):
         raise ValidationError(f"need --seed >= 0, --draws >= 1 and every --T >= 0, got {seed}, {draws}, {t_list}")
+    for eps in eps_list:
+        check_pair_args(dim, eps)
+    maps = len(eps_list) * draws * sum(T + 1 for T in t_list)
+    work, held = maps * max(dim, HYBRID_MAP_FLOOR) ** 3, (max(t_list, default=-1) + 1) * dim * dim * 8
+    if work > MAX_HYBRID_WORK or held > MAX_HYBRID_BYTES:
+        raise CapExceededError(f"hybrid table would build {maps} maps of {dim} x {dim}, work {work} (cap {MAX_HYBRID_WORK}),"
+                               f" holding {held} bytes per pair (cap {MAX_HYBRID_BYTES})", required=work)
     rows = []
     for T in t_list:
         for eps in eps_list:

@@ -82,17 +82,23 @@ def _random_orthogonal(dim: int, rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def make_blackbox_pair(dim: int, eps_sep: float, T: int, rng_seed: int) -> BlackBoxPair:
-    """Random pair at exact chord distance eps_sep with T+1 seeded
-    orthogonal interleaving maps. The 2^10 dimension cap is checked before
-    anything is built, since T+1 dense dim x dim maps above it can exhaust
-    memory."""
+def check_pair_args(dim: int, eps_sep: float) -> None:
+    """Refuse a pair that ``make_blackbox_pair`` cannot build: dim must be a
+    power of two in [2, 2^10] and eps_sep in [0, 2)."""
     if dim < 2 or dim & (dim - 1):
         raise ValidationError("dim must be a power of two >= 2")
     if dim > 2**10:
         raise ValidationError("dimension above the simulable cap 2^10")
     if not 0.0 <= eps_sep < 2.0:
         raise ValidationError("eps_sep must be in [0, 2)")
+
+
+def make_blackbox_pair(dim: int, eps_sep: float, T: int, rng_seed: int) -> BlackBoxPair:
+    """Random pair at exact chord distance eps_sep with T+1 seeded
+    orthogonal interleaving maps. The 2^10 dimension cap is checked before
+    anything is built, since T+1 dense dim x dim maps above it can exhaust
+    memory."""
+    check_pair_args(dim, eps_sep)
     rng = np.random.default_rng(rng_seed)
     a = rng.standard_normal(dim)
     a /= np.linalg.norm(a)

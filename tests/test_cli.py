@@ -21,6 +21,7 @@ import qfemlab.assembly
 from qfemlab import cli
 from qfemlab.assembly import element_quadrature_1d
 from qfemlab.cli import main
+from qfemlab.errors import CapExceededError
 from qfemlab.problems import ProblemSpec, analytic_solution_1d, discretize, mesh_size
 
 TINY_1D = {"d": 1, "k": 1, "pde": {"diffusion": 1, "reaction": 0}, "f": [-1], "r": [1], "eps": 1e-2}
@@ -268,6 +269,34 @@ def test_lowerbound_bump_over_the_cell_cap_exits_four(capsys, flag, value):
     code, out, err = run(capsys, "lowerbound", "--mode", "bump", flag, value)
     assert code == 4 and out == "" and "cells" in err
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--draws", "1000000000"),
+        ("--T", "100000", "--dim", "2"),  # under the per-map floor, tiny maps still add up
+        ("--T", "3000", "--dim", "1024", "--draws", "1"),  # 25 GB of maps per pair
+        ("--T", "8200", "--dim", "64", "--draws", "1", "--eps-sep", "0.1"),  # under the work cap, over 256 MiB
+    ],
+)
+def test_lowerbound_hybrid_over_its_cap_exits_four(monkeypatch, capsys, argv):
+    # |eps| * draws * sum(T + 1) maps and a pair's memory are priced before the first map
+    built = []
+    monkeypatch.setattr(cli, "make_blackbox_pair", lambda *args, **kwargs: built.append(0))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lowerbound", "--mode", "hybrid", *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 4 and out == "" and built == []
+    assert err.startswith("budget/cap exceeded: hybrid table") and len(err.splitlines()) == 1
+
+
+def test_lowerbound_hybrid_accepts_a_table_at_its_work_cap():
+    # 2^32 / 64^3 = 16,384 maps of dim 2 fill the work cap exactly; one more is refused
+    T = cli.MAX_HYBRID_WORK // cli.HYBRID_MAP_FLOOR**3 - 1
+    assert len(cli.lowerbound_hybrid_table([T], [0.1], 1, dim=2)) == 1
+    with pytest.raises(CapExceededError, match="16385 maps"):
+        cli.lowerbound_hybrid_table([T + 1], [0.1], 1, dim=2)
 
 
 def test_lowerbound_oversized_dim_exits_two_before_allocating(capsys):

@@ -1,10 +1,12 @@
 """The 2D sine-transform preconditioner C = diffusion * K5 + reaction/n^2 * I:
-its DST-I solve, the bound C/4 <= M <= C behind preconditioned CG, and the
-LOPCG lambda_min it drives, checked against dense and factored references."""
+its DST-I solve, the bound C/4 <= M <= C behind preconditioned CG, the
+LOPCG lambda_min it drives and, past the class bound, the a-priori bound mu
+that stands in for it, checked against dense and factored references."""
 import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -111,13 +113,34 @@ def test_non_finite_rhs_is_refused_before_iterating(bad):
         conjugate_gradient(M, b)
 
 
+def assert_brackets(mu, ev):
+    """mu <= lambda_min <= 4 mu for the spectrum ``ev`` from eigvalsh, which
+    is accurate to O(eps ||M||) absolute."""
+    rounding = 16 * EPS * ev[-1]
+    assert mu <= ev[0] + rounding and ev[0] <= 4 * mu + rounding, (mu, ev[0])
+
+
 @pytest.mark.parametrize("n,reaction", GRID)
 def test_lambda_min_matches_dense(n, reaction):
     M = system(n, reaction)[0]
     ev = np.linalg.eigvalsh(M.csr.toarray())
     lam_min = M.extremes()[0]
-    # eigvalsh is accurate to O(eps ||M||) absolute, about 3e-13 relative at n = 32
-    assert abs(lam_min - ev[0]) <= 1e-13 * ev[0] + 16 * EPS * ev[-1]
+    if M._precond.class_holds_lambda_min:
+        # eigvalsh is accurate to O(eps ||M||) absolute, about 3e-13 relative at n = 32
+        assert abs(lam_min - ev[0]) <= 1e-13 * ev[0] + 16 * EPS * ev[-1]
+    else:  # past the class bound: the a-priori mu, and lambda_min <= lambda_min(C) <= 4 mu
+        assert_brackets(lam_min, ev)
+        c_min = np.linalg.eigvalsh(lumped(n, reaction, 1.0))[0]
+        assert ev[0] <= c_min + 16 * EPS * ev[-1] and c_min <= 4 * lam_min * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("diffusion", [1.0, 0.3])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32])
+def test_lambda_min_bound_brackets_the_dense_lambda_min(n, diffusion):
+    # the bound holds for every reaction, within the class bound and past it
+    for reaction in (0.0, 1.0, 1e2, 1e4, 1e6, 1e8):
+        M = system(n, reaction, diffusion)[0]
+        assert_brackets(SineTransformPreconditioner(n, diffusion, reaction).lambda_min_bound, np.linalg.eigvalsh(M.csr.toarray()))
 
 
 @pytest.mark.parametrize("reaction", [0.0, 1.0, 1000.0])
@@ -168,21 +191,27 @@ def test_lambda_min_method_follows_the_class_bound(monkeypatch, n, reaction):
     """With reaction >> diffusion n^2 the lowest eigenvector can lie outside
     the symmetry class of sin(pi a/n) sin(pi b/n), which LOPCG from that
     start cannot leave (alone it reads 0.5 % high at n = 4, reaction 1e4).
-    There extremes() keeps the band factor and shift-invert ARPACK."""
-    runs = _count_calls(monkeypatch, "lowest_eigenvalue")
-    factors, arpack = (_count_calls(monkeypatch, name) for name in ("cholesky_banded", "eigsh"))
+    There extremes() takes the a-priori bound mu instead. Neither path
+    factors M."""
+    runs, factors = (_count_calls(monkeypatch, name) for name in ("lowest_eigenvalue", "cholesky_banded"))
     M = system(n, reaction)[0]
     ev = np.linalg.eigvalsh(M.csr.toarray())
-    assert abs(M.extremes()[0] - ev[0]) <= 1e-13 * ev[0] + 16 * EPS * ev[-1]
+    lam_min = M.extremes()[0]
     by_lobpcg = reaction <= boundary(n)
     assert M._precond.class_holds_lambda_min == by_lobpcg
-    assert (len(runs), len(factors), len(arpack)) == ((1, 0, 0) if by_lobpcg else (0, 1, 1))
+    assert (len(runs), len(factors)) == (int(by_lobpcg), 0)
+    if by_lobpcg:
+        assert abs(lam_min - ev[0]) <= 1e-13 * ev[0] + 16 * EPS * ev[-1]
+    else:
+        assert lam_min == M._precond.lambda_min_bound
+        assert_brackets(lam_min, ev)
 
 
 @pytest.mark.parametrize("n", [64, 126])
 def test_high_reaction_matches_factored_references(n):
     # reaction 1e6 is far past the class bound; LOBPCG took 500-1,300
-    # iterations here, where shift-invert ARPACK on the band factor converges
+    # iterations here, so lambda_min is the a-priori bound, checked against
+    # shift-invert Lanczos on a sparse LU factor
     M, b = system(n, 1e6)
     csc = M.csr.tocsc()
     lu = splu(csc)
@@ -191,7 +220,22 @@ def test_high_reaction_matches_factored_references(n):
     inv = LinearOperator(csc.shape, matvec=lu.solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(M.n)
     ref = eigsh(csc, k=1, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False)[0]
-    assert M.extremes()[0] == pytest.approx(ref, rel=1e-13, abs=0.0)
+    mu = M.extremes()[0]
+    assert mu <= ref * (1.0 + 1e-13) and ref <= 4 * mu
+
+
+@pytest.mark.parametrize("n,reaction", [(n, r) for n in (8, 16, 32, 64) for r in (1e3, 1e4, 1e6, 1e8) if r > boundary(n)])
+def test_cg_certificate_past_the_class_bound_bounds_the_true_error(n, reaction):
+    # plain CG certifies ||r|| / sqrt(mu) >= ||r|| / sqrt(lambda_min)
+    M, b = system(n, reaction)
+    assert M.extremes()[0] == M._precond.lambda_min_bound
+    exact = splu(M.csr.tocsc()).solve(b)
+    for tol in (1e-1, 1e-4, 1e-8):
+        report = conjugate_gradient(M, b, tol=tol)
+        diff = report.solution - exact
+        true_rel = np.sqrt(diff @ M.matvec(diff)) / np.sqrt(exact @ M.matvec(exact))
+        assert report.converged and report.final_energy_error_estimate <= tol
+        assert true_rel <= report.final_energy_error_estimate * (1.0 + 1e-12), tol
 
 
 TINY_2D = {
@@ -213,6 +257,27 @@ def test_stalled_lobpcg_exits_three_without_a_warning(monkeypatch, tmp_path, cap
         assert cli.main([command, "--spec", str(spec)]) == 3
     assert "LOPCG eigenvalue iteration did not converge" in capsys.readouterr().err
     assert len(steps) >= 1000  # simulate's PCG solve applies C^{-1} too
+
+
+PAST_THE_BOUND_2D = {**TINY_2D, "pde": {"diffusion": 1, "reaction": 1e6}, "sobolev": [0.05, 0.3, 499]}
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_reports_past_the_class_bound_factor_nothing(monkeypatch, tmp_path, capsys, command):
+    # solve meshes n = 200 (39,601 dofs, reaction 1e6 against a class bound of
+    # about 9.6e4) and simulate 119,716 dofs; lambda_min is mu, with no
+    # factor, and each report takes about 0.1 s
+    runs, factors = (_count_calls(monkeypatch, name) for name in ("lowest_eigenvalue", "cholesky_banded"))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(PAST_THE_BOUND_2D))
+    start = time.perf_counter()
+    assert cli.main([command, "--spec", str(spec), "--out", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == "" and runs == factors == []
+    if command == "solve":
+        report = json.loads((tmp_path / "solve.json").read_text())
+        assert report["n_dofs"] == 199**2 and report["cg"]["converged"]
+        assert report["cg"]["lambda_min_estimate"] == SineTransformPreconditioner(200, 1.0, 1e6).lambda_min_bound
 
 
 @pytest.mark.parametrize("n", [16, 64, 126])

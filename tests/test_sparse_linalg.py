@@ -168,14 +168,14 @@ def _count_calls(monkeypatch, name):
 
 def test_extremes_factors_a_fresh_matrix_once(monkeypatch):
     # 1D lambda_min is the LOPCG loop on the band factor: one band solve per
-    # step (4 here), no ARPACK, and a second call reads the cache
+    # step (4 here), and a second call reads the cache
     calls = _count_factorisations(monkeypatch)
-    solves, arpack = _count_calls(monkeypatch, "cho_solve_banded"), _count_calls(monkeypatch, "eigsh")
+    solves = _count_calls(monkeypatch, "cho_solve_banded")
     M = system(1, 300, k=3)[0]
     M.extremes()
     steps = len(solves)
     M.extremes()
-    assert len(calls) == 1 and arpack == []
+    assert len(calls) == 1
     assert 0 < len(solves) == steps <= 8
 
 
@@ -461,9 +461,9 @@ def test_reports_factor_each_assembled_matrix_once(monkeypatch, payload, report)
     in 2D, a reference and its Gram matrix (SPEC_1D has the analytic
     solution). 1D factors each once and reads lambda_min by the LOPCG loop,
     one band solve per step; 2D solves by sine-transform preconditioned CG
-    and LOPCG. Neither calls ARPACK."""
+    and LOPCG, and factors nothing."""
     calls = _count_factorisations(monkeypatch)
-    solves, arpack = _count_calls(monkeypatch, "cho_solve_banded"), _count_calls(monkeypatch, "eigsh")
+    solves = _count_calls(monkeypatch, "cho_solve_banded")
     matrices = []
     init = SparseSymMatrix.__init__
 
@@ -475,7 +475,6 @@ def test_reports_factor_each_assembled_matrix_once(monkeypatch, payload, report)
     args = (3,) if report == "convergence_report" else ()
     getattr(cli, report)(ProblemSpec.from_dict(payload), *args)
     assert len(matrices) == (3 + 2 * (payload["d"] == 2) if report == "convergence_report" else 1)
-    assert arpack == []
     if payload["d"] == 2:
         assert calls == [] and solves == []
     else:
@@ -522,6 +521,15 @@ print(loaded)
     env = {**os.environ, "PYTHONPATH": str(Path(qfemlab.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert proc.stdout.strip().splitlines()[-1] == "[False, False]"
+
+
+def test_cli_import_leaves_scipy_sparse_linalg_unloaded():
+    # lambda_min needs no ARPACK and no report factors by SuperLU: neither may
+    # enter through a module-level import
+    code = "import sys, qfemlab.cli; print('scipy.sparse.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(qfemlab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "False"
 
 
 def test_import_leaves_scipy_integrate_unloaded():
