@@ -32,11 +32,10 @@ Dofs are numbered along the line (1D) or row by row (2D), so every
 assembled matrix is banded, with half-bandwidth at most k in 1D and n in
 2D. 1D matrices solve through one band Cholesky factor; 2D ones, whose factor
 would fill the band, through a ``SineTransformPreconditioner``.
-lambda_min comes from one single-vector LOPCG loop,
-``lowest_eigenvalue``, preconditioned by the band factor in 1D and by the
-sine transform in 2D. Past the 2D class bound, where the loop's start
-cannot reach the lowest eigenvector, the certified lower bound mu <=
-lambda_min <= 4 mu of ``SineTransformPreconditioner`` stands in for it.
+In 1D lambda_min comes from one single-vector LOPCG loop,
+``lowest_eigenvalue``, preconditioned by the band factor. In 2D it is the
+closed-form lower bound nu of ``SineTransformPreconditioner``: nu <=
+lambda_min <= 4 nu, measured within 1.5x for n >= 3.
 """
 from __future__ import annotations
 
@@ -158,20 +157,18 @@ class SineTransformPreconditioner:
         return self.diffusion * (t[:, None] + t) + self.reaction / self.n**2
 
     @cached_property
-    def class_holds_lambda_min(self) -> bool:
-        # M >= (diffusion - q) K5 + 4q, q = reaction / 4n^2 (the mass stencil is
-        # >= 2 - K5/2 element areas), and K5 >= k12 off the symmetry class of
-        # sin(pi a/n) sin(pi b/n), whose lowest M-value is <= C's, diffusion k11 + 4q
-        n = self.n
-        k11, k12 = (4.0 - 2.0 * np.cos(np.pi / n) - 2.0 * np.cos(a * np.pi / n) for a in (1, 2))
-        return bool(self.diffusion * k11 <= (self.diffusion - self.reaction / (4 * n**2)) * k12)
-
-    @cached_property
     def lambda_min_bound(self) -> float:
-        # diffusion K5 + reaction/4n^2 I <= M <= C (element mass >= 1/4 lumped), so
-        # mu <= lambda_min <= 4 mu; lowered by the 1e-12 that lambda_max is raised by
-        n = self.n
-        return (self.diffusion * 8.0 * math.sin(math.pi / (2 * n)) ** 2 + self.reaction / (4 * n**2)) * (1.0 - 1e-12)
+        # M = diffusion K5 + reaction Mass, and with q = reaction / n^2:
+        # - Mass = (I + S/6) / 2n^2, S the six neighbours, S = 4 - K5 + P and
+        #   P (NE-SW paths) >= -2, so M >= diffusion K5 + q (2/3 - K5/12);
+        # - element mass >= 1/4 lumped, so M >= diffusion K5 + q/4.
+        # Each convex combination is a polynomial in K5, least at K5's lambda_1
+        # for a weight s <= 12 diffusion / q; s = min(1, 12 diffusion / q) gives
+        # nu, nu <= lambda_min <= lambda_min(C) <= 4 nu. Lowered by the 1e-12
+        # that lambda_max is raised by
+        n, q = self.n, self.reaction / self.n**2
+        lam1 = 8.0 * math.sin(math.pi / (2 * n)) ** 2
+        return min(self.diffusion * lam1 + q * (2.0 / 3.0 - lam1 / 12.0), 5.0 * self.diffusion + q / 4.0) * (1.0 - 1e-12)
 
     def __call__(self, v):  # C^{-1} v
         s, w = self._sine, v.reshape(self.n - 1, self.n - 1)
@@ -200,10 +197,8 @@ def lowest_eigenvalue(matvec, precond, start, lam_max) -> float:
     definite. M x and M p are updated with x and p, so each step takes one
     product with M, through ``matvec``. The loop stops on that recursive
     M x, then M x is recomputed and the residual rechecked against 2 tol;
-    the value returned is x^T M x. It is lambda_min only where the
-    iteration can reach the lowest eigenvector from ``start``: the 2D start
-    keeps its symmetry class
-    (``SineTransformPreconditioner.class_holds_lambda_min``)."""
+    the value returned is x^T M x, lambda_min where the iteration can
+    reach the lowest eigenvector from ``start``."""
     x = start
     # rows x, w, p, and M times each; p joins from the second step
     basis, images = np.empty((3, len(x))), np.empty((3, len(x)))
@@ -333,20 +328,17 @@ class SparseSymMatrix:
         stiffness matrices it is within 2e-2 of lambda_max, and within 1e-5
         at a thousand dofs.
 
-        lambda_min, to rounding level, is ``lowest_eigenvalue``'s LOPCG loop.
-        On the 2D Dirichlet grid it runs with the sine-transform C from x =
-        sin(pi a/n) sin(pi b/n); that start keeps its class under the mesh's
-        symmetries, so this holds lambda_min only when
-        ``class_holds_lambda_min``. Past that bound (about reaction > 2.4
-        diffusion n^2) lambda_min is C's ``lambda_min_bound`` mu, a certified
-        lower bound with mu <= lambda_min <= 4 mu; such a matrix is SPD by
+        On the 2D Dirichlet grid lambda_min is the sine transform's
+        ``lambda_min_bound`` nu, a certified lower bound: nu <= lambda_min
+        <= 4 nu, measured within 1.5x for n >= 3. Such a matrix is SPD by
         construction and is not factored. Every other matrix, each 1D one
-        included, runs the loop preconditioned by its cached band factor,
-        from x_j = sin(pi (j + 1) / 2n): the nodal values of sin(pi x / 2),
-        the lowest eigenfunction of -D u'' + R u with u(0) = u'(1) = 0 for
-        every D and R. Equal matrices give bit-identical values. Raises
-        ValidationError when a factored matrix is singular or indefinite and
-        NonConvergenceError when the loop does not converge.
+        included, takes lambda_min to rounding level from
+        ``lowest_eigenvalue``'s LOPCG loop, preconditioned by its cached
+        band factor, from x_j = sin(pi (j + 1) / 2n): the nodal values of
+        sin(pi x / 2), the lowest eigenfunction of -D u'' + R u with u(0) =
+        u'(1) = 0 for every D and R. Equal matrices give bit-identical
+        values. Raises ValidationError when a factored matrix is singular or
+        indefinite and NonConvergenceError when the loop does not converge.
         """
         if self._extremes is None:
             if self._precond is None and not self.is_spd():
@@ -362,9 +354,6 @@ class SparseSymMatrix:
                 band_solve = partial(cho_solve_banded, (self._chol, False), check_finite=False)
                 start = np.sin(np.pi * np.arange(1, self.n + 1) / (2 * self.n))
                 lam_min = lowest_eigenvalue(self.matvec, band_solve, start / np.linalg.norm(start), lam_max)
-            elif self._precond.class_holds_lambda_min:
-                sine = self._precond._sine[0]
-                lam_min = lowest_eigenvalue(self.matvec, self._precond, np.outer(sine, sine).ravel(), lam_max)
             else:
                 lam_min = self._precond.lambda_min_bound
             self._extremes = (lam_min, lam_max)

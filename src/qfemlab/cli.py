@@ -17,15 +17,15 @@ modes and distribution-identically (same seed, same values) in sampling
 modes.
 solve's ``kappa_estimate`` and the ledger's modelled costs use an upper
 bound on the condition number: lambda_min over an upper bound on
-lambda_max, certified with a relative 1e-12 margin. lambda_min comes from
-one LOPCG loop in 1D and 2D, to rounding level, preconditioned by the band
-factor or the sine transform. Past the 2D class bound (about reaction >
-2.4 diffusion n^2) it is the a-priori lower bound mu, mu <= lambda_min <=
-4 mu: there solve's ``cg.lambda_min_estimate`` is a lower bound, and
+lambda_max, certified with a relative 1e-12 margin. In 1D lambda_min
+comes from one LOPCG loop on the band factor, to rounding level. In 2D it
+is the a-priori lower bound nu, nu <= lambda_min <= 4 nu, measured within
+1.5x for n >= 3: solve's ``cg.lambda_min_estimate`` is a lower bound, and
 ``kappa_estimate`` and the ledger's kappa are upper bounds at most 4x
 above kappa. simulate's norm estimation accepts with p = (lambda_min
-||x||)^2 for that lambda_min, so past the bound it draws up to
-(lambda_min / mu)^2 <= 16x more shots and can reach exit 4 sooner.
+||x||)^2 for that lambda_min, so in 2D it draws up to (lambda_min / nu)^2
+<= 16x more shots, measured <= 2.25x for n >= 3, and can reach exit 4
+sooner.
 lowerbound --mode hybrid prices its table before it builds a map:
 |eps| * draws * sum(T + 1) maps, each priced max(dim, 64)^3, above 2^32
 in all, or a pair's T + 1 dim x dim maps above 256 MiB, exit 4.
@@ -49,6 +49,7 @@ from .errors import (
     NonConvergenceError,
     SimulationFloorError,
     ValidationError,
+    count_text,
 )
 from .lowerbounds import BumpOracle, aligned_probability, check_pair_args, hybrid_experiment, make_blackbox_pair, oracle_search_demo
 from .mesh import prolongation
@@ -127,8 +128,14 @@ def convergence_report(problem: ProblemSpec, levels: int) -> dict:
     """
     if levels < 3:
         raise ValidationError("need at least 3 refinement levels")
-    ns = [4 * 2**i for i in range(levels)]
     analytic = problem.d == 1 and problem.reaction == 0.0
+    # the finest mesh, the reference 4x finer than the last level unless the
+    # solution is analytic, has 2^(levels + 1) or 2^(levels + 3) subdivisions
+    # per side; an over-cap one is refused before any size is computed
+    log2_cells = problem.d * (levels + (1 if analytic else 3))
+    if problem.assembled and log2_cells >= MAX_CELLS.bit_length():  # 2^log2_cells > MAX_CELLS
+        raise CapExceededError(f"mesh would need 2^{count_text(log2_cells)} cells (cap {MAX_CELLS})")
+    ns = [4 * 2**i for i in range(levels)]
     if analytic:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             u_poly = analytic_solution_1d(problem.f_array(), problem.diffusion)
@@ -247,8 +254,9 @@ def lowerbound_hybrid_table(t_list=None, eps_list=None, draws=None, dim=None, se
     maps = len(eps_list) * draws * sum(T + 1 for T in t_list)
     work, held = maps * max(dim, HYBRID_MAP_FLOOR) ** 3, (max(t_list, default=-1) + 1) * dim * dim * 8
     if work > MAX_HYBRID_WORK or held > MAX_HYBRID_BYTES:
-        raise CapExceededError(f"hybrid table would build {maps} maps of {dim} x {dim}, work {work} (cap {MAX_HYBRID_WORK}),"
-                               f" holding {held} bytes per pair (cap {MAX_HYBRID_BYTES})", required=work)
+        raise CapExceededError(f"hybrid table would build {count_text(maps)} maps of {dim} x {dim}, work {count_text(work)}"
+                               f" (cap {MAX_HYBRID_WORK}), holding {count_text(held)} bytes per pair (cap {MAX_HYBRID_BYTES})",
+                               required=work)
     rows = []
     for T in t_list:
         for eps in eps_list:
@@ -282,7 +290,7 @@ def lowerbound_bump_table(n_list=None, per_n=None, seed=0) -> list[dict]:
         raise ValidationError(f"need --seed >= 0, --per-n >= 1 and every --N >= 2, got {seed}, {per_n}, {n_list}")
     cells = per_n * sum(n // 2 for n in n_list)
     if cells > MAX_CELLS:
-        raise CapExceededError(f"bump searches would scan {cells} cells (cap {MAX_CELLS})", required=cells)
+        raise CapExceededError(f"bump searches would scan {count_text(cells)} cells (cap {MAX_CELLS})", required=cells)
     rows = []
     rng = np.random.default_rng(seed)
     for n in n_list:

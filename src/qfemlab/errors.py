@@ -1,4 +1,11 @@
 """Exception types shared across the package."""
+import math
+
+
+def count_text(count: int) -> str:
+    """A count for an error message: in full up to 18 digits, else as about
+    10^k, since str() of an integer of more than 4,300 digits raises."""
+    return str(count) if count < 10**18 else f"about 10^{math.floor(math.log10(count))}"
 
 
 class ValidationError(ValueError):

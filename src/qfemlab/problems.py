@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .assembly import BilinearForm, SparseSymMatrix, assemble_load, assemble_stiffness, coefficient_array
-from .errors import CapExceededError, UnsupportedConfigurationError, ValidationError
+from .errors import CapExceededError, UnsupportedConfigurationError, ValidationError, count_text
 from .mesh import BasisSpec, build_basis, build_interval_mesh, build_square_triangulation
 from .resources import SobolevData, choose_mesh_size
 
@@ -235,7 +235,7 @@ def discretize(problem: ProblemSpec, n: int) -> tuple[BasisSpec, SparseSymMatrix
         raise ValidationError(f"d={problem.d} cannot be assembled (resource model only)")
     cells = n**problem.d
     if cells > MAX_CELLS:
-        raise CapExceededError(f"mesh would need {cells} cells (cap {MAX_CELLS})", required=cells)
+        raise CapExceededError(f"mesh would need {count_text(cells)} cells (cap {MAX_CELLS})", required=cells)
     mesh = build_interval_mesh(n) if problem.d == 1 else build_square_triangulation(n)
     spec = build_basis(mesh, problem.k)
     if spec.n_dofs == 0:

@@ -8,12 +8,12 @@ analytic oracle cost is charged to a resource ledger once per use of the
 state preparation. Solves come from ``SparseSymMatrix.solve`` (the band
 Cholesky factor in 1D, preconditioned CG to rounding level in 2D), and
 the condition number from its cached eigenvalue extremes
-(``SparseSymMatrix.extremes``): lambda_min to rounding level, or past the 2D
-class bound the a-priori lower bound mu <= lambda_min <= 4 mu, over a
-certified upper bound on lambda_max, so modelled costs are upper bounds.
-Norm estimation accepts with p = (lambda_min ||x||)^2 for that lambda_min,
-so past the bound p is up to 16x smaller and its shots, which grow as 1/p,
-up to 16x more. No dense matrix is formed. All estimators are plain Monte
+(``SparseSymMatrix.extremes``): lambda_min to rounding level in 1D, and in
+2D the a-priori lower bound nu <= lambda_min <= 4 nu, measured within 1.5x
+for n >= 3, over a certified upper bound on lambda_max, so modelled costs
+are upper bounds. Norm estimation accepts with p = (lambda_min ||x||)^2 for
+that lambda_min, so in 2D p is up to 16x smaller and its shots, which grow
+as 1/p, up to 16x more, measured <= 2.25x for n >= 3. No dense matrix is formed. All estimators are plain Monte
 Carlo at the exact event probabilities: empirical sampling uses 1/eps^2
 shots while the ledger charges the amplitude-estimation count of 1/eps,
 and the gap is annotated in the ledger entries.

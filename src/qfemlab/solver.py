@@ -5,17 +5,17 @@ CG only observes residuals, so the energy-norm target ||x - x*||_M <=
 tol * ||x*||_M is certified through the bound ||x - x*||_M <= ||r|| /
 sqrt(lambda_min) together with ||x_j||_M = sqrt(b.x_j), which increases
 monotonically to ||x*||_M when starting from zero. lambda_min is the lower
-end of ``SparseSymMatrix.extremes``: the smallest eigenvalue of M to
-rounding level or, past the 2D class bound, the a-priori lower bound mu <=
-lambda_min <= 4 mu, which keeps the certificate sound and at most 2x
-larger. A Ritz value of CG's own Lanczos tridiagonal would bound
+end of ``SparseSymMatrix.extremes``: in 1D the smallest eigenvalue of M to
+rounding level, in 2D the a-priori lower bound nu <= lambda_min <= 4 nu,
+measured within 1.5x for n >= 3, which keeps the certificate sound and at
+most 2x larger. A Ritz value of CG's own Lanczos tridiagonal would bound
 lambda_min from above by far more and so make the certified bound too
 small. r is the recursively updated residual, which can fall below the
 true b - M x once both near rounding level.
 
-The same extremes give kappa = lambda_max / lambda_min, lambda_min (or mu)
+The same extremes give kappa = lambda_max / lambda_min, lambda_min (or nu)
 over an upper bound on lambda_max with a relative 1e-12 margin, so kappa
-is an upper bound too, at most 4x above kappa past the 2D class bound. It
+is an upper bound too, at most 4x above kappa in 2D. It
 sets the default iteration cap
 max(50, ceil(10 sqrt(kappa) log(1/tol))), sized for CG's
 O(sqrt(kappa) log(1/tol)) steps, and is what ``estimate_condition_number``
@@ -129,8 +129,8 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
 
 def estimate_condition_number(M: SparseSymMatrix) -> float:
     """An upper bound on kappa = lambda_max / lambda_min: lambda_min to rounding
-    (past the 2D class bound, the lower bound mu <= lambda_min <= 4 mu) over
-    the Collatz-Wielandt upper bound on lambda_max, both cached by
+    (in 2D, the lower bound nu <= lambda_min <= 4 nu) over the
+    Collatz-Wielandt upper bound on lambda_max, both cached by
     ``SparseSymMatrix.extremes``.
 
     Raises ValidationError when M is singular or indefinite.

@@ -22,7 +22,7 @@ from qfemlab import cli
 from qfemlab.assembly import element_quadrature_1d
 from qfemlab.cli import main
 from qfemlab.errors import CapExceededError
-from qfemlab.problems import ProblemSpec, analytic_solution_1d, discretize, mesh_size
+from qfemlab.problems import MAX_CELLS, ProblemSpec, analytic_solution_1d, discretize, mesh_size
 
 TINY_1D = {"d": 1, "k": 1, "pde": {"diffusion": 1, "reaction": 0}, "f": [-1], "r": [1], "eps": 1e-2}
 TINY_1D_K2 = {"d": 1, "k": 2, "pde": {"diffusion": 1, "reaction": 0}, "f": [0, 0, -12], "r": [1, 1], "eps": 1e-2}
@@ -289,6 +289,50 @@ def test_lowerbound_hybrid_over_its_cap_exits_four(monkeypatch, capsys, argv):
     assert time.perf_counter() - start < 2.0
     assert code == 4 and out == "" and built == []
     assert err.startswith("budget/cap exceeded: hybrid table") and len(err.splitlines()) == 1
+
+
+HUGE = str(10**4000)  # 4,001 digits: int() parses it, str() of its square raises
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("convergence", "--spec", "{tiny_2d}", "--levels", "14000"),
+        ("convergence", "--spec", "{tiny_1d}", "--levels", "3000000"),  # its list of sizes alone ran past 10 s
+        ("lowerbound", "--mode", "hybrid", "--T", HUGE, "--draws", HUGE),
+        ("lowerbound", "--mode", "bump", "--N", HUGE, "--per-n", HUGE),
+    ],
+    ids=["convergence-2d", "convergence-1d", "hybrid", "bump"],
+)
+def test_huge_counts_exit_four_on_one_line(capsys, spec_file, argv):
+    # a cap count of any size is formatted without raising, and --levels is
+    # refused before the mesh sizes are listed
+    specs = {"{tiny_1d}": spec_file(TINY_1D), "{tiny_2d}": spec_file(TINY_2D, name="tiny_2d.json")}
+    start = time.perf_counter()
+    code, out, err = run(capsys, *(specs.get(arg, arg) for arg in argv))
+    assert time.perf_counter() - start < 2.0
+    assert code == 4 and out == ""
+    assert err.startswith("budget/cap exceeded") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec, levels", [({**TINY_1D, "pde": {"diffusion": 1, "reaction": 1}, "sobolev": [1, 1, 1]}, 14), (TINY_2D, 5)], ids=["1d", "2d"])
+def test_convergence_levels_cap_boundary(monkeypatch, spec, levels):
+    # the reference mesh, built first, at the last --levels under MAX_CELLS;
+    # one more level is refused before any mesh
+    built = []
+
+    def discretize(problem, n):
+        built.append(n)
+        raise CapExceededError("sentinel")
+
+    monkeypatch.setattr(cli, "discretize", discretize)
+    problem = ProblemSpec.from_dict(spec)
+    with pytest.raises(CapExceededError, match="sentinel"):
+        cli.convergence_report(problem, levels)
+    assert built[0] ** problem.d <= MAX_CELLS < (2 * built[0]) ** problem.d
+    with pytest.raises(CapExceededError, match=r"2\^\d+ cells"):
+        cli.convergence_report(problem, levels + 1)
+    assert len(built) == 1
 
 
 def test_lowerbound_hybrid_accepts_a_table_at_its_work_cap():
