@@ -49,15 +49,12 @@ from .quantum import (
     hadamard_test_estimate,
 )
 from .resources import (
-    ErrorBudget,
-    ResourceEstimate,
     SobolevData,
     choose_mesh_size,
     exponent_table,
     model_costs,
-    norm_estimation_cost,
     split_budget,
 )
-from .solver import CGReport, conjugate_gradient, estimate_condition_number
+from .solver import CGReport, conjugate_gradient
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -221,18 +221,13 @@ class BumpOracle:
         return 0.0
 
 
-@dataclass
-class SearchResult:
-    answer: bool
-    queries: int
-    integral: float
-
-
-def oracle_search_demo(oracle: BumpOracle) -> SearchResult:
-    """Decide whether the marked index lies in the lower half by evaluating
-    int_0^{1/2} u(x)^2 dx with an 8-point Gauss rule on each cell, scanned
-    in order; every quadrature point costs one oracle query. Classical query
-    cost is linear in N."""
+def oracle_search_demo(oracle: BumpOracle) -> tuple[bool, int]:
+    """Decide whether the marked index lies in the first floor(N/2) cells,
+    y0 < N // 2, by evaluating int u(x)^2 dx over those cells with an
+    8-point Gauss rule on each, scanned in order; every quadrature point
+    costs one oracle query. For odd N the middle cell, which straddles
+    x = 1/2, is not scanned and counts as the upper half. Returns the answer
+    and the queries it took; classical query cost is linear in N."""
     if oracle.n < 2:
         raise ValidationError("N must be >= 2")
     n = oracle.n
@@ -248,4 +243,4 @@ def oracle_search_demo(oracle: BumpOracle) -> SearchResult:
         cell_mass = width * float(ws @ vals**2)
         integral += cell_mass
     answer = integral > half_cell_mass
-    return SearchResult(answer, oracle.queries - start_queries, integral)
+    return answer, oracle.queries - start_queries

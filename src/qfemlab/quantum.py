@@ -36,8 +36,7 @@ from .errors import (
 )
 from .mesh import BasisSpec
 from .problems import ProblemSpec, discretize, mesh_size, poly_l2_norm
-from .resources import ResourceEstimate, discretisation_share, norm_estimation_cost, qle_cost, split_budget
-from .solver import estimate_condition_number
+from .resources import cost_entry, discretisation_share, polylog, split_budget
 
 ACCEPTANCE_FLOOR = 1e-9
 
@@ -119,7 +118,7 @@ def hadamard_test_estimate(
     return 2.0 * budget.binomial(shots, p) / shots - 1.0
 
 
-def estimate_norm(M: SparseSymMatrix, x: np.ndarray, eps_n_rel: float, budget: SampleBudget, ledger=None) -> float:
+def estimate_norm(M: SparseSymMatrix, x: np.ndarray, eps_n_rel: float, budget: SampleBudget, ledger: list) -> float:
     """Estimate ||x|| for the solve x = M^{-1} b the caller holds, by
     sampling the acceptance event of the norm-estimation subroutine at its
     exact probability p = ||A^{-1}b||^2 / kappa^2 (A = M / lambda_max) =
@@ -127,7 +126,9 @@ def estimate_norm(M: SparseSymMatrix, x: np.ndarray, eps_n_rel: float, budget: S
     sqrt(p) / lambda_min.
 
     Relative error <= eps_n_rel with probability >= 2/3 by construction of
-    the shot count. The analytic oracle cost is appended to ``ledger``.
+    the shot count. The analytic oracle cost is appended to ``ledger``:
+    P_A calls (s kappa^2 / eps) polylog(s kappa / eps), P_b calls kappa / eps,
+    with kappa = lambda_max / lambda_min and eps = ``eps_n_rel``.
     """
     if eps_n_rel <= 0:
         raise ValidationError("eps_n_rel must be positive")
@@ -138,17 +139,15 @@ def estimate_norm(M: SparseSymMatrix, x: np.ndarray, eps_n_rel: float, budget: S
         raise SimulationFloorError(f"acceptance probability {p:.3e} below the simulable floor {ACCEPTANCE_FLOOR:.0e}")
     shots = max(8, _shot_count(2.0 * (1.0 - p), p * eps_n_rel**2, "norm estimation"))
     p_hat = budget.binomial(shots, p) / shots
-    if ledger is not None:
-        entry = norm_estimation_cost(M.s, lam_max / lam_min, eps_n_rel)
-        entry.notes.update(
-            {
-                "call": "norm_estimation",
-                "empirical_shots": shots,
-                "model_inv_eps_exponent": 1,
-                "empirical_inv_eps_exponent": 2,
-            }
-        )
-        ledger.append(entry)
+    s, kappa = M.s, lam_max / lam_min
+    pa = (s * kappa**2 / eps_n_rel) * polylog(s * kappa / eps_n_rel)
+    notes = {
+        "call": "norm_estimation",
+        "empirical_shots": shots,
+        "model_inv_eps_exponent": 1,
+        "empirical_inv_eps_exponent": 2,
+    }
+    ledger.append(cost_entry("quantum", {"P_A": pa, "P_b": kappa / eps_n_rel}, pa, (1,), notes))
     return float(math.sqrt(p_hat) / lam_min)
 
 
@@ -186,27 +185,25 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
         value = alpha * n_tilde * r_tilde
     else:
         b_norm = float(np.linalg.norm(b_raw))
-        eps_n_rel = split.eps_n / u_norm
+        eps_n_rel = split["eps_n"] / u_norm
         n_tilde = b_norm * estimate_norm(M, u_tilde / b_norm, eps_n_rel, budget, ledger=ledger)
         u_state = u_tilde / u_norm
-        eps_l_eff = min(split.eps_l, 0.9)
-        cost = qle_cost(M.s, estimate_condition_number(M), eps_l_eff)
+        eps_l_eff = min(split["eps_l"], 0.9)
+        # one quantum linear-equation solve to accuracy eps_l costs
+        # s kappa polylog(s kappa / eps_l) oracle calls, eps_l clamped at 1e-16
+        lam_min, lam_max = M.extremes()
+        s, kappa = M.s, lam_max / lam_min
+        cost = s * kappa * polylog(s * kappa / max(eps_l_eff, 1e-16))
         uses_before = budget.uses_of_state_prep
-        r_tilde = hadamard_test_estimate(u_state, r_state, split.eps_out, budget, eps_l=eps_l_eff)
+        r_tilde = hadamard_test_estimate(u_state, r_state, split["eps_out"], budget, eps_l=eps_l_eff)
         uses = budget.uses_of_state_prep - uses_before
-        ledger.append(
-            ResourceEstimate(
-                pipeline="quantum",
-                oracle_calls={"P_M": cost * uses, "P_b": cost * uses},
-                runtime_model=cost * uses,
-                notes={
-                    "call": "overlap_estimation",
-                    "state_prep_uses": uses,
-                    "model_uses_per_estimate": 1.0 / split.eps_out,
-                    "input_state_assumption": "exact |f~> preparation",
-                },
-            )
-        )
+        notes = {
+            "call": "overlap_estimation",
+            "state_prep_uses": uses,
+            "model_uses_per_estimate": 1.0 / split["eps_out"],
+            "input_state_assumption": "exact |f~> preparation",
+        }
+        ledger.append(cost_entry("quantum", {"P_M": cost * uses, "P_b": cost * uses}, cost * uses, (), notes))
         value = alpha * n_tilde * r_tilde
 
     return {
@@ -216,10 +213,10 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
         "n_tilde": float(n_tilde),
         "r_tilde": float(r_tilde),
         "u_tilde_norm": u_norm,
-        "budget": {**vars(split), "h": h, "n_dofs": spec.n_dofs},
+        "budget": {**split, "h": h, "n_dofs": spec.n_dofs},
         "h": h,
         "n_elements": spec.mesh.n_elements,
         "n_dofs": spec.n_dofs,
         "exact_mode": exact_mode,
-        "ledger": [entry.to_dict() for entry in ledger],
+        "ledger": ledger,
     }

@@ -5,12 +5,14 @@ number kappa and the runtime of the four pipelines are computed. All
 asymptotic formulas are evaluated with every hidden constant set to 1
 and reported as model values; empirical comparisons elsewhere regress
 exponents (log-log slopes), never absolute values. Polylog factors are
-fixed to the squared-log form (1 + ln(arg))^2 for determinism.
+fixed to the squared-log form ``polylog`` for determinism. Every cost,
+of a pipeline here or of one call in ``quantum``'s ledger, is built once
+by ``cost_entry`` as the dict that the artifacts emit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedConfigurationError, ValidationError
@@ -46,47 +48,26 @@ class SobolevData:
         return self.seminorms[m]
 
 
-@dataclass
-class ErrorBudget:
-    """Decomposition of a target accuracy eps (in units of ||r||) into
-    discretisation, norm-estimation, linear-solve, output-measurement and
-    CG shares."""
-
-    eps: float
-    eps_d: float
-    eps_n: float
-    eps_l: float
-    eps_out: float
-    eps_cg: float
-
-
-@dataclass
-class ResourceEstimate:
-    """Oracle-call counts and runtime-model terms for one pipeline. Its 1/eps
-    exponent is the largest of ``exponent_terms``, None when there are none."""
-
-    pipeline: str
-    oracle_calls: dict = field(default_factory=dict)
-    runtime_model: float = 0.0
-    exponent_terms: tuple = ()
-    notes: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "pipeline": self.pipeline,
-            "oracle_calls": dict(self.oracle_calls),
-            "runtime_model": self.runtime_model,
-            "exponent_of_inv_eps": str(max(self.exponent_terms)) if self.exponent_terms else None,
-            "exponent_terms": [str(t) for t in self.exponent_terms],
-            "notes": dict(self.notes),
-        }
+def cost_entry(pipeline: str, oracle_calls: dict, runtime_model: float, exponent_terms: tuple, notes: dict) -> dict:
+    """Oracle-call counts and runtime-model terms of one pipeline or call, as
+    emitted. Its 1/eps exponent is the largest of ``exponent_terms``, None
+    when there are none."""
+    return {
+        "pipeline": pipeline,
+        "oracle_calls": oracle_calls,
+        "runtime_model": runtime_model,
+        "exponent_of_inv_eps": str(max(exponent_terms)) if exponent_terms else None,
+        "exponent_terms": [str(t) for t in exponent_terms],
+        "notes": notes,
+    }
 
 
 # the row sparsity s every pipeline of the runtime model is priced at
 SPARSITY = 3
 
 
-def _polylog(arg: float) -> float:
+def polylog(arg: float) -> float:
+    """The squared-log polylog factor (1 + ln(max(arg, 1)))^2."""
     return (1.0 + math.log(max(arg, 1.0))) ** 2
 
 
@@ -116,8 +97,11 @@ def split_budget(
     alpha: float,
     u_tilde_norm: float,
     r_norm: float,
-) -> ErrorBudget:
-    """Split a target accuracy eps*||r|| into the three sufficient shares.
+) -> dict:
+    """Split a target accuracy eps*||r|| into the three sufficient shares,
+    returned as {eps, eps_d, eps_n, eps_l, eps_out, eps_cg}: discretisation,
+    norm-estimation, linear-solve, output-measurement and CG shares, in
+    units of ||r||.
 
     With c = eps / (3 ||u||) the returned values make the worst-case error
     identity sum to exactly eps*||r||:
@@ -151,7 +135,7 @@ def split_budget(
         raise ValidationError(f"the budget split leaves double-precision range (alpha {alpha}, ||u~|| {u_tilde_norm}, ||r|| {r_norm})")
     total = terms[0] + terms[1] + terms[2]
     assert abs(total - eps * r_norm) <= 1e-12 * eps * r_norm
-    return ErrorBudget(eps=eps, eps_d=eps_d, eps_n=eps_n, eps_l=eps_l, eps_out=eps_out, eps_cg=eps / 2.0)
+    return {"eps": eps, "eps_d": eps_d, "eps_n": eps_n, "eps_l": eps_l, "eps_out": eps_out, "eps_cg": eps / 2.0}
 
 
 def model_costs(d: int, k: int, eps: float, sobolev: SobolevData):
@@ -165,7 +149,7 @@ def model_costs(d: int, k: int, eps: float, sobolev: SobolevData):
         quantum            (s kappa^2 ||u|| + sqrt(s) kappa ||u||_1)/eps polylog(s kappa/eps)
         quantum_precond    ||u||_1/eps polylog(s/eps)
 
-    Returns (N, kappa, {pipeline: ResourceEstimate}); the 1/eps exponents
+    Returns (N, kappa, {pipeline: ``cost_entry`` dict}); the 1/eps exponents
     come from ``exponent_table``. eps must lie in (0, 2): at eps >= 2 the
     CG term ln(1/eps_cg) is zero or negative, and so would be the classical
     costs, so such an eps is refused (ValidationError).
@@ -193,38 +177,17 @@ def model_costs(d: int, k: int, eps: float, sobolev: SobolevData):
             value = math.inf
         if not math.isfinite(value):
             raise ValidationError(f"the classical model cost overflows at N = {n_cg}")
-        costs[pipeline] = ResourceEstimate(pipeline, {"matvec": float(n_cg * s)}, value, exponents[pipeline])
+        costs[pipeline] = cost_entry(pipeline, {"matvec": float(n_cg * s)}, value, exponents[pipeline], {})
     u_norm, u_1 = sobolev.l2_norm, sobolev.sobolev_1_norm
     try:
-        quantum = (s * kappa_model**2 * u_norm + math.sqrt(s) * kappa_model * u_1) / eps * _polylog(s * kappa_model / eps)
+        quantum = (s * kappa_model**2 * u_norm + math.sqrt(s) * kappa_model * u_1) / eps * polylog(s * kappa_model / eps)
     except OverflowError:  # kappa**2 past double range
         quantum = math.inf
-    for pipeline, kappa, value in (("quantum", kappa_model, quantum), ("quantum_precond", 1.0, u_1 / eps * _polylog(s / eps))):
+    for pipeline, kappa, value in (("quantum", kappa_model, quantum), ("quantum_precond", 1.0, u_1 / eps * polylog(s / eps))):
         if not math.isfinite(value):
             raise ValidationError(f"the quantum model cost overflows at eps = {eps}")
-        costs[pipeline] = ResourceEstimate(pipeline, {"P_M": value, "P_b": value}, value, exponents[pipeline], {"kappa_model": kappa})
+        costs[pipeline] = cost_entry(pipeline, {"P_M": value, "P_b": value}, value, exponents[pipeline], {"kappa_model": kappa})
     return n_model, kappa_model, costs
-
-
-def norm_estimation_cost(s: int, kappa: float, eps: float) -> ResourceEstimate:
-    """Oracle counts for the solution-norm estimation subroutine:
-    P_A calls (s kappa^2 / eps) polylog(s kappa / eps), P_b calls kappa/eps."""
-    if s <= 0 or kappa <= 0 or eps <= 0:
-        raise ValidationError("all parameters must be positive")
-    pa = (s * kappa**2 / eps) * _polylog(s * kappa / eps)
-    pb = kappa / eps
-    return ResourceEstimate(
-        pipeline="quantum",
-        oracle_calls={"P_A": pa, "P_b": pb},
-        runtime_model=pa,
-        exponent_terms=(Fraction(1),),
-    )
-
-
-def qle_cost(s: int, kappa: float, eps: float) -> float:
-    """Oracle calls of one quantum linear-equation solve to accuracy eps,
-    s kappa polylog(s kappa / eps); eps is clamped at 1e-16."""
-    return s * kappa * _polylog(s * kappa / max(eps, 1e-16))
 
 
 def exponent_table(d: int, k: int) -> dict:

@@ -1,5 +1,4 @@
-"""Conjugate gradient with an energy-norm stopping certificate, and the
-condition number from the cached sparse eigenvalue extremes.
+"""Conjugate gradient with an energy-norm stopping certificate.
 
 CG only observes residuals, so the energy-norm target ||x - x*||_M <=
 tol * ||x*||_M is certified through the bound ||x - x*||_M <= ||r|| /
@@ -15,13 +14,12 @@ true b - M x once both near rounding level.
 
 The same extremes give kappa = lambda_max / lambda_min, lambda_min (or nu)
 over an upper bound on lambda_max with a relative 1e-12 margin, so kappa
-is an upper bound too, at most 4x above kappa in 2D. It
-sets the default iteration cap
-max(50, ceil(10 sqrt(kappa) log(1/tol))), sized for CG's
-O(sqrt(kappa) log(1/tol)) steps, and is what ``estimate_condition_number``
-returns. With C^{-1} for C/4 <= M <= C (2D: ``SineTransformPreconditioner``),
-PCG reads lambda_min, lambda_max as 1/4 and 1, bounds on the spectrum of
-C^{-1} M, and ||r||^2 as r^T C^{-1} r, so that ||x - x*||_M^2 <= 4 r^T C^{-1} r.
+is an upper bound too, at most 4x above kappa in 2D. It sets the default
+iteration cap max(50, ceil(10 sqrt(kappa) log(1/tol))), sized for CG's
+O(sqrt(kappa) log(1/tol)) steps. With C^{-1} for C/4 <= M <= C (2D:
+``SineTransformPreconditioner``), PCG reads lambda_min, lambda_max as 1/4
+and 1, bounds on the spectrum of C^{-1} M, and ||r||^2 as r^T C^{-1} r, so
+that ||x - x*||_M^2 <= 4 r^T C^{-1} r.
 
 The loop updates x, r and p in place, through one scratch vector, so a
 step allocates only M p (and what ``precond`` returns). Each element sees
@@ -125,15 +123,3 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
         converged = bool(energy_of_x > 0 and err_bound <= tol * np.sqrt(energy_of_x))
         rel = err_bound / np.sqrt(energy_of_x) if energy_of_x > 0 else np.inf
         return CGReport(x, j, rel, j, converged, lam_min, rnorm)
-
-
-def estimate_condition_number(M: SparseSymMatrix) -> float:
-    """An upper bound on kappa = lambda_max / lambda_min: lambda_min to rounding
-    (in 2D, the lower bound nu <= lambda_min <= 4 nu) over the
-    Collatz-Wielandt upper bound on lambda_max, both cached by
-    ``SparseSymMatrix.extremes``.
-
-    Raises ValidationError when M is singular or indefinite.
-    """
-    lam_min, lam_max = M.extremes()
-    return lam_max / lam_min

@@ -436,6 +436,15 @@ def test_lowerbound_bump_exit_zero(capsys):
     assert all(row["correct"] == 1 for row in rows)
 
 
+def test_lowerbound_bump_odd_n_is_correct(capsys):
+    # for odd N the middle cell straddles x = 1/2; the scan covers the first
+    # floor(N/2) cells, so the middle one counts as the upper half
+    rows = run_json(capsys, "lowerbound", "--mode", "bump", "--N", "3,5,7,9", "--per-n", "12")
+    assert len(rows) == 48
+    assert any(row["y0"] == row["N"] // 2 for row in rows)
+    assert all(row["correct"] == 1 for row in rows)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -678,9 +687,11 @@ def test_fixed_seed_rerun_byte_identical(capsys, spec_file, tmp_path):
 
 
 # Artifacts checked in under tests/golden/: any change to them shows up in review.
-# Rewrite them from the current program with `PYTHONPATH=src python tests/test_cli.py`,
-# which prints one line per file: whether it changed, the largest relative
-# change over its float leaves, and whether any other leaf changed.
+# Rewrite them from the current program with
+# `PYTHONPATH=src python tests/test_cli.py --rewrite-goldens`, which prints
+# one line per file: whether it changed, the largest relative change over
+# its float leaves, and whether any other leaf changed. Without arguments
+# the script prints its usage and exits 2.
 # `python tests/test_cli.py --compare DIR_A DIR_B` prints the same line for
 # every file under two artifact directories, matched by relative path, and
 # writes nothing. `python tests/test_cli.py --dump DIR` writes the artifacts
@@ -847,17 +858,22 @@ def test_compare_dirs_reports_each_artifact_and_writes_nothing(tmp_path):
     assert sorted(tmp_path.rglob("*")) == before
 
 
-if __name__ == "__main__":
-    if sys.argv[1:2] == ["--dump"]:
-        if len(sys.argv) != 3:
-            raise SystemExit("usage: python tests/test_cli.py --dump DIR")
-        dump_artifacts(Path(sys.argv[2]))
-        raise SystemExit(0)
-    if sys.argv[1:2] == ["--compare"]:
-        if len(sys.argv) != 4:
-            raise SystemExit("usage: python tests/test_cli.py --compare DIR_A DIR_B")
-        print("\n".join(compare_dirs(Path(sys.argv[2]), Path(sys.argv[3]))))
-        raise SystemExit(0)
+USAGE = """usage: python tests/test_cli.py --rewrite-goldens
+       python tests/test_cli.py --dump DIR
+       python tests/test_cli.py --compare DIR_A DIR_B"""
+
+
+def test_bare_invocation_prints_usage_and_writes_nothing():
+    before = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in GOLDEN_DIR.iterdir()}
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", USAGE + "\n")
+    assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in GOLDEN_DIR.iterdir()} == before
+
+
+def rewrite_goldens():
+    """Write every golden artifact from the current program, printing one
+    ``diff_line`` per file."""
     GOLDEN_DIR.mkdir(exist_ok=True)
     cases = [(spec_name, run_name) for spec_name in GOLDEN_SPECS for run_name in GOLDEN_RUNS]
     for spec_name, run_name in cases + [(None, run_name) for run_name in GOLDEN_TABLES]:
@@ -868,3 +884,16 @@ if __name__ == "__main__":
         old = path.read_bytes() if path.exists() else None
         path.write_bytes(artifact)
         print(diff_line(path.name, old, artifact))
+
+
+if __name__ == "__main__":
+    args = sys.argv[1:]
+    if args == ["--rewrite-goldens"]:
+        rewrite_goldens()
+    elif args[:1] == ["--dump"] and len(args) == 2:
+        dump_artifacts(Path(args[1]))
+    elif args[:1] == ["--compare"] and len(args) == 3:
+        print("\n".join(compare_dirs(Path(args[1]), Path(args[2]))))
+    else:
+        print(USAGE, file=sys.stderr)
+        raise SystemExit(2)

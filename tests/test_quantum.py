@@ -137,14 +137,14 @@ def test_norm_estimation_identity():
     M = sym_matrix(np.eye(4))
     b = unit([1.0, 1.0, 1.0, 1.0])
     budget = SampleBudget(rng_seed=0)
-    assert estimate_norm(M, M.solve(b), 0.05, budget) == pytest.approx(1.0, abs=0.05)
+    assert estimate_norm(M, M.solve(b), 0.05, budget, ledger=[]) == pytest.approx(1.0, abs=0.05)
 
 
 def test_norm_estimation_scaled_diagonal():
     M = sym_matrix(np.diag([0.5, 0.5, 0.5, 0.5]))
     b = unit([1.0, 1.0, 1.0, 1.0])
     budget = SampleBudget(rng_seed=0)
-    assert estimate_norm(M, M.solve(b), 0.05, budget) == pytest.approx(2.0, rel=0.1)
+    assert estimate_norm(M, M.solve(b), 0.05, budget, ledger=[]) == pytest.approx(2.0, rel=0.1)
 
 
 def test_norm_estimation_poisson_coverage():
@@ -155,7 +155,7 @@ def test_norm_estimation_poisson_coverage():
     hits = 0
     for seed in range(30):
         budget = SampleBudget(rng_seed=seed)
-        if abs(estimate_norm(M, x, 0.03, budget) - truth) <= 0.03 * truth:
+        if abs(estimate_norm(M, x, 0.03, budget, ledger=[]) - truth) <= 0.03 * truth:
             hits += 1
     assert hits >= 20  # 2/3 of seeds
 
@@ -164,7 +164,7 @@ def test_norm_estimation_floor():
     M = sym_matrix(np.diag([1.0, 1e-8]))
     b = np.array([1.0, 0.0])
     with pytest.raises(SimulationFloorError, match=r"acceptance probability 1\.000e-16 below the simulable floor 1e-09$"):
-        estimate_norm(M, M.solve(b), 0.1, budget=SampleBudget(rng_seed=0))
+        estimate_norm(M, M.solve(b), 0.1, budget=SampleBudget(rng_seed=0), ledger=[])
 
 
 def test_norm_estimation_empirical_shots_scale_inverse_eps_squared():
@@ -180,9 +180,9 @@ def test_norm_estimation_empirical_shots_scale_inverse_eps_squared():
     slope = np.polyfit(np.log(1.0 / np.asarray(eps_list)), np.log(shots), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.05)
     # the analytic model charges only 1/eps; the ledger annotates the gap
-    assert ledger[-1].notes["model_inv_eps_exponent"] == 1
-    assert ledger[-1].notes["empirical_inv_eps_exponent"] == 2
-    pa = [entry.oracle_calls["P_b"] for entry in ledger]
+    assert ledger[-1]["notes"]["model_inv_eps_exponent"] == 1
+    assert ledger[-1]["notes"]["empirical_inv_eps_exponent"] == 2
+    pa = [entry["oracle_calls"]["P_b"] for entry in ledger]
     model_slope = np.polyfit(np.log(1.0 / np.asarray(eps_list)), np.log(pa), 1)[0]
     assert model_slope == pytest.approx(1.0, abs=0.05)
 

@@ -16,15 +16,15 @@ def test_split_budget_identity(u_norm, eps_share, alpha, u_tilde_norm, r_norm):
     b = split_budget(eps, SobolevData((u_norm, 1.0)), alpha, u_tilde_norm, r_norm)
     c = eps / (3.0 * u_norm)
     terms = (
-        b.eps_d * r_norm * (1.0 + b.eps_n / u_tilde_norm),
-        u_norm * r_norm * b.eps_n / u_tilde_norm,
-        alpha * (u_tilde_norm + b.eps_n) * (b.eps_l + b.eps_out),
+        b["eps_d"] * r_norm * (1.0 + b["eps_n"] / u_tilde_norm),
+        u_norm * r_norm * b["eps_n"] / u_tilde_norm,
+        alpha * (u_tilde_norm + b["eps_n"]) * (b["eps_l"] + b["eps_out"]),
     )
     shares = (eps * r_norm * (1.0 - c) / 3.0, eps * r_norm / 3.0, eps * r_norm * (1.0 + c) / 3.0)
     for term, share in zip(terms, shares):
         assert term == pytest.approx(share, rel=1e-12)
     assert sum(terms) == pytest.approx(eps * r_norm, rel=1e-12)
-    assert b.eps_l == b.eps_out and b.eps_cg == eps / 2.0
+    assert b["eps_l"] == b["eps_out"] and b["eps_cg"] == eps / 2.0
 
 
 @given(positive, st.floats(1.0 + 1e-9, 1e3))

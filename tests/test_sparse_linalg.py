@@ -333,7 +333,7 @@ def test_singular_matrix_raises(a):
         M.extremes()
     # M.solve raises above, so any vector stands in for M^{-1} b
     with pytest.raises(ValidationError, match="singular"):
-        estimate_norm(M, np.ones(M.n), 0.1, SampleBudget(rng_seed=0))
+        estimate_norm(M, np.ones(M.n), 0.1, SampleBudget(rng_seed=0), ledger=[])
 
 
 @pytest.mark.parametrize("value", [-2.0, -1e-300])
