@@ -13,13 +13,14 @@ Matrices and loads are stencils on the uniform mesh, added onto its nodes
 by strided slices, one per local node (pair): on the node line in 1D,
 where element e's local node a is node e k + a, and on the vertex grid in
 2D, one stencil per triangle shape and one array per coupling direction.
-The assembly is the only maker of a ``SparseSymMatrix``. In 1D each call
-writes its node rows out as CSR. In 2D the CSR pattern depends only on
-the grid, so it is cached per process, keyed by (n, whether the boundary
-is constrained): ``_grid_plan`` holds ``indptr``, ``indices`` and, per
-stored entry, the position of its value in the four coupling grids. Each
-matrix adds its stencils onto the grids and fills its values with one
-gather; exact zero couplings are then dropped. The orthonormal sine
+The assembly is the only maker of a ``SparseSymMatrix``, and hands scipy
+int32 CSR indices. In 1D each call writes its node rows out as CSR. In 2D
+the CSR pattern depends only on the grid, so it is cached per process,
+keyed by (n, whether the boundary is constrained): ``_grid_plan`` holds
+``indptr``, ``indices`` and, per stored entry, the position of its value
+in the four coupling grids. Each matrix adds its stencils onto the grids
+and fills its values with one gather; exact zero couplings are then
+dropped. The orthonormal sine
 matrix of a ``SineTransformPreconditioner`` is cached per process too,
 keyed by n. Both caches hold the last ``GRID_CACHE_SIZE`` grids, and
 their arrays are read-only, so a matrix shares them without a copy. The
@@ -268,12 +269,26 @@ class SparseSymMatrix:
         # read once: each ``csr.shape`` is a Python-level property call
         self._indptr, self._indices, self._data = csr.indptr, csr.indices, csr.data
 
-    def matvec(self, x):
-        """M x for a vector x of length n, by one kernel call on M's arrays."""
+    def matvec(self, x, out=None):
+        """M x for a vector x of length n, by one kernel call on M's arrays.
+
+        With ``out``, a float64 vector of length n that shares no memory
+        with x, M x is written into it (zeroed first) and ``out`` is
+        returned, bit-identical to ``matvec(x)``; any other ``out`` is
+        refused."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):  # the kernel reads x without a bounds check
             raise ValidationError(f"vector has shape {x.shape}, expected ({self.n},)")
-        return self._product(self._data, x)
+        if out is None:
+            out = np.zeros(self.n)
+        else:  # nor does it check the output
+            if not isinstance(out, np.ndarray) or out.shape != (self.n,) or out.dtype != np.float64:
+                raise ValidationError(f"out must be a float64 vector of shape ({self.n},)")
+            if np.shares_memory(out, x):
+                raise ValidationError("out overlaps the vector it multiplies")
+            out.fill(0.0)
+        csr_matvec(self.n, self.n, self._indptr, self._indices, self._data, x, out)
+        return out
 
     def _product(self, data, x) -> np.ndarray:
         """The product of x with M's pattern holding ``data``, by the kernel
@@ -380,13 +395,13 @@ def _assemble_bilinear(spec: BasisSpec, diffusion: float, reaction: float) -> Sp
     for a in range(k + 1):
         for b in range(k + 1):
             vals[a:a + n * k:k, k + b - a] += local[a, b]
-    line = np.full(n * k + 1 + 2 * k, -1)  # the dofs of nodes -k .. n k + k, -1 off the line
+    line = np.full(n * k + 1 + 2 * k, -1, dtype=np.int32)  # the dofs of nodes -k .. n k + k, -1 off the line
     line[k:-k] = spec.node_dofs
     cols = line[np.arange(n * k + 1)[:, None] + np.arange(2 * k + 1)]
     # dofs number the free nodes in node order, so keeping the nonzero
     # entries of free rows and free columns leaves canonical CSR
     keep = (vals != 0.0) & (cols >= 0) & (spec.node_dofs >= 0)[:, None]
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1)[spec.dof_nodes])])
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1)[spec.dof_nodes])], dtype=np.int32)
     return SparseSymMatrix(sp.csr_array((vals[keep], cols[keep], indptr), shape=(spec.n_dofs, spec.n_dofs)))
 
 
@@ -400,10 +415,13 @@ def _grid_plan(n: int, constrained: bool):
 
     Row (i, j) holds SW, S, W, C, E, N, NE, where the neighbour is a dof;
     SW, S and W read the neighbour's NE, N and E. Dofs number the free
-    nodes in node order, so every row's columns ascend. ``indptr`` and
-    ``indices`` are int64, which scipy's ``csr_array`` keeps, so a matrix
-    that drops no entry views them without a copy; ``at`` is int32, which
-    holds every position in half the memory.
+    nodes in node order, so every row's columns ascend. All three are
+    int32: ``indptr`` and ``indices`` as scipy's ``csr_array`` keeps them,
+    so a matrix that drops no entry views them without a copy, and each
+    product streams half the index bytes of int64. int32 holds counts
+    below 2^31, far above what ``MAX_CELLS`` allows: with n^2 <= 200,000
+    cells, the 4 (n + 1)^2 positions and at most 7 (n + 1)^2 entries stay
+    below 1.5e6.
     """
     spec = build_basis(Mesh(2, n), 1, constrained)
     m = n + 1
@@ -411,7 +429,7 @@ def _grid_plan(n: int, constrained: bool):
     # every off-grid neighbour reads
     at = np.full((4, m + 2, m + 2), -1, dtype=np.int32)
     at[:, 1:-1, 1:-1] = np.arange(4 * m * m, dtype=np.int32).reshape(4, m, m)
-    dof = np.full((m + 2, m + 2), -1)
+    dof = np.full((m + 2, m + 2), -1, dtype=np.int32)
     dof[1:-1, 1:-1] = spec.node_dofs.reshape(m, m)
     C, E, N, NE = at
 
@@ -423,7 +441,7 @@ def _grid_plan(n: int, constrained: bool):
     cols = np.stack([offset(dof, dj, di) for dj, di in steps], axis=-1)
     keep = cols >= 0
     reads = (offset(NE, -1, -1), offset(N, -1, 0), offset(E, 0, -1), offset(C, 0, 0), offset(E, 0, 0), offset(N, 0, 0), offset(NE, 0, 0))
-    plan = (np.concatenate([[0], np.cumsum(keep.sum(axis=1))]), cols[keep], np.stack(reads, axis=-1)[keep])
+    plan = (np.concatenate([[0], np.cumsum(keep.sum(axis=1))], dtype=np.int32), cols[keep], np.stack(reads, axis=-1)[keep])
     for array in plan:
         array.flags.writeable = False
     return plan
@@ -467,7 +485,7 @@ def _assemble_stencil_2d(spec: BasisSpec, diffusion: float, reaction: float) -> 
     nonzero = data != 0.0
     if not nonzero.all():
         data, indices = data[nonzero], indices[nonzero]
-        indptr = np.concatenate([[0], np.cumsum(nonzero)])[indptr]  # entries kept before each row
+        indptr = np.concatenate([[0], np.cumsum(nonzero)], dtype=np.int32)[indptr]  # entries kept before each row
     M = SparseSymMatrix(sp.csr_array((data, indices, indptr), shape=(spec.n_dofs, spec.n_dofs)))
     if constrained:
         M._precond = SineTransformPreconditioner(n, diffusion, reaction)

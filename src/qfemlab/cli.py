@@ -8,6 +8,10 @@ any other flag exits 2. solve, convergence, simulate and plan read
 ``--exact``. resources reads ``--format json|csv`` and its grid flags.
 lowerbound reads ``--mode``, ``--seed``, ``--format json|csv`` and the grid
 flags of its mode; a flag of the other mode exits 2.
+A usage error (an unknown or missing flag, a value that does not parse)
+exits 2 with one ``validation error`` line on stderr, like any other
+invalid input. A list whose first value starts with "-" and is not a plain
+number is read as a flag: write it as ``--eps=-inf`` or ``--T=-1,2``.
 Exit codes: 0 success, 2 validation error, 3 non-convergence, 4 budget or
 cap exceeded (a shot budget, the mesh cell cap, the hybrid table's cap,
 the simulable acceptance floor, or memory running out). Every artifact
@@ -364,10 +368,18 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, whose usage
+    errors raise ValidationError instead of printing the usage and exiting."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; parsing never changes it."""
-    parser = argparse.ArgumentParser(prog="qfemlab", description=__doc__)
+    parser = _Parser(prog="qfemlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, summary, spec=False, seed=False, table=False):
@@ -413,9 +425,8 @@ _OTHER_MODE_FLAGS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "solve":
             _emit(solve_report(_load_problem(args)), args, "solve")
         elif args.command == "convergence":

@@ -21,10 +21,19 @@ O(sqrt(kappa) log(1/tol)) steps. With C^{-1} for C/4 <= M <= C (2D:
 and 1, bounds on the spectrum of C^{-1} M, and ||r||^2 as r^T C^{-1} r, so
 that ||x - x*||_M^2 <= 4 r^T C^{-1} r.
 
-The loop updates x, r and p in place, through one scratch vector, so a
-step allocates only M p (and what ``precond`` returns). Each element sees
-the same IEEE operations as in x + alpha p, r - alpha M p and z + beta p,
-so the result is bit-identical to the out-of-place form.
+The loop keeps x and -r as the two rows of one (2, n) array, and p and M p
+as the two rows of another, with M p written into its row by ``matvec``'s
+``out``. So x + alpha p and -(r - alpha M p) are one multiply of the second
+array by alpha and one add into the first, through one scratch array, and
+a step allocates only what ``precond`` returns. Negation is exact and
+round-to-nearest is sign-symmetric, so every element goes through the
+same IEEE operations as in x + alpha p and r - alpha M p. The same holds
+for r^T r = (-r)^T (-r), for p = z + beta p written as p - (-z), and for
+PCG's -z = C^{-1}(-r), which ``SineTransformPreconditioner`` forms by
+products and a division that are sign-symmetric too. Only the sign of a
+zero can differ, and it reaches no nonzero value; x starts at +0 and is
+only added to, so it never holds -0. The result is bit-identical to the
+out-of-place form.
 """
 from __future__ import annotations
 
@@ -83,31 +92,31 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
     # one errstate for the whole loop: an overflow shows in p^T A p or in the
     # energy b^T x, and either is refused
     with np.errstate(all="ignore"):
-        x = np.zeros(n)
-        r = bvec.copy()
-        z = r if precond is None else precond(r)
-        p = z.copy()
-        tmp = np.empty(n)
-        rz = float(np.dot(r, z))
+        xr, pa = np.zeros((2, n)), np.empty((2, n))
+        x, nr = xr  # x and -r
+        p, Ap = pa
+        np.negative(bvec, out=nr)
+        nz = nr if precond is None else precond(nr)  # -z
+        np.negative(nz, out=p)
+        tmp = np.empty((2, n))
+        rz = float(nr.dot(nz))
         for j in range(1, cap + 1):
-            Ap = M.matvec(p)
-            pAp = float(np.dot(p, Ap))
+            M.matvec(p, out=Ap)
+            pAp = float(p.dot(Ap))
             if not 0.0 < pAp < math.inf:
                 raise ValidationError(
                     "matrix is not positive definite on the active dofs" if pAp <= 0
                     else "a CG step leaves double-precision range"
                 )
             alpha = rz / pAp
-            np.multiply(p, alpha, out=tmp)
-            x += tmp
-            np.multiply(Ap, alpha, out=tmp)
-            r -= tmp
+            np.multiply(pa, alpha, out=tmp)
+            xr += tmp  # x + alpha p and -(r - alpha A p)
 
-            z = r if precond is None else precond(r)
-            rz_new = float(np.dot(r, z))
+            nz = nr if precond is None else precond(nr)
+            rz_new = float(nr.dot(nz))
             # an indefinite C^{-1} can make r^T C^{-1} r negative: nan, not an error
             rnorm = math.sqrt(rz_new) if rz_new >= 0 else math.nan
-            energy_of_x = float(np.dot(bvec, x))
+            energy_of_x = float(bvec.dot(x))
             err_bound = rnorm / sqrt_lam
             if energy_of_x > 0:  # finite or +inf; +inf is refused on return
                 if err_bound <= tol * math.sqrt(energy_of_x):
@@ -116,7 +125,7 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
                 raise ValidationError("the CG iterate leaves double-precision range")
 
             p *= rz_new / rz if rz != 0 else 0.0
-            p += z
+            p -= nz  # p + z
             rz = rz_new
         if energy_of_x == math.inf:
             raise ValidationError("the CG iterate leaves double-precision range")

@@ -229,6 +229,21 @@ def test_assembled_matrices_equal_their_transpose_bitwise(d, constrained):
             assert (M.csr != M.csr.T).nnz == 0, (mesh, k)
 
 
+@pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "unconstrained"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_assembled_matrices_hold_int32_indices(d, constrained):
+    # int32 CSR indices halve the index bytes each product streams
+    if d == 1:
+        cases = [(build_interval_mesh(n), k) for k in (1, 2, 3) for n in (1, 2, 5, 16, 300)]
+    else:
+        cases = [(build_square_triangulation(n), 1) for n in (1, 2, 5, 12, 43)]
+    for mesh, k in cases:
+        spec = build_basis(mesh, k, constrain_dirichlet=constrained)
+        stiffness = [assemble_stiffness(spec, BilinearForm(D, R)) for D in (1.0, 1e-3) for R in (0.0, 1.0, 12.0 * mesh.n**2)]
+        for M in stiffness + [assemble_gram(spec)]:
+            assert M.csr.indptr.dtype == M.csr.indices.dtype == np.int32, (mesh, k)
+
+
 # (diffusion, reaction) as functions of n: R = 0 leaves NE zero, and
 # R = 12 D n^2 cancels E and N wherever its mass rounds to -stiffness
 STENCIL_CASES = {
@@ -248,9 +263,9 @@ def test_2d_stencil_matches_the_per_call_index_build_bitwise(case, constrained):
         diffusion, reaction = STENCIL_CASES[case](n)
         M = _assemble_stencil_2d(spec, diffusion, reaction)
         ref = stencil_2d_reference(spec, diffusion, reaction)
-        for name in ("indptr", "indices", "data"):
+        for name, dtype in (("indptr", np.int32), ("indices", np.int32), ("data", np.float64)):
             got, want = getattr(M.csr, name), getattr(ref, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), (n, name)
+            assert got.dtype == dtype and np.array_equal(got, want), (n, name)
         assert M.s == (int(np.diff(ref.indptr).max()) if spec.n_dofs else 0), n
         dropped += ref.nnz < len(_grid_plan(n, constrained)[1])
     # the exact zeros of these cases are dropped from the cached pattern

@@ -248,12 +248,39 @@ UNREAD_FLAGS = [
 @pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=" ".join)
 def test_unread_flags_are_rejected(capsys, spec_file, argv):
     path = spec_file(TINY_1D)
-    with pytest.raises(SystemExit) as exc:
-        main([path if arg == "{tiny_1d}" else arg for arg in argv])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
+    code, out, err = run(capsys, *(path if arg == "{tiny_1d}" else arg for arg in argv))
+    assert code == 2
     assert out == ""
     assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+# a list value that starts with "-" and is not a plain number reads as a
+# flag; written --flag=value it parses, and its range check decides
+NEGATIVE_LIST_ARGV = [
+    (("resources", "--eps", "-inf"), ("resources", "--eps=-inf")),
+    (("resources", "--dims", "-1,1"), ("resources", "--dims=-1,1")),
+    (("resources", "--eps", "-1,0.1"), ("resources", "--eps=-1,0.1")),
+    (("lowerbound", "--mode", "hybrid", "--T", "-1,2"), ("lowerbound", "--mode", "hybrid", "--T=-1,2")),
+    (("lowerbound", "--mode", "hybrid", "--eps-sep", "-0.1,0.1"), ("lowerbound", "--mode", "hybrid", "--eps-sep=-0.1,0.1")),
+    (("lowerbound", "--mode", "bump", "--N", "-1,2"), ("lowerbound", "--mode", "bump", "--N=-1,2")),
+]
+
+
+@pytest.mark.parametrize("spaced, joined", NEGATIVE_LIST_ARGV, ids=lambda argv: " ".join(argv))
+def test_negative_list_values_exit_two_on_one_line(capsys, spaced, joined):
+    for argv in (spaced, joined):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("validation error: ") and err.count("\n") == 1, (argv, err)
+    assert "expected one argument" in run(capsys, *spaced)[2]
+    assert "expected one argument" not in run(capsys, *joined)[2]
+
+
+@pytest.mark.parametrize("argv", [(), ("frob",), ("solve",), ("resources", "--eps", "x"), ("simulate", "--spec")])
+def test_usage_errors_exit_two_on_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ") and err.count("\n") == 1, err
 
 
 def test_lowerbound_hybrid_defaults_exit_zero(capsys):
@@ -694,10 +721,11 @@ def test_fixed_seed_rerun_byte_identical(capsys, spec_file, tmp_path):
 # the script prints its usage and exits 2.
 # `python tests/test_cli.py --compare DIR_A DIR_B` prints the same line for
 # every file under two artifact directories, matched by relative path, and
-# writes nothing. `python tests/test_cli.py --dump DIR` writes the artifacts
-# of the benchmark's seed-1 ops and of plan and resources into DIR (see
-# ``dump_artifacts``); dumps from two checkouts, compared, show what a
-# change moved.
+# writes nothing; it exits 1 when any file changed or exists on one side
+# only, and 0 when every file is unchanged. `python tests/test_cli.py --dump
+# DIR` writes the artifacts of the benchmark's seed-1 ops and of plan and
+# resources into DIR (see ``dump_artifacts``); dumps from two checkouts,
+# compared, show what a change moved.
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SPECS = {"tiny_1d": TINY_1D, "tiny_1d_k2": TINY_1D_K2, "tiny_2d": TINY_2D}
 GOLDEN_RUNS = {
@@ -871,6 +899,31 @@ def test_bare_invocation_prints_usage_and_writes_nothing():
     assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in GOLDEN_DIR.iterdir()} == before
 
 
+def test_compare_exits_one_exactly_when_an_artifact_differs(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+
+    def compare():
+        proc = subprocess.run([sys.executable, __file__, "--compare", str(a), str(b)], capture_output=True, text=True, env=env)
+        assert proc.stdout == "\n".join(compare_dirs(a, b)) + "\n" and proc.stderr == ""
+        return proc.returncode
+
+    (a / "x.json").write_text('{"x": 1.0}')
+    (b / "x.json").write_text('{"x": 1.0}')
+    assert compare() == 0
+    (b / "x.json").write_text('{"x": 2.0}')
+    assert compare() == 1
+    (b / "x.json").write_text('{"x": 1.0}')
+    (b / "extra.csv").write_text("a,b\n")
+    assert compare() == 1
+    (b / "extra.csv").unlink()
+    (a / "sub").mkdir()
+    (a / "sub" / "gone.json").write_text("{}")
+    assert compare() == 1
+
+
 def rewrite_goldens():
     """Write every golden artifact from the current program, printing one
     ``diff_line`` per file."""
@@ -893,7 +946,9 @@ if __name__ == "__main__":
     elif args[:1] == ["--dump"] and len(args) == 2:
         dump_artifacts(Path(args[1]))
     elif args[:1] == ["--compare"] and len(args) == 3:
-        print("\n".join(compare_dirs(Path(args[1]), Path(args[2]))))
+        lines = compare_dirs(Path(args[1]), Path(args[2]))
+        print("\n".join(lines))
+        raise SystemExit(0 if all(line.endswith(": unchanged") for line in lines) else 1)
     else:
         print(USAGE, file=sys.stderr)
         raise SystemExit(2)

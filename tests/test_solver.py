@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfemlab import (
     BilinearForm,
@@ -144,6 +146,31 @@ def test_single_reduction_loop_matches_reference_bit_for_bit(d, n, k, tol):
     assert rep.to_dict() == ref.to_dict()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    half_bandwidth=st.integers(0, 3),
+    margin=st.floats(1e-4, 1.0),
+    tol_exponent=st.floats(2.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cg_matches_reference_on_random_banded_spd(n, half_bandwidth, margin, tol_exponent, seed):
+    """Random symmetric band matrices, strictly diagonally dominant by a
+    relative ``margin`` (so SPD, with kappa up to about 2 / margin), and
+    tolerances from 1e-2 to 1e-12."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    for offset in range(1, min(half_bandwidth, n - 1) + 1):
+        band = rng.standard_normal(n - offset)
+        a += np.diag(band, offset) + np.diag(band, -offset)
+    a += np.diag(np.abs(a).sum(axis=1) * (1.0 + margin) + margin)
+    M, b = sym_matrix(a), rng.standard_normal(n)
+    tol = 10.0 ** -tol_exponent
+    rep, ref = conjugate_gradient(M, b, tol=tol), reference_cg(M, b, tol)
+    assert rep.solution.tobytes() == ref.solution.tobytes()
+    assert rep.to_dict() == ref.to_dict()
+
+
 @pytest.mark.parametrize("k, n", [(1, 1000), (2, 500), (3, 300)])
 def test_cg_matches_reference_at_the_benchmark_tolerances(k, n):
     """The 1D CG solves of the benchmark, at its sizes and tolerances
@@ -262,9 +289,9 @@ def test_cg_counts_one_matvec_per_iteration(monkeypatch):
     calls = []
     matvec = SparseSymMatrix.matvec
 
-    def counted(self, x):
+    def counted(self, x, out=None):
         calls.append(1)
-        return matvec(self, x)
+        return matvec(self, x, out=out)
 
     M, b = poisson_system(200, k=2)
     M.extremes()

@@ -415,6 +415,44 @@ def test_products_are_csr_products_bitwise(name):
     assert absolute.tobytes() == (abs(M.csr) @ w).tobytes()
 
 
+@pytest.mark.parametrize("name", PRODUCT_MATRICES)
+def test_product_into_out_matches_a_fresh_product_bitwise(name):
+    M = PRODUCT_MATRICES[name]()
+    x = np.random.default_rng(4).standard_normal(M.n)
+    want = M.matvec(x).tobytes()
+    rows = np.full((2, M.n), np.nan)  # stale values are overwritten, not added to
+    strided = np.full(3 * M.n, np.nan)[::3]
+    for out in (np.full(M.n, np.nan), rows[1], strided):
+        assert M.matvec(x, out=out) is out
+        assert out.tobytes() == want
+    rows[0] = x  # a row beside out's, as CG keeps p and M p
+    assert M.matvec(rows[0], out=rows[1]).tobytes() == want
+
+
+def test_product_refuses_a_bad_out():
+    # the kernel writes through out's pointer with no bounds check
+    M = system(1, 10)[0]
+    x = np.ones(M.n)
+    wide = np.zeros(2 * M.n)
+    bad = {
+        "short": np.zeros(M.n - 1),
+        "long": np.zeros(M.n + 1),
+        "column": np.zeros((M.n, 1)),
+        "float32": np.zeros(M.n, dtype=np.float32),
+        "int64": np.zeros(M.n, dtype=np.int64),
+        "list": [0.0] * M.n,
+    }
+    for label, out in bad.items():
+        with pytest.raises(ValidationError, match="out must be"):
+            M.matvec(x, out=out)
+    wide[:M.n] = 1.0
+    for out in (x, wide[1:M.n + 1]):
+        source = x if out is x else wide[:M.n]
+        with pytest.raises(ValidationError, match="overlaps"):
+            M.matvec(source, out=out)
+    assert np.array_equal(x, np.ones(M.n)) and np.array_equal(wide[:M.n], np.ones(M.n))
+
+
 def test_product_refuses_a_vector_of_another_length():
     M = system(1, 10)[0]
     for x in (np.ones(M.n + 1), np.ones((M.n, 1))):
