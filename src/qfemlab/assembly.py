@@ -248,10 +248,11 @@ class SparseSymMatrix:
     end, so the constructor wraps ``csr`` without a check.
 
     Immutable by convention. ``s`` is the maximum number of nonzeros per row.
-    Every product with M (``matvec``), and the |M| products of ``extremes``,
-    is one call of scipy's CSR kernel on M's own arrays, the call that ``csr
-    @ x`` makes after its type and shape dispatch, so the results are the
-    same bits.
+    Every product with M (``matvec``, and the bound product of
+    ``product_into`` that CG calls once per step), and the |M| products of
+    ``extremes``, is one call of scipy's CSR kernel on M's own arrays, the
+    call that ``csr @ x`` makes after its type and shape dispatch, so the
+    results are the same bits.
 
     Linear algebra stays sparse. The first call that needs it (``is_spd``;
     ``solve`` or ``extremes`` of a matrix without the sine transform) packs
@@ -269,26 +270,34 @@ class SparseSymMatrix:
         # read once: each ``csr.shape`` is a Python-level property call
         self._indptr, self._indices, self._data = csr.indptr, csr.indices, csr.data
 
-    def matvec(self, x, out=None):
-        """M x for a vector x of length n, by one kernel call on M's arrays.
-
-        With ``out``, a float64 vector of length n that shares no memory
-        with x, M x is written into it (zeroed first) and ``out`` is
-        returned, bit-identical to ``matvec(x)``; any other ``out`` is
-        refused."""
+    def matvec(self, x):
+        """M x for a vector x of length n, by one kernel call on M's arrays."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):  # the kernel reads x without a bounds check
             raise ValidationError(f"vector has shape {x.shape}, expected ({self.n},)")
-        if out is None:
-            out = np.zeros(self.n)
-        else:  # nor does it check the output
-            if not isinstance(out, np.ndarray) or out.shape != (self.n,) or out.dtype != np.float64:
-                raise ValidationError(f"out must be a float64 vector of shape ({self.n},)")
-            if np.shares_memory(out, x):
-                raise ValidationError("out overlaps the vector it multiplies")
-            out.fill(0.0)
-        csr_matvec(self.n, self.n, self._indptr, self._indices, self._data, x, out)
-        return out
+        return self._product(self._data, x)
+
+    def product_into(self, x, out):
+        """A function of no arguments that writes M x into ``out``, zeroed
+        first, and returns ``out``: bit-identical to ``matvec(x)`` for the
+        values x holds at the call. The kernel reads x and writes ``out``
+        through their pointers with no check, so both are checked once,
+        here: float64 vectors of length n that share no memory; any other
+        pair is refused. A loop that updates x in place then pays only the
+        zeroing and the kernel call per product."""
+        for name, v in (("x", x), ("out", out)):
+            if not isinstance(v, np.ndarray) or v.shape != (self.n,) or v.dtype != np.float64:
+                raise ValidationError(f"{name} must be a float64 vector of shape ({self.n},)")
+        if np.shares_memory(out, x):
+            raise ValidationError("out overlaps the vector it multiplies")
+        n, indptr, indices, data, fill = self.n, self._indptr, self._indices, self._data, out.fill
+
+        def product():
+            fill(0.0)
+            csr_matvec(n, n, indptr, indices, data, x, out)
+            return out
+
+        return product
 
     def _product(self, data, x) -> np.ndarray:
         """The product of x with M's pattern holding ``data``, by the kernel

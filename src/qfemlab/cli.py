@@ -10,8 +10,11 @@ lowerbound reads ``--mode``, ``--seed``, ``--format json|csv`` and the grid
 flags of its mode; a flag of the other mode exits 2.
 A usage error (an unknown or missing flag, a value that does not parse)
 exits 2 with one ``validation error`` line on stderr, like any other
-invalid input. A list whose first value starts with "-" and is not a plain
-number is read as a flag: write it as ``--eps=-inf`` or ``--T=-1,2``.
+invalid input. So do a spec file that cannot be read, is not UTF-8 or
+nests too deeply to parse, and an ``--out`` that cannot be made or
+written, such as an existing file or a path through one. A list whose
+first value starts with "-" and is not a plain number is read as a flag:
+write it as ``--eps=-inf`` or ``--T=-1,2``.
 Exit codes: 0 success, 2 validation error, 3 non-convergence, 4 budget or
 cap exceeded (a shot budget, the mesh cell cap, the hybrid table's cap,
 the simulable acceptance floor, or memory running out). Every artifact
@@ -328,18 +331,42 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SOLUTION_KEY = '\n  "solution": '
+
+
+def _dumps(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, the same bytes.
+
+    json writes an indented dump in Python, one call per value. A dict's
+    top-level "solution" list of finite floats, nearly all of solve's
+    bytes, is instead written by one join of ``float.__repr__``, which is
+    how json writes a finite float, and spliced in where json puts the
+    key. Any other "solution" goes through json."""
+    solution = payload.get("solution") if isinstance(payload, dict) else None
+    if type(solution) is list and solution:
+        try:
+            items = ",\n    ".join(map(float.__repr__, solution))
+        except TypeError:  # an item that is not a float
+            items = None
+        # json writes nan and inf as NaN and Infinity, float.__repr__ as nan and inf
+        if items is not None and "n" not in items:
+            head, tail = json.dumps({**payload, "solution": 0}, indent=2, sort_keys=True).split(_SOLUTION_KEY + "0", 1)
+            return f"{head}{_SOLUTION_KEY}[\n    {items}\n  ]{tail}"
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 def _emit(payload, args, default_name: str):
-    if isinstance(payload, list):
-        text = _rows_to_csv(payload) if args.format == "csv" else json.dumps(payload, indent=2, sort_keys=True)
-        suffix = ".csv" if args.format == "csv" else ".json"
+    if isinstance(payload, list) and args.format == "csv":
+        text, suffix = _rows_to_csv(payload), ".csv"
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        suffix = ".json"
+        text, suffix = _dumps(payload), ".json"
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / (default_name + suffix)
-        path.write_text(text)
+        path = Path(args.out) / (default_name + suffix)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        except OSError as exc:  # such as --out naming a file, or a path through one
+            raise ValidationError(f"cannot write output: {exc}") from exc
         print(str(path))
     else:
         print(text.rstrip("\n"))
@@ -347,13 +374,15 @@ def _emit(payload, args, default_name: str):
 
 def _load_problem(args) -> ProblemSpec:
     try:
-        text = Path(args.spec).read_text()
-    except OSError as exc:
+        text = Path(args.spec).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read spec file: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValidationError("spec JSON nests too deeply to parse") from exc
     problem = ProblemSpec.from_dict(payload)
     if args.seed is not None:
         problem = ProblemSpec.from_dict({**problem.to_dict(), "seed": args.seed})

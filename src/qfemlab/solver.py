@@ -22,18 +22,21 @@ and 1, bounds on the spectrum of C^{-1} M, and ||r||^2 as r^T C^{-1} r, so
 that ||x - x*||_M^2 <= 4 r^T C^{-1} r.
 
 The loop keeps x and -r as the two rows of one (2, n) array, and p and M p
-as the two rows of another, with M p written into its row by ``matvec``'s
-``out``. So x + alpha p and -(r - alpha M p) are one multiply of the second
-array by alpha and one add into the first, through one scratch array, and
-a step allocates only what ``precond`` returns. Negation is exact and
-round-to-nearest is sign-symmetric, so every element goes through the
-same IEEE operations as in x + alpha p and r - alpha M p. The same holds
-for r^T r = (-r)^T (-r), for p = z + beta p written as p - (-z), and for
-PCG's -z = C^{-1}(-r), which ``SineTransformPreconditioner`` forms by
-products and a division that are sign-symmetric too. Only the sign of a
-zero can differ, and it reaches no nonzero value; x starts at +0 and is
-only added to, so it never holds -0. The result is bit-identical to the
-out-of-place form.
+as the two rows of another. M p is written into its row by the product
+that ``SparseSymMatrix.product_into`` binds to these two rows, checked
+once per solve, so that a product costs only the zeroing of M p and the
+kernel call. x + alpha p and -(r - alpha M p) are one multiply of the
+second array by alpha and one add into the first, through one scratch
+array, and a step allocates only what ``precond`` returns. Negation is
+exact and round-to-nearest is sign-symmetric, so every element goes
+through the same IEEE operations as in x + alpha p and r - alpha M p. The
+same holds for r^T r = (-r)^T (-r), for p = z + beta p written as
+p - (-z), and for PCG's -z = C^{-1}(-r), which
+``SineTransformPreconditioner`` forms by products and a division that are
+sign-symmetric too. Only the sign of a zero can differ, and it reaches no
+nonzero value; x starts at +0 and is only added to, so it never holds -0. The result is bit-identical to the
+out-of-place form. The scalars stay Python floats, without numpy's scalar
+dispatch; ``math.sqrt`` is correctly rounded, as ``np.sqrt`` is.
 """
 from __future__ import annotations
 
@@ -66,8 +69,9 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
     returning an explicit non-convergence report when the iteration cap is
     reached. ``cap`` bounds the number of iterations and must be at least 1.
     ``precond`` applies C^{-1}, for C/4 <= M <= C, in place of ``M.extremes()``.
-    Raises ValidationError when p^T A p is not positive or not finite, and
-    when the iterate's energy b^T x is not finite.
+    Raises ValidationError when lambda_min is not positive, when p^T A p is
+    not positive or not finite, and when the iterate's energy b^T x is not
+    finite.
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
@@ -85,7 +89,9 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
         return CGReport(np.zeros(n), 0, 0.0, 0, True, 0.0, 0.0)
 
     lam_min, lam_max = M.extremes() if precond is None else (0.25, 1.0)
-    sqrt_lam = np.sqrt(lam_min)
+    if not lam_min > 0.0:  # a near-singular matrix's Rayleigh quotient can round to <= 0
+        raise ValidationError("matrix is singular to rounding level: lambda_min <= 0")
+    sqrt_lam = math.sqrt(lam_min)
     if cap is None:
         cap = max(50, int(np.ceil(10.0 * np.sqrt(lam_max / lam_min) * np.log(1.0 / tol))))
 
@@ -99,24 +105,26 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
         nz = nr if precond is None else precond(nr)  # -z
         np.negative(nz, out=p)
         tmp = np.empty((2, n))
-        rz = float(nr.dot(nz))
+        product = M.product_into(p, Ap)
+        p_dot, nr_dot, b_dot, multiply = p.dot, nr.dot, bvec.dot, np.multiply
+        rz = float(nr_dot(nz))
         for j in range(1, cap + 1):
-            M.matvec(p, out=Ap)
-            pAp = float(p.dot(Ap))
+            product()
+            pAp = float(p_dot(Ap))
             if not 0.0 < pAp < math.inf:
                 raise ValidationError(
                     "matrix is not positive definite on the active dofs" if pAp <= 0
                     else "a CG step leaves double-precision range"
                 )
             alpha = rz / pAp
-            np.multiply(pa, alpha, out=tmp)
+            multiply(pa, alpha, out=tmp)
             xr += tmp  # x + alpha p and -(r - alpha A p)
 
             nz = nr if precond is None else precond(nr)
-            rz_new = float(nr.dot(nz))
+            rz_new = float(nr_dot(nz))
             # an indefinite C^{-1} can make r^T C^{-1} r negative: nan, not an error
             rnorm = math.sqrt(rz_new) if rz_new >= 0 else math.nan
-            energy_of_x = float(bvec.dot(x))
+            energy_of_x = float(b_dot(x))
             err_bound = rnorm / sqrt_lam
             if energy_of_x > 0:  # finite or +inf; +inf is refused on return
                 if err_bound <= tol * math.sqrt(energy_of_x):
@@ -129,6 +137,6 @@ def conjugate_gradient(M: SparseSymMatrix, b, tol: float = 1e-8, cap: int | None
             rz = rz_new
         if energy_of_x == math.inf:
             raise ValidationError("the CG iterate leaves double-precision range")
-        converged = bool(energy_of_x > 0 and err_bound <= tol * np.sqrt(energy_of_x))
-        rel = err_bound / np.sqrt(energy_of_x) if energy_of_x > 0 else np.inf
+        converged = bool(energy_of_x > 0 and err_bound <= tol * math.sqrt(energy_of_x))
+        rel = err_bound / math.sqrt(energy_of_x) if energy_of_x > 0 else math.inf
         return CGReport(x, j, rel, j, converged, lam_min, rnorm)

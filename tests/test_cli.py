@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -12,6 +13,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import numpy as np
 import scipy.sparse
@@ -494,6 +498,26 @@ def test_malformed_spec_exit_two(capsys, spec_file, text):
 
 
 @pytest.mark.parametrize(
+    "spec_bytes,argv",
+    [
+        (None, ("solve", "--spec", "{spec}", "--out", "{file}/x")),
+        (None, ("resources", "--out", "{file}")),
+        (b"[" * 100_000 + b"]" * 100_000, ("solve", "--spec", "{spec}")),
+        (b"\xff\xfe{", ("solve", "--spec", "{spec}")),
+    ],
+    ids=["out-below-a-file", "out-is-a-file", "spec-nests-too-deeply", "spec-not-utf8"],
+)
+def test_unwritable_out_and_unreadable_spec_exit_two(capsys, tmp_path, spec_bytes, argv):
+    spec, file = tmp_path / "spec.json", tmp_path / "file"
+    spec.write_bytes(json.dumps(TINY_1D).encode() if spec_bytes is None else spec_bytes)
+    file.write_text("kept")
+    code, out, err = run(capsys, *(arg.format(spec=spec, file=file) for arg in argv))
+    assert (code, out) == (2, ""), err
+    assert err.startswith("validation error: ") and err.count("\n") == 1, err
+    assert file.read_text() == "kept"
+
+
+@pytest.mark.parametrize(
     "field",
     [{"f": []}, {"f": [[]]}, {"r": []}, {"r": [[]]}],
     ids=["f-empty", "f-empty-row", "r-empty", "r-empty-row"],
@@ -723,7 +747,7 @@ def test_fixed_seed_rerun_byte_identical(capsys, spec_file, tmp_path):
 # every file under two artifact directories, matched by relative path, and
 # writes nothing; it exits 1 when any file changed or exists on one side
 # only, and 0 when every file is unchanged. `python tests/test_cli.py --dump
-# DIR` writes the artifacts of the benchmark's seed-1 ops and of plan and
+# DIR` writes the artifacts of perfbench's seed-1 ops and of plan and
 # resources into DIR (see ``dump_artifacts``); dumps from two checkouts,
 # compared, show what a change moved.
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -774,6 +798,46 @@ def test_artifacts_match_golden(capsys, tmp_path, spec_name, run_name):
 @pytest.mark.parametrize("run_name", GOLDEN_TABLES)
 def test_tables_match_golden(capsys, tmp_path, run_name):
     assert golden_artifact(None, run_name, tmp_path) == golden_path(None, run_name).read_bytes()
+
+
+# finite doubles where float repr changes notation or digit count: either
+# side of 1e-5, 1e-4 and 1e16, the subnormals, the ends of the range
+REPR_EDGES = [
+    v
+    for c in (1e-5, 1e-4, 1e16, 1e300, 1e-300, 2.2250738585072014e-308, 1.7976931348623157e308)
+    for v in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))
+    if math.isfinite(v)
+]
+SOLUTION_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),  # subnormal
+    st.integers(-(2**60), 2**60).map(float),
+    st.sampled_from(REPR_EDGES + [-v for v in REPR_EDGES]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(solution=arrays(np.float64, st.integers(1, 3000), elements=SOLUTION_VALUES))
+def test_spliced_solution_is_the_bytes_json_writes(solution):
+    # a "solution" key nested deeper, and keys on either side of it
+    payload = {"cg": {"solution": 0.5}, "n_dofs": len(solution), "solution": solution.tolist(), "tail": [1.5, "x"]}
+    want = json.dumps(payload, indent=2, sort_keys=True)
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout):
+        cli._emit(payload, argparse.Namespace(out=tmp), "solve")
+        assert (Path(tmp) / "solve.json").read_bytes() == want.encode()
+        cli._emit(payload, argparse.Namespace(out=None), "solve")
+    assert stdout.getvalue().split("\n", 1)[1] == want + "\n"
+
+
+@pytest.mark.parametrize(
+    "solution",
+    [[], [math.nan], [1.0, math.inf], [-math.inf], [1, 2.0], [True], [[1.0]], ["1.0"], None, 1.0],
+    ids=repr,
+)
+def test_a_solution_not_of_finite_floats_goes_through_json(solution):
+    payload = {"a": 1, "solution": solution, "z": 2}
+    assert cli._dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def golden_diff(old, new) -> tuple[float, bool]:
@@ -827,12 +891,13 @@ def compare_dirs(dir_a: Path, dir_b: Path) -> list[str]:
     ]
 
 
-DUMP_WORKLOADS = ("cg1d", "dense2d", "sample1d")
+DUMP_WORKLOADS = ("fem2d", "cg1d", "dense2d", "sample1d")
 
 
 def dump_artifacts(out_dir: Path):
-    """Write the artifact of every seed-1 op of the benchmark's cg1d, dense2d
-    and sample1d workloads as <workload>/<op index>/<command>.json, plan on
+    """Write the artifact of every seed-1 op of perfbench's fem2d, cg1d,
+    dense2d and sample1d workloads as <workload>/<op index>/<command>.json
+    (fem2d's five 2D solves at 15,625 dofs are the largest), plan on
     each golden spec as plan/<spec name>/plan.json, and the default
     resources table as resources/json/resources.json and
     resources/csv/resources.csv. The ops come from ``perfbench/workloads.py``,
@@ -862,7 +927,7 @@ def test_dumps_at_fixed_seeds_are_identical(tmp_path):
     dump_artifacts(tmp_path / "a")
     dump_artifacts(tmp_path / "b")
     lines = compare_dirs(tmp_path / "a", tmp_path / "b")
-    assert len(lines) == 9 + 10 + 40 + len(GOLDEN_SPECS) + 2
+    assert len(lines) == 5 + 9 + 10 + 40 + len(GOLDEN_SPECS) + 2
     assert [line for line in lines if not line.endswith(": unchanged")] == []
 
 

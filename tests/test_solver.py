@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfemlab.assembly
 from qfemlab import (
     BilinearForm,
-    SparseSymMatrix,
     ValidationError,
     assemble_load,
     assemble_stiffness,
@@ -278,6 +278,16 @@ def test_condition_number_indefinite_raises():
         M.extremes()
 
 
+def test_lambda_min_rounded_to_zero_or_below_is_refused():
+    # the band factor exists, but the Rayleigh quotient of the lowest
+    # eigenvector rounds below zero; the certificate divides by its root
+    M = sym_matrix([[0.2839828307756081, -0.30910350467508757], [-0.30910350467508757, 0.33644631381929463]])
+    assert M.is_spd() and M.extremes()[0] <= 0.0
+    for cap in (None, 5):
+        with pytest.raises(ValidationError, match="lambda_min <= 0"):
+            conjugate_gradient(M, np.ones(2), cap=cap)
+
+
 def test_tolerance_validation():
     M, b = poisson_system(8)
     with pytest.raises(ValidationError):
@@ -285,16 +295,16 @@ def test_tolerance_validation():
 
 
 def test_cg_counts_one_matvec_per_iteration(monkeypatch):
-    # the benchmark's tracer counts products by wrapping matvec on the class
+    # each CG step is one kernel call through the product bound to p and M p
     calls = []
-    matvec = SparseSymMatrix.matvec
+    kernel = qfemlab.assembly.csr_matvec
 
-    def counted(self, x, out=None):
+    def counted(*args):
         calls.append(1)
-        return matvec(self, x, out=out)
+        return kernel(*args)
 
     M, b = poisson_system(200, k=2)
-    M.extremes()
-    monkeypatch.setattr(SparseSymMatrix, "matvec", counted)
+    M.extremes()  # cached: its products are not CG's
+    monkeypatch.setattr(qfemlab.assembly, "csr_matvec", counted)
     rep = conjugate_gradient(M, b, tol=1e-8)
     assert rep.converged and len(calls) == rep.iterations == rep.matvec_count

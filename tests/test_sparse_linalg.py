@@ -418,19 +418,24 @@ def test_products_are_csr_products_bitwise(name):
 @pytest.mark.parametrize("name", PRODUCT_MATRICES)
 def test_product_into_out_matches_a_fresh_product_bitwise(name):
     M = PRODUCT_MATRICES[name]()
-    x = np.random.default_rng(4).standard_normal(M.n)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(M.n)
     want = M.matvec(x).tobytes()
     rows = np.full((2, M.n), np.nan)  # stale values are overwritten, not added to
     strided = np.full(3 * M.n, np.nan)[::3]
     for out in (np.full(M.n, np.nan), rows[1], strided):
-        assert M.matvec(x, out=out) is out
+        assert M.product_into(x, out)() is out
         assert out.tobytes() == want
-    rows[0] = x  # a row beside out's, as CG keeps p and M p
-    assert M.matvec(rows[0], out=rows[1]).tobytes() == want
+    # rows beside each other, as CG keeps p and M p: the product reads the
+    # values x holds at each call
+    product = M.product_into(rows[0], rows[1])
+    for _ in range(3):
+        rows[0] = rng.standard_normal(M.n)
+        assert product().tobytes() == M.matvec(rows[0]).tobytes()
 
 
 def test_product_refuses_a_bad_out():
-    # the kernel writes through out's pointer with no bounds check
+    # the kernel reads x and writes through out's pointer with no bounds check
     M = system(1, 10)[0]
     x = np.ones(M.n)
     wide = np.zeros(2 * M.n)
@@ -442,14 +447,16 @@ def test_product_refuses_a_bad_out():
         "int64": np.zeros(M.n, dtype=np.int64),
         "list": [0.0] * M.n,
     }
-    for label, out in bad.items():
+    for label, v in bad.items():
         with pytest.raises(ValidationError, match="out must be"):
-            M.matvec(x, out=out)
+            M.product_into(x, v)
+        with pytest.raises(ValidationError, match="x must be"):
+            M.product_into(v, np.zeros(M.n))
     wide[:M.n] = 1.0
     for out in (x, wide[1:M.n + 1]):
         source = x if out is x else wide[:M.n]
         with pytest.raises(ValidationError, match="overlaps"):
-            M.matvec(source, out=out)
+            M.product_into(source, out)
     assert np.array_equal(x, np.ones(M.n)) and np.array_equal(wide[:M.n], np.ones(M.n))
 
 
