@@ -30,9 +30,6 @@ from .lowerbounds import (
 from .mesh import (
     BasisSpec,
     Mesh,
-    build_basis,
-    build_interval_mesh,
-    build_square_triangulation,
 )
 from .problems import (
     ProblemSpec,
@@ -50,7 +47,6 @@ from .quantum import (
 )
 from .resources import (
     SobolevData,
-    choose_mesh_size,
     exponent_table,
     model_costs,
     split_budget,

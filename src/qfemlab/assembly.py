@@ -16,27 +16,23 @@ where element e's local node a is node e k + a, and on the vertex grid in
 The assembly is the only maker of a ``SparseSymMatrix``, and hands scipy
 int32 CSR indices. In 1D each call writes its node rows out as CSR. In 2D
 the CSR pattern depends only on the grid, so it is cached per process,
-keyed by (n, whether the boundary is constrained): ``_grid_plan`` holds
-``indptr``, ``indices`` and, per stored entry, the position of its value
-in the four coupling grids. Each matrix adds its stencils onto the grids
-and fills its values with one gather; exact zero couplings are then
-dropped. The orthonormal sine
-matrix of a ``SineTransformPreconditioner`` is cached per process too,
-keyed by n. Both caches hold the last ``GRID_CACHE_SIZE`` grids, and
-their arrays are read-only, so a matrix shares them without a copy. The
-2D load is formed by sum factorisation, f evaluated one axis at a time on
-the grid of quadrature points. Entry points take the ``BasisSpec`` alone,
+keyed by n: ``_grid_plan`` holds ``indptr``, ``indices`` and, per stored
+entry, the position of its value in the four coupling grids. Each matrix
+adds its stencils onto the grids and fills its values with one gather;
+exact zero couplings are then dropped. The orthonormal sine matrix of a
+``SineTransformPreconditioner`` is cached per process too, keyed by n.
+Both caches hold the last ``GRID_CACHE_SIZE`` grids, and their arrays are
+read-only, so a matrix shares them without a copy. The 2D load is formed
+by sum factorisation, f evaluated one axis at a time on the grid of
+quadrature points. Entry points take the ``BasisSpec`` alone,
 which holds its mesh; a mesh is its dimension and n, with no coordinates
 or elements.
 
 Dofs are numbered along the line (1D) or row by row (2D), so every
 assembled matrix is banded, with half-bandwidth at most k in 1D and n in
 2D. 1D matrices solve through one band Cholesky factor; 2D ones, whose factor
-would fill the band, through a ``SineTransformPreconditioner``.
-In 1D lambda_min comes from one single-vector LOPCG loop,
-``lowest_eigenvalue``, preconditioned by the band factor. In 2D it is the
-closed-form lower bound nu of ``SineTransformPreconditioner``: nu <=
-lambda_min <= 4 nu, measured within 1.5x for n >= 3.
+would fill the band, through a ``SineTransformPreconditioner``. What
+lambda_min each gives is stated once, in ``SparseSymMatrix.extremes``.
 """
 from __future__ import annotations
 
@@ -52,7 +48,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 from scipy.sparse._sparsetools import csr_matvec  # private; pinned to csr @ x bitwise by the tests
 
 from .errors import NonConvergenceError, ValidationError
-from .mesh import TRIANGLE_GRADS, BasisSpec, Mesh, build_basis
+from .mesh import TRIANGLE_GRADS, BasisSpec, Mesh
 
 MAX_POLY_DEGREE = 8
 # 2D grids whose CSR plan and sine matrix each cache keeps: a default
@@ -352,17 +348,23 @@ class SparseSymMatrix:
         stiffness matrices it is within 2e-2 of lambda_max, and within 1e-5
         at a thousand dofs.
 
-        On the 2D Dirichlet grid lambda_min is the sine transform's
-        ``lambda_min_bound`` nu, a certified lower bound: nu <= lambda_min
-        <= 4 nu, measured within 1.5x for n >= 3. Such a matrix is SPD by
-        construction and is not factored. Every other matrix, each 1D one
-        included, takes lambda_min to rounding level from
-        ``lowest_eigenvalue``'s LOPCG loop, preconditioned by its cached
-        band factor, from x_j = sin(pi (j + 1) / 2n): the nodal values of
-        sin(pi x / 2), the lowest eigenfunction of -D u'' + R u with u(0) =
-        u'(1) = 0 for every D and R. Equal matrices give bit-identical
-        values. Raises ValidationError when a factored matrix is singular or
-        indefinite and NonConvergenceError when the loop does not converge.
+        lambda_min, which CG's certificate, kappa and the norm estimator's
+        acceptance probability all read, is:
+
+        - 1D: lambda_min to rounding level, from ``lowest_eigenvalue``'s
+          LOPCG loop, preconditioned by M's cached band factor, from x_j =
+          sin(pi (j + 1) / 2n): the nodal values of sin(pi x / 2), the
+          lowest eigenfunction of -D u'' + R u with u(0) = u'(1) = 0 for
+          every D and R. A matrix without the sine transform (one written
+          by hand) takes the same path.
+        - 2D: the sine transform's ``lambda_min_bound`` nu, a certified
+          lower bound: nu <= lambda_min <= 4 nu, measured nu <= lambda_min
+          <= 1.5 nu for n >= 3. Such a matrix is SPD by construction and
+          is not factored.
+
+        Equal matrices give bit-identical values. Raises ValidationError
+        when a factored matrix is singular or indefinite and
+        NonConvergenceError when the loop does not converge.
         """
         if self._extremes is None:
             if self._precond is None and not self.is_spd():
@@ -415,7 +417,7 @@ def _assemble_bilinear(spec: BasisSpec, diffusion: float, reaction: float) -> Sp
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE)
-def _grid_plan(n: int, constrained: bool):
+def _grid_plan(n: int):
     """The CSR pattern of every matrix on the n x n grid, read-only:
     (indptr, indices, at), where ``at`` is, per stored entry, the flat
     position of its value in the stacked [C, E, N, NE] grids of
@@ -432,7 +434,7 @@ def _grid_plan(n: int, constrained: bool):
     cells, the 4 (n + 1)^2 positions and at most 7 (n + 1)^2 entries stay
     below 1.5e6.
     """
-    spec = build_basis(Mesh(2, n), 1, constrained)
+    spec = BasisSpec(Mesh(2, n), 1)
     m = n + 1
     # the grids' positions and the dofs, padded by a border of -1 that
     # every off-grid neighbour reads
@@ -467,12 +469,11 @@ def _assemble_stencil_2d(spec: BasisSpec, diffusion: float, reaction: float) -> 
     and where each entry's value lies, so one gather fills the values.
     Exact zeros (NE at reaction 0; E and N where the mass cancels the
     stiffness, at reaction 12 diffusion n^2) are then dropped, with
-    ``indptr`` recounted, which leaves canonical CSR. On the Dirichlet grid
-    M carries its preconditioner.
+    ``indptr`` recounted, which leaves canonical CSR. M carries its
+    preconditioner.
     """
     n = spec.mesh.n
-    constrained = spec.n_dofs != spec.n_nodes
-    indptr, indices, at = _grid_plan(n, constrained)
+    indptr, indices, at = _grid_plan(n)
     area = 0.5 / (n * n)
     mass = reaction * area / 12.0 * (1.0 + np.eye(3))
     # the gradients are n g, so the element stiffness (n g)(n g)^T * area is
@@ -496,8 +497,7 @@ def _assemble_stencil_2d(spec: BasisSpec, diffusion: float, reaction: float) -> 
         data, indices = data[nonzero], indices[nonzero]
         indptr = np.concatenate([[0], np.cumsum(nonzero)], dtype=np.int32)[indptr]  # entries kept before each row
     M = SparseSymMatrix(sp.csr_array((data, indices, indptr), shape=(spec.n_dofs, spec.n_dofs)))
-    if constrained:
-        M._precond = SineTransformPreconditioner(n, diffusion, reaction)
+    M._precond = SineTransformPreconditioner(n, diffusion, reaction)
     return M
 
 

@@ -40,6 +40,7 @@ in all, or a pair's T + 1 dim x dim maps above 256 MiB, exit 4.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -385,7 +386,7 @@ def _load_problem(args) -> ProblemSpec:
         raise ValidationError("spec JSON nests too deeply to parse") from exc
     problem = ProblemSpec.from_dict(payload)
     if args.seed is not None:
-        problem = ProblemSpec.from_dict({**problem.to_dict(), "seed": args.seed})
+        problem = dataclasses.replace(problem, seed=args.seed)
     return problem
 
 

@@ -10,12 +10,14 @@ mesh halves h exactly in floating point.
 
 Boundary conditions are fixed: in 1D the left endpoint is Dirichlet and the
 right endpoint Neumann (u(0) = u'(1) = 0); in 2D all four sides of the unit
-square are homogeneous Dirichlet. ``build_basis`` takes the constrained
-nodes from n.
+square are homogeneous Dirichlet. ``Mesh(d, n)`` and ``BasisSpec(mesh, k)``
+are the only constructors: each checks its arguments, and a basis takes
+its constrained nodes from n.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +38,16 @@ class Mesh:
     dimension: int
     n: int
 
+    def __post_init__(self):
+        if self.dimension not in (1, 2):
+            raise UnsupportedConfigurationError(f"dimension {self.dimension}")
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValidationError(f"n must be an integer, got {self.n!r}") from None
+        if self.n < 1:
+            raise ValidationError(f"n must be >= 1, got {self.n}")
+
     @property
     def h(self) -> float:
         """The greatest edge length over all elements."""
@@ -46,36 +58,42 @@ class Mesh:
         return self.n if self.dimension == 1 else 2 * self.n**2
 
 
-def build_interval_mesh(n_elements: int) -> Mesh:
-    """Uniform mesh of [0, 1] with n_elements intervals of size 1/n."""
-    if n_elements < 1:
-        raise ValidationError(f"n_elements must be >= 1, got {n_elements}")
-    return Mesh(1, int(n_elements))
-
-
-def build_square_triangulation(n_per_side: int) -> Mesh:
-    """Uniform triangulation of [0, 1]^2: n^2 cells, each split into two
-    right triangles along the (0,0)-(1,1) cell diagonal. h = sqrt(2)/n."""
-    if n_per_side < 1:
-        raise ValidationError(f"n_per_side must be >= 1, got {n_per_side}")
-    return Mesh(2, int(n_per_side))
-
-
 @dataclass(frozen=True)
 class BasisSpec:
-    """Nodal basis on a mesh: degree-k Lagrange in 1D, hats (k=1) in 2D.
+    """Nodal basis on a mesh: degree-k Lagrange (k = 1..3) in 1D, hats
+    (k = 1) in 2D.
 
-    Nodes include the Dirichlet-constrained ones; dofs are the subset kept
-    in the assembled system (all nodes when the Dirichlet nodes are left
-    unconstrained). Each basis function is supported on O(1) elements.
-    In 1D node m sits at m/(n k) and element e's local node a is node
-    e k + a; in 2D the nodes are the mesh vertices.
+    Nodes include the Dirichlet-constrained ones, node 0 in 1D and the
+    boundary of the (n+1)^2 vertex grid in 2D; dofs are the free nodes,
+    numbered in node order. Each basis function is supported on O(1)
+    elements. In 1D node m sits at m/(n k) and element e's local node a is
+    node e k + a; in 2D the nodes are the mesh vertices.
     """
 
     mesh: Mesh
     k: int
-    dof_nodes: np.ndarray  # dof index -> node id
-    node_dofs: np.ndarray  # node id -> dof index, -1 if constrained
+    # derived from mesh and k, so left out of == and hash
+    dof_nodes: np.ndarray = field(init=False, compare=False)  # dof index -> node id
+    node_dofs: np.ndarray = field(init=False, compare=False)  # node id -> dof index, -1 if constrained
+
+    def __post_init__(self):
+        n = self.mesh.n
+        if self.mesh.dimension == 1:
+            if self.k not in (1, 2, 3):
+                raise UnsupportedConfigurationError(f"1D degree must be 1..3, got {self.k}")
+            free = np.ones(n * self.k + 1, dtype=bool)
+            free[0] = False
+        else:
+            if self.k != 1:
+                raise UnsupportedConfigurationError("2D supports k = 1 only")
+            inside = np.ones(n + 1, dtype=bool)
+            inside[[0, n]] = False
+            free = (inside[:, None] & inside).ravel()  # vertex (i, j) at j(n+1) + i
+        dof_nodes = np.flatnonzero(free)
+        node_dofs = np.full(len(free), -1)
+        node_dofs[dof_nodes] = np.arange(len(dof_nodes))
+        object.__setattr__(self, "dof_nodes", dof_nodes)
+        object.__setattr__(self, "node_dofs", node_dofs)
 
     @property
     def n_dofs(self) -> int:
@@ -84,30 +102,6 @@ class BasisSpec:
     @property
     def n_nodes(self) -> int:
         return len(self.node_dofs)
-
-
-def build_basis(mesh: Mesh, k: int, constrain_dirichlet: bool = True) -> BasisSpec:
-    """Build the nodal basis of degree k (1..3 in 1D; k must be 1 in 2D).
-    The Dirichlet nodes are node 0 in 1D and the boundary of the (n+1)^2
-    vertex grid in 2D."""
-    n = mesh.n
-    if mesh.dimension == 1:
-        if k not in (1, 2, 3):
-            raise UnsupportedConfigurationError(f"1D degree must be 1..3, got {k}")
-        free = np.ones(n * k + 1, dtype=bool)
-        free[0] = not constrain_dirichlet
-    elif mesh.dimension == 2:
-        if k != 1:
-            raise UnsupportedConfigurationError("2D supports k = 1 only")
-        inside = np.ones(n + 1, dtype=bool)
-        inside[[0, n]] = not constrain_dirichlet
-        free = (inside[:, None] & inside).ravel()  # vertex (i, j) at j(n+1) + i
-    else:
-        raise UnsupportedConfigurationError(f"dimension {mesh.dimension}")
-    dof_nodes = np.flatnonzero(free)
-    node_dofs = np.full(len(free), -1)
-    node_dofs[dof_nodes] = np.arange(len(dof_nodes))
-    return BasisSpec(mesh, k, dof_nodes, node_dofs)
 
 
 # Barycentric coordinates on the two reference triangles of a cell, as

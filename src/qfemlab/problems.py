@@ -10,10 +10,12 @@ b = -(load of f), which keeps M positive semidefinite while matching the
 sign convention of the model problem (f = -1 gives u = x - x^2/2 in 1D).
 
 Every report discretises through ``mesh_size`` and ``discretize``. The one
-mesh-size rule: h = (eps / (2 |u|_{k+1}))^(1/(k+1)) (``choose_mesh_size``)
-and n = ceil(sqrt(d) / h) subdivisions per side, sqrt(d) being the unit
-cube's diameter, so no cell is wider than h. ``discretize`` refuses meshes
-of more than ``MAX_CELLS`` cells before it allocates anything.
+mesh-size rule, in ``mesh_size``: h = (eps / (2 |u|_{k+1}))^(1/(k+1)) and
+n = ceil(sqrt(d) / h) subdivisions per side, sqrt(d) being the unit cube's
+diameter, so no cell is wider than h. The factor 2 reserves half the target
+for the solver; the true discretisation constant is mesh-family dependent
+and taken as 1. ``discretize`` refuses meshes of more than ``MAX_CELLS``
+cells before it allocates anything.
 """
 from __future__ import annotations
 
@@ -27,8 +29,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .assembly import BilinearForm, SparseSymMatrix, assemble_load, assemble_stiffness, coefficient_array
 from .errors import CapExceededError, UnsupportedConfigurationError, ValidationError, count_text
-from .mesh import BasisSpec, build_basis, build_interval_mesh, build_square_triangulation
-from .resources import SobolevData, choose_mesh_size
+from .mesh import BasisSpec, Mesh
+from .resources import SobolevData
 
 # largest mesh discretize builds, in cells of the n^d grid
 MAX_CELLS = 200_000
@@ -218,9 +220,13 @@ def sobolev_from_poly(u_coeffs, max_order: int) -> SobolevData:
 
 def mesh_size(problem: ProblemSpec, eps: float) -> tuple[int, float]:
     """Subdivisions per side n and mesh size h for target accuracy ``eps``,
-    by the size rule in the module docstring; an h that is zero or not
-    finite (the seminorm overflowed, or eps underflowed against it) is refused."""
-    h = choose_mesh_size(eps, problem.solution_sobolev.seminorm(problem.k + 1), problem.k)
+    by the size rule in the module docstring. A nonpositive eps or
+    seminorm is refused, and so is an h that is zero or not finite (the
+    seminorm overflowed, or eps underflowed against it)."""
+    seminorm = problem.solution_sobolev.seminorm(problem.k + 1)
+    if eps <= 0 or seminorm <= 0:
+        raise ValidationError("eps and the seminorm must be positive")
+    h = (eps / (2.0 * seminorm)) ** (1.0 / (problem.k + 1))
     if not 0.0 < h < np.inf:
         raise ValidationError(f"the size rule gives h = {h}: the data's scale is out of double-precision range")
     return max(1, int(np.ceil(np.sqrt(problem.d) / h))), h
@@ -236,8 +242,7 @@ def discretize(problem: ProblemSpec, n: int) -> tuple[BasisSpec, SparseSymMatrix
     cells = n**problem.d
     if cells > MAX_CELLS:
         raise CapExceededError(f"mesh would need {count_text(cells)} cells (cap {MAX_CELLS})", required=cells)
-    mesh = build_interval_mesh(n) if problem.d == 1 else build_square_triangulation(n)
-    spec = build_basis(mesh, problem.k)
+    spec = BasisSpec(Mesh(problem.d, n), problem.k)
     if spec.n_dofs == 0:
         raise ValidationError(f"{n} subdivision(s) per side leave no free dofs (every node is on the Dirichlet boundary)")
     M = assemble_stiffness(spec, BilinearForm(problem.diffusion, problem.reaction))

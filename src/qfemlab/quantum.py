@@ -7,16 +7,16 @@ at l2 distance eps_l from the exact solution state, and the subroutine's
 analytic oracle cost is charged to a resource ledger once per use of the
 state preparation. Solves come from ``SparseSymMatrix.solve`` (the band
 Cholesky factor in 1D, preconditioned CG to rounding level in 2D), and
-the condition number from its cached eigenvalue extremes
-(``SparseSymMatrix.extremes``): lambda_min to rounding level in 1D, and in
-2D the a-priori lower bound nu <= lambda_min <= 4 nu, measured within 1.5x
-for n >= 3, over a certified upper bound on lambda_max, so modelled costs
-are upper bounds. Norm estimation accepts with p = (lambda_min ||x||)^2 for
-that lambda_min, so in 2D p is up to 16x smaller and its shots, which grow
-as 1/p, up to 16x more, measured <= 2.25x for n >= 3. No dense matrix is formed. All estimators are plain Monte
-Carlo at the exact event probabilities: empirical sampling uses 1/eps^2
-shots while the ledger charges the amplitude-estimation count of 1/eps,
-and the gap is annotated in the ledger entries.
+the condition number from its cached eigenvalue extremes: lambda_min as
+``SparseSymMatrix.extremes`` states it, never above the true value, over a
+certified upper bound on lambda_max, so modelled costs are upper bounds.
+Norm estimation accepts with p = (lambda_min ||x||)^2 for that lambda_min,
+so in 2D, where it may sit up to 4x low, p is up to 16x smaller and its
+shots, which grow as 1/p, up to 16x more, measured <= 2.25x for n >= 3.
+No dense matrix is formed. All estimators are plain Monte Carlo at the
+exact event probabilities: empirical sampling uses 1/eps^2 shots while the
+ledger charges the amplitude-estimation count of 1/eps, and the gap is
+annotated in the ledger entries.
 
 All states are real unit vectors over the FEM dofs.
 """
@@ -39,13 +39,15 @@ from .problems import ProblemSpec, discretize, mesh_size, poly_l2_norm
 from .resources import cost_entry, discretisation_share, polylog, split_budget
 
 ACCEPTANCE_FLOOR = 1e-9
+# the shots one SampleBudget may draw in all
+SHOT_BUDGET = 10**12
 
 
 @dataclass
 class SampleBudget:
-    """Shot allowance plus the RNG shared by the sampling estimators."""
+    """The shots drawn so far, against ``SHOT_BUDGET``, plus the RNG shared
+    by the sampling estimators."""
 
-    shots: int = 10**12
     rng_seed: int = 0
     uses_of_state_prep: int = field(init=False, default=0)
 
@@ -57,9 +59,9 @@ class SampleBudget:
         the budget before drawing."""
         if shots < 1:
             raise ValidationError("shots must be >= 1")
-        if self.uses_of_state_prep + shots > self.shots:
+        if self.uses_of_state_prep + shots > SHOT_BUDGET:
             raise BudgetExceededError(
-                f"budget of {self.shots} shots exhausted (would need {self.uses_of_state_prep + shots})"
+                f"budget of {SHOT_BUDGET} shots exhausted (would need {self.uses_of_state_prep + shots})"
             )
         self.uses_of_state_prep += shots
         return int(self.rng.binomial(shots, p))

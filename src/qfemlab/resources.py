@@ -71,19 +71,6 @@ def polylog(arg: float) -> float:
     return (1.0 + math.log(max(arg, 1.0))) ** 2
 
 
-def choose_mesh_size(eps: float, seminorm_k1: float, k: int) -> float:
-    """Mesh size h = (eps / (2 |u|_{k+1}))^(1/(k+1)).
-
-    The factor 2 reserves half the target for the solver; the true
-    discretisation constant is mesh-family dependent and taken as 1.
-    ``problems.mesh_size`` turns h into a subdivision count, and
-    ``problems.discretize`` caps the mesh.
-    """
-    if eps <= 0 or seminorm_k1 <= 0:
-        raise ValidationError("eps and the seminorm must be positive")
-    return (eps / (2.0 * seminorm_k1)) ** (1.0 / (k + 1))
-
-
 def discretisation_share(eps: float, u_norm: float) -> float:
     """eps_d = eps (1 - c) / (3 (1 + c)) with c = eps / (3 ||u||): the share
     of eps that ``split_budget`` leaves to the discretisation error."""

@@ -4,13 +4,13 @@ CG only observes residuals, so the energy-norm target ||x - x*||_M <=
 tol * ||x*||_M is certified through the bound ||x - x*||_M <= ||r|| /
 sqrt(lambda_min) together with ||x_j||_M = sqrt(b.x_j), which increases
 monotonically to ||x*||_M when starting from zero. lambda_min is the lower
-end of ``SparseSymMatrix.extremes``: in 1D the smallest eigenvalue of M to
-rounding level, in 2D the a-priori lower bound nu <= lambda_min <= 4 nu,
-measured within 1.5x for n >= 3, which keeps the certificate sound and at
-most 2x larger. A Ritz value of CG's own Lanczos tridiagonal would bound
-lambda_min from above by far more and so make the certified bound too
-small. r is the recursively updated residual, which can fall below the
-true b - M x once both near rounding level.
+end of ``SparseSymMatrix.extremes``, whose docstring states what it is in
+1D and 2D: never above the true value and at most 4x below it, which
+keeps the certificate sound and at most 2x larger. A Ritz value of CG's
+own Lanczos tridiagonal would bound lambda_min from above by far more and
+so make the certified bound too small. r is the recursively updated
+residual, which can fall below the true b - M x once both near rounding
+level.
 
 The same extremes give kappa = lambda_max / lambda_min, lambda_min (or nu)
 over an upper bound on lambda_max with a relative 1e-12 margin, so kappa

@@ -4,26 +4,25 @@ import numpy as np
 import pytest
 
 from qfemlab import (
+    BasisSpec,
     BilinearForm,
+    Mesh,
     ValidationError,
     assemble_gram,
     assemble_load,
     assemble_stiffness,
-    build_basis,
-    build_interval_mesh,
-    build_square_triangulation,
 )
 from qfemlab import cli
 from qfemlab.assembly import GRID_CACHE_SIZE, _assemble_stencil_2d, _grid_plan, _sine_matrix
 from matrices import stencil_2d_reference, sym_matrix
-from pointwise import basis, elements, vertices
+from pointwise import basis, element_nodes, elements, vertices
 
 DIFFUSION = BilinearForm(1.0, 0.0)
 
 
 def poisson_1d(n, k=1):
-    mesh = build_interval_mesh(n)
-    spec = build_basis(mesh, k)
+    mesh = Mesh(1, n)
+    spec = BasisSpec(mesh, k)
     return mesh, spec, assemble_stiffness(spec, DIFFUSION)
 
 
@@ -52,22 +51,22 @@ def test_bilinear_form_validation():
 
 
 def test_load_constant():
-    mesh = build_interval_mesh(8)
-    spec = build_basis(mesh, 1)
+    mesh = Mesh(1, 8)
+    spec = BasisSpec(mesh, 1)
     f = assemble_load(spec, [1.0])
     assert np.allclose(f[:-1], mesh.h, atol=1e-14)
     assert f[-1] == pytest.approx(mesh.h / 2, abs=1e-14)
 
 
 def test_load_zero():
-    mesh = build_interval_mesh(4)
-    spec = build_basis(mesh, 1)
+    mesh = Mesh(1, 4)
+    spec = BasisSpec(mesh, 1)
     assert np.all(assemble_load(spec, [0.0]) == 0.0)
 
 
 def test_load_linear_interior():
-    mesh = build_interval_mesh(4)
-    spec = build_basis(mesh, 1)
+    mesh = Mesh(1, 4)
+    spec = BasisSpec(mesh, 1)
     f = assemble_load(spec, [0.0, 1.0])
     # interior entries are h * x_i; dof 0 sits at x = 0.25
     assert f[0] == pytest.approx(0.0625, abs=1e-14)
@@ -75,8 +74,8 @@ def test_load_linear_interior():
 
 
 def test_load_rejects_high_degree():
-    mesh = build_interval_mesh(4)
-    spec = build_basis(mesh, 1)
+    mesh = Mesh(1, 4)
+    spec = BasisSpec(mesh, 1)
     with pytest.raises(ValidationError):
         assemble_load(spec, [0.0] * 9 + [1.0])
 
@@ -87,15 +86,15 @@ def test_load_rejects_high_degree():
     ids=["3d-array", "ragged-rows", "ragged-rows-1d", "empty", "empty-rows"],
 )
 def test_load_rejects_malformed_coefficients(d, f):
-    mesh = build_interval_mesh(4) if d == 1 else build_square_triangulation(3)
-    spec = build_basis(mesh, 1)
+    mesh = Mesh(d, 4 if d == 1 else 3)
+    spec = BasisSpec(mesh, 1)
     with pytest.raises(ValidationError):
         assemble_load(spec, f)
 
 
 def test_gram_tent_overlaps():
-    mesh = build_interval_mesh(8)
-    spec = build_basis(mesh, 1)
+    mesh = Mesh(1, 8)
+    spec = BasisSpec(mesh, 1)
     W = assemble_gram(spec).csr.toarray()
     h = mesh.h
     for r in range(spec.n_dofs - 1):
@@ -105,16 +104,16 @@ def test_gram_tent_overlaps():
 
 
 def test_gram_zero_overlap_entries_absent():
-    mesh = build_interval_mesh(8)
-    spec = build_basis(mesh, 1)
+    mesh = Mesh(1, 8)
+    spec = BasisSpec(mesh, 1)
     W = assemble_gram(spec)
     assert set(W.csr.indices[W.csr.indptr[3]:W.csr.indptr[4]]) == {2, 3, 4}
 
 
 def test_gram_2d_diagonal_scales_like_h_squared():
     for n in (4, 8):
-        mesh = build_square_triangulation(n)
-        spec = build_basis(mesh, 1)
+        mesh = Mesh(2, n)
+        spec = BasisSpec(mesh, 1)
         W = assemble_gram(spec)
         diag = W.csr.toarray().diagonal()
         # six triangles of area h_cell^2/2 each contribute area/6
@@ -123,9 +122,9 @@ def test_gram_2d_diagonal_scales_like_h_squared():
 
 def test_gram_operator_norm_bound():
     # ||W|| <= s * max_ij |W_ij| for s-sparse symmetric matrices
-    for build, n in ((build_interval_mesh, 16), (build_square_triangulation, 4)):
-        mesh = build(n)
-        spec = build_basis(mesh, 1)
+    for d, n in ((1, 16), (2, 4)):
+        mesh = Mesh(d, n)
+        spec = BasisSpec(mesh, 1)
         W = assemble_gram(spec)
         norm = np.linalg.norm(W.csr.toarray(), 2)
         assert norm <= W.s * abs(W.csr.data).max() + 1e-14
@@ -134,8 +133,8 @@ def test_gram_operator_norm_bound():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_bruteforce_equivalence_1d(k):
     # dense oracle: integrate a(phi_i, phi_j) with 64-point composite quadrature
-    mesh = build_interval_mesh(6)
-    spec = build_basis(mesh, k)
+    mesh = Mesh(1, 6)
+    spec = BasisSpec(mesh, k)
     form = BilinearForm(1.3, 0.7)
     M = assemble_stiffness(spec, form).csr.toarray()
     xs, ws = np.polynomial.legendre.leggauss(64)
@@ -159,8 +158,8 @@ def test_bruteforce_equivalence_1d(k):
 
 
 def test_bruteforce_equivalence_2d():
-    mesh = build_square_triangulation(3)
-    spec = build_basis(mesh, 1)
+    mesh = Mesh(2, 3)
+    spec = BasisSpec(mesh, 1)
     form = BilinearForm(1.0, 2.0)
     M = assemble_stiffness(spec, form).csr.toarray()
     # 16-point tensor rule per triangle via barycentric sampling
@@ -185,21 +184,26 @@ def test_bruteforce_equivalence_2d():
     assert np.abs(M - dense).max() < 1e-10
 
 
-@pytest.mark.parametrize("builder,n,k", [(build_interval_mesh, 7, 1), (build_interval_mesh, 5, 3), (build_square_triangulation, 5, 1)])
-def test_unconstrained_basis_partition_of_unity(builder, n, k):
-    # with every node active the basis sums to 1: constants lie in the
-    # kernel of the diffusion matrix and 1^T W 1 is the domain's measure
-    mesh = builder(n)
-    spec = build_basis(mesh, k, constrain_dirichlet=False)
+@pytest.mark.parametrize("d,n,k", [(1, 7, 1), (1, 5, 3), (2, 5, 1)])
+def test_basis_partition_of_unity_away_from_the_boundary(d, n, k):
+    # on the elements without a Dirichlet node the basis sums to 1, so a row
+    # whose stencil touches none of them sums to 0 in the diffusion matrix,
+    # and its entry of W 1 is the load of f = 1
+    spec = BasisSpec(Mesh(d, n), k)
+    touching = element_nodes(spec)
+    near = np.zeros(spec.n_nodes, dtype=bool)
+    near[touching[(spec.node_dofs[touching] < 0).any(axis=1)]] = True
+    rows = ~near[spec.dof_nodes]
+    assert rows.any()
     ones = np.ones(spec.n_dofs)
-    assert np.abs(assemble_stiffness(spec, BilinearForm(1.7, 0.0)).matvec(ones)).max() < 1e-10 * n
-    assert ones @ assemble_gram(spec).matvec(ones) == pytest.approx(1.0, abs=1e-13)
+    assert np.abs(assemble_stiffness(spec, BilinearForm(1.7, 0.0)).matvec(ones)[rows]).max() < 1e-10 * n
+    load = assemble_load(spec, [1.0] if d == 1 else [[1.0]])
+    np.testing.assert_allclose(assemble_gram(spec).matvec(ones)[rows], load[rows], rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("builder,n,k", [(build_interval_mesh, 16, 1), (build_interval_mesh, 10, 3), (build_square_triangulation, 4, 1)])
-def test_symmetry_and_psd(builder, n, k):
-    mesh = builder(n)
-    spec = build_basis(mesh, k)
+@pytest.mark.parametrize("d,n,k", [(1, 16, 1), (1, 10, 3), (2, 4, 1)])
+def test_symmetry_and_psd(d, n, k):
+    spec = BasisSpec(Mesh(d, n), k)
     M = assemble_stiffness(spec, BilinearForm(1.0, 0.5))
     dense = M.csr.toarray()
     assert np.array_equal(dense, dense.T)
@@ -212,33 +216,31 @@ def test_sparse_matrix_rejects_asymmetry():
         sym_matrix(bad)
 
 
-@pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "unconstrained"])
 @pytest.mark.parametrize("d", [1, 2])
-def test_assembled_matrices_equal_their_transpose_bitwise(d, constrained):
+def test_assembled_matrices_equal_their_transpose_bitwise(d):
     # SparseSymMatrix wraps what the stencil assembly builds without a
     # symmetry check, so every stiffness and Gram matrix must be symmetric
     # bit for bit
     if d == 1:
-        cases = [(build_interval_mesh(n), k) for k in (1, 2, 3) for n in (1, 2, 5, 16)]
+        cases = [(Mesh(1, n), k) for k in (1, 2, 3) for n in (1, 2, 5, 16)]
     else:
-        cases = [(build_square_triangulation(n), 1) for n in range(1, 13)]
+        cases = [(Mesh(2, n), 1) for n in range(1, 13)]
     for mesh, k in cases:
-        spec = build_basis(mesh, k, constrain_dirichlet=constrained)
+        spec = BasisSpec(mesh, k)
         stiffness = [assemble_stiffness(spec, BilinearForm(D, R)) for D in (1.0, 1e-3) for R in (0.0, 1.0, 1e4)]
         for M in stiffness + [assemble_gram(spec)]:
             assert (M.csr != M.csr.T).nnz == 0, (mesh, k)
 
 
-@pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "unconstrained"])
 @pytest.mark.parametrize("d", [1, 2])
-def test_assembled_matrices_hold_int32_indices(d, constrained):
+def test_assembled_matrices_hold_int32_indices(d):
     # int32 CSR indices halve the index bytes each product streams
     if d == 1:
-        cases = [(build_interval_mesh(n), k) for k in (1, 2, 3) for n in (1, 2, 5, 16, 300)]
+        cases = [(Mesh(1, n), k) for k in (1, 2, 3) for n in (1, 2, 5, 16, 300)]
     else:
-        cases = [(build_square_triangulation(n), 1) for n in (1, 2, 5, 12, 43)]
+        cases = [(Mesh(2, n), 1) for n in (1, 2, 5, 12, 43)]
     for mesh, k in cases:
-        spec = build_basis(mesh, k, constrain_dirichlet=constrained)
+        spec = BasisSpec(mesh, k)
         stiffness = [assemble_stiffness(spec, BilinearForm(D, R)) for D in (1.0, 1e-3) for R in (0.0, 1.0, 12.0 * mesh.n**2)]
         for M in stiffness + [assemble_gram(spec)]:
             assert M.csr.indptr.dtype == M.csr.indices.dtype == np.int32, (mesh, k)
@@ -254,12 +256,11 @@ STENCIL_CASES = {
 }
 
 
-@pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "unconstrained"])
 @pytest.mark.parametrize("case", list(STENCIL_CASES))
-def test_2d_stencil_matches_the_per_call_index_build_bitwise(case, constrained):
+def test_2d_stencil_matches_the_per_call_index_build_bitwise(case):
     dropped = 0
     for n in range(1, 71):
-        spec = build_basis(build_square_triangulation(n), 1, constrain_dirichlet=constrained)
+        spec = BasisSpec(Mesh(2, n), 1)
         diffusion, reaction = STENCIL_CASES[case](n)
         M = _assemble_stencil_2d(spec, diffusion, reaction)
         ref = stencil_2d_reference(spec, diffusion, reaction)
@@ -267,13 +268,13 @@ def test_2d_stencil_matches_the_per_call_index_build_bitwise(case, constrained):
             got, want = getattr(M.csr, name), getattr(ref, name)
             assert got.dtype == dtype and np.array_equal(got, want), (n, name)
         assert M.s == (int(np.diff(ref.indptr).max()) if spec.n_dofs else 0), n
-        dropped += ref.nnz < len(_grid_plan(n, constrained)[1])
+        dropped += ref.nnz < len(_grid_plan(n)[1])
     # the exact zeros of these cases are dropped from the cached pattern
     assert (dropped > 0) == (case in ("D1-R0", "D1-R12n2")), dropped
 
 
 def test_grid_caches_are_read_only_and_hit_on_the_same_grid():
-    spec = build_basis(build_square_triangulation(9), 1)
+    spec = BasisSpec(Mesh(2, 9), 1)
     M = assemble_stiffness(spec, BilinearForm(1.0, 1.0))
     sine = M._precond._sine
     hits = _grid_plan.cache_info().hits, _sine_matrix.cache_info().hits

@@ -27,15 +27,7 @@ from hypothesis import strategies as st
 
 import qfemlab
 from pointwise import element_nodes, elements, vertices
-from qfemlab import (
-    BilinearForm,
-    assemble_gram,
-    assemble_load,
-    assemble_stiffness,
-    build_basis,
-    build_interval_mesh,
-    build_square_triangulation,
-)
+from qfemlab import BasisSpec, BilinearForm, Mesh, assemble_gram, assemble_load, assemble_stiffness
 from qfemlab.assembly import MAX_POLY_DEGREE, _duffy_rule, _gauss01, _reference_matrices, _reference_values_at, poly_degree
 from qfemlab.cli import _l2_norm_1d
 
@@ -44,17 +36,16 @@ coeff = st.floats(-1e3, 1e3, allow_nan=False)
 
 @st.composite
 def loads(draw):
-    """(d, n, k, constrained, f) with f polynomial coefficients."""
+    """(d, n, k, f) with f polynomial coefficients."""
     d = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(1, 40 if d == 1 else 10))
     k = draw(st.integers(1, 3)) if d == 1 else 1
-    constrained = draw(st.booleans())
     if d == 1:
         f = draw(st.lists(coeff, min_size=1, max_size=9))
     else:
         a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
         f = draw(st.lists(st.lists(coeff, min_size=b, max_size=b), min_size=a, max_size=a))
-    return d, n, k, constrained, f
+    return d, n, k, f
 
 
 def reference_load(mesh, spec, f):
@@ -89,11 +80,11 @@ def reference_load(mesh, spec, f):
 @settings(max_examples=60, deadline=None)
 @given(loads())
 # a 1D case where (h * B) @ v and h * (B @ v) round differently
-@example((1, 3, 2, False, [1.0, 3.0]))
+@example((1, 3, 2, [1.0, 3.0]))
 def test_batched_load_matches_element_loop(case):
-    d, n, k, constrained, f = case
-    mesh = build_interval_mesh(n) if d == 1 else build_square_triangulation(n)
-    spec = build_basis(mesh, k, constrain_dirichlet=constrained)
+    d, n, k, f = case
+    mesh = Mesh(d, n)
+    spec = BasisSpec(mesh, k)
     load, ref = assemble_load(spec, f), reference_load(mesh, spec, f)
     if d == 1:
         assert np.array_equal(load, ref)
@@ -110,7 +101,7 @@ def exact_vertex_loads(n, a, b):
     coordinates l, and int l0^p l1^q l2^r = 2|T| p! q! r! / (p + q + r + 2)!,
     with 2|T| = 1/n^2."""
     out = [Fraction(0)] * (n + 1) ** 2
-    for corners in elements(build_square_triangulation(n)).tolist():
+    for corners in elements(Mesh(2, n)).tolist():
         # vertex (i, j) is node j (n + 1) + i, at (i/n, j/n)
         coords = [[Fraction(v % (n + 1), n) for v in corners], [Fraction(v // (n + 1), n) for v in corners]]
         poly = {(0, 0, 0): Fraction(1)}  # x^a y^b as {exponents of l: coefficient}
@@ -131,16 +122,14 @@ def exact_vertex_loads(n, a, b):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_2d_load_exact_for_every_monomial_up_to_degree_8(n):
-    mesh = build_square_triangulation(n)
-    specs = [build_basis(mesh, 1, constrain_dirichlet=constrained) for constrained in (True, False)]
+    spec = BasisSpec(Mesh(2, n), 1)
     for a in range(MAX_POLY_DEGREE + 1):
         for b in range(MAX_POLY_DEGREE + 1 - a):
             c = np.zeros((a + 1, b + 1))
             c[a, b] = 1.0
             exact = exact_vertex_loads(n, a, b)
-            for spec in specs:
-                load = assemble_load(spec, c)
-                assert np.all(abs(load - exact[spec.dof_nodes]) <= 4e-15 * exact.max()), (a, b)
+            load = assemble_load(spec, c)
+            assert np.all(abs(load - exact[spec.dof_nodes]) <= 4e-15 * exact.max()), (a, b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,11 +138,10 @@ def test_2d_load_mirrors_with_transposed_coefficients(n, rows, cols, data):
     # the triangulation is symmetric about the diagonal y = x, so the load of
     # f(y, x), whose coefficients are c^T, is the load of f mirrored
     c = np.array(data.draw(st.lists(st.lists(coeff, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
-    mesh = build_square_triangulation(n)
-    spec = build_basis(mesh, 1, constrain_dirichlet=False)
-    load = assemble_load(spec, c).reshape(n + 1, n + 1)
-    mirrored = assemble_load(spec, c.T).reshape(n + 1, n + 1).T
-    assert np.all(abs(load - mirrored) <= 1e-15 * (assemble_load(spec, abs(c)).max() + np.finfo(float).tiny))
+    spec = BasisSpec(Mesh(2, n), 1)
+    load = assemble_load(spec, c).reshape(n - 1, n - 1)  # the interior vertices, row by row
+    mirrored = assemble_load(spec, c.T).reshape(n - 1, n - 1).T
+    assert np.all(abs(load - mirrored) <= 1e-15 * (assemble_load(spec, abs(c)).max(initial=0.0) + np.finfo(float).tiny))
 
 
 def run_load_subprocess(code, **env):
@@ -169,9 +157,8 @@ def test_2d_load_at_the_cap_fits_in_one_gib():
 import resource, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 import numpy as np
-from qfemlab import assemble_load, build_basis, build_square_triangulation
-mesh = build_square_triangulation(447)
-spec = build_basis(mesh, 1)
+from qfemlab import BasisSpec, Mesh, assemble_load
+spec = BasisSpec(Mesh(2, 447), 1)
 c = np.zeros((9, 9))
 c[8, 0] = c[4, 4] = c[0, 8] = 1.0
 start = time.perf_counter()
@@ -185,10 +172,9 @@ def test_2d_load_bits_do_not_depend_on_blas_threads():
     code = """
 import hashlib
 import numpy as np
-from qfemlab import assemble_load, build_basis, build_square_triangulation
-mesh = build_square_triangulation(126)
+from qfemlab import BasisSpec, Mesh, assemble_load
 f = np.arange(25.0).reshape(5, 5) % 7 - 3.0  # degree 8
-print(hashlib.sha256(assemble_load(build_basis(mesh, 1), f).tobytes()).hexdigest())
+print(hashlib.sha256(assemble_load(BasisSpec(Mesh(2, 126), 1), f).tobytes()).hexdigest())
 """
     digests = {run_load_subprocess(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")}
     assert len(digests) == 1
@@ -224,17 +210,16 @@ def assert_matches_reference(M, ref):
     st.integers(1, 12),
     st.floats(1e-3, 1e3),
     st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
-    st.booleans(),
 )
 # meshes whose vertex coordinates i/n are inexact, so the reference rounds
-@example(5, 1.0, 1.0, True)
-@example(43, 1.0, 1.0, True)
-def test_batched_bilinear_2d_matches_element_loop(n, diffusion, reaction, constrained):
-    mesh = build_square_triangulation(n)
-    spec = build_basis(mesh, 1, constrain_dirichlet=constrained)
+@example(5, 1.0, 1.0)
+@example(43, 1.0, 1.0)
+def test_batched_bilinear_2d_matches_element_loop(n, diffusion, reaction):
+    mesh = Mesh(2, n)
+    spec = BasisSpec(mesh, 1)
     M = assemble_stiffness(spec, BilinearForm(diffusion, reaction))
     assert_matches_reference(M, reference_bilinear_2d(mesh, spec, diffusion, reaction))
-    if constrained and n > 1:
+    if n > 1:
         # pure diffusion gives the five-point stencil exactly on interior nodes
         P = assemble_stiffness(spec, BilinearForm(diffusion, 0.0)).csr
         rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
@@ -242,22 +227,16 @@ def test_batched_bilinear_2d_matches_element_loop(n, diffusion, reaction, constr
         assert np.all(P.data[P.indices != rows] == -diffusion)
 
 
-@pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "unconstrained"])
-def test_stencil_matches_element_loop_on_every_size(constrained):
-    # the stiffness with and without reaction and the Gram matrix, n = 1..64
-    for n in range(1, 65):
-        mesh = build_square_triangulation(n)
-        spec = build_basis(mesh, 1, constrain_dirichlet=constrained)
-        if spec.n_dofs == 0:
-            continue
+def test_stencil_matches_element_loop_on_every_size():
+    # the stiffness with and without reaction and the Gram matrix, n = 2..64
+    for n in range(2, 65):
+        mesh = Mesh(2, n)
+        spec = BasisSpec(mesh, 1)
         for diffusion, reaction in ((1.0, 0.0), (0.37, 2.5)):
             M = assemble_stiffness(spec, BilinearForm(diffusion, reaction))
             assert_matches_reference(M, reference_bilinear_2d(mesh, spec, diffusion, reaction))
         G = assemble_gram(spec)
         assert_matches_reference(G, reference_bilinear_2d(mesh, spec, 0.0, 1.0))
-        if not constrained:
-            # the basis sums to 1, so G 1 is the load of f = 1
-            np.testing.assert_allclose(G.matvec(np.ones(spec.n_dofs)), assemble_load(spec, [[1.0]]), rtol=1e-14, atol=0)
 
 
 def reference_bilinear_1d(mesh, spec, diffusion, reaction):
@@ -283,15 +262,14 @@ def reference_bilinear_1d(mesh, spec, diffusion, reaction):
 @given(
     st.integers(1, 3),
     st.integers(1, 60),
-    st.booleans(),
     st.one_of(st.just((0.0, 1.0)), st.tuples(st.floats(1e-3, 1e3), st.one_of(st.just(0.0), st.floats(1e-3, 1e6)))),
 )
-def test_bilinear_1d_matches_element_loop_bitwise(k, n, constrained, form):
+def test_bilinear_1d_matches_element_loop_bitwise(k, n, form):
     # every entry sums at most two element terms, so the stencil build and
     # the element loop agree bit for bit; (0, 1) is the Gram matrix
     diffusion, reaction = form
-    mesh = build_interval_mesh(n)
-    spec = build_basis(mesh, k, constrain_dirichlet=constrained)
+    mesh = Mesh(1, n)
+    spec = BasisSpec(mesh, k)
     M = assemble_gram(spec) if diffusion == 0.0 else assemble_stiffness(spec, BilinearForm(diffusion, reaction))
     indptr, indices, data = reference_bilinear_1d(mesh, spec, diffusion, reaction)
     assert np.array_equal(M.csr.indptr, indptr) and np.array_equal(M.csr.indices, indices)
@@ -310,17 +288,17 @@ def test_batched_builders_match_loops(n):
         for i in range(n):
             expected.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
             expected.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    assert np.array_equal(elements(build_square_triangulation(n)), np.asarray(expected))
-    mesh = build_interval_mesh(n)
+    assert np.array_equal(elements(Mesh(2, n)), np.asarray(expected))
+    mesh = Mesh(1, n)
     for k in (1, 2, 3):
         expected = np.array([[e * k + j for j in range(k + 1)] for e in range(n)])
-        assert np.array_equal(element_nodes(build_basis(mesh, k)), expected)
+        assert np.array_equal(element_nodes(BasisSpec(mesh, k)), expected)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 40), st.integers(2, 12), st.floats(-10.0, 10.0))
 def test_l2_norm_1d_matches_element_loop(n, p, freq):
-    mesh = build_interval_mesh(n)
+    mesh = Mesh(1, n)
 
     def diff(xq):
         return np.cos(freq * xq) - xq**2
@@ -340,15 +318,12 @@ def test_l2_norm_1d_matches_element_loop(n, p, freq):
     st.integers(1, 3),
     st.floats(1e-3, 1e3),
     st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
-    st.booleans(),
 )
-def test_stiffness_and_gram_symmetric_psd(d, n, k, diffusion, reaction, constrained):
-    mesh = build_interval_mesh(n) if d == 1 else build_square_triangulation(min(n, 10))
-    spec = build_basis(mesh, k if d == 1 else 1, constrain_dirichlet=constrained)
+def test_stiffness_and_gram_symmetric_psd(d, n, k, diffusion, reaction):
+    spec = BasisSpec(Mesh(d, n if d == 1 else min(n, 10)), k if d == 1 else 1)
     for matrix in (assemble_stiffness(spec, BilinearForm(diffusion, reaction)), assemble_gram(spec)):
         dense = matrix.csr.toarray()
         assert np.array_equal(dense, dense.T)
         eig = np.linalg.eigvalsh(dense)
         assert eig[0] >= -1e-12 * eig[-1]
-        if constrained:
-            assert matrix.is_spd()
+        assert matrix.is_spd()

@@ -1,6 +1,6 @@
 """The 2D sine-transform preconditioner C = diffusion * K5 + reaction/n^2 * I:
 its DST-I solve, the bound C/4 <= M <= C behind preconditioned CG, and the
-a-priori bound nu <= lambda_min <= 4 nu that is every 2D Dirichlet matrix's
+a-priori bound nu <= lambda_min <= 4 nu that is every 2D matrix's
 lambda_min, checked against dense and factored references."""
 import json
 import os
@@ -17,13 +17,13 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 import qfemlab
 from qfemlab import (
+    BasisSpec,
     BilinearForm,
+    Mesh,
     NonConvergenceError,
     ValidationError,
     assemble_load,
     assemble_stiffness,
-    build_basis,
-    build_square_triangulation,
     cli,
     conjugate_gradient,
 )
@@ -34,8 +34,7 @@ GRID = [(n, reaction) for n in (2, 3, 8, 16, 32) for reaction in (0.0, 1.0, 1000
 
 
 def system(n, reaction, diffusion=1.0):
-    mesh = build_square_triangulation(n)
-    spec = build_basis(mesh, 1)
+    spec = BasisSpec(Mesh(2, n), 1)
     M = assemble_stiffness(spec, BilinearForm(diffusion, reaction))
     return M, -assemble_load(spec, [[-1.0, 0.5], [0.3, 0.0]])
 
@@ -183,16 +182,17 @@ def _count_calls(monkeypatch, name, owner=qfemlab.assembly):
 
 
 def boundary(n):
-    """The largest reaction (diffusion 1) at which 2D lambda_min once came
-    from LOPCG, whose start kept its symmetry class up to there."""
+    """The largest reaction (diffusion 1) at which the lowest eigenvector of
+    M lies in the symmetry class of the lowest sine mode; past it,
+    lambda_min belongs to another class."""
     k11, k12 = 4 - 4 * np.cos(np.pi / n), 4 - 2 * np.cos(np.pi / n) - 2 * np.cos(2 * np.pi / n)
     return 4 * n**2 * (1 - k11 / k12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16])
-def test_mass_bound_behind_the_class_switch(n):
-    # the two mass bounds whose convex combinations give nu, which replaced
-    # the class switch: Mass >= I / 4n^2 (element mass >= 1/4 lumped) and
+def test_mass_dominates_the_two_bounds_behind_nu(n):
+    # the two mass bounds whose convex combinations give nu:
+    # Mass >= I / 4n^2 (element mass >= 1/4 lumped) and
     # Mass = (I + S/6) / 2n^2 >= (4/3 I - K5/6) / 2n^2, as S = 4 - K5 + P
     # with P, the NE-SW paths, >= -2
     K5 = system(n, 0.0)[0].csr.toarray()
@@ -207,11 +207,10 @@ def test_mass_bound_behind_the_class_switch(n):
     [(20, 1.0), (64, 1000.0), (8, 0.99 * boundary(8)), (16, 0.99 * boundary(16)), (16, 1.01 * boundary(16)),
      (16, 1000.0), (4, 1e4), (5, 1e4), (20, 1e4), (20, 1e6)],
 )
-def test_lambda_min_method_follows_the_class_bound(monkeypatch, n, reaction):
-    """On either side of the reaction where 2D lambda_min once switched from
-    LOPCG to the a-priori bound (``boundary``), and far from it, extremes()
-    takes the closed-form nu: it runs no eigenvalue loop and factors
-    nothing."""
+def test_2d_lambda_min_is_nu_without_a_loop_or_a_factor(monkeypatch, n, reaction):
+    """On either side of ``boundary``, where the lowest eigenvector changes
+    symmetry class, and far from it, extremes() takes the closed-form nu:
+    it runs no eigenvalue loop and factors nothing."""
     runs, factors = (_count_calls(monkeypatch, name) for name in ("lowest_eigenvalue", "cholesky_banded"))
     M = system(n, reaction)[0]
     ev = np.linalg.eigvalsh(M.csr.toarray())
@@ -223,9 +222,8 @@ def test_lambda_min_method_follows_the_class_bound(monkeypatch, n, reaction):
 
 @pytest.mark.parametrize("n", [64, 126])
 def test_high_reaction_matches_factored_references(n):
-    # at reaction 1e6 LOBPCG took 500-1,300 iterations here; the solve and
-    # the a-priori lambda_min are checked against a sparse LU factor and
-    # shift-invert Lanczos on it
+    # at reaction 1e6 the solve and the a-priori lambda_min are checked
+    # against a sparse LU factor and shift-invert Lanczos on it
     M, b = system(n, 1e6)
     x_ref = splu(M.csr.tocsc()).solve(b)
     assert np.linalg.norm(M.solve(b) - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
@@ -270,17 +268,17 @@ def test_stalled_lobpcg_exits_three_without_a_warning(monkeypatch, tmp_path, cap
     assert len(steps) >= 1000
 
 
-PAST_THE_BOUND_2D = {**TINY_2D, "pde": {"diffusion": 1, "reaction": 1e6}, "sobolev": [0.05, 0.3, 499]}
+HIGH_REACTION_2D = {**TINY_2D, "pde": {"diffusion": 1, "reaction": 1e6}, "sobolev": [0.05, 0.3, 499]}
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate"])
-def test_reports_past_the_class_bound_factor_nothing(monkeypatch, tmp_path, capsys, command):
-    # TINY_2D at reaction 1, and reaction 1e6, where LOPCG from the symmetric
-    # start could not reach lambda_min: solve meshes n = 200 (39,601 dofs)
-    # and simulate 119,716 dofs. lambda_min is nu, with no eigenvalue loop
-    # and no factor, and each report takes about 0.1 s
+def test_2d_reports_run_no_eigenvalue_loop_and_no_factor(monkeypatch, tmp_path, capsys, command):
+    # TINY_2D at reaction 1, and at reaction 1e6, past ``boundary``: solve
+    # meshes n = 200 (39,601 dofs) and simulate 119,716 dofs. lambda_min is
+    # nu, with no eigenvalue loop and no factor, and each report takes
+    # about 0.1 s
     runs, factors = (_count_calls(monkeypatch, name) for name in ("lowest_eigenvalue", "cholesky_banded"))
-    for payload, n in ((TINY_2D, None), (PAST_THE_BOUND_2D, 200)):
+    for payload, n in ((TINY_2D, None), (HIGH_REACTION_2D, 200)):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(payload))
         start = time.perf_counter()
@@ -295,10 +293,9 @@ def test_reports_past_the_class_bound_factor_nothing(monkeypatch, tmp_path, caps
 
 def test_2d_cap_fits_one_gib_within_three_seconds():
     """At the cell cap (n = 447, 198,916 dofs) with reaction 1000, discretize,
-    solve and extremes() run under a 1 GiB address-space limit. The band
-    Cholesky factor with ARPACK needed 852 MB peak and 12 s here, and raised
-    MemoryError under this limit. lambda_min is nu, bracketing the
-    lambda_min that LOPCG found here, 0.005103487140072."""
+    solve and extremes() run under a 1 GiB address-space limit. lambda_min
+    is nu, which brackets this matrix's lambda_min, 0.005103487140072 as an
+    iterative eigensolver finds it."""
     code = """
 import resource, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

@@ -49,10 +49,18 @@ def test_mesh_size_rule(spec, eps):
     spec = ProblemSpec.from_dict({**spec.to_dict(), "sobolev": [1.0, 1.0, 2.0, 3.0, 5.0]})
     n, h = mesh_size(spec, eps)
     assert h == (eps / (2.0 * spec.sobolev.seminorm(spec.k + 1))) ** (1.0 / (spec.k + 1))
+    assert mesh_size(spec, eps / 2.0)[1] < h
     # cells of side 1/n have diameter sqrt(d)/n: at most h, and n is the least such count
     diameter = math.sqrt(spec.d)
     assert diameter / n <= h * (1 + 1e-12)
     assert n == 1 or diameter / (n - 1) > h * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("eps, seminorm", [(0.0, 1.0), (-1.0, 1.0), (0.1, 0.0)])
+def test_mesh_size_rejects_nonpositive(eps, seminorm):
+    spec = ProblemSpec.from_dict({"d": 1, "k": 1, "f": [-1], "r": [1], "eps": 0.1, "sobolev": [1.0, 1.0, seminorm]})
+    with pytest.raises(ValidationError, match="must be positive"):
+        mesh_size(spec, eps)
 
 
 @settings(max_examples=20, deadline=None)
@@ -88,12 +96,11 @@ def test_cell_cap_boundary(monkeypatch, d, n):
     raises before any mesh is built."""
     built = []
 
-    def builder(n):
+    def builder(d, n):
         built.append(n)
         raise Built
 
-    monkeypatch.setattr(problems, "build_interval_mesh", builder)
-    monkeypatch.setattr(problems, "build_square_triangulation", builder)
+    monkeypatch.setattr(problems, "Mesh", builder)
     spec = ProblemSpec.from_dict({"d": d, "k": 1, "f": [-1], "r": [1], "eps": 0.1})
     with pytest.raises(Built):
         discretize(spec, n)

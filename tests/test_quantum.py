@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+import qfemlab.quantum
 from qfemlab import (
+    BasisSpec,
     BilinearForm,
     BudgetExceededError,
+    Mesh,
     ProblemSpec,
     SampleBudget,
     SimulationFloorError,
@@ -13,8 +16,6 @@ from qfemlab import (
     assemble_gram,
     assemble_load,
     assemble_stiffness,
-    build_basis,
-    build_interval_mesh,
     build_r_state,
     estimate_functional,
     estimate_norm,
@@ -24,8 +25,8 @@ from matrices import sym_matrix
 
 
 def poisson(n, f=(-1.0,), k=1):
-    mesh = build_interval_mesh(n)
-    spec = build_basis(mesh, k)
+    mesh = Mesh(1, n)
+    spec = BasisSpec(mesh, k)
     M = assemble_stiffness(spec, BilinearForm())
     b = -assemble_load(spec, list(f))
     return mesh, spec, M, b
@@ -116,11 +117,12 @@ def test_hadamard_known_overlap_coverage():
     assert hits >= 87
 
 
-def test_hadamard_consumes_budget_and_raises_when_exhausted():
+def test_hadamard_consumes_budget_and_raises_when_exhausted(monkeypatch):
     s = unit([1.0, 1.0])
-    budget = SampleBudget(shots=100, rng_seed=0)
-    with pytest.raises(BudgetExceededError):
-        hadamard_test_estimate(s, s, 0.01, budget)
+    with monkeypatch.context() as patch:
+        patch.setattr(qfemlab.quantum, "SHOT_BUDGET", 100)
+        with pytest.raises(BudgetExceededError):
+            hadamard_test_estimate(s, s, 0.01, SampleBudget(rng_seed=0))
     budget = SampleBudget(rng_seed=0)
     hadamard_test_estimate(s, s, 0.1, budget)
     assert budget.uses_of_state_prep == 2 * 100

@@ -35,7 +35,6 @@ ALLOWED = {
 ALLOWED_KNOBS = {
     "conjugate_gradient(cap)": "the j-th iterate and exit-3 tests; the work cap of ROADMAP item 8",
     "main(argv)": "the entry point: the console script passes nothing, tests pass argv",
-    "SampleBudget(shots)": "the exit-4 shot-budget tests",
 }
 
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qfemlab.errors import UnsupportedConfigurationError, ValidationError
-from qfemlab.resources import SobolevData, choose_mesh_size, exponent_table, split_budget
+from qfemlab.errors import UnsupportedConfigurationError
+from qfemlab.resources import SobolevData, exponent_table, split_budget
 
 positive = st.floats(1e-6, 1e6)
 
@@ -32,19 +32,6 @@ def test_split_budget_needs_eps_below_u_norm(u_norm, ratio):
     assume(ratio * u_norm > u_norm)
     with pytest.raises(UnsupportedConfigurationError):
         split_budget(ratio * u_norm, SobolevData((u_norm, 1.0)), 1.0, 1.0, 1.0)
-
-
-@given(positive, positive, st.integers(1, 3))
-def test_choose_mesh_size_formula(eps, seminorm, k):
-    h = choose_mesh_size(eps, seminorm, k)
-    assert h == (eps / (2.0 * seminorm)) ** (1.0 / (k + 1))
-    assert choose_mesh_size(eps / 2.0, seminorm, k) < h
-
-
-@pytest.mark.parametrize("eps, seminorm", [(0.0, 1.0), (-1.0, 1.0), (0.1, 0.0)])
-def test_choose_mesh_size_rejects_nonpositive(eps, seminorm):
-    with pytest.raises(ValidationError):
-        choose_mesh_size(eps, seminorm, 1)
 
 
 @given(st.integers(1, 8), st.integers(1, 6))

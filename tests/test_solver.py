@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 import qfemlab.assembly
 from qfemlab import (
+    BasisSpec,
     BilinearForm,
+    Mesh,
     ValidationError,
     assemble_load,
     assemble_stiffness,
-    build_basis,
-    build_interval_mesh,
-    build_square_triangulation,
     conjugate_gradient,
     CGReport,
 )
@@ -19,8 +18,7 @@ from matrices import sym_matrix
 
 
 def poisson_system(n, k=1, f=(-1.0,), d=1):
-    mesh = build_interval_mesh(n) if d == 1 else build_square_triangulation(n)
-    spec = build_basis(mesh, k)
+    spec = BasisSpec(Mesh(d, n), k)
     M = assemble_stiffness(spec, BilinearForm())
     b = -assemble_load(spec, list(f) if d == 1 else [list(f)])
     return M, b
@@ -185,8 +183,7 @@ def test_cg_matches_reference_at_the_benchmark_tolerances(k, n):
 
 def test_pcg_matches_reference_bit_for_bit():
     # with reaction, C = K5 + R/n^2 I is not M, and PCG takes 15 steps
-    mesh = build_square_triangulation(43)
-    spec = build_basis(mesh, 1)
+    spec = BasisSpec(Mesh(2, 43), 1)
     M = assemble_stiffness(spec, BilinearForm(1.0, 1e4))
     b = -assemble_load(spec, [[-1.0, 0.5]])
     rep = conjugate_gradient(M, b, tol=1e-14, precond=M._precond)

@@ -15,16 +15,15 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 import qfemlab
 from qfemlab import (
+    BasisSpec,
     BilinearForm,
+    Mesh,
     ProblemSpec,
     SampleBudget,
     SparseSymMatrix,
     ValidationError,
     assemble_load,
     assemble_stiffness,
-    build_basis,
-    build_interval_mesh,
-    build_square_triangulation,
     cli,
     discretize,
     estimate_norm,
@@ -38,9 +37,8 @@ REL = 1e-9
 FEM_GAP = 2e-2
 
 
-def system(d, n, k=1, reaction=0.0, constrained=True):
-    mesh = build_interval_mesh(n) if d == 1 else build_square_triangulation(n)
-    spec = build_basis(mesh, k, constrain_dirichlet=constrained)
+def system(d, n, k=1, reaction=0.0):
+    spec = BasisSpec(Mesh(d, n), k)
     M = assemble_stiffness(spec, BilinearForm(diffusion=1.0, reaction=reaction))
     load = assemble_load(spec, [-1.0] if d == 1 else [[-1.0]])
     return M, -load
@@ -94,8 +92,8 @@ def test_lambda_max_where_collatz_wielandt_bound_is_tight(a):
 def test_extremes_match_closed_form_2d(n, diffusion):
     # pure-diffusion P1 on the Dirichlet square is diffusion times the
     # five-point Laplacian, with eigenvalues 4 sin^2(p pi / 2n) + 4 sin^2(q pi / 2n)
-    mesh = build_square_triangulation(n)
-    M = assemble_stiffness(build_basis(mesh, 1), BilinearForm(diffusion, 0.0))
+    mesh = Mesh(2, n)
+    M = assemble_stiffness(BasisSpec(mesh, 1), BilinearForm(diffusion, 0.0))
     lam_min, lam_max = M.extremes()
     assert lam_min == pytest.approx(8.0 * diffusion * np.sin(np.pi / (2 * n)) ** 2, rel=1e-12)
     exact_max = 8.0 * diffusion * np.cos(np.pi / (2 * n)) ** 2
@@ -104,8 +102,8 @@ def test_extremes_match_closed_form_2d(n, diffusion):
 
 def test_lambda_max_bound_clears_rounding_on_2d_n3():
     # the unraised Collatz-Wielandt ratio lands one ulp below lambda_max here
-    mesh = build_square_triangulation(3)
-    M = assemble_stiffness(build_basis(mesh, 1), BilinearForm(1.0, 0.0))
+    mesh = Mesh(2, 3)
+    M = assemble_stiffness(BasisSpec(mesh, 1), BilinearForm(1.0, 0.0))
     lam_max = M.extremes()[1]
     assert lam_max >= np.linalg.eigvalsh(M.csr.toarray())[-1]
     assert lam_max >= 8.0 * np.cos(np.pi / 6) ** 2
@@ -117,8 +115,8 @@ def test_lambda_max_bound_clears_rounding_on_2d_n3():
 def test_extremes_match_closed_form_1d(n):
     # P1 with u(0) = u'(1) = 0 is n tridiag(-1, 2, -1) with a last diagonal
     # entry of 1: eigenvalues n (2 - 2 cos((2j - 1) pi / (2n + 1))), j = 1..n
-    mesh = build_interval_mesh(n)
-    lam_min, lam_max = assemble_stiffness(build_basis(mesh, 1), BilinearForm()).extremes()
+    mesh = Mesh(1, n)
+    lam_min, lam_max = assemble_stiffness(BasisSpec(mesh, 1), BilinearForm()).extremes()
 
     def eigenvalue(j):
         return n * (2.0 - 2.0 * np.cos((2 * j - 1) * np.pi / (2 * n + 1)))
@@ -183,8 +181,8 @@ def test_extremes_factors_a_fresh_matrix_once(monkeypatch):
 
 
 def _assemble_1d(k, n, diffusion, reaction):
-    mesh = build_interval_mesh(n)
-    return assemble_stiffness(build_basis(mesh, k), BilinearForm(diffusion, reaction))
+    mesh = Mesh(1, n)
+    return assemble_stiffness(BasisSpec(mesh, k), BilinearForm(diffusion, reaction))
 
 
 # every (k, diffusion, reaction) at about 300 dofs, and at 2,000 dofs with
@@ -227,8 +225,7 @@ def test_lambda_min_scales_with_the_matrix(d, k, n, reaction, scale):
     # the residual norms of the LOPCG loop square entries of M's size: at
     # 2^-600 they underflowed to 0 and the loop stopped at its start (3e-5
     # high in 1D), at 2^600 they overflowed and it never stopped
-    mesh = build_interval_mesh(n) if d == 1 else build_square_triangulation(n)
-    spec = build_basis(mesh, k)
+    spec = BasisSpec(Mesh(d, n), k)
     unit, scaled = (assemble_stiffness(spec, BilinearForm(c, c * reaction)) for c in (1.0, scale))
     assert scaled.extremes()[0] == pytest.approx(scale * unit.extremes()[0], rel=1e-10, abs=0.0)
 
@@ -391,9 +388,8 @@ PRODUCT_MATRICES = {
     "1d-k1": lambda: system(1, 1000)[0],
     "1d-k2-reaction": lambda: system(1, 500, k=2, reaction=3.0)[0],
     "1d-k3": lambda: system(1, 300, k=3)[0],
-    "1d-k2-unconstrained": lambda: system(1, 40, k=2, constrained=False)[0],
+    "1d-k2": lambda: system(1, 40, k=2)[0],
     "2d": lambda: system(2, 43, reaction=1.0)[0],
-    "2d-unconstrained": lambda: system(2, 20, reaction=1.0, constrained=False)[0],
 }
 
 
