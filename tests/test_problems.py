@@ -49,11 +49,18 @@ def test_mesh_size_rule(spec, eps):
     spec = ProblemSpec.from_dict({**spec.to_dict(), "sobolev": [1.0, 1.0, 2.0, 3.0, 5.0]})
     n, h = mesh_size(spec, eps)
     assert h == (eps / (2.0 * spec.sobolev.seminorm(spec.k + 1))) ** (1.0 / (spec.k + 1))
-    assert mesh_size(spec, eps / 2.0)[1] < h
     # cells of side 1/n have diameter sqrt(d)/n: at most h, and n is the least such count
     diameter = math.sqrt(spec.d)
     assert diameter / n <= h * (1 + 1e-12)
     assert n == 1 or diameter / (n - 1) > h * (1 - 1e-12)
+
+
+@given(positive, positive, st.integers(1, 3))
+def test_mesh_size_formula(eps, seminorm, k):
+    spec = ProblemSpec.from_dict({"d": 1, "k": k, "f": [-1], "r": [1], "eps": 0.1, "sobolev": [1.0] * (k + 1) + [seminorm]})
+    h = mesh_size(spec, eps)[1]
+    assert h == (eps / (2.0 * seminorm)) ** (1.0 / (k + 1))
+    assert mesh_size(spec, eps / 2.0)[1] < h
 
 
 @pytest.mark.parametrize("eps, seminorm", [(0.0, 1.0), (-1.0, 1.0), (0.1, 0.0)])
