@@ -17,14 +17,18 @@ The assembly is the only maker of a ``SparseSymMatrix``, and hands scipy
 int32 CSR indices. In 1D each call writes its node rows out as CSR. In 2D
 the CSR pattern depends only on the grid, so it is cached per process,
 keyed by n: ``_grid_plan`` holds ``indptr``, ``indices`` and, per stored
-entry, the position of its value in the four coupling grids. Each matrix
-adds its stencils onto the grids and fills its values with one gather;
-exact zero couplings are then dropped. The orthonormal sine matrix of a
-``SineTransformPreconditioner`` is cached per process too, keyed by n.
-Both caches hold the last ``GRID_CACHE_SIZE`` grids, and their arrays are
-read-only, so a matrix shares them without a copy. The 2D load is formed
-by sum factorisation, f evaluated one axis at a time on the grid of
-quadrature points. Entry points take the ``BasisSpec`` alone,
+entry, the position of its value in the four coupling grids. The values
+are the stencils added onto the grids, read by one gather, exact zeros
+dropped; ``_stencil_csr`` caches them keyed by (n, diffusion, reaction)
+under ``==``, so a process assembles each 2D operator once, and each call
+wraps them in a fresh matrix that holds its own preconditioner, spectrum
+and any factor. A ``SineTransformPreconditioner``'s orthonormal sine
+matrix is cached too, keyed by n. Each cache keeps its last
+``GRID_CACHE_SIZE`` keys, with read-only arrays that matrices share
+without a copy; at the cell cap (n = 446) an operator holds 11-13 MB of
+values and pruned indices, about 100 MB for a full cache. The 2D load
+is formed by sum factorisation, f evaluated one axis at a time on the
+grid of quadrature points. Entry points take the ``BasisSpec`` alone,
 which holds its mesh; a mesh is its dimension and n, with no coordinates
 or elements.
 
@@ -51,8 +55,9 @@ from .errors import NonConvergenceError, ValidationError
 from .mesh import TRIANGLE_GRADS, BasisSpec, Mesh
 
 MAX_POLY_DEGREE = 8
-# 2D grids whose CSR plan and sine matrix each cache keeps: a default
-# ``convergence`` (four levels and their reference) and a ``simulate``
+# 2D grids (CSR plan, sine matrix) and operators (CSR values) each cache
+# keeps: a default ``convergence``'s four levels, their reference and its
+# Gram matrix, and a ``simulate``, 7 operators on 6 grids
 GRID_CACHE_SIZE = 8
 
 
@@ -243,7 +248,8 @@ class SparseSymMatrix:
     bit for bit: M_pq and M_qp are the same stencil entry read from either
     end, so the constructor wraps ``csr`` without a check.
 
-    Immutable by convention. ``s`` is the maximum number of nonzeros per row.
+    Assembled arrays are read-only and shared by equal matrices. ``s`` is
+    the maximum number of nonzeros per row.
     Every product with M (``matvec``, and the bound product of
     ``product_into`` that CG calls once per step), and the |M| products of
     ``extremes``, is one call of scipy's CSR kernel on M's own arrays, the
@@ -459,7 +465,17 @@ def _grid_plan(n: int):
 
 
 def _assemble_stencil_2d(spec: BasisSpec, diffusion: float, reaction: float) -> SparseSymMatrix:
-    """The uniform triangulation has two element shapes, so M is a stencil.
+    """The cached ``_stencil_csr`` arrays in a fresh matrix with its own preconditioner."""
+    n = spec.mesh.n
+    M = SparseSymMatrix(sp.csr_array(_stencil_csr(n, diffusion, reaction), shape=(spec.n_dofs, spec.n_dofs)))
+    M._precond = SineTransformPreconditioner(n, diffusion, reaction)
+    return M
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _stencil_csr(n: int, diffusion: float, reaction: float):
+    """The read-only CSR arrays (data, indices, indptr) of the 2D matrix:
+    the uniform triangulation has two element shapes, so M is a stencil.
 
     The two exact element matrices are added onto the (n+1)^2 vertex grid,
     indexed [j, i], once per coupling: the vertex itself (C) and its east
@@ -469,10 +485,9 @@ def _assemble_stencil_2d(spec: BasisSpec, diffusion: float, reaction: float) -> 
     and where each entry's value lies, so one gather fills the values.
     Exact zeros (NE at reaction 0; E and N where the mass cancels the
     stiffness, at reaction 12 diffusion n^2) are then dropped, with
-    ``indptr`` recounted, which leaves canonical CSR. M carries its
-    preconditioner.
+    ``indptr`` recounted, which leaves canonical CSR; a matrix that drops
+    none keeps the plan's own index arrays.
     """
-    n = spec.mesh.n
     indptr, indices, at = _grid_plan(n)
     area = 0.5 / (n * n)
     mass = reaction * area / 12.0 * (1.0 + np.eye(3))
@@ -496,9 +511,9 @@ def _assemble_stencil_2d(spec: BasisSpec, diffusion: float, reaction: float) -> 
     if not nonzero.all():
         data, indices = data[nonzero], indices[nonzero]
         indptr = np.concatenate([[0], np.cumsum(nonzero)], dtype=np.int32)[indptr]  # entries kept before each row
-    M = SparseSymMatrix(sp.csr_array((data, indices, indptr), shape=(spec.n_dofs, spec.n_dofs)))
-    M._precond = SineTransformPreconditioner(n, diffusion, reaction)
-    return M
+    for array in (data, indices, indptr):
+        array.flags.writeable = False
+    return data, indices, indptr
 
 
 def assemble_stiffness(spec: BasisSpec, form: BilinearForm) -> SparseSymMatrix:

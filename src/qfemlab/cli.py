@@ -21,7 +21,7 @@ the simulable acceptance floor, or memory running out). Every artifact
 embeds the spec hash, the seed and the package version; at a fixed BLAS
 thread count, identical inputs reproduce outputs bit-identically in exact
 modes and distribution-identically (same seed, same values) in sampling
-modes.
+modes, whether or not the process has assembled the operator before.
 solve's ``kappa_estimate`` and the ledger's modelled costs use an upper
 bound on the condition number: lambda_min over an upper bound on
 lambda_max, certified with a relative 1e-12 margin. In 1D lambda_min
@@ -164,7 +164,7 @@ def convergence_report(problem: ProblemSpec, levels: int) -> dict:
     else:
         spec_f, M_f, b_f = discretize(problem, 4 * ns[-1])
         coeffs_f = M_f.solve(b_f)
-        del M_f, b_f  # free the reference matrix (and its 1D band factor) before anything else runs
+        del M_f, b_f  # free the reference matrix (and its 1D band factor) before anything else runs; 2D arrays stay cached
         gram_f = assemble_gram(spec_f)
 
         def error(spec, coeffs):

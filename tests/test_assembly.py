@@ -13,7 +13,7 @@ from qfemlab import (
     assemble_stiffness,
 )
 from qfemlab import cli
-from qfemlab.assembly import GRID_CACHE_SIZE, _assemble_stencil_2d, _grid_plan, _sine_matrix
+from qfemlab.assembly import GRID_CACHE_SIZE, _assemble_stencil_2d, _grid_plan, _sine_matrix, _stencil_csr
 from matrices import stencil_2d_reference, sym_matrix
 from pointwise import basis, element_nodes, elements, vertices
 
@@ -246,52 +246,80 @@ def test_assembled_matrices_hold_int32_indices(d):
             assert M.csr.indptr.dtype == M.csr.indices.dtype == np.int32, (mesh, k)
 
 
-# (diffusion, reaction) as functions of n: R = 0 leaves NE zero, and
-# R = 12 D n^2 cancels E and N wherever its mass rounds to -stiffness
+# (diffusion, reaction) keys as functions of n, each list equal under ==
+# (1 and 1.0, 0.0 and -0.0), so its later keys hit the first one's entry:
+# R = 0 leaves NE zero, and R = 12 D n^2 cancels E and N wherever its mass
+# rounds to -stiffness
 STENCIL_CASES = {
-    "D1-R1": lambda n: (1.0, 1.0),
-    "D1-R0": lambda n: (1.0, 0.0),
-    "gram": lambda n: (0.0, 1.0),
-    "D1-R12n2": lambda n: (1.0, 12.0 * n * n),
+    "D1-R1": lambda n: [(1.0, 1.0), (1, 1.0)],
+    "D1-R0": lambda n: [(1.0, 0.0), (1.0, -0.0)],
+    "gram": lambda n: [(0.0, 1.0)],
+    "D1-R12n2": lambda n: [(1.0, 12.0 * n * n)],
 }
 
 
-@pytest.mark.parametrize("case", list(STENCIL_CASES))
-def test_2d_stencil_matches_the_per_call_index_build_bitwise(case):
+@pytest.mark.parametrize(("case", "warm"), [
+    *(pytest.param(case, False, id=case) for case in STENCIL_CASES),
+    *(pytest.param(case, True, id=f"{case}-warm") for case in STENCIL_CASES),
+])
+def test_2d_stencil_matches_the_per_call_index_build_bitwise(case, warm):
+    """Cold, each key is built on an empty value cache; warm, each key is
+    built again after every key of its list, a hit on the first one's
+    entry. Every build gives its own key's reference bits."""
     dropped = 0
     for n in range(1, 71):
         spec = BasisSpec(Mesh(2, n), 1)
-        diffusion, reaction = STENCIL_CASES[case](n)
-        M = _assemble_stencil_2d(spec, diffusion, reaction)
-        ref = stencil_2d_reference(spec, diffusion, reaction)
-        for name, dtype in (("indptr", np.int32), ("indices", np.int32), ("data", np.float64)):
-            got, want = getattr(M.csr, name), getattr(ref, name)
-            assert got.dtype == dtype and np.array_equal(got, want), (n, name)
-        assert M.s == (int(np.diff(ref.indptr).max()) if spec.n_dofs else 0), n
+        keys = STENCIL_CASES[case](n)
+        _stencil_csr.cache_clear()
+        if warm:
+            for key in keys:
+                _assemble_stencil_2d(spec, *key)
+            assert _stencil_csr.cache_info().currsize == 1, n  # one entry for equal keys
+        for diffusion, reaction in keys:
+            if not warm:
+                _stencil_csr.cache_clear()
+            hits = _stencil_csr.cache_info().hits
+            M = _assemble_stencil_2d(spec, diffusion, reaction)
+            assert _stencil_csr.cache_info().hits == hits + warm, n
+            ref = stencil_2d_reference(spec, diffusion, reaction)
+            for name, dtype in (("indptr", np.int32), ("indices", np.int32), ("data", np.float64)):
+                got, want = getattr(M.csr, name), getattr(ref, name)
+                assert got.dtype == dtype and got.tobytes() == want.astype(dtype).tobytes(), (n, reaction, name)
+            assert M.s == (int(np.diff(ref.indptr).max()) if spec.n_dofs else 0), n
         dropped += ref.nnz < len(_grid_plan(n)[1])
     # the exact zeros of these cases are dropped from the cached pattern
     assert (dropped > 0) == (case in ("D1-R0", "D1-R12n2")), dropped
 
 
 def test_grid_caches_are_read_only_and_hit_on_the_same_grid():
+    _stencil_csr.cache_clear()
     spec = BasisSpec(Mesh(2, 9), 1)
     M = assemble_stiffness(spec, BilinearForm(1.0, 1.0))
     sine = M._precond._sine
-    hits = _grid_plan.cache_info().hits, _sine_matrix.cache_info().hits
-    for array in (M.csr.indices, M.csr.indptr):
+    for array in (M.csr.data, M.csr.indices, M.csr.indptr):
         with pytest.raises(ValueError):
             array[0] = 1
     with pytest.raises(ValueError):
         sine[0, 0] = 1.0
+    # equal coefficients share the values, but not the matrix or its spectrum
+    extremes = M.extremes()
+    twin = assemble_stiffness(spec, BilinearForm(1.0, 1.0))
+    assert twin is not M and np.shares_memory(twin.csr.data, M.csr.data)
+    assert twin._extremes is None and twin.extremes() == extremes
+    hits = _grid_plan.cache_info().hits, _sine_matrix.cache_info().hits
+    misses = _stencil_csr.cache_info().misses
     again = assemble_stiffness(spec, BilinearForm(2.0, 0.5))
     assert again._precond._sine is sine and np.shares_memory(again.csr.indices, M.csr.indices)
     assert _grid_plan.cache_info().hits > hits[0] and _sine_matrix.cache_info().hits > hits[1]
+    assert _stencil_csr.cache_info().misses == misses + 1
 
 
 def test_grid_caches_hold_a_default_convergence_and_a_simulate(tmp_path):
     levels = cli.build_parser().parse_args(["convergence", "--spec", "x"]).levels
-    assert levels + 2 <= GRID_CACHE_SIZE  # the levels, their reference, a simulate
-    for cache in (_grid_plan, _sine_matrix):
+    # the levels, their reference, its Gram matrix (on the reference's grid), a simulate
+    assert levels + 3 <= GRID_CACHE_SIZE
+    caches = (_grid_plan, _sine_matrix, _stencil_csr)
+    for cache in caches:
         assert cache.cache_info().maxsize == GRID_CACHE_SIZE
         cache.cache_clear()
     spec = tmp_path / "spec.json"
@@ -303,8 +331,8 @@ def test_grid_caches_hold_a_default_convergence_and_a_simulate(tmp_path):
     def reports():
         for command in ("convergence", "simulate"):
             assert cli.main([command, "--spec", str(spec), "--out", str(tmp_path)]) == 0
-        return _grid_plan.cache_info().misses, _sine_matrix.cache_info().misses
+        return tuple(cache.cache_info().misses for cache in caches)
 
     first = reports()
-    assert first[0] == levels + 2
-    assert reports() == first  # every grid of the second run is a hit
+    assert first[0] == levels + 2 and first[2] == levels + 3
+    assert reports() == first  # every grid and operator of the second run is a hit

@@ -795,6 +795,18 @@ def test_artifacts_match_golden(capsys, tmp_path, spec_name, run_name):
     assert golden_artifact(spec_name, run_name, tmp_path) == golden_path(spec_name, run_name).read_bytes()
 
 
+def test_2d_goldens_on_a_cold_and_a_warm_cache(capsys, tmp_path):
+    """In one process, every tiny_2d golden's bytes, whether its run meets
+    empty grid and operator caches or the entries of the same runs before."""
+    for cache in (qfemlab.assembly._grid_plan, qfemlab.assembly._sine_matrix, qfemlab.assembly._stencil_csr):
+        cache.cache_clear()
+    for state in ("cold", "warm"):
+        for run_name in GOLDEN_RUNS:
+            tmp_dir = tmp_path / state / run_name
+            tmp_dir.mkdir(parents=True)
+            assert golden_artifact("tiny_2d", run_name, tmp_dir) == golden_path("tiny_2d", run_name).read_bytes(), (state, run_name)
+
+
 @pytest.mark.parametrize("run_name", GOLDEN_TABLES)
 def test_tables_match_golden(capsys, tmp_path, run_name):
     assert golden_artifact(None, run_name, tmp_path) == golden_path(None, run_name).read_bytes()
