@@ -15,18 +15,13 @@ where element e's local node a is node e k + a, and on the vertex grid in
 2D, one stencil per triangle shape and one array per coupling direction.
 The assembly is the only maker of a ``SparseSymMatrix``, and hands scipy
 int32 CSR indices. In 1D each call writes its node rows out as CSR. In 2D
-the CSR pattern depends only on the grid, so it is cached per process,
-keyed by n: ``_grid_plan`` holds ``indptr``, ``indices`` and, per stored
-entry, the position of its value in the four coupling grids. The values
-are the stencils added onto the grids, read by one gather, exact zeros
-dropped; ``_stencil_csr`` caches them keyed by (n, diffusion, reaction)
-under ``==``, so a process assembles each 2D operator once, and each call
-wraps them in a fresh matrix that holds its own preconditioner, spectrum
-and any factor. A ``SineTransformPreconditioner``'s orthonormal sine
-matrix is cached too, keyed by n. Each cache keeps its last
-``GRID_CACHE_SIZE`` keys, with read-only arrays that matrices share
-without a copy; at the cell cap (n = 446) an operator holds 11-13 MB of
-values and pruned indices, about 100 MB for a full cache. The 2D load
+``_stencil_csr`` caches, per process and keyed by (n, diffusion, reaction)
+under ``==``, the read-only CSR arrays and the ``SineTransformPreconditioner``
+of each operator, so a process assembles each 2D operator once, and each
+call wraps them in a fresh matrix that holds its own spectrum and any
+factor. The cache keeps its last ``GRID_CACHE_SIZE`` keys; at the cell cap
+(n = 446) an entry holds 17.4 MB of CSR arrays, and 3.2 MB more of sine
+matrix and spectrum once the operator has been solved with. The 2D load
 is formed by sum factorisation, f evaluated one axis at a time on the
 grid of quadrature points. Entry points take the ``BasisSpec`` alone,
 which holds its mesh; a mesh is its dimension and n, with no coordinates
@@ -55,9 +50,8 @@ from .errors import NonConvergenceError, ValidationError
 from .mesh import TRIANGLE_GRADS, BasisSpec, Mesh
 
 MAX_POLY_DEGREE = 8
-# 2D grids (CSR plan, sine matrix) and operators (CSR values) each cache
-# keeps: a default ``convergence``'s four levels, their reference and its
-# Gram matrix, and a ``simulate``, 7 operators on 6 grids
+# 2D operators the cache keeps: a default ``convergence``'s four levels,
+# their reference and its Gram matrix, and a ``simulate``, 7 operators
 GRID_CACHE_SIZE = 8
 
 
@@ -142,21 +136,27 @@ class SineTransformPreconditioner:
     matrix M of the same coefficients. The DST-I S diagonalises C (Lynch, Rice
     & Thomas 1964): C^{-1} v = S Lambda^{-1} S v, by sine-matrix products that
     beat ``scipy.fft.dstn`` up to the cell cap (16 against 146 us at n = 43).
-    The sine matrix S is cached per process, keyed by n (``_sine_matrix``),
-    and read-only, so every preconditioner on a grid shares one; the
-    spectrum, which holds the coefficients, is built on first use."""
+    S and the spectrum are built on first use and read-only: equal matrices
+    share one preconditioner through the operator cache, and its state is
+    a function of (n, diffusion, reaction) alone, the same bits for keys
+    equal under ``==``."""
 
     def __init__(self, n, diffusion, reaction):
         self.n, self.diffusion, self.reaction = n, diffusion, reaction
 
     @cached_property
-    def _sine(self):
-        return _sine_matrix(self.n)
+    def _sine(self):  # the orthonormal, symmetric DST-I matrix
+        j = np.arange(1, self.n)
+        sine = np.sqrt(2.0 / self.n) * np.sin(np.pi * np.outer(j, j) / self.n)
+        sine.flags.writeable = False
+        return sine
 
     @cached_property
     def _lam(self):
         t = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, self.n) / self.n)
-        return self.diffusion * (t[:, None] + t) + self.reaction / self.n**2
+        lam = self.diffusion * (t[:, None] + t) + self.reaction / self.n**2
+        lam.flags.writeable = False
+        return lam
 
     @cached_property
     def lambda_min_bound(self) -> float:
@@ -175,15 +175,6 @@ class SineTransformPreconditioner:
     def __call__(self, v):  # C^{-1} v
         s, w = self._sine, v.reshape(self.n - 1, self.n - 1)
         return (s @ (s @ w @ s / self._lam) @ s).reshape(v.shape)
-
-
-@lru_cache(maxsize=GRID_CACHE_SIZE)
-def _sine_matrix(n: int) -> np.ndarray:
-    """The orthonormal, symmetric DST-I matrix of the n x n grid, read-only."""
-    j = np.arange(1, n)
-    sine = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(j, j) / n)
-    sine.flags.writeable = False
-    return sine
 
 
 def lowest_eigenvalue(matvec, precond, start, lam_max) -> float:
@@ -248,8 +239,9 @@ class SparseSymMatrix:
     bit for bit: M_pq and M_qp are the same stencil entry read from either
     end, so the constructor wraps ``csr`` without a check.
 
-    Assembled arrays are read-only and shared by equal matrices. ``s`` is
-    the maximum number of nonzeros per row.
+    Assembled arrays are read-only and shared by equal matrices, and so is
+    a 2D matrix's preconditioner. ``s`` is the maximum number of nonzeros
+    per row.
     Every product with M (``matvec``, and the bound product of
     ``product_into`` that CG calls once per step), and the |M| products of
     ``extremes``, is one call of scipy's CSR kernel on M's own arrays, the
@@ -400,11 +392,14 @@ def _assemble_bilinear(spec: BasisSpec, diffusion: float, reaction: float) -> Sp
     nodes, so row m of the (n k + 1, 2k + 1) stencil holds the entries for
     columns m - k .. m + k, and each local entry (a, b) is one strided slice.
     A node shares at most two elements, so every entry is a sum of at most
-    two terms, the same in any order. 2D: the stencil build of
-    ``_assemble_stencil_2d``."""
+    two terms, the same in any order. 2D: the cached ``_stencil_csr``
+    arrays in a fresh matrix, with the cached preconditioner."""
     mesh = spec.mesh
     if mesh.dimension == 2:
-        return _assemble_stencil_2d(spec, diffusion, reaction)
+        data, indices, indptr, precond = _stencil_csr(mesh.n, diffusion, reaction)
+        M = SparseSymMatrix(sp.csr_array((data, indices, indptr), shape=(spec.n_dofs, spec.n_dofs)))
+        M._precond = precond
+        return M
     n, k = mesh.n, spec.k
     kref, mref = _reference_matrices(k)
     local = diffusion * kref / mesh.h + reaction * mref * mesh.h
@@ -423,72 +418,26 @@ def _assemble_bilinear(spec: BasisSpec, diffusion: float, reaction: float) -> Sp
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE)
-def _grid_plan(n: int):
-    """The CSR pattern of every matrix on the n x n grid, read-only:
-    (indptr, indices, at), where ``at`` is, per stored entry, the flat
-    position of its value in the stacked [C, E, N, NE] grids of
-    ``_assemble_stencil_2d``, each (n + 1) x (n + 1) with vertex (i, j) at
-    [j, i].
-
-    Row (i, j) holds SW, S, W, C, E, N, NE, where the neighbour is a dof;
-    SW, S and W read the neighbour's NE, N and E. Dofs number the free
-    nodes in node order, so every row's columns ascend. All three are
-    int32: ``indptr`` and ``indices`` as scipy's ``csr_array`` keeps them,
-    so a matrix that drops no entry views them without a copy, and each
-    product streams half the index bytes of int64. int32 holds counts
-    below 2^31, far above what ``MAX_CELLS`` allows: with n^2 <= 200,000
-    cells, the 4 (n + 1)^2 positions and at most 7 (n + 1)^2 entries stay
-    below 1.5e6.
-    """
-    spec = BasisSpec(Mesh(2, n), 1)
-    m = n + 1
-    # the grids' positions and the dofs, padded by a border of -1 that
-    # every off-grid neighbour reads
-    at = np.full((4, m + 2, m + 2), -1, dtype=np.int32)
-    at[:, 1:-1, 1:-1] = np.arange(4 * m * m, dtype=np.int32).reshape(4, m, m)
-    dof = np.full((m + 2, m + 2), -1, dtype=np.int32)
-    dof[1:-1, 1:-1] = spec.node_dofs.reshape(m, m)
-    C, E, N, NE = at
-
-    def offset(grid, dj, di):
-        """grid at vertex (i + di, j + dj), for every dof row (i, j)"""
-        return grid[1 + dj:m + 1 + dj, 1 + di:m + 1 + di].reshape(-1)[spec.dof_nodes]
-
-    steps = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
-    cols = np.stack([offset(dof, dj, di) for dj, di in steps], axis=-1)
-    keep = cols >= 0
-    reads = (offset(NE, -1, -1), offset(N, -1, 0), offset(E, 0, -1), offset(C, 0, 0), offset(E, 0, 0), offset(N, 0, 0), offset(NE, 0, 0))
-    plan = (np.concatenate([[0], np.cumsum(keep.sum(axis=1))], dtype=np.int32), cols[keep], np.stack(reads, axis=-1)[keep])
-    for array in plan:
-        array.flags.writeable = False
-    return plan
-
-
-def _assemble_stencil_2d(spec: BasisSpec, diffusion: float, reaction: float) -> SparseSymMatrix:
-    """The cached ``_stencil_csr`` arrays in a fresh matrix with its own preconditioner."""
-    n = spec.mesh.n
-    M = SparseSymMatrix(sp.csr_array(_stencil_csr(n, diffusion, reaction), shape=(spec.n_dofs, spec.n_dofs)))
-    M._precond = SineTransformPreconditioner(n, diffusion, reaction)
-    return M
-
-
-@lru_cache(maxsize=GRID_CACHE_SIZE)
 def _stencil_csr(n: int, diffusion: float, reaction: float):
-    """The read-only CSR arrays (data, indices, indptr) of the 2D matrix:
-    the uniform triangulation has two element shapes, so M is a stencil.
+    """The 2D matrix of these coefficients on the n x n grid as read-only
+    CSR arrays (data, indices, indptr), and its
+    ``SineTransformPreconditioner``: the uniform triangulation has two
+    element shapes, so M is a stencil.
 
     The two exact element matrices are added onto the (n+1)^2 vertex grid,
     indexed [j, i], once per coupling: the vertex itself (C) and its east
-    (E), north (N) and north-east (NE) neighbours. The other neighbours'
-    entries are these read from the neighbour's side, so M_pq and M_qp are
-    bit-identical. The grid's cached ``_grid_plan`` gives the CSR pattern
-    and where each entry's value lies, so one gather fills the values.
-    Exact zeros (NE at reaction 0; E and N where the mass cancels the
-    stiffness, at reaction 12 diffusion n^2) are then dropped, with
-    ``indptr`` recounted, which leaves canonical CSR; a matrix that drops
-    none keeps the plan's own index arrays.
+    (E), north (N) and north-east (NE) neighbours. The dofs are the
+    interior vertices, so every neighbour of a dof row (i, j) is on the
+    grid; the row holds SW, S, W, C, E, N, NE, where the neighbour is a dof
+    and the entry is not an exact zero (NE at reaction 0; E and N where the
+    mass cancels the stiffness, at reaction 12 diffusion n^2). SW, S and W
+    read the neighbour's NE, N and E, so M_pq and M_qp are bit-identical.
+    Dofs number the free nodes in node order, so every row's columns
+    ascend. ``indptr`` and ``indices`` are int32, as scipy's ``csr_array``
+    keeps them, and each product streams half the index bytes of int64;
+    with n^2 <= 200,000 cells (``MAX_CELLS``), the at most 7 (n + 1)^2
+    entries stay far below 2^31.
     """
-    indptr, indices, at = _grid_plan(n)
     area = 0.5 / (n * n)
     mass = reaction * area / 12.0 * (1.0 + np.eye(3))
     # the gradients are n g, so the element stiffness (n g)(n g)^T * area is
@@ -506,14 +455,21 @@ def _stencil_csr(n: int, diffusion: float, reaction: float):
     N[cell, cell] += up[0, 2]  # edge v00-v01 of the cell to the east
     N[cell, on] += lo[1, 2]  # edge v10-v11 of the cell to the west
     NE[cell, cell] += lo[0, 2] + up[0, 1]
-    data = grids.take(at)
-    nonzero = data != 0.0
-    if not nonzero.all():
-        data, indices = data[nonzero], indices[nonzero]
-        indptr = np.concatenate([[0], np.cumsum(nonzero)], dtype=np.int32)[indptr]  # entries kept before each row
-    for array in (data, indices, indptr):
+    dof = BasisSpec(Mesh(2, n), 1).node_dofs.astype(np.int32).reshape(n + 1, n + 1)
+
+    def offset(grid, dj, di):
+        """grid at vertex (i + di, j + dj), for every dof row (i, j)"""
+        return grid[1 + dj:n + dj, 1 + di:n + di]
+
+    steps = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+    cols = np.stack([offset(dof, dj, di) for dj, di in steps], axis=-1).reshape(-1, 7)
+    reads = (offset(NE, -1, -1), offset(N, -1, 0), offset(E, 0, -1), offset(C, 0, 0), offset(E, 0, 0), offset(N, 0, 0), offset(NE, 0, 0))
+    vals = np.stack(reads, axis=-1).reshape(-1, 7)
+    keep = (cols >= 0) & (vals != 0.0)
+    csr = (vals[keep], cols[keep], np.concatenate([[0], np.cumsum(keep.sum(axis=1))], dtype=np.int32))
+    for array in csr:
         array.flags.writeable = False
-    return data, indices, indptr
+    return (*csr, SineTransformPreconditioner(n, diffusion, reaction))
 
 
 def assemble_stiffness(spec: BasisSpec, form: BilinearForm) -> SparseSymMatrix:

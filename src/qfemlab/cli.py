@@ -194,7 +194,7 @@ def convergence_report(problem: ProblemSpec, levels: int) -> dict:
 
 def simulate_report(problem: ProblemSpec, exact: bool = False) -> dict:
     budget = SampleBudget(rng_seed=problem.seed)
-    out = estimate_functional(problem, problem.eps, budget, exact_mode=exact)
+    out = estimate_functional(problem, budget, exact_mode=exact)
     out["meta"] = _meta(problem, problem.seed)
     out["uses_of_state_prep"] = budget.uses_of_state_prep
     return out
@@ -213,7 +213,7 @@ def plan_report(problem: ProblemSpec) -> dict:
         **costs,
     }
     if problem.assembled:
-        out["budget"] = estimate_functional(problem, problem.eps, SampleBudget(rng_seed=problem.seed), exact_mode=True)["budget"]
+        out["budget"] = estimate_functional(problem, SampleBudget(rng_seed=problem.seed), exact_mode=True)["budget"]
     return out
 
 

@@ -153,10 +153,11 @@ def estimate_norm(M: SparseSymMatrix, x: np.ndarray, eps_n_rel: float, budget: S
     return float(math.sqrt(p_hat) / lam_min)
 
 
-def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, exact_mode: bool = False) -> dict:
+def estimate_functional(problem: ProblemSpec, budget: SampleBudget, exact_mode: bool = False) -> dict:
     """Estimate R = int r u with additive error <= eps ||r|| (probability
-    >= 2/3) by the three-step pipeline: estimate the solution norm, estimate
-    the overlap <r|u~> from solver-output samples, output alpha * N~ * R~.
+    >= 2/3), eps the problem's ``eps``, by the three-step pipeline: estimate
+    the solution norm, estimate the overlap <r|u~> from solver-output
+    samples, output alpha * N~ * R~.
 
     ``exact_mode`` zeroes the solver, norm and measurement errors so only
     the discretisation term remains. Returns the ``simulate`` artifact less
@@ -164,7 +165,7 @@ def estimate_functional(problem: ProblemSpec, eps: float, budget: SampleBudget, 
     the discrete functional it estimates, the budget split with the mesh
     size and dof count, and the ledger of modelled oracle costs.
     """
-    sob = problem.solution_sobolev
+    eps, sob = problem.eps, problem.solution_sobolev
     if eps > sob.l2_norm:
         raise UnsupportedConfigurationError(f"assumes eps <= ||u|| (eps={eps}, ||u||={sob.l2_norm})")
     n, h = mesh_size(problem, 2.0 * discretisation_share(eps, sob.l2_norm))

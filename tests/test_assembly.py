@@ -13,7 +13,7 @@ from qfemlab import (
     assemble_stiffness,
 )
 from qfemlab import cli
-from qfemlab.assembly import GRID_CACHE_SIZE, _assemble_stencil_2d, _grid_plan, _sine_matrix, _stencil_csr
+from qfemlab.assembly import GRID_CACHE_SIZE, SineTransformPreconditioner, _assemble_bilinear, _stencil_csr
 from matrices import stencil_2d_reference, sym_matrix
 from pointwise import basis, element_nodes, elements, vertices
 
@@ -263,9 +263,10 @@ STENCIL_CASES = {
     *(pytest.param(case, True, id=f"{case}-warm") for case in STENCIL_CASES),
 ])
 def test_2d_stencil_matches_the_per_call_index_build_bitwise(case, warm):
-    """Cold, each key is built on an empty value cache; warm, each key is
-    built again after every key of its list, a hit on the first one's
-    entry. Every build gives its own key's reference bits."""
+    """Cold, each key is built on an empty cache; warm, each key is built
+    again after every key of its list, a hit on the first one's entry.
+    Every build gives its own key's reference bits, and a preconditioner
+    with the bits of one built fresh for its own key."""
     dropped = 0
     for n in range(1, 71):
         spec = BasisSpec(Mesh(2, n), 1)
@@ -273,21 +274,28 @@ def test_2d_stencil_matches_the_per_call_index_build_bitwise(case, warm):
         _stencil_csr.cache_clear()
         if warm:
             for key in keys:
-                _assemble_stencil_2d(spec, *key)
+                _assemble_bilinear(spec, *key)
             assert _stencil_csr.cache_info().currsize == 1, n  # one entry for equal keys
         for diffusion, reaction in keys:
             if not warm:
                 _stencil_csr.cache_clear()
             hits = _stencil_csr.cache_info().hits
-            M = _assemble_stencil_2d(spec, diffusion, reaction)
+            M = _assemble_bilinear(spec, diffusion, reaction)
             assert _stencil_csr.cache_info().hits == hits + warm, n
             ref = stencil_2d_reference(spec, diffusion, reaction)
             for name, dtype in (("indptr", np.int32), ("indices", np.int32), ("data", np.float64)):
                 got, want = getattr(M.csr, name), getattr(ref, name)
                 assert got.dtype == dtype and got.tobytes() == want.astype(dtype).tobytes(), (n, reaction, name)
             assert M.s == (int(np.diff(ref.indptr).max()) if spec.n_dofs else 0), n
-        dropped += ref.nnz < len(_grid_plan(n)[1])
-    # the exact zeros of these cases are dropped from the cached pattern
+            fresh, v = SineTransformPreconditioner(n, diffusion, reaction), np.linspace(-1.0, 2.0, spec.n_dofs)
+            for got, want in ((M._precond._lam, fresh._lam), (M._precond._sine, fresh._sine), (M._precond(v), fresh(v))):
+                assert got.tobytes() == want.tobytes(), (n, reaction)
+            assert np.float64(M._precond.lambda_min_bound).tobytes() == np.float64(fresh.lambda_min_bound).tobytes(), n
+        # the pattern before exact zeros are dropped: each interior vertex
+        # and its dof neighbours among E, W, N, S, NE and SW
+        m, inner = n - 1, max(n - 2, 0)
+        dropped += ref.nnz < m * m + 4 * m * inner + 2 * inner * inner
+    # the exact zeros of these cases are dropped from that pattern
     assert (dropped > 0) == (case in ("D1-R0", "D1-R12n2")), dropped
 
 
@@ -295,33 +303,29 @@ def test_grid_caches_are_read_only_and_hit_on_the_same_grid():
     _stencil_csr.cache_clear()
     spec = BasisSpec(Mesh(2, 9), 1)
     M = assemble_stiffness(spec, BilinearForm(1.0, 1.0))
-    sine = M._precond._sine
-    for array in (M.csr.data, M.csr.indices, M.csr.indptr):
+    M.solve(np.ones(spec.n_dofs))  # builds the preconditioner's sine matrix and spectrum
+    for array in (M.csr.data, M.csr.indices, M.csr.indptr, M._precond._sine, M._precond._lam):
         with pytest.raises(ValueError):
-            array[0] = 1
-    with pytest.raises(ValueError):
-        sine[0, 0] = 1.0
-    # equal coefficients share the values, but not the matrix or its spectrum
+            array.flat[0] = 1
+    # equal coefficients share the values and the preconditioner, but not
+    # the matrix or its spectrum
     extremes = M.extremes()
     twin = assemble_stiffness(spec, BilinearForm(1.0, 1.0))
-    assert twin is not M and np.shares_memory(twin.csr.data, M.csr.data)
-    assert twin._extremes is None and twin.extremes() == extremes
-    hits = _grid_plan.cache_info().hits, _sine_matrix.cache_info().hits
+    assert twin is not M and twin._extremes is None
+    assert np.shares_memory(twin.csr.data, M.csr.data) and twin._precond is M._precond
+    assert twin.extremes() == extremes
     misses = _stencil_csr.cache_info().misses
     again = assemble_stiffness(spec, BilinearForm(2.0, 0.5))
-    assert again._precond._sine is sine and np.shares_memory(again.csr.indices, M.csr.indices)
-    assert _grid_plan.cache_info().hits > hits[0] and _sine_matrix.cache_info().hits > hits[1]
     assert _stencil_csr.cache_info().misses == misses + 1
+    assert again._precond is not M._precond
 
 
 def test_grid_caches_hold_a_default_convergence_and_a_simulate(tmp_path):
     levels = cli.build_parser().parse_args(["convergence", "--spec", "x"]).levels
     # the levels, their reference, its Gram matrix (on the reference's grid), a simulate
     assert levels + 3 <= GRID_CACHE_SIZE
-    caches = (_grid_plan, _sine_matrix, _stencil_csr)
-    for cache in caches:
-        assert cache.cache_info().maxsize == GRID_CACHE_SIZE
-        cache.cache_clear()
+    assert _stencil_csr.cache_info().maxsize == GRID_CACHE_SIZE
+    _stencil_csr.cache_clear()
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "d": 2, "k": 1, "pde": {"diffusion": 1, "reaction": 1},
@@ -331,8 +335,7 @@ def test_grid_caches_hold_a_default_convergence_and_a_simulate(tmp_path):
     def reports():
         for command in ("convergence", "simulate"):
             assert cli.main([command, "--spec", str(spec), "--out", str(tmp_path)]) == 0
-        return tuple(cache.cache_info().misses for cache in caches)
+        return _stencil_csr.cache_info().misses
 
-    first = reports()
-    assert first[0] == levels + 2 and first[2] == levels + 3
-    assert reports() == first  # every grid and operator of the second run is a hit
+    assert reports() == levels + 3
+    assert reports() == levels + 3  # every operator of the second run is a hit

@@ -797,8 +797,12 @@ def test_artifacts_match_golden(capsys, tmp_path, spec_name, run_name):
 
 def test_2d_goldens_on_a_cold_and_a_warm_cache(capsys, tmp_path):
     """In one process, every tiny_2d golden's bytes, whether its run meets
-    empty grid and operator caches or the entries of the same runs before."""
-    for cache in (qfemlab.assembly._grid_plan, qfemlab.assembly._sine_matrix, qfemlab.assembly._stencil_csr):
+    empty caches or the entries of the same runs before. Every cache of the
+    assembly module, found by its ``cache_clear``, is cleared, so that a
+    cache added later starts cold too."""
+    caches = [value for value in vars(qfemlab.assembly).values() if hasattr(value, "cache_clear")]
+    assert qfemlab.assembly._stencil_csr in caches
+    for cache in caches:
         cache.cache_clear()
     for state in ("cold", "warm"):
         for run_name in GOLDEN_RUNS:

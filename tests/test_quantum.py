@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -197,12 +199,12 @@ PROB = ProblemSpec(d=1, k=1, diffusion=1.0, reaction=0.0, f=(-1.0,), r=(1.0,), e
 
 def test_functional_poisson_known_value():
     budget = SampleBudget(rng_seed=7)
-    est = estimate_functional(PROB, 0.01, budget)
+    est = estimate_functional(replace(PROB, eps=0.01), budget)
     assert abs(est["value"] - 1.0 / 3.0) <= 0.01
 
 
 def test_functional_exact_mode_leaves_only_discretisation():
-    est = estimate_functional(PROB, 0.02, SampleBudget(rng_seed=0), exact_mode=True)
+    est = estimate_functional(PROB, SampleBudget(rng_seed=0), exact_mode=True)
     assert est["value"] == pytest.approx(est["exact_value_discrete"], abs=1e-12)
     assert abs(est["value"] - 1.0 / 3.0) <= est["budget"]["eps_d"]
 
@@ -225,7 +227,7 @@ def test_functional_orthogonal_r():
     assert abs(exact_functional_1d(u, r)) < 1e-15
     prob = ProblemSpec(d=1, k=1, diffusion=1.0, reaction=0.0, f=(-1.0,), r=r, eps=0.02)
     budget = SampleBudget(rng_seed=1)
-    est = estimate_functional(prob, 0.02, budget)
+    est = estimate_functional(prob, budget)
     from qfemlab.problems import poly_l2_norm
 
     assert abs(est["value"]) <= 0.02 * poly_l2_norm(r, 1)
@@ -235,7 +237,7 @@ def test_functional_success_rate():
     ok = 0
     for seed in range(60):
         budget = SampleBudget(rng_seed=seed)
-        est = estimate_functional(PROB, 0.02, budget)
+        est = estimate_functional(PROB, budget)
         if abs(est["value"] - 1.0 / 3.0) <= 0.02:
             ok += 1
     assert ok >= 40  # 2/3 of 60
@@ -243,14 +245,14 @@ def test_functional_success_rate():
 
 def test_functional_budget_tracking():
     budget = SampleBudget(rng_seed=0)
-    est = estimate_functional(PROB, 0.02, budget)
+    est = estimate_functional(PROB, budget)
     prep_uses = sum(e["notes"].get("state_prep_uses", 0) for e in est["ledger"])
     assert budget.uses_of_state_prep >= prep_uses > 0
 
 
 def test_functional_rejects_eps_above_solution_norm():
     with pytest.raises(UnsupportedConfigurationError):
-        estimate_functional(PROB, 1.0, SampleBudget(rng_seed=0))
+        estimate_functional(replace(PROB, eps=1.0), SampleBudget(rng_seed=0))
 
 
 def test_rescaling_identity():
